@@ -28,7 +28,7 @@ from .embedding import (
     train_doc2vec,
     train_word2vec,
 )
-from .retrieval import RoutingDecision, RoutingOutcome, route, select_answer
+from .retrieval import AnswerIndex, RoutingDecision, RoutingOutcome, route, select_answer
 from .simnet import Activation, ForwardMode, SimilarityNetwork, init_network
 from .training import SimTrainConfig, TrainReport, train_simnet
 
@@ -36,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation",
+    "AnswerIndex",
     "CandidatePool",
     "CombineMode",
     "DocEmbeddingModel",

@@ -229,7 +229,7 @@ def cmd_train_simnet(args) -> int:
     return 0
 
 
-def _doc_vectors(texts, model, vocab, args, what: str) -> np.ndarray:
+def _doc_vectors(texts, model, vocab, args, seed: int, what: str) -> np.ndarray:
     """Doc-matrix rows when the file matches the trained corpus, else inference."""
     if not args.infer_vectors:
         if len(texts) != model.n_docs:
@@ -240,8 +240,7 @@ def _doc_vectors(texts, model, vocab, args, what: str) -> np.ndarray:
     vectors = np.zeros((len(texts), model.dim))
     for i, text in enumerate(texts):
         doc = corpus.encode(corpus.tokenize(text), vocab, doc_id=i)
-        vectors[i] = embedding.infer_doc_vector(model, doc, steps=args.infer_steps,
-                                                seed=args.seed or 0)
+        vectors[i] = embedding.infer_doc_vector(model, doc, steps=args.infer_steps, seed=seed)
     return vectors
 
 
@@ -280,8 +279,9 @@ def cmd_eval(args) -> int:
     if args.infer_vectors:
         q_vocab = corpus.load_vocabulary(_require_file(args.q_vocab, "question vocabulary"))
         a_vocab = corpus.load_vocabulary(_require_file(args.a_vocab, "answer vocabulary"))
-    q_vectors = _doc_vectors(q_texts, q_model, q_vocab, args, "questions")
-    a_vectors = _doc_vectors(a_texts, a_model, a_vocab, args, "answers")
+    seed = _seed(args, config)
+    q_vectors = _doc_vectors(q_texts, q_model, q_vocab, args, seed, "questions")
+    a_vectors = _doc_vectors(a_texts, a_model, a_vocab, args, seed, "answers")
 
     report = retrieval.pool_report(net, pools, (q_vectors, a_vectors), threshold=threshold)
     if args.pairs:
@@ -347,7 +347,8 @@ def cmd_ask(args) -> int:
                          f"has {a_model.n_docs} doc vectors")
     threshold = _first(args.threshold, config.get("threshold"), 0.7)
     seed = _seed(args, config)
-    pool = corpus.CandidatePool(question_doc=0, candidates=list(range(len(answer_texts))))
+    index = retrieval.AnswerIndex(net, a_model.doc_matrix)
+    candidates = np.arange(len(answer_texts))
 
     print("ready (one question per line, EOF to quit)", file=sys.stderr)
     for line in sys.stdin:
@@ -361,10 +362,10 @@ def cmd_ask(args) -> int:
             continue
         doc = corpus.encode(tokens, q_vocab)
         q_vec = embedding.infer_doc_vector(q_model, doc, steps=args.infer_steps, seed=seed)
-        index, best_score = retrieval.select_answer(net, q_vec, pool, a_model.doc_matrix)
-        decision = retrieval.route(best_score, threshold, answer_doc=pool.candidates[index])
+        best, best_score = index.select(q_vec, candidates)
+        decision = retrieval.route(best_score, threshold, answer_doc=best)
         if decision.outcome is retrieval.RoutingOutcome.ANSWER:
-            print(f"answer ({decision.confidence:.4f}): {answer_texts[index]}")
+            print(f"answer ({decision.confidence:.4f}): {answer_texts[best]}")
         else:
             print(f"escalate ({decision.confidence:.4f}): confidence below threshold {threshold}")
     return 0

@@ -80,6 +80,13 @@ class TokenizedDocument:
     tokens: list[int]
 
 
+def _check_doc_ids(ids) -> None:
+    """Doc ids are non-negative integers; NumPy indexing would wrap a negative one."""
+    for i in ids:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or i < 0:
+            raise ValueError(f"doc ids must be non-negative integers, got {i!r}")
+
+
 @dataclass(frozen=True)
 class QAPair:
     """One (question doc, answer doc) pair with a binary match label."""
@@ -89,6 +96,7 @@ class QAPair:
     label: int
 
     def __post_init__(self):
+        _check_doc_ids([self.question_doc, self.answer_doc])
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
@@ -106,6 +114,7 @@ class CandidatePool:
     correct: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        _check_doc_ids([self.question_doc, *self.candidates])
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("candidate doc ids must be unique within a pool")
         bad = [i for i in self.correct if not 0 <= i < len(self.candidates)]
@@ -322,9 +331,12 @@ def load_pairs(path) -> list[QAPair]:
     """Read a JSONL pair file written by save_pairs."""
     pairs = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            pairs.append(QAPair(record["question_doc"], record["answer_doc"], record["label"]))
+            try:
+                record = json.loads(line)
+                pairs.append(QAPair(record["question_doc"], record["answer_doc"], record["label"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: malformed pair record: {exc}") from exc
     return pairs

@@ -148,6 +148,42 @@ def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed)
     )
 
 
+def _tower(net: SimilarityNetwork, x: np.ndarray, side: str, m1=None, m2=None):
+    """Question ("q") or answer ("a") tower on (batch, d) rows: z1, h1, z2, h2
+    (post-dropout) and the side's head term, h2 times its half of w3."""
+    p = net.params()
+    z1 = x @ p["w1" + side].T + p["b1" + side]
+    a1 = _act(z1, net.activation)
+    h1 = a1 * m1 if m1 is not None else a1
+    z2 = h1 @ p["w2" + side].T + p["b2" + side]
+    a2 = _act(z2, net.activation)
+    h2 = a2 * m2 if m2 is not None else a2
+    half = len(net.w3) // 2
+    return z1, h1, z2, h2, h2 @ (net.w3[:half] if side == "q" else net.w3[half:])
+
+
+def _as_rows(f: np.ndarray) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(f, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise ValueError("input features must be finite")
+    return x
+
+
+def head_terms(net: SimilarityNetwork, f: np.ndarray, side: str) -> np.ndarray:
+    """Eval-mode head term of each feature row on side "q" or "a".
+
+    The logit is question term + answer term + b3, so one side's terms can
+    be computed once and paired with any row of the other side.
+    """
+    return _tower(net, _as_rows(f), side)[4]
+
+
+def probabilities(net: SimilarityNetwork, q_terms: np.ndarray,
+                  a_terms: np.ndarray) -> np.ndarray:
+    """Match probabilities from head terms, summed in `forward`'s order."""
+    return _sigmoid(q_terms + a_terms + net.b3[0])
+
+
 def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
             dropout_p: float = 0.0, mode: ForwardMode = ForwardMode.EVAL,
             seed: int = 0, masks=None) -> ForwardTrace:
@@ -159,14 +195,11 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
     Eval mode applies no masks and no rescaling.
     """
     mode = ForwardMode(mode)
-    x_q = np.atleast_2d(np.asarray(f_q, dtype=np.float64))
-    x_a = np.atleast_2d(np.asarray(f_a, dtype=np.float64))
-    if not (np.isfinite(x_q).all() and np.isfinite(x_a).all()):
-        raise ValueError("input features must be finite")
+    x_q = _as_rows(f_q)
+    x_a = _as_rows(f_a)
     if x_q.shape != x_a.shape:
         raise ValueError(f"feature shapes differ: {x_q.shape} vs {x_a.shape}")
 
-    act = net.activation
     B = x_q.shape[0]
     h1, h2 = net.w1q.shape[0], net.w2q.shape[0]
 
@@ -176,19 +209,10 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
         masks = None
     m1q, m2q, m1a, m2a = masks if masks is not None else (None,) * 4
 
-    def tower(x, w1, b1, w2, b2, m1, m2):
-        z1 = x @ w1.T + b1
-        a1 = _act(z1, act)
-        h1_ = a1 * m1 if m1 is not None else a1
-        z2 = h1_ @ w2.T + b2
-        a2 = _act(z2, act)
-        h2_ = a2 * m2 if m2 is not None else a2
-        return z1, h1_, z2, h2_
+    z1q, h1q, z2q, h2q, q_term = _tower(net, x_q, "q", m1q, m2q)
+    z1a, h1a, z2a, h2a, a_term = _tower(net, x_a, "a", m1a, m2a)
 
-    z1q, h1q, z2q, h2q = tower(x_q, net.w1q, net.b1q, net.w2q, net.b2q, m1q, m2q)
-    z1a, h1a, z2a, h2a = tower(x_a, net.w1a, net.b1a, net.w2a, net.b2a, m1a, m2a)
-
-    u = h2q @ net.w3[:h2] + h2a @ net.w3[h2:] + net.b3[0]
+    u = q_term + a_term + net.b3[0]
     y_prime = _sigmoid(u)
     return ForwardTrace(x_q=x_q, x_a=x_a, z1q=z1q, h1q=h1q, z2q=z2q, h2q=h2q,
                         z1a=z1a, h1a=h1a, z2a=z2a, h2a=h2a, masks=masks,
@@ -198,7 +222,9 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
 def _loss_from_trace(trace: ForwardTrace, y: np.ndarray, lam: float, w3: np.ndarray) -> float:
     yc = np.clip(trace.y_prime, EPS, 1.0 - EPS)
     bce = -(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc))
-    return float(bce.mean() + lam * np.dot(w3, w3))
+    # diverged weights overflow to inf here; callers check the loss is finite
+    with np.errstate(over="ignore"):
+        return float(bce.mean() + lam * np.dot(w3, w3))
 
 
 def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import simnet
 from .corpus import QAPair
+from .retrieval import feature_rows
 from .simnet import SimilarityNetwork
 
 
@@ -103,19 +104,21 @@ def lr_at_epoch(config: SimTrainConfig, epoch: int) -> float:
     return max(config.lr_floor, config.lr0 * config.decay ** (epoch - config.decay_start_epoch + 1))
 
 
-def lookup_features(features, doc_id: int) -> np.ndarray:
-    """Fetch a doc vector from a mapping or array, with a clear error."""
-    try:
-        return features[doc_id]
-    except (KeyError, IndexError):
-        raise ValueError(f"no feature vector for doc id {doc_id}") from None
+def _pair_rows(pairs: list[QAPair], features):
+    """((unique question rows, each pair's row in them), (same for answers), labels)."""
+    q_docs, q_of_pair = np.unique([p.question_doc for p in pairs], return_inverse=True)
+    a_docs, a_of_pair = np.unique([p.answer_doc for p in pairs], return_inverse=True)
+    return ((feature_rows(features[0], q_docs), q_of_pair),
+            (feature_rows(features[1], a_docs), a_of_pair),
+            np.array([p.label for p in pairs], dtype=np.float64))
 
 
-def _pair_arrays(pairs: list[QAPair], q_features, a_features):
-    fq = np.stack([lookup_features(q_features, p.question_doc) for p in pairs])
-    fa = np.stack([lookup_features(a_features, p.answer_doc) for p in pairs])
-    y = np.array([p.label for p in pairs], dtype=np.float64)
-    return fq, fa, y
+def _pair_accuracy(net: SimilarityNetwork, q, a, y: np.ndarray) -> float:
+    """Accuracy at threshold 0.5 from head terms computed once per unique
+    doc and gathered per pair; a score of exactly 0.5 is positive."""
+    scores = simnet.probabilities(net, simnet.head_terms(net, q[0], "q")[q[1]],
+                                  simnet.head_terms(net, a[0], "a")[a[1]])
+    return float(np.mean((scores >= 0.5) == (y == 1.0)))
 
 
 def evaluate_pair_accuracy(net: SimilarityNetwork, pairs: list[QAPair], features) -> float:
@@ -125,9 +128,7 @@ def evaluate_pair_accuracy(net: SimilarityNetwork, pairs: list[QAPair], features
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    fq, fa, y = _pair_arrays(pairs, features[0], features[1])
-    predictions = simnet.score_batch(net, fq, fa) >= 0.5
-    return float(np.mean(predictions == (y == 1.0)))
+    return _pair_accuracy(net, *_pair_rows(pairs, features))
 
 
 def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
@@ -148,9 +149,10 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
     """
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation pair sets must be non-empty")
-    q_features, a_features = features
-    fq, fa, y = _pair_arrays(train_pairs, q_features, a_features)
-    val_fq, val_fa, val_y = _pair_arrays(val_pairs, q_features, a_features)
+    train = _pair_rows(train_pairs, features)
+    val = _pair_rows(val_pairs, features)
+    (q_rows, q_of_pair), (a_rows, a_of_pair), y = train
+    fq, fa = q_rows[q_of_pair], a_rows[a_of_pair]
 
     d = fq.shape[1]
     rng = np.random.default_rng(config.seed)
@@ -179,13 +181,10 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
                 param -= lr * grads[name]
             batch_losses.append(batch_loss)
 
-        train_pred = simnet.score_batch(net, fq, fa) >= 0.5
-        train_acc = float(np.mean(train_pred == (y == 1.0)))
-        val_pred = simnet.score_batch(net, val_fq, val_fa) >= 0.5
-        val_acc = float(np.mean(val_pred == (val_y == 1.0)))
+        val_acc = _pair_accuracy(net, *val)
         report.epochs.append(EpochStats(epoch=epoch, lr=lr,
                                         train_loss=float(np.mean(batch_losses)),
-                                        train_acc=train_acc, val_acc=val_acc))
+                                        train_acc=_pair_accuracy(net, *train), val_acc=val_acc))
 
         if checkpoint_every > 0 and checkpoint_dir is not None \
                 and (epoch + 1) % checkpoint_every == 0:

@@ -6,9 +6,10 @@ import json
 import sys
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
-from qasim import corpus
+from qasim import corpus, embedding
 from qasim.cli import main
 from qasim.datasets import planted_qa_records
 
@@ -217,6 +218,27 @@ class TestSeedResolution:
         assert rc == 0
         assert json.loads(lines[0])["resolved"]["seed"] == 5
 
+    def test_env_seed_reaches_inferred_vectors(self, ws, monkeypatch):
+        inferred = {}
+        infer = embedding.infer_doc_vector
+
+        def recording(model, doc, steps=50, seed=0):
+            vector = infer(model, doc, steps=steps, seed=seed)
+            inferred.setdefault(seed, []).append(vector)
+            return vector
+
+        monkeypatch.setattr(embedding, "infer_doc_vector", recording)
+        argv = ["eval", "--qa-file", str(ws["qa"]), "--q-model", str(ws["q_model"]),
+                "--a-model", str(ws["a_model"]), "--simnet", str(ws["net"]),
+                "--infer-vectors", "--infer-steps", "2",
+                "--q-vocab", str(ws["q_vocab"]), "--a-vocab", str(ws["a_vocab"])]
+        for env_seed in ("7", "8"):
+            monkeypatch.setenv("QASIM_SEED", env_seed)
+            rc, _ = run(argv)
+            assert rc == 0
+        assert set(inferred) == {7, 8}
+        assert any(not np.array_equal(a, b) for a, b in zip(inferred[7], inferred[8]))
+
     def test_default_seed_zero(self, ws, monkeypatch, tmp_path):
         monkeypatch.delenv("QASIM_SEED", raising=False)
         rc, lines = run(["sample-pairs", "--qa-file", str(ws["qa"]),
@@ -287,6 +309,24 @@ class TestExitCodes:
                    "--dim", "4", "--epochs", "1", "--out", str(tmp_path / "m")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        '{"question_doc": -1, "answer_doc": 0, "label": 1}',
+        '{"question_doc": 0, "answer_doc": -2, "label": 0}',
+        '{"question_doc": 0}',
+        '{"question_doc": 0, "answer_doc": [1], "label": 1}',
+    ])
+    def test_bad_pair_record_exits_one(self, ws, tmp_path, capsys, record):
+        pairs = tmp_path / "bad_pairs.jsonl"
+        good = ws["pairs"].read_text(encoding="utf-8").splitlines()
+        pairs.write_text("\n".join(good[:3] + [record] + good[3:]) + "\n", encoding="utf-8")
+        rc = main(["train-simnet", "--pairs", str(pairs), "--q-model", str(ws["q_model"]),
+                   "--a-model", str(ws["a_model"]), "--max-epochs", "1",
+                   "--out", str(tmp_path / "n")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"qasim: error: {pairs}:4: malformed pair record")
 
     def test_dim_mismatch_exits_two(self, ws, tmp_path):
         other = tmp_path / "dim4.d2v"

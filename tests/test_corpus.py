@@ -3,6 +3,7 @@
 import collections
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,33 @@ class TestPoolAndPairTypes:
         pool = CandidatePool(0, [1, 2])
         assert pool.correct == frozenset()
 
+    @pytest.mark.parametrize("make", [
+        lambda: QAPair(-1, 0, 1),
+        lambda: QAPair(0, -3, 0),
+        lambda: CandidatePool(-1, [0, 1]),
+        lambda: CandidatePool(0, [1, -1]),
+    ])
+    def test_negative_doc_ids_rejected(self, make):
+        # NumPy indexing would silently wrap these around to the last rows
+        with pytest.raises(ValueError, match="non-negative integers"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: QAPair("0", 1, 1),
+        lambda: QAPair(0, 1.0, 1),
+        lambda: QAPair(True, 1, 1),
+        lambda: CandidatePool(None, [0]),
+        lambda: CandidatePool(0, [0, 2.5]),
+    ])
+    def test_non_integer_doc_ids_rejected(self, make):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            make()
+
+    def test_numpy_integer_doc_ids_accepted(self):
+        pair = QAPair(np.int64(2), np.int32(0), 1)
+        assert (pair.question_doc, pair.answer_doc) == (2, 0)
+        assert CandidatePool(np.int64(0), [np.int64(3), 1]).candidates[0] == 3
+
 
 class TestSamplePairs:
     def one_pool(self):
@@ -281,6 +309,21 @@ class TestFileFormats:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="out of range"):
             corpus.load_qa_dataset(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"question_doc": 0}',
+        '{"question_doc": 0, "answer_doc": "a", "label": 1}',
+        '{"question_doc": -1, "answer_doc": 0, "label": 1}',
+        '{"question_doc": 0, "answer_doc": 1, "label": 2}',
+        '[0, 1, 1]',
+        'not json',
+    ])
+    def test_pairs_malformed_record_reports_line_number(self, tmp_path, record):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"question_doc": 0, "answer_doc": 1, "label": 1}\n' + record + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r":2: malformed pair record"):
+            corpus.load_pairs(path)
 
     def test_pairs_roundtrip(self, tmp_path):
         pairs = [QAPair(0, 3, 1), QAPair(1, 2, 0)]

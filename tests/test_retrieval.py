@@ -1,5 +1,6 @@
 """Retrieval tests: selection against a brute-force oracle, tie rules,
-threshold routing, and pool-level accuracy bookkeeping."""
+the cached answer index, threshold routing, pool-level accuracy
+bookkeeping, and the paper head's known ranking limit."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from qasim import simnet
 from qasim.corpus import CandidatePool
 from qasim.retrieval import (
+    AnswerIndex,
     RoutingDecision,
     RoutingOutcome,
     evaluate_pool_accuracy,
+    feature_rows,
     pool_report,
     route,
     select_answer,
@@ -92,6 +95,91 @@ class TestSelectAnswer:
                              correct=frozenset({0}))
         with pytest.raises(ValueError):
             select_answer(net, qf[0], pool, af)
+
+
+class TestFeatureRows:
+    def test_gathers_rows_in_order(self):
+        arr = np.arange(12.0).reshape(4, 3)
+        assert np.array_equal(feature_rows(arr, [2, 0, 2]), arr[[2, 0, 2]])
+
+    @pytest.mark.parametrize("ids", [[-1], [0, 4], [1, -4]])
+    def test_ids_outside_the_array_rejected(self, ids):
+        # NumPy alone would wrap -1 and -4 around to existing rows
+        with pytest.raises(ValueError, match="no feature vector for doc id"):
+            feature_rows(np.zeros((4, 3)), ids)
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            feature_rows(np.zeros((4, 3)), [1.0])
+
+
+class TestAnswerIndex:
+    @pytest.fixture(scope="class")
+    def collection(self):
+        rng = np.random.default_rng(21)
+        net = simnet.init_network(6, std=0.5, seed=4)
+        return net, rng.normal(size=(2500, 6)), rng.normal(size=(5, 6))
+
+    def test_matches_brute_force_oracle_on_large_collection(self, collection):
+        net, af, qf = collection
+        index = AnswerIndex(net, af)
+        rng = np.random.default_rng(5)
+        candidates = [np.arange(len(af)), rng.permutation(len(af))[:2000]]
+        for q in qf:
+            for cands in candidates:
+                best, best_score = index.select(q, cands)
+                oracle = np.array([simnet.score(net, q, af[c]) for c in cands])
+                assert best == int(np.argmax(oracle))  # first maximum
+                assert best_score == pytest.approx(oracle[best], abs=1e-12)
+
+    def test_matches_select_answer(self, collection):
+        net, af, qf = collection
+        pool = CandidatePool(question_doc=0, candidates=(40, 7, 1999, 3),
+                             correct=frozenset({0}))
+        got = AnswerIndex(net, af).select(qf[0], pool.candidates)
+        want = select_answer(net, qf[0], pool, af)
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], abs=1e-12)
+
+    def test_saturated_probabilities_tie_to_lowest_index(self, collection):
+        net, af, qf = collection
+        net = net.copy()
+        net.b3[0] = 60.0  # sigmoid(u) rounds to exactly 1.0 for every candidate
+        index = AnswerIndex(net, af)
+        low, high = np.argsort(index.terms)[[0, -1]]
+        assert simnet.score(net, qf[0], af[low]) == simnet.score(net, qf[0], af[high]) == 1.0
+        # the later candidate has the larger logit, yet the first position wins
+        assert index.select(qf[0], [low, high]) == (0, 1.0)
+        assert index.select(qf[0], [high, low]) == (0, 1.0)
+
+    @pytest.mark.parametrize("cands", [[3, -1], [-2500], [0, 2500], [10**9]])
+    def test_out_of_range_and_negative_ids_rejected(self, collection, cands):
+        net, af, qf = collection
+        with pytest.raises(ValueError, match="no feature vector for doc id"):
+            AnswerIndex(net, af).select(qf[0], cands)
+
+    def test_empty_candidates_rejected(self, collection):
+        net, af, qf = collection
+        with pytest.raises(ValueError, match="empty"):
+            AnswerIndex(net, af).select(qf[0], [])
+
+    def test_one_question_per_call(self, collection):
+        net, af, qf = collection
+        with pytest.raises(ValueError):
+            AnswerIndex(net, af).select(qf[:2], [0, 1])
+
+
+class TestKnownLimits:
+    def test_paper_head_ranks_answers_the_same_for_every_question(self):
+        # u = w3[:h2]·T_q(q) + w3[h2:]·T_a(a) + b3 adds one question term to
+        # every candidate, so the question cannot change which answer wins.
+        rng = np.random.default_rng(8)
+        net = simnet.init_network(6, std=0.5, seed=9)
+        af = rng.normal(size=(300, 6))
+        index = AnswerIndex(net, af)
+        winners = {index.select(q, np.arange(len(af)))[0]
+                   for q in rng.normal(scale=3.0, size=(200, 6))}
+        assert winners == {int(np.argmax(index.terms))}
 
 
 class TestRoute:

@@ -342,6 +342,19 @@ class TestScore:
         net.b3 = net.b3 + 1.0  # push the logit up
         assert score(net, fq, fa) > base
 
+    def test_head_terms_reproduce_forward(self):
+        net = init_network(5, std=0.4, seed=15, activation=Activation.RELU)
+        rng = np.random.default_rng(16)
+        fq, fa = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
+        split = simnet.probabilities(net, simnet.head_terms(net, fq, "q"),
+                                     simnet.head_terms(net, fa, "a"))
+        assert np.array_equal(split, score_batch(net, fq, fa))
+
+    def test_head_terms_reject_non_finite_features(self):
+        net = init_network(3, seed=0)
+        with pytest.raises(ValueError):
+            simnet.head_terms(net, np.array([0.0, np.inf, 0.0]), "a")
+
     def test_score_batch_matches_scalar_scores(self):
         net = init_network(5, std=0.4, seed=11)
         rng = np.random.default_rng(10)

@@ -9,11 +9,11 @@ import pytest
 
 from qasim import simnet, training
 from qasim.corpus import QAPair
+from qasim.retrieval import lookup_features
 from qasim.simnet import Activation
 from qasim.training import (
     SimTrainConfig,
     evaluate_pair_accuracy,
-    lookup_features,
     lr_at_epoch,
     train_simnet,
 )
@@ -131,6 +131,25 @@ class TestEvaluatePairAccuracy:
         ) / 2048
         prefix = evaluate_pair_accuracy(net, pairs[:2048], (qf, af))
         assert prefix == pytest.approx(exact, abs=1e-12)
+
+    def test_repeated_docs_match_scalar_recount(self):
+        # many pairs share each doc: head terms are computed per unique doc
+        # and gathered per pair, which must agree with scoring every pair
+        d = 5
+        net = simnet.init_network(d, std=0.5, seed=6)
+        rng = np.random.default_rng(4)
+        qf, af = rng.normal(size=(7, d)), rng.normal(size=(11, d))
+        pairs = [QAPair(int(q), int(a), int(y)) for q, a, y in
+                 zip(rng.integers(0, 7, 300), rng.integers(0, 11, 300),
+                     rng.integers(0, 2, 300))]
+        exact = np.mean([(simnet.score(net, qf[p.question_doc], af[p.answer_doc]) >= 0.5)
+                         == bool(p.label) for p in pairs])
+        assert evaluate_pair_accuracy(net, pairs, (qf, af)) == pytest.approx(exact, abs=1e-12)
+
+    def test_missing_doc_rejected(self):
+        net = simnet.init_network(3, seed=0)
+        with pytest.raises(ValueError, match="doc id 4"):
+            evaluate_pair_accuracy(net, [QAPair(0, 4, 1)], (np.zeros((2, 3)), np.zeros((2, 3))))
 
 
 class TestTrainSimnet:
