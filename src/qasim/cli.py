@@ -21,8 +21,7 @@ from . import corpus, embedding, evaluation, retrieval, simnet, training
 PROG = "qasim"
 SEED_ENV_VAR = "QASIM_SEED"
 
-_EMBED_KEYS = {f.name for f in dataclasses.fields(embedding.EmbedTrainConfig)}
-_SIMNET_KEYS = {f.name for f in dataclasses.fields(training.SimTrainConfig)}
+_SECTIONS = {"embedding": embedding.EmbedTrainConfig, "simnet": training.SimTrainConfig}
 _TOP_KEYS = {"seed", "min_count", "threshold", "positive_fraction", "n_pairs",
              "embedding", "simnet"}
 
@@ -53,8 +52,12 @@ def _load_config(path) -> dict:
     for key in config:
         if key not in _TOP_KEYS:
             raise UsageError(f"unknown config field: {key}")
-    for section, known in (("embedding", _EMBED_KEYS), ("simnet", _SIMNET_KEYS)):
-        for key in config.get(section, {}):
+    for section, cls in _SECTIONS.items():
+        values = config.get(section, {})
+        if not isinstance(values, dict):
+            raise UsageError(f"config field {section} must hold a JSON object")
+        known = {f.name for f in dataclasses.fields(cls)}
+        for key in values:
             if key not in known:
                 raise UsageError(f"unknown config field: {section}.{key}")
     return config
@@ -76,45 +79,23 @@ def _seed(args, config: dict, section: dict | None = None) -> int:
                       0))
 
 
-def _embed_config(args, config: dict) -> embedding.EmbedTrainConfig:
-    section = config.get("embedding", {})
-    try:
-        return embedding.EmbedTrainConfig(
-            dim=_first(args.dim, section.get("dim"), 100),
-            window=_first(args.window, section.get("window"), 5),
-            negatives=_first(args.negatives, section.get("negatives"), 5),
-            epochs=_first(args.epochs, section.get("epochs"), 5),
-            learning_rate=_first(args.lr, section.get("learning_rate"), 0.025),
-            min_learning_rate=_first(args.min_lr, section.get("min_learning_rate"), 1e-4),
-            seed=_seed(args, config, section),
-        )
-    except ValueError as exc:
-        raise UsageError(f"invalid config field: {exc}") from exc
+# Config fields whose command-line flag has another name; every other
+# field `foo_bar` is set by `--foo-bar`.
+_FLAG_OF_FIELD = {"learning_rate": "lr", "min_learning_rate": "min_lr",
+                  "dropout_p": "dropout", "early_stop_patience": "patience"}
 
 
-def _sim_config(args, config: dict) -> training.SimTrainConfig:
-    section = config.get("simnet", {})
-    defaults = training.SimTrainConfig()
+def _section_config(args, config: dict, section_name: str):
+    """The section's config dataclass: each field from its flag, else the
+    section, else the dataclass default; the seed as `_seed` resolves it."""
+    cls = _SECTIONS[section_name]
+    section = config.get(section_name, {})
+    values = {f.name: _first(getattr(args, _FLAG_OF_FIELD.get(f.name, f.name)),
+                             section.get(f.name), f.default)
+              for f in dataclasses.fields(cls) if f.name != "seed"}
     try:
-        return training.SimTrainConfig(
-            batch_size=_first(args.batch_size, section.get("batch_size"), defaults.batch_size),
-            max_epochs=_first(args.max_epochs, section.get("max_epochs"), defaults.max_epochs),
-            dropout_p=_first(args.dropout, section.get("dropout_p"), defaults.dropout_p),
-            lam=_first(args.lam, section.get("lam"), defaults.lam),
-            init_std=_first(args.init_std, section.get("init_std"), defaults.init_std),
-            bias_const=_first(args.bias_const, section.get("bias_const"), defaults.bias_const),
-            lr0=_first(args.lr0, section.get("lr0"), defaults.lr0),
-            decay=_first(args.decay, section.get("decay"), defaults.decay),
-            decay_start_epoch=_first(args.decay_start_epoch, section.get("decay_start_epoch"),
-                                     defaults.decay_start_epoch),
-            lr_floor=_first(args.lr_floor, section.get("lr_floor"), defaults.lr_floor),
-            early_stop_patience=_first(args.patience, section.get("early_stop_patience"),
-                                       defaults.early_stop_patience),
-            activation=simnet.Activation(_first(args.activation, section.get("activation"),
-                                                defaults.activation)),
-            seed=_seed(args, config, section),
-        )
-    except ValueError as exc:
+        return cls(**values, seed=_seed(args, config, section))
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid config field: {exc}") from exc
 
 
@@ -153,7 +134,7 @@ def cmd_train_word2vec(args) -> int:
     config = _load_config(args.config)
     vocab = corpus.load_vocabulary(_require_file(args.vocab, "vocabulary file"))
     docs = corpus.encode_corpus(_load_raw_docs(args), vocab)
-    cfg = _embed_config(args, config)
+    cfg = _section_config(args, config, "embedding")
     mode = embedding.Word2VecMode(args.mode)
     _echo("train-word2vec", {**dataclasses.asdict(cfg), "mode": mode.value, "out": args.out})
     model = embedding.train_word2vec(docs, cfg, mode=mode, vocab_size=len(vocab))
@@ -167,7 +148,7 @@ def cmd_train_doc2vec(args) -> int:
     config = _load_config(args.config)
     vocab = corpus.load_vocabulary(_require_file(args.vocab, "vocabulary file"))
     docs = corpus.encode_corpus(_load_raw_docs(args), vocab)
-    cfg = _embed_config(args, config)
+    cfg = _section_config(args, config, "embedding")
     combine = embedding.CombineMode(args.combine)
     _echo("train-doc2vec", {**dataclasses.asdict(cfg), "combine": combine.value, "out": args.out})
     model = embedding.train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
@@ -199,7 +180,7 @@ def cmd_train_simnet(args) -> int:
     a_model = embedding.load_doc2vec(_require_file(args.a_model, "answer doc2vec model"))
     if q_model.dim != a_model.dim:
         raise UsageError(f"doc2vec dimensions differ: {q_model.dim} vs {a_model.dim}")
-    cfg = _sim_config(args, config)
+    cfg = _section_config(args, config, "simnet")
 
     if args.val_pairs:
         val_pairs = corpus.load_pairs(_require_file(args.val_pairs, "validation pair file"))
@@ -312,7 +293,7 @@ def cmd_classify(args) -> int:
     encoded = corpus.encode_corpus(docs, vocab)
     labels = np.array(labels01, dtype=np.float64) * 2.0 - 1.0
 
-    cfg = _embed_config(args, config)
+    cfg = _section_config(args, config, "embedding")
     ratios = [float(r) for r in args.ratios.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     _echo("classify", {**dataclasses.asdict(cfg), "ratios": ratios, "seeds": seeds,

@@ -87,6 +87,13 @@ def _check_doc_ids(ids) -> None:
             raise ValueError(f"doc ids must be non-negative integers, got {i!r}")
 
 
+def check_label(label) -> None:
+    """Binary labels are the integers 0 and 1; True and 1.0 compare equal
+    to 1 but would be written back as `true` and `1.0`."""
+    if not isinstance(label, (int, np.integer)) or isinstance(label, bool) or label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label!r}")
+
+
 @dataclass(frozen=True)
 class QAPair:
     """One (question doc, answer doc) pair with a binary match label."""
@@ -97,8 +104,7 @@ class QAPair:
 
     def __post_init__(self):
         _check_doc_ids([self.question_doc, self.answer_doc])
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+        check_label(self.label)
 
 
 @dataclass(frozen=True)

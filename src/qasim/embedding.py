@@ -124,6 +124,25 @@ def skipgram_probability(model: WordEmbeddingModel, center: int, outside: int) -
     return float(probs[outside])
 
 
+def _ns_update(output_matrix: np.ndarray, h: np.ndarray, target: int, negatives: list[int],
+               lr: float, update_output: bool = True) -> tuple[float, np.ndarray]:
+    """The negative-sampling kernel of every model here: the loss at the
+    current parameters, its gradient with respect to the hidden vector `h`
+    (the caller updates the rows `h` came from), and, when `update_output`,
+    the SGD step on the touched output rows."""
+    rows = [target] + list(negatives)
+    out = output_matrix[rows]                  # copy, (1+m, d)
+    s = out @ h
+    loss = float(-_log_sigmoid(s[0]) - _log_sigmoid(-s[1:]).sum())
+
+    # dL/ds = sigma(s) - label
+    g = 1.0 / (1.0 + np.exp(-s))
+    g[0] -= 1.0
+    if update_output:
+        np.add.at(output_matrix, rows, (-lr * g)[:, None] * h)
+    return loss, g @ out
+
+
 def negative_sampling_step(model: WordEmbeddingModel, center_or_context, target: int,
                            negatives: list[int], lr: float) -> float:
     """One SGD step of the logistic negative-sampling loss.
@@ -146,16 +165,7 @@ def negative_sampling_step(model: WordEmbeddingModel, center_or_context, target:
     else:
         h = model.input_matrix[int(center_or_context)].copy()
 
-    rows = [target] + list(negatives)
-    out = model.output_matrix[rows]            # copy, (1+m, d)
-    s = out @ h
-    loss = float(-_log_sigmoid(s[0]) - _log_sigmoid(-s[1:]).sum())
-
-    # dL/ds = sigma(s) - label
-    g = 1.0 / (1.0 + np.exp(-s))
-    g[0] -= 1.0
-    grad_h = g @ out
-    np.add.at(model.output_matrix, rows, (-lr * g)[:, None] * h)
+    loss, grad_h = _ns_update(model.output_matrix, h, target, negatives, lr)
     if cbow:
         np.add.at(model.input_matrix, context, -lr * grad_h / len(context))
     else:
@@ -200,6 +210,26 @@ def _infer_vocab_size(corpus: list[TokenizedDocument]) -> int:
     return top + 1
 
 
+def _positions(docs: list[list[int]], epochs: int, lr0: float, lr_min: float):
+    """(doc index, tokens, position, learning rate) for every position of
+    `epochs` passes over `docs`.  The rate decays linearly from lr0 toward
+    lr_min over all positions of all epochs."""
+    total_steps = epochs * sum(len(doc) for doc in docs)
+    step = 0
+    for _ in range(epochs):
+        for row, doc in enumerate(docs):
+            for i in range(len(doc)):
+                yield row, doc, i, lr0 - (lr0 - lr_min) * step / total_steps
+                step += 1
+
+
+def _check_finite(*matrices: np.ndarray) -> None:
+    # the training loops run with overflow warnings off; divergence shows here
+    if not all(np.isfinite(m).all() for m in matrices):
+        raise RuntimeError("embedding training diverged to non-finite values; "
+                           "lower the learning rate")
+
+
 def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
                    mode: Word2VecMode = Word2VecMode.CBOW,
                    vocab_size: int | None = None) -> WordEmbeddingModel:
@@ -207,7 +237,8 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 
     Negatives come from the corpus unigram distribution raised to 0.75.
     The learning rate decays linearly from learning_rate down to
-    min_learning_rate over all center positions of all epochs.
+    min_learning_rate over all center positions of all epochs.  Raises
+    RuntimeError when training diverges to non-finite parameters.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -228,29 +259,20 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         negatives=config.negatives,
         dim=d,
     )
-    if config.epochs == 0:
-        return model
-
     cdf = _noise_cdf(_unigram_noise(corpus, V))
-    total_steps = config.epochs * sum(len(doc) for doc in docs)
-    lr0, lr_min = config.learning_rate, config.min_learning_rate
     k = config.window
-
-    step = 0
-    for _ in range(config.epochs):
-        for doc in docs:
-            n = len(doc)
-            for i in range(n):
-                lr = lr0 - (lr0 - lr_min) * step / total_steps
-                window = [doc[j] for j in range(max(0, i - k), min(n, i + k + 1)) if j != i]
-                if mode is Word2VecMode.CBOW:
-                    negs = _draw_negatives(rng, cdf, config.negatives, doc[i])
-                    negative_sampling_step(model, window, doc[i], negs, lr)
-                else:
-                    for outside in window:
-                        negs = _draw_negatives(rng, cdf, config.negatives, outside)
-                        negative_sampling_step(model, doc[i], outside, negs, lr)
-                step += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, doc, i, lr in _positions(docs, config.epochs, config.learning_rate,
+                                        config.min_learning_rate):
+            window = [doc[j] for j in range(max(0, i - k), min(len(doc), i + k + 1)) if j != i]
+            if mode is Word2VecMode.CBOW:
+                negs = _draw_negatives(rng, cdf, config.negatives, doc[i])
+                negative_sampling_step(model, window, doc[i], negs, lr)
+            else:
+                for outside in window:
+                    negs = _draw_negatives(rng, cdf, config.negatives, outside)
+                    negative_sampling_step(model, doc[i], outside, negs, lr)
+    _check_finite(model.input_matrix, model.output_matrix)
     return model
 
 
@@ -280,21 +302,12 @@ def _dm_step(model: DocEmbeddingModel, doc_vec: np.ndarray, context: list[int],
     """One negative-sampling update of the distributed-memory model.
 
     Gradients are evaluated at the current parameters, then applied to the
-    output rows, the doc vector (in place), and, when `update_words`, the
-    context word rows.  Returns the pre-update loss.
+    doc vector (in place) and, when `update_words`, to the output rows and
+    the context word rows.  Returns the pre-update loss.
     """
     h = _dm_hidden(model, doc_vec, context, n_missing)
-    rows = [target] + list(negatives)
-    out = model.output_matrix[rows]
-    s = out @ h
-    loss = float(-_log_sigmoid(s[0]) - _log_sigmoid(-s[1:]).sum())
-
-    g = 1.0 / (1.0 + np.exp(-s))
-    g[0] -= 1.0
-    grad_h = g @ out
-    if update_words:
-        np.add.at(model.output_matrix, rows, (-lr * g)[:, None] * h)
-
+    loss, grad_h = _ns_update(model.output_matrix, h, target, negatives, lr,
+                              update_output=update_words)
     d = model.dim
     if model.combine is CombineMode.AVERAGE:
         scale = 1.0 / (1 + len(context))
@@ -309,6 +322,20 @@ def _dm_step(model: DocEmbeddingModel, doc_vec: np.ndarray, context: list[int],
     return loss
 
 
+def _dm_train(model: DocEmbeddingModel, doc_vecs: np.ndarray, docs: list[list[int]],
+              epochs: int, lr0: float, lr_min: float, rng, update_words: bool) -> None:
+    """Distributed-memory SGD over `docs`, updating doc r's vector, row r of
+    `doc_vecs`, in place; the word and output matrices only when
+    `update_words` (training, not inference)."""
+    cdf = _noise_cdf(model.noise_probs)
+    k = model.window
+    for row, tokens, i, lr in _positions(docs, epochs, lr0, lr_min):
+        context = tokens[max(0, i - k): i]
+        negs = _draw_negatives(rng, cdf, model.negatives, tokens[i])
+        _dm_step(model, doc_vecs[row], context, k - len(context), tokens[i],
+                 negs, lr, update_words)
+
+
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
                   combine: CombineMode = CombineMode.AVERAGE,
                   vocab_size: int | None = None) -> DocEmbeddingModel:
@@ -316,7 +343,8 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 
     At every position the document vector and the preceding `window`
     word vectors predict the current word through negative sampling;
-    both the word matrix and the doc matrix are updated.
+    both the word matrix and the doc matrix are updated.  Raises
+    RuntimeError when training diverges to non-finite parameters.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -340,25 +368,10 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         dim=d,
         noise_probs=_unigram_noise(corpus, V),
     )
-    if config.epochs == 0:
-        return model
-
-    cdf = _noise_cdf(model.noise_probs)
-    total_steps = config.epochs * sum(len(doc.tokens) for doc in corpus)
-    lr0, lr_min = config.learning_rate, config.min_learning_rate
-
-    step = 0
-    for _ in range(config.epochs):
-        for row, doc in enumerate(corpus):
-            tokens = doc.tokens
-            doc_vec = model.doc_matrix[row]
-            for i in range(len(tokens)):
-                lr = lr0 - (lr0 - lr_min) * step / total_steps
-                context = tokens[max(0, i - k): i]
-                negs = _draw_negatives(rng, cdf, config.negatives, tokens[i])
-                _dm_step(model, doc_vec, context, k - len(context), tokens[i],
-                         negs, lr, update_words=True)
-                step += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        _dm_train(model, model.doc_matrix, [doc.tokens for doc in corpus], config.epochs,
+                  config.learning_rate, config.min_learning_rate, rng, update_words=True)
+    _check_finite(model.word_matrix, model.doc_matrix, model.output_matrix)
     return model
 
 
@@ -375,23 +388,9 @@ def infer_doc_vector(model: DocEmbeddingModel, doc: TokenizedDocument, steps: in
     if not doc.tokens:
         raise ValueError("cannot infer a vector for an empty document")
 
-    d = model.dim
-    k = model.window
     rng = np.random.default_rng(seed)
-    vec = (rng.random(d) - 0.5) / d
-    cdf = _noise_cdf(model.noise_probs)
-    tokens = doc.tokens
-    total_steps = steps * len(tokens)
-
-    step = 0
-    for _ in range(steps):
-        for i in range(len(tokens)):
-            cur_lr = lr - (lr - min_lr) * step / total_steps
-            context = tokens[max(0, i - k): i]
-            negs = _draw_negatives(rng, cdf, model.negatives, tokens[i])
-            _dm_step(model, vec, context, k - len(context), tokens[i],
-                     negs, cur_lr, update_words=False)
-            step += 1
+    vec = (rng.random(model.dim) - 0.5) / model.dim
+    _dm_train(model, vec[None], [doc.tokens], steps, lr, min_lr, rng, update_words=False)
     return vec
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenizedDocument, Vocabulary
+from .corpus import TokenizedDocument, Vocabulary, check_label
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class LinearClassifier:
 
     weights: np.ndarray
     bias: float
-    trained_with: str = "hinge_loss"
 
     def decision(self, x: np.ndarray) -> np.ndarray:
         return np.atleast_2d(x) @ self.weights + self.bias
@@ -62,8 +61,10 @@ def bow_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> np.ndarray:
     """Dense (n_docs, V) count matrix for classifier input."""
     X = np.zeros((len(docs), len(vocab)), dtype=np.float64)
     for row, doc in enumerate(docs):
-        for idx, count in bow_features(doc, vocab).counts.items():
-            X[row, idx] = count
+        counts = np.bincount(np.asarray(doc.tokens, dtype=np.intp), minlength=len(vocab))
+        if len(counts) > len(vocab):
+            raise ValueError(f"token id {len(counts) - 1} outside vocabulary of size {len(vocab)}")
+        X[row] = counts
     return X
 
 
@@ -166,11 +167,16 @@ def load_labeled_texts(path) -> tuple[list[str], list[int]]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if record.get("label") not in (0, 1):
-                raise ValueError(f"{path}:{line_no}: label must be 0 or 1")
-            texts.append(record["text"])
-            labels.append(int(record["label"]))
+            try:
+                record = json.loads(line)
+                text, label = record["text"], record["label"]
+                if not isinstance(text, str):
+                    raise TypeError(f"text must be a string, got {text!r}")
+                check_label(label)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: malformed labeled record: {exc}") from exc
+            texts.append(text)
+            labels.append(label)
     if not texts:
         raise ValueError(f"no labeled records found in {path}")
     return texts, labels

@@ -33,14 +33,6 @@ class RoutingDecision:
             raise ValueError("an answered decision must carry the answer doc id")
 
 
-def lookup_features(features, doc_id: int) -> np.ndarray:
-    """Fetch a doc vector from a mapping or array, with a clear error."""
-    try:
-        return features[doc_id]
-    except (KeyError, IndexError):
-        raise ValueError(f"no feature vector for doc id {doc_id}") from None
-
-
 def feature_rows(features: np.ndarray, doc_ids) -> np.ndarray:
     """Rows `doc_ids` of a per-doc array (feature vectors or head terms).
     An id outside [0, docs) raises ValueError; NumPy would wrap a negative
@@ -121,12 +113,12 @@ def pool_report(net: SimilarityNetwork, pools: list[CandidatePool], features,
         raise ValueError("pools must be non-empty")
     q_features, a_features = features
     index = AnswerIndex(net, a_features)
+    q_rows = feature_rows(q_features, [pool.question_doc for pool in pools])
     hits = 0
     scored = 0
     answered = 0
-    for pool in pools:
-        best, best_score = index.select(lookup_features(q_features, pool.question_doc),
-                                        pool.candidates)
+    for pool, q_vector in zip(pools, q_rows):
+        best, best_score = index.select(q_vector, pool.candidates)
         decision = route(best_score, threshold, answer_doc=pool.candidates[best])
         if decision.outcome is RoutingOutcome.ANSWER:
             answered += 1

@@ -38,6 +38,7 @@ class SimTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.activation = simnet.Activation(self.activation)
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
         if not self.lr_floor < self.lr0:
@@ -136,8 +137,8 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
                  checkpoint_every: int = 0) -> tuple[SimilarityNetwork, TrainReport]:
     """Train the similarity network with seeded mini-batch SGD.
 
-    `features` is a (question lookup, answer lookup) tuple mapping doc
-    ids to d-vectors.  Pairs are reshuffled every epoch; the last short
+    `features` is a (question, answer) tuple of feature arrays holding
+    one d-vector per doc id.  Pairs are reshuffled every epoch; the last short
     batch is processed at its natural size.  After each epoch validation
     pair accuracy decides early stopping: when it has not improved for
     more than `early_stop_patience` consecutive epochs, training stops

@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, config/flag/seed precedence, output
 determinism, the full pipeline end to end, and the interactive loop."""
 
+import dataclasses
 import io
 import json
 import sys
@@ -9,7 +10,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from qasim import corpus, embedding
+from qasim import corpus, embedding, training
 from qasim.cli import main
 from qasim.datasets import planted_qa_records
 
@@ -315,6 +316,8 @@ class TestExitCodes:
         '{"question_doc": 0, "answer_doc": -2, "label": 0}',
         '{"question_doc": 0}',
         '{"question_doc": 0, "answer_doc": [1], "label": 1}',
+        '{"question_doc": 0, "answer_doc": 1, "label": true}',
+        '{"question_doc": 0, "answer_doc": 1, "label": 1.0}',
     ])
     def test_bad_pair_record_exits_one(self, ws, tmp_path, capsys, record):
         pairs = tmp_path / "bad_pairs.jsonl"
@@ -338,6 +341,83 @@ class TestExitCodes:
                      "--q-model", str(ws["q_model"]), "--a-model", str(other),
                      "--max-epochs", "1", "--out", str(tmp_path / "n")])
         assert rc == 2
+
+
+    def test_config_section_not_an_object(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"embedding": [8]}', encoding="utf-8")
+        rc = main(["train-doc2vec", "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                   "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "embedding must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-doc2vec", "train-word2vec"])
+    def test_diverged_training_exits_one_without_model(self, ws, tmp_path, capsys, command):
+        out = tmp_path / "m"
+        rc = main([command, "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                   "--dim", "8", "--epochs", "2", "--lr", "1e6", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("qasim: error: embedding training diverged")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record", [
+        '{"label": 1}',
+        '{"text": 7, "label": 1}',
+        '{"text": "hi", "label": true}',
+        '["hi", 1]',
+    ])
+    def test_bad_labeled_record_exits_one(self, tmp_path, capsys, record):
+        data = tmp_path / "labeled.jsonl"
+        data.write_text('{"text": "hi there", "label": 0}\n' + record + "\n", encoding="utf-8")
+        rc = main(["classify", "--data", str(data), "--out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"qasim: error: {data}:2: malformed labeled record")
+
+
+# A config-section value and a different flag value for every config
+# field; a field added to a config dataclass must be added here too.
+FIELD_VALUES = {
+    "embedding": {"dim": (6, 7), "window": (2, 3), "negatives": (2, 3), "epochs": (1, 2),
+                  "learning_rate": (0.05, 0.04), "min_learning_rate": (0.001, 0.002),
+                  "seed": (5, 6)},
+    "simnet": {"batch_size": (10, 20), "max_epochs": (2, 1), "dropout_p": (0.2, 0.3),
+               "lam": (0.001, 0.002), "init_std": (0.05, 0.04), "bias_const": (0.2, 0.3),
+               "lr0": (0.01, 0.02), "decay": (0.9, 0.8), "decay_start_epoch": (1, 2),
+               "lr_floor": (1e-4, 2e-4), "early_stop_patience": (3, 4),
+               "activation": ("relu", "tanh"), "seed": (5, 6)},
+}
+FLAG_NAMES = {"learning_rate": "--lr", "min_learning_rate": "--min-lr",
+              "dropout_p": "--dropout", "early_stop_patience": "--patience"}
+
+
+class TestConfigResolution:
+    @pytest.mark.parametrize("section, field", [
+        *[("embedding", f.name) for f in dataclasses.fields(embedding.EmbedTrainConfig)],
+        *[("simnet", f.name) for f in dataclasses.fields(training.SimTrainConfig)],
+    ])
+    def test_section_value_then_flag_override(self, ws, tmp_path, section, field):
+        config_value, flag_value = FIELD_VALUES[section][field]
+        if section == "embedding":
+            argv = ["train-word2vec", "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                    "--out", str(tmp_path / "m")]
+            values = {field: config_value}
+        else:
+            argv = ["train-simnet", "--pairs", str(ws["pairs"]), "--q-model", str(ws["q_model"]),
+                    "--a-model", str(ws["a_model"]), "--out", str(tmp_path / "n")]
+            values = {"max_epochs": 1, field: config_value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: values}), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+        flag = FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
+
+        for extra, expected in (([], config_value), ([flag, str(flag_value)], flag_value)):
+            rc, lines = run(argv + extra)
+            assert rc == 0, lines
+            assert json.loads(lines[0])["resolved"][field] == expected
 
 
 class TestExportText:

@@ -138,6 +138,12 @@ class TestPoolAndPairTypes:
         with pytest.raises(ValueError):
             QAPair(0, 0, 2)
 
+    @pytest.mark.parametrize("label", [True, False, 1.0, 0.0, "1", None])
+    def test_non_integer_labels_rejected(self, label):
+        # True and 1.0 compare equal to 1 but would be saved as `true` / `1.0`
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            QAPair(0, 1, label)
+
     def test_duplicate_candidates_rejected(self):
         with pytest.raises(ValueError):
             CandidatePool(0, [1, 1], frozenset())
@@ -315,6 +321,7 @@ class TestFileFormats:
         '{"question_doc": 0, "answer_doc": "a", "label": 1}',
         '{"question_doc": -1, "answer_doc": 0, "label": 1}',
         '{"question_doc": 0, "answer_doc": 1, "label": 2}',
+        '{"question_doc": 0, "answer_doc": 1, "label": true}',
         '[0, 1, 1]',
         'not json',
     ])

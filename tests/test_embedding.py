@@ -200,6 +200,118 @@ class TestNegativeSamplingStep:
                 assert np.array_equal(model.output_matrix[row], before_out[row])
 
 
+def dm_loss_oracle(model, doc_vec, context, n_missing, target, negatives):
+    """Independent recomputation of the distributed-memory loss."""
+    d = model.dim
+    if model.combine is CombineMode.AVERAGE:
+        h = doc_vec.copy()
+        for t in context:
+            h = h + model.word_matrix[t]
+        h = h / (1 + len(context))
+    else:
+        h = np.zeros(d * (1 + model.window))
+        h[:d] = doc_vec
+        for slot, t in enumerate(context, start=n_missing):
+            h[d * (1 + slot): d * (2 + slot)] = model.word_matrix[t]
+    def sigma(x):
+        return 1.0 / (1.0 + math.exp(-x))
+    total = -math.log(sigma(float(model.output_matrix[target] @ h)))
+    for n in negatives:
+        total += -math.log(sigma(-float(model.output_matrix[n] @ h)))
+    return total
+
+
+class TestDmStep:
+    WINDOW = 3
+    CASES = [
+        (CombineMode.AVERAGE, [0, 2], 1, [3, 4]),
+        (CombineMode.AVERAGE, [2, 2, 5], 1, [3]),
+        (CombineMode.AVERAGE, [], 4, [0, 0]),
+        (CombineMode.CONCATENATE, [4, 1], 2, [3, 5]),
+        (CombineMode.CONCATENATE, [3, 3, 1], 0, [5]),
+        (CombineMode.CONCATENATE, [], 4, [2]),
+    ]
+
+    def fresh(self, combine):
+        r = np.random.default_rng(13)
+        d = 3
+        out_dim = d if combine is CombineMode.AVERAGE else d * (1 + self.WINDOW)
+        model = DocEmbeddingModel(
+            word_matrix=r.normal(scale=0.4, size=(6, d)),
+            doc_matrix=r.normal(scale=0.4, size=(2, d)),
+            output_matrix=r.normal(scale=0.4, size=(6, out_dim)),
+            combine=combine, window=self.WINDOW, negatives=2, dim=d,
+        )
+        return model, model.doc_matrix[1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gradients_match_finite_differences(self, case):
+        combine, context, target, negatives = case
+        n_missing = self.WINDOW - len(context)
+        # analytic gradient, extracted exactly from one unit-lr update
+        model, doc_vec = self.fresh(combine)
+        before = (doc_vec.copy(), model.word_matrix.copy(), model.output_matrix.copy())
+        loss = embedding._dm_step(model, doc_vec, context, n_missing, target, negatives,
+                                  lr=1.0, update_words=True)
+        grads = [b - a for b, a in zip(before, (doc_vec, model.word_matrix,
+                                                 model.output_matrix))]
+
+        eps = 1e-5
+        probe, probe_vec = self.fresh(combine)
+        assert loss == pytest.approx(
+            dm_loss_oracle(probe, probe_vec, context, n_missing, target, negatives), rel=1e-12)
+        for matrix, grad in zip((probe_vec, probe.word_matrix, probe.output_matrix), grads):
+            it = np.nditer(matrix, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                orig = matrix[idx]
+                matrix[idx] = orig + eps
+                up = dm_loss_oracle(probe, probe_vec, context, n_missing, target, negatives)
+                matrix[idx] = orig - eps
+                down = dm_loss_oracle(probe, probe_vec, context, n_missing, target, negatives)
+                matrix[idx] = orig
+                fd = (up - down) / (2 * eps)
+                denom = max(abs(fd), abs(grad[idx]), 1e-10)
+                assert abs(fd - grad[idx]) / denom < 1e-5, (idx, fd, grad[idx])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_frozen_words_update_only_the_doc_vector(self, case):
+        combine, context, target, negatives = case
+        n_missing = self.WINDOW - len(context)
+        trained, trained_vec = self.fresh(combine)
+        embedding._dm_step(trained, trained_vec, context, n_missing, target, negatives,
+                           lr=0.5, update_words=True)
+        model, doc_vec = self.fresh(combine)
+        before = (model.word_matrix.copy(), model.doc_matrix.copy(),
+                  model.output_matrix.copy())
+        embedding._dm_step(model, doc_vec, context, n_missing, target, negatives,
+                           lr=0.5, update_words=False)
+        assert np.array_equal(model.word_matrix, before[0])
+        assert np.array_equal(model.output_matrix, before[2])
+        assert np.array_equal(model.doc_matrix[0], before[1][0])
+        # the doc vector takes the same step as in training
+        assert np.array_equal(doc_vec, trained_vec)
+        assert not np.array_equal(doc_vec, before[1][1])
+
+
+class TestNonFiniteTraining:
+    """A learning rate far too large overflows to inf/NaN; training must
+    raise instead of returning the broken matrices, and must do so
+    without a flood of overflow warnings."""
+
+    @pytest.mark.parametrize("train, mode", [
+        (train_word2vec, Word2VecMode.CBOW),
+        (train_word2vec, Word2VecMode.SKIPGRAM),
+        (train_doc2vec, CombineMode.AVERAGE),
+        (train_doc2vec, CombineMode.CONCATENATE),
+    ])
+    def test_divergence_raises(self, train, mode):
+        docs, vocab = cluster_corpus(6)
+        cfg = EmbedTrainConfig(dim=8, window=3, negatives=3, epochs=2, learning_rate=1e6)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            train(docs, cfg, mode, vocab_size=len(vocab))
+
+
 class TestTrainWord2vec:
     def test_deterministic(self):
         docs, vocab = cluster_corpus(20)

@@ -63,6 +63,10 @@ class TestBowFeatures:
         with pytest.raises(ValueError, match="outside vocabulary"):
             bow_features(doc([len(vocab) + 3]), vocab)
 
+    def test_matrix_out_of_vocab_id_rejected(self, vocab):
+        with pytest.raises(ValueError, match=f"token id {len(vocab) + 3} outside vocabulary"):
+            bow_matrix([doc([0]), doc([1, len(vocab) + 3])], vocab)
+
     def test_matrix_matches_rows(self, vocab):
         docs = [encode(tokenize(t), vocab, doc_id=i)
                 for i, t in enumerate(("red red green", "blue", "yellow green blue"))]
@@ -253,6 +257,20 @@ class TestSerialization:
         path = tmp_path / "data.jsonl"
         path.write_text('{"text": "hi", "label": 2}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="label must be 0 or 1"):
+            load_labeled_texts(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"label": 0}',
+        '{"text": ["hi"], "label": 0}',
+        '{"text": "hi"}',
+        '{"text": "hi", "label": 1.0}',
+        '"hi"',
+        'not json',
+    ])
+    def test_load_labeled_texts_malformed_record(self, tmp_path, record):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "ok", "label": 1}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":2: malformed labeled record"):
             load_labeled_texts(path)
 
     def test_load_labeled_texts_empty(self, tmp_path):

@@ -312,3 +312,8 @@ class TestPoolReport:
         assert report["pool_top1"] is None
         assert report["pools_scored"] == 0
         assert report["pools_without_gold"] == 1
+
+    def test_missing_question_feature_rejected(self, net, features):
+        pools = [CandidatePool(question_doc=len(features[0]), candidates=(1, 2))]
+        with pytest.raises(ValueError, match=f"doc id {len(features[0])}"):
+            pool_report(net, pools, features)

@@ -9,7 +9,6 @@ import pytest
 
 from qasim import simnet, training
 from qasim.corpus import QAPair
-from qasim.retrieval import lookup_features
 from qasim.simnet import Activation
 from qasim.training import (
     SimTrainConfig,
@@ -79,20 +78,6 @@ class TestConfigValidation:
     def test_batch_size_positive(self):
         with pytest.raises(ValueError):
             SimTrainConfig(batch_size=0)
-
-
-class TestLookupFeatures:
-    def test_array_lookup(self):
-        arr = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(lookup_features(arr, 1), arr[1])
-
-    def test_dict_lookup(self):
-        table = {7: np.ones(3)}
-        assert np.array_equal(lookup_features(table, 7), np.ones(3))
-
-    def test_missing_id_raises(self):
-        with pytest.raises(ValueError, match="doc id 9"):
-            lookup_features({1: np.ones(2)}, 9)
 
 
 class TestEvaluatePairAccuracy:
