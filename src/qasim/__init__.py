@@ -25,6 +25,7 @@ from .embedding import (
     WordEmbeddingModel,
     Word2VecMode,
     infer_doc_vector,
+    infer_doc_vectors,
     train_doc2vec,
     train_word2vec,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "encode",
     "encode_corpus",
     "infer_doc_vector",
+    "infer_doc_vectors",
     "init_network",
     "route",
     "sample_pairs",

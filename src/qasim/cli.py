@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import os
 import sys
@@ -56,11 +57,29 @@ def _load_config(path) -> dict:
         values = config.get(section, {})
         if not isinstance(values, dict):
             raise UsageError(f"config field {section} must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in values:
-            if key not in known:
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for key, value in values.items():
+            if key not in defaults:
                 raise UsageError(f"unknown config field: {section}.{key}")
+            problem = _type_problem(value, defaults[key])
+            if problem:
+                raise UsageError(f"invalid config field: {section}.{key} {problem}")
     return config
+
+
+def _type_problem(value, default) -> str | None:
+    """Why `value` cannot fill a config field whose default is `default`,
+    or None.  An int field takes an integer, a float field any number, an
+    enum field a string; none takes a bool."""
+    if isinstance(default, enum.Enum):
+        types, name = str, "a string"
+    elif isinstance(default, float):
+        types, name = (int, float), "a number"
+    else:
+        types, name = type(default), f"of type {type(default).__name__}"
+    if isinstance(value, bool) or not isinstance(value, types):
+        return f"must be {name}, got {value!r}"
+    return None
 
 
 def _first(*values):
@@ -218,11 +237,8 @@ def _doc_vectors(texts, model, vocab, args, seed: int, what: str) -> np.ndarray:
                 f"{what}: {len(texts)} documents but the model holds {model.n_docs} "
                 f"doc vectors; pass --infer-vectors for unseen documents")
         return model.doc_matrix
-    vectors = np.zeros((len(texts), model.dim))
-    for i, text in enumerate(texts):
-        doc = corpus.encode(corpus.tokenize(text), vocab, doc_id=i)
-        vectors[i] = embedding.infer_doc_vector(model, doc, steps=args.infer_steps, seed=seed)
-    return vectors
+    docs = [corpus.encode(corpus.tokenize(text), vocab, doc_id=i) for i, text in enumerate(texts)]
+    return embedding.infer_doc_vectors(model, docs, steps=args.infer_steps, seed=seed)
 
 
 def _bow_cosine_top1(q_texts, a_texts, pools, min_count: int):

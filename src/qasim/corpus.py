@@ -297,6 +297,14 @@ def load_qa_dataset(path) -> tuple[list[str], list[str], list[CandidatePool]]:
                 question = record["question"]
                 candidates = record["candidates"]
                 correct = record.get("correct", [])
+                if not isinstance(question, str):
+                    raise TypeError(f"question must be a string, got {question!r}")
+                if not isinstance(candidates, list) or not all(
+                        isinstance(c, str) for c in candidates):
+                    raise TypeError(f"candidates must be a list of strings, got {candidates!r}")
+                if not isinstance(correct, list) or any(
+                        isinstance(i, bool) or not isinstance(i, int) for i in correct):
+                    raise TypeError(f"correct must be a list of integers, got {correct!r}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed QA record: {exc}") from exc
             q_id = len(question_texts)

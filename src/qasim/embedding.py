@@ -8,13 +8,13 @@ bit-reproducible.  Vectors are stored one per row.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .corpus import TokenizedDocument, Vocabulary
+from .modelfile import read_model, write_model
 
 
 class Word2VecMode(str, Enum):
@@ -124,23 +124,59 @@ def skipgram_probability(model: WordEmbeddingModel, center: int, outside: int) -
     return float(probs[outside])
 
 
-def _ns_update(output_matrix: np.ndarray, h: np.ndarray, target: int, negatives: list[int],
-               lr: float, update_output: bool = True) -> tuple[float, np.ndarray]:
-    """The negative-sampling kernel of every model here: the loss at the
-    current parameters, its gradient with respect to the hidden vector `h`
-    (the caller updates the rows `h` came from), and, when `update_output`,
-    the SGD step on the touched output rows."""
-    rows = [target] + list(negatives)
+def _ns_loss(s: np.ndarray) -> float:
+    """The negative-sampling loss -log s(s_t) - sum -log s(-s_n) from the
+    scores of the target (first) and the negatives."""
+    return float(-_log_sigmoid(s[0]) - _log_sigmoid(-s[1:]).sum())
+
+
+def _ns_grad(s: np.ndarray) -> np.ndarray:
+    """dL/ds = sigma(s) - label, over the last axis of the scores (target
+    first); any leading axes are a batch."""
+    g = 1.0 / (1.0 + np.exp(-s))
+    g[..., 0] -= 1.0
+    return g
+
+
+def _add_rows(matrix: np.ndarray, rows, delta, distinct: bool) -> None:
+    """matrix[rows] += delta, a repeated row taking each of its updates in
+    turn.  A direct update gives np.add.at's result when no row repeats,
+    at a fraction of its cost."""
+    if distinct:
+        matrix[rows] += delta
+    else:
+        np.add.at(matrix, rows, delta)
+
+
+def _ns_update(output_matrix: np.ndarray, h: np.ndarray, rows, lr: float,
+               distinct: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The training kernel of every model here: scores `s` of the output
+    `rows` (target first) at the current parameters, the SGD step on those
+    rows, and the gradient with respect to the hidden vector `h` (the
+    caller updates the rows `h` came from).  `distinct`: no row repeats."""
     out = output_matrix[rows]                  # copy, (1+m, d)
     s = out @ h
-    loss = float(-_log_sigmoid(s[0]) - _log_sigmoid(-s[1:]).sum())
+    g = _ns_grad(s)
+    _add_rows(output_matrix, rows, (-lr * g)[:, None] * h, distinct)
+    return s, g @ out
 
-    # dL/ds = sigma(s) - label
-    g = 1.0 / (1.0 + np.exp(-s))
-    g[0] -= 1.0
-    if update_output:
-        np.add.at(output_matrix, rows, (-lr * g)[:, None] * h)
-    return loss, g @ out
+
+def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float,
+               distinct: bool = False) -> np.ndarray:
+    """One word2vec update: `inputs` is one input id (skip-gram: the hidden
+    vector is that row) or a list of ids (CBOW: their mean).  Returns the
+    scores of `rows`."""
+    if isinstance(inputs, int):
+        h = model.input_matrix[inputs].copy()
+    else:
+        h = model.input_matrix[inputs].mean(axis=0)
+    s, grad_h = _ns_update(model.output_matrix, h, rows, lr, distinct)
+    if isinstance(inputs, int):
+        model.input_matrix[inputs] -= lr * grad_h
+    else:
+        _add_rows(model.input_matrix, inputs, -lr * grad_h / len(inputs),
+                  len(set(inputs)) == len(inputs))
+    return s
 
 
 def negative_sampling_step(model: WordEmbeddingModel, center_or_context, target: int,
@@ -158,19 +194,12 @@ def negative_sampling_step(model: WordEmbeddingModel, center_or_context, target:
 
     cbow = not np.isscalar(center_or_context) and not isinstance(center_or_context, (int, np.integer))
     if cbow:
-        context = list(center_or_context)
-        if not context:
+        inputs = list(center_or_context)
+        if not inputs:
             raise ValueError("context must be non-empty")
-        h = model.input_matrix[context].mean(axis=0)
     else:
-        h = model.input_matrix[int(center_or_context)].copy()
-
-    loss, grad_h = _ns_update(model.output_matrix, h, target, negatives, lr)
-    if cbow:
-        np.add.at(model.input_matrix, context, -lr * grad_h / len(context))
-    else:
-        model.input_matrix[int(center_or_context)] -= lr * grad_h
-    return loss
+        inputs = int(center_or_context)
+    return _ns_loss(_word_step(model, inputs, np.array([target, *negatives]), lr))
 
 
 def _unigram_noise(corpus: list[TokenizedDocument], vocab_size: int) -> np.ndarray:
@@ -194,10 +223,20 @@ def _noise_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw_negatives(rng, cdf: np.ndarray, count: int, exclude: int) -> list[int]:
-    # C-word2vec convention: a draw that hits the target is skipped
-    draws = np.searchsorted(cdf, rng.random(count), side="right")
-    return [int(j) for j in draws if j != exclude]
+def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> list[tuple[np.ndarray, bool]]:
+    """Per training step, in order: the output rows, target first, and
+    whether they are distinct.  One rng call draws the m negatives of
+    every target, the same stream as one call of m per step; a draw that
+    hits its target is skipped (the C-word2vec convention)."""
+    draws = np.searchsorted(cdf, rng.random(len(targets) * m), side="right")
+    draws = draws.reshape(len(targets), m)
+    rows, hit = np.column_stack((targets, draws)), draws == targets[:, None]
+    # a skipped draw becomes its own placeholder, so only real repeats count
+    negs = np.sort(np.where(hit, -1 - np.arange(m), draws), axis=1)
+    distinct = (negs[:, 1:] != negs[:, :-1]).all(axis=1).tolist()
+    keep = np.column_stack((np.ones(len(targets), dtype=bool), ~hit))
+    return [(r[k] if any_hit else r, u)
+            for r, k, any_hit, u in zip(rows, keep, hit.any(axis=1).tolist(), distinct)]
 
 
 def _infer_vocab_size(corpus: list[TokenizedDocument]) -> int:
@@ -210,17 +249,23 @@ def _infer_vocab_size(corpus: list[TokenizedDocument]) -> int:
     return top + 1
 
 
+def _learning_rate(lr0: float, lr_min: float, step, total_steps):
+    """The linear decay from lr0 toward lr_min: the rate at `step` of
+    `total_steps` (either may be an array)."""
+    return lr0 - (lr0 - lr_min) * step / total_steps
+
+
 def _positions(docs: list[list[int]], epochs: int, lr0: float, lr_min: float):
-    """(doc index, tokens, position, learning rate) for every position of
-    `epochs` passes over `docs`.  The rate decays linearly from lr0 toward
-    lr_min over all positions of all epochs."""
+    """(doc index, tokens as an array, learning rate of each position) for
+    every document pass of `epochs` passes over `docs`; the rate decays
+    over all positions of all epochs."""
     total_steps = epochs * sum(len(doc) for doc in docs)
     step = 0
     for _ in range(epochs):
         for row, doc in enumerate(docs):
-            for i in range(len(doc)):
-                yield row, doc, i, lr0 - (lr0 - lr_min) * step / total_steps
-                step += 1
+            steps = np.arange(step, step + len(doc))
+            yield row, np.asarray(doc), _learning_rate(lr0, lr_min, steps, total_steps)
+            step += len(doc)
 
 
 def _check_finite(*matrices: np.ndarray) -> None:
@@ -260,23 +305,28 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         dim=d,
     )
     cdf = _noise_cdf(_unigram_noise(corpus, V))
-    k = config.window
+    k, m = config.window, config.negatives
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, doc, i, lr in _positions(docs, config.epochs, config.learning_rate,
-                                        config.min_learning_rate):
-            window = [doc[j] for j in range(max(0, i - k), min(len(doc), i + k + 1)) if j != i]
+        for _, doc, lrs in _positions(docs, config.epochs, config.learning_rate,
+                                      config.min_learning_rate):
+            tokens = doc.tolist()
+            windows = [tokens[max(0, i - k): i] + tokens[i + 1: i + k + 1]
+                       for i in range(len(tokens))]
             if mode is Word2VecMode.CBOW:
-                negs = _draw_negatives(rng, cdf, config.negatives, doc[i])
-                negative_sampling_step(model, window, doc[i], negs, lr)
+                for window, (rows, distinct), lr in zip(
+                        windows, _step_rows(rng, cdf, doc, m), lrs.tolist()):
+                    _word_step(model, window, rows, lr, distinct)
             else:
-                for outside in window:
-                    negs = _draw_negatives(rng, cdf, config.negatives, outside)
-                    negative_sampling_step(model, doc[i], outside, negs, lr)
+                steps = iter(_step_rows(rng, cdf, np.array([o for w in windows for o in w]), m))
+                for center, window, lr in zip(tokens, windows, lrs.tolist()):
+                    for _ in window:
+                        rows, distinct = next(steps)
+                        _word_step(model, center, rows, lr, distinct)
     _check_finite(model.input_matrix, model.output_matrix)
     return model
 
 
-def _dm_hidden(model: DocEmbeddingModel, doc_vec: np.ndarray, context: list[int],
+def _dm_hidden(model: DocEmbeddingModel, doc_vec: np.ndarray, context,
                n_missing: int) -> np.ndarray:
     """Combine doc vector and context word vectors per the model's mode.
 
@@ -285,55 +335,87 @@ def _dm_hidden(model: DocEmbeddingModel, doc_vec: np.ndarray, context: list[int]
     `n_missing` leading slots are padding.
     """
     if model.combine is CombineMode.AVERAGE:
-        if context:
+        if len(context):
             return (doc_vec + model.word_matrix[context].sum(axis=0)) / (1 + len(context))
         return doc_vec.copy()
     d = model.dim
     h = np.zeros(d * (1 + model.window))
     h[:d] = doc_vec
-    for slot, token in enumerate(context, start=n_missing):
-        h[d * (1 + slot): d * (2 + slot)] = model.word_matrix[token]
+    h[d * (1 + n_missing):] = model.word_matrix[context].ravel()
     return h
+
+
+def _dm_scale(model: DocEmbeddingModel, n_context: int) -> float:
+    # d h / d doc_vec: the mean's weight in average mode, 1 in concatenate mode
+    return 1.0 / (1 + n_context) if model.combine is CombineMode.AVERAGE else 1.0
+
+
+def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, context, n_missing: int,
+               rows, lr: float, distinct: bool = False) -> np.ndarray:
+    """One negative-sampling update of the distributed-memory model in
+    training: gradients at the current parameters, applied to the doc
+    vector (in place), the output rows and the context word rows.  Returns
+    the scores of `rows`."""
+    h = _dm_hidden(model, doc_vec, context, n_missing)
+    s, grad_h = _ns_update(model.output_matrix, h, rows, lr, distinct)
+    d = model.dim
+    step = lr * grad_h * _dm_scale(model, len(context))
+    doc_vec -= step[:d]
+    if len(context):
+        words = step if model.combine is CombineMode.AVERAGE else (
+            step[d * (1 + n_missing):].reshape(len(context), d))
+        _add_rows(model.word_matrix, context, -words, len(set(context)) == len(context))
+    return s
+
+
+def _dm_frozen_update(model: DocEmbeddingModel, doc_vecs: np.ndarray, h: np.ndarray,
+                      rows: np.ndarray, hit: np.ndarray, lr: np.ndarray,
+                      scale: float) -> np.ndarray:
+    """One inference step for B documents at once, word and output
+    matrices frozen: hidden vectors `h` (B, D), output rows (B, 1+m)
+    target first, `hit` (B, m) marks the draws that hit their target and
+    get no gradient, `lr` (B, 1).  Updates `doc_vecs` (B, d) in place and
+    returns the scores (B, 1+m).  Each document's rows have the same
+    fixed width whatever the batch, so its arithmetic does not depend on
+    the batch."""
+    out = model.output_matrix[rows]                       # (B, 1+m, D)
+    s = np.matmul(out, h[:, :, None])[:, :, 0]
+    g = _ns_grad(s)
+    g[:, 1:][hit] = 0.0
+    grad_h = np.matmul(g[:, None, :], out)[:, 0, :]
+    doc_vecs -= lr * grad_h[:, :model.dim] * scale
+    return s
 
 
 def _dm_step(model: DocEmbeddingModel, doc_vec: np.ndarray, context: list[int],
              n_missing: int, target: int, negatives: list[int], lr: float,
              update_words: bool) -> float:
-    """One negative-sampling update of the distributed-memory model.
-
-    Gradients are evaluated at the current parameters, then applied to the
-    doc vector (in place) and, when `update_words`, to the output rows and
-    the context word rows.  Returns the pre-update loss.
-    """
+    """One distributed-memory update at one position, returning the
+    pre-update loss: training's step when `update_words`, else inference's
+    step (only `doc_vec` moves) for a batch of one.  The trainer and
+    inference run these steps without computing the loss."""
+    rows = np.array([target, *negatives])
+    if update_words:
+        return _ns_loss(_dm_update(model, doc_vec, context, n_missing, rows, lr))
     h = _dm_hidden(model, doc_vec, context, n_missing)
-    loss, grad_h = _ns_update(model.output_matrix, h, target, negatives, lr,
-                              update_output=update_words)
-    d = model.dim
-    if model.combine is CombineMode.AVERAGE:
-        scale = 1.0 / (1 + len(context))
-        doc_vec -= lr * grad_h * scale
-        if update_words and context:
-            np.add.at(model.word_matrix, context, -lr * grad_h * scale)
-    else:
-        doc_vec -= lr * grad_h[:d]
-        if update_words:
-            for slot, token in enumerate(context, start=n_missing):
-                model.word_matrix[token] -= lr * grad_h[d * (1 + slot): d * (2 + slot)]
-    return loss
+    s = _dm_frozen_update(model, doc_vec[None], h[None], rows[None],
+                          np.zeros((1, len(negatives)), bool), np.array([[lr]]),
+                          _dm_scale(model, len(context)))
+    return _ns_loss(s[0])
 
 
-def _dm_train(model: DocEmbeddingModel, doc_vecs: np.ndarray, docs: list[list[int]],
-              epochs: int, lr0: float, lr_min: float, rng, update_words: bool) -> None:
-    """Distributed-memory SGD over `docs`, updating doc r's vector, row r of
-    `doc_vecs`, in place; the word and output matrices only when
-    `update_words` (training, not inference)."""
+def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
+              lr0: float, lr_min: float, rng) -> None:
+    """Distributed-memory SGD over `docs` (doc r is row r of the doc
+    matrix), updating the doc, word and output matrices in place."""
     cdf = _noise_cdf(model.noise_probs)
     k = model.window
-    for row, tokens, i, lr in _positions(docs, epochs, lr0, lr_min):
-        context = tokens[max(0, i - k): i]
-        negs = _draw_negatives(rng, cdf, model.negatives, tokens[i])
-        _dm_step(model, doc_vecs[row], context, k - len(context), tokens[i],
-                 negs, lr, update_words)
+    for row, tokens, lrs in _positions(docs, epochs, lr0, lr_min):
+        doc_vec = model.doc_matrix[row]
+        for i, ((rows, distinct), lr) in enumerate(
+                zip(_step_rows(rng, cdf, tokens, model.negatives), lrs.tolist())):
+            context = tokens[max(0, i - k): i]
+            _dm_update(model, doc_vec, context, k - len(context), rows, lr, distinct)
 
 
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
@@ -369,29 +451,105 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         noise_probs=_unigram_noise(corpus, V),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        _dm_train(model, model.doc_matrix, [doc.tokens for doc in corpus], config.epochs,
-                  config.learning_rate, config.min_learning_rate, rng, update_words=True)
+        _dm_train(model, [doc.tokens for doc in corpus], config.epochs,
+                  config.learning_rate, config.min_learning_rate, rng)
     _check_finite(model.word_matrix, model.doc_matrix, model.output_matrix)
     return model
 
 
-def infer_doc_vector(model: DocEmbeddingModel, doc: TokenizedDocument, steps: int = 50,
-                     lr: float = 0.025, min_lr: float = 1e-4, seed: int = 0) -> np.ndarray:
-    """Fit a paragraph vector for a new document, word matrices frozen.
+# Documents inferred in lockstep at a time: bounds inference memory,
+# whatever the number of documents.
+INFER_BLOCK = 128
 
-    A fresh uniformly initialized vector is optimized for `steps` passes
-    over the document with the training update rule restricted to the
-    doc vector.  The model itself is never modified.
+
+def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]], n_max: int) -> np.ndarray:
+    """The frozen-word part of every position's hidden vector, (B, n_max,
+    d) in average mode: row i of doc b is the sum of its context rows.  In
+    concatenate mode, (B, window + n_max, d): the doc's word rows after
+    `window` zero rows, so rows i..i+window are position i's slots."""
+    W, k = model.word_matrix, model.window
+    if model.combine is CombineMode.AVERAGE:
+        ctx = np.zeros((len(docs), n_max, model.dim))
+        for b, tokens in enumerate(docs):
+            for i in range(1, len(tokens)):
+                ctx[b, i] = W[tokens[max(0, i - k): i]].sum(axis=0)
+    else:
+        ctx = np.zeros((len(docs), k + n_max, model.dim))
+        for b, tokens in enumerate(docs):
+            ctx[b, k: k + len(tokens)] = W[tokens]
+    return ctx
+
+
+def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
+                 lr0: float, lr_min: float, seed: int) -> np.ndarray:
+    """Doc vectors of `docs`, longest first, inferred in lockstep."""
+    B, d, k, m = len(docs), model.dim, model.window, model.negatives
+    lengths = np.array([len(tokens) for tokens in docs])
+    n_max = lengths[0]
+    valid = np.arange(n_max) < lengths[:, None]               # (B, n_max)
+    average = model.combine is CombineMode.AVERAGE
+    cdf = _noise_cdf(model.noise_probs)
+    rngs = [np.random.default_rng(seed) for _ in docs]
+    vecs = np.stack([(rng.random(d) - 0.5) / d for rng in rngs])
+    ctx = _frozen_context(model, docs, n_max)
+    rows = np.zeros((B, n_max, 1 + m), dtype=np.intp)
+    rows[:, :, 0][valid] = np.concatenate(docs)
+    draws, targets = rows[:, :, 1:], rows[:, :, :1]
+    draw_slots = np.repeat(valid[:, :, None], m, axis=2)
+    hit = np.zeros((B, n_max, m), dtype=bool)
+    lrs = np.zeros((B, n_max, 1))
+    # Position i's documents are the first `a`.  Its views into the arrays
+    # that each pass refills: vectors, frozen context, rows, hits, rates.
+    at = []
+    for i in range(n_max):
+        a, c = int(valid[:, i].sum()), min(i, k)
+        frozen = ctx[:a, i] if average else ctx[:a, i: i + k].reshape(a, k * d)
+        at.append((vecs[:a], frozen, rows[:a, i], hit[:a, i], lrs[:a, i], 1 + c,
+                   _dm_scale(model, c)))
+    for e in range(steps):
+        # each document's own stream: one call per pass, n*m draws
+        draws[draw_slots] = np.searchsorted(
+            cdf, np.concatenate([rng.random(n * m) for rng, n in zip(rngs, lengths.tolist())]),
+            side="right")
+        np.equal(draws, targets, out=hit)
+        lrs[:, :, 0] = _learning_rate(lr0, lr_min, e * lengths[:, None] + np.arange(n_max),
+                                      steps * lengths[:, None])
+        for vec, frozen, pos_rows, pos_hit, lr, div, scale in at:
+            h = (vec + frozen) / div if average else np.concatenate((vec, frozen), axis=1)
+            _dm_frozen_update(model, vec, h, pos_rows, pos_hit, lr, scale)
+    return vecs
+
+
+def infer_doc_vectors(model: DocEmbeddingModel, docs: list[TokenizedDocument],
+                      steps: int = 50, lr: float = 0.025, min_lr: float = 1e-4,
+                      seed: int = 0) -> np.ndarray:
+    """Fit a paragraph vector for each new document, word matrices frozen;
+    returns (len(docs), dim).
+
+    Each document starts from a fresh uniformly initialized vector drawn
+    from its own `default_rng(seed)`, which also draws its negatives, and
+    is optimized for `steps` passes with the training update rule
+    restricted to the doc vector.  The documents run in lockstep, in
+    blocks of INFER_BLOCK sorted by length; a document's vector does not
+    depend on the other documents.  The model is never modified.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not doc.tokens:
+    if any(not doc.tokens for doc in docs):
         raise ValueError("cannot infer a vector for an empty document")
+    order = sorted(range(len(docs)), key=lambda j: -len(docs[j].tokens))
+    vecs = np.empty((len(docs), model.dim))
+    for start in range(0, len(order), INFER_BLOCK):
+        block = order[start: start + INFER_BLOCK]
+        vecs[block] = _infer_block(model, [docs[j].tokens for j in block], steps,
+                                   lr, min_lr, seed)
+    return vecs
 
-    rng = np.random.default_rng(seed)
-    vec = (rng.random(model.dim) - 0.5) / model.dim
-    _dm_train(model, vec[None], [doc.tokens], steps, lr, min_lr, rng, update_words=False)
-    return vec
+
+def infer_doc_vector(model: DocEmbeddingModel, doc: TokenizedDocument, steps: int = 50,
+                     lr: float = 0.025, min_lr: float = 1e-4, seed: int = 0) -> np.ndarray:
+    """`infer_doc_vectors` for one document."""
+    return infer_doc_vectors(model, [doc], steps, lr, min_lr, seed)[0]
 
 
 def analogy(model: WordEmbeddingModel, vocab: Vocabulary, a: str, b: str, c: str) -> str:
@@ -418,7 +576,7 @@ def analogy(model: WordEmbeddingModel, vocab: Vocabulary, a: str, b: str, c: str
 
 
 # ---------------------------------------------------------------------------
-# Binary model format: little-endian header + float32 row-major matrices
+# Binary model files (see modelfile)
 # ---------------------------------------------------------------------------
 
 _W2V_MAGIC = b"W2V1"
@@ -430,72 +588,38 @@ _WORD_MODE_FLAG = {Word2VecMode.CBOW: 0, Word2VecMode.SKIPGRAM: 1}
 _COMBINE_FLAG = {CombineMode.AVERAGE: 0, CombineMode.CONCATENATE: 1}
 
 
-def _matrix_bytes(m: np.ndarray) -> bytes:
-    return np.ascontiguousarray(m, dtype="<f4").tobytes()
-
-
-def _read_matrix(fh, rows: int, cols: int) -> np.ndarray:
-    data = fh.read(rows * cols * 4)
-    if len(data) != rows * cols * 4:
-        raise ValueError("truncated model file")
-    return np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float64)
-
-
-def _read_header(fh, fmt: str, path) -> tuple:
-    header = fh.read(struct.calcsize(fmt))
-    if len(header) != struct.calcsize(fmt):
-        raise ValueError(f"truncated model file: {path}")
-    return struct.unpack(fmt, header)
-
-
 def save_word2vec(model: WordEmbeddingModel, path) -> None:
-    V = model.vocab_size
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_W2V_HEADER, _W2V_MAGIC, V, model.dim, model.window,
-                             model.negatives, _WORD_MODE_FLAG[model.mode]))
-        fh.write(_matrix_bytes(model.input_matrix))
-        fh.write(_matrix_bytes(model.output_matrix))
+    write_model(path, _W2V_HEADER, (_W2V_MAGIC, model.vocab_size, model.dim, model.window,
+                                    model.negatives, _WORD_MODE_FLAG[model.mode]),
+                (model.input_matrix, model.output_matrix))
 
 
 def load_word2vec(path) -> WordEmbeddingModel:
-    with open(path, "rb") as fh:
-        magic, V, dim, window, negatives, flag = _read_header(fh, _W2V_HEADER, path)
-        if magic != _W2V_MAGIC:
-            raise ValueError(f"not a word2vec model file: {path}")
-        mode = Word2VecMode.SKIPGRAM if flag else Word2VecMode.CBOW
-        return WordEmbeddingModel(
-            input_matrix=_read_matrix(fh, V, dim),
-            output_matrix=_read_matrix(fh, V, dim),
-            mode=mode, window=window, negatives=negatives, dim=dim,
-        )
+    (_, dim, window, negatives, flag), arrays = read_model(
+        path, _W2V_HEADER, _W2V_MAGIC, "word2vec model",
+        lambda V, dim, *_: {"input_matrix": (V, dim), "output_matrix": (V, dim)})
+    mode = Word2VecMode.SKIPGRAM if flag else Word2VecMode.CBOW
+    return WordEmbeddingModel(**arrays, mode=mode, window=window, negatives=negatives, dim=dim)
 
 
 def save_doc2vec(model: DocEmbeddingModel, path) -> None:
-    V, N = model.vocab_size, model.n_docs
-    ctx_dim = model.output_matrix.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_D2V_HEADER, _D2V_MAGIC, V, N, model.dim, model.window,
-                             model.negatives, _COMBINE_FLAG[model.combine]))
-        fh.write(_matrix_bytes(model.word_matrix))
-        fh.write(_matrix_bytes(model.output_matrix.reshape(V, ctx_dim)))
-        fh.write(_matrix_bytes(model.doc_matrix))
-        fh.write(_matrix_bytes(model.noise_probs.reshape(1, V)))
+    write_model(path, _D2V_HEADER, (_D2V_MAGIC, model.vocab_size, model.n_docs, model.dim,
+                                    model.window, model.negatives, _COMBINE_FLAG[model.combine]),
+                (model.word_matrix, model.output_matrix, model.doc_matrix, model.noise_probs))
+
+
+def _d2v_shapes(V: int, N: int, dim: int, window: int, negatives: int, flag: int) -> dict:
+    ctx_dim = dim * (1 + window) if flag else dim
+    return {"word_matrix": (V, dim), "output_matrix": (V, ctx_dim), "doc_matrix": (N, dim),
+            "noise_probs": (V,)}
 
 
 def load_doc2vec(path) -> DocEmbeddingModel:
-    with open(path, "rb") as fh:
-        magic, V, N, dim, window, negatives, flag = _read_header(fh, _D2V_HEADER, path)
-        if magic != _D2V_MAGIC:
-            raise ValueError(f"not a doc2vec model file: {path}")
-        combine = CombineMode.CONCATENATE if flag else CombineMode.AVERAGE
-        ctx_dim = dim if combine is CombineMode.AVERAGE else dim * (1 + window)
-        return DocEmbeddingModel(
-            word_matrix=_read_matrix(fh, V, dim),
-            output_matrix=_read_matrix(fh, V, ctx_dim),
-            doc_matrix=_read_matrix(fh, N, dim),
-            combine=combine, window=window, negatives=negatives, dim=dim,
-            noise_probs=_read_matrix(fh, 1, V).reshape(V),
-        )
+    (_, _, dim, window, negatives, flag), arrays = read_model(
+        path, _D2V_HEADER, _D2V_MAGIC, "doc2vec model", _d2v_shapes)
+    combine = CombineMode.CONCATENATE if flag else CombineMode.AVERAGE
+    return DocEmbeddingModel(**arrays, combine=combine, window=window, negatives=negatives,
+                             dim=dim)
 
 
 def export_text(matrix: np.ndarray, vocab: Vocabulary, path) -> None:

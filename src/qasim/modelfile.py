@@ -1,0 +1,48 @@
+"""Binary model files: a little-endian struct header whose first field is
+a 4-byte magic, then float32 row-major matrices.
+
+Every loader reads through `read_model`, which checks the byte count the
+header implies against the file size before reading any matrix, so a
+truncated file, trailing bytes, or a header claiming huge sizes is
+rejected with a ValueError instead of a short read or a large allocation.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import struct
+from typing import Callable
+
+import numpy as np
+
+
+def write_model(path, header_fmt: str, header: tuple, matrices) -> None:
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(header_fmt, *header))
+        for m in matrices:
+            fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+
+
+def read_model(path, header_fmt: str, magic: bytes, what: str,
+               shapes: Callable[..., dict[str, tuple[int, ...]]]) -> tuple[tuple, dict]:
+    """The header fields after the magic, and the float64 arrays of the
+    {name: shape} that `shapes(*fields)` gives, in that order."""
+    header_size = struct.calcsize(header_fmt)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(header_size)
+        if len(header) != header_size:
+            raise ValueError(f"truncated {what} file: {path}")
+        found, *fields = struct.unpack(header_fmt, header)
+        if found != magic:
+            raise ValueError(f"not a {what} file: {path}")
+        dims = shapes(*fields)
+        expected = header_size + 4 * sum(math.prod(shape) for shape in dims.values())
+        if size != expected:
+            kind = "truncated" if size < expected else "trailing bytes in"
+            raise ValueError(f"{kind} {what} file: {path} holds {size} bytes, "
+                             f"its header implies {expected}")
+        matrices = {name: np.frombuffer(fh.read(4 * math.prod(shape)), dtype="<f4")
+                    .astype(np.float64).reshape(shape) for name, shape in dims.items()}
+    return tuple(fields), matrices

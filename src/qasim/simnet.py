@@ -10,11 +10,12 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .modelfile import read_model, write_model
 
 EPS = 1e-7  # probability clamp applied before the cross-entropy logs
 
@@ -320,30 +321,17 @@ _ACT_FLAG = {Activation.TANH: 0, Activation.RELU: 1}
 
 def save_simnet(net: SimilarityNetwork, path) -> None:
     d, h1, h2 = net.layer_dims
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_SIM_HEADER, _SIM_MAGIC, d, h1, h2, _ACT_FLAG[net.activation]))
-        for arr in net.params().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_model(path, _SIM_HEADER, (_SIM_MAGIC, d, h1, h2, _ACT_FLAG[net.activation]),
+                net.params().values())
+
+
+def _param_shapes(d: int, h1: int, h2: int) -> dict[str, tuple[int, ...]]:
+    return {"w1q": (h1, d), "b1q": (h1,), "w2q": (h2, h1), "b2q": (h2,),
+            "w1a": (h1, d), "b1a": (h1,), "w2a": (h2, h1), "b2a": (h2,),
+            "w3": (2 * h2,), "b3": (1,)}
 
 
 def load_simnet(path) -> SimilarityNetwork:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize(_SIM_HEADER))
-        if len(header) != struct.calcsize(_SIM_HEADER):
-            raise ValueError(f"truncated similarity-network file: {path}")
-        magic, d, h1, h2, flag = struct.unpack(_SIM_HEADER, header)
-        if magic != _SIM_MAGIC:
-            raise ValueError(f"not a similarity-network file: {path}")
-        shapes = {
-            "w1q": (h1, d), "b1q": (h1,), "w2q": (h2, h1), "b2q": (h2,),
-            "w1a": (h1, d), "b1a": (h1,), "w2a": (h2, h1), "b2a": (h2,),
-            "w3": (2 * h2,), "b3": (1,),
-        }
-        arrays = {}
-        for name, shape in shapes.items():
-            n = int(np.prod(shape))
-            data = fh.read(n * 4)
-            if len(data) != n * 4:
-                raise ValueError("truncated similarity-network file")
-            arrays[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+    (_, _, _, flag), arrays = read_model(path, _SIM_HEADER, _SIM_MAGIC, "similarity-network",
+                                         lambda d, h1, h2, flag: _param_shapes(d, h1, h2))
     return SimilarityNetwork(**arrays, activation=Activation.RELU if flag else Activation.TANH)

@@ -4,7 +4,9 @@ determinism, the full pipeline end to end, and the interactive loop."""
 import dataclasses
 import io
 import json
+import struct
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -221,14 +223,14 @@ class TestSeedResolution:
 
     def test_env_seed_reaches_inferred_vectors(self, ws, monkeypatch):
         inferred = {}
-        infer = embedding.infer_doc_vector
+        infer = embedding.infer_doc_vectors
 
-        def recording(model, doc, steps=50, seed=0):
-            vector = infer(model, doc, steps=steps, seed=seed)
-            inferred.setdefault(seed, []).append(vector)
-            return vector
+        def recording(model, docs, steps=50, seed=0):
+            vectors = infer(model, docs, steps=steps, seed=seed)
+            inferred.setdefault(seed, []).extend(vectors)
+            return vectors
 
-        monkeypatch.setattr(embedding, "infer_doc_vector", recording)
+        monkeypatch.setattr(embedding, "infer_doc_vectors", recording)
         argv = ["eval", "--qa-file", str(ws["qa"]), "--q-model", str(ws["q_model"]),
                 "--a-model", str(ws["a_model"]), "--simnet", str(ws["net"]),
                 "--infer-vectors", "--infer-steps", "2",
@@ -331,6 +333,46 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith(f"qasim: error: {pairs}:4: malformed pair record")
 
+    @pytest.mark.parametrize("correct", ['["x"]', "[0.5]", "[true]"])
+    def test_bad_qa_record_exits_one(self, tmp_path, capsys, correct):
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text('{"question": "q", "candidates": ["a", "b"], "correct": [0]}\n'
+                      '{"question": "q", "candidates": ["a", "b"], "correct": %s}\n' % correct,
+                      encoding="utf-8")
+        rc = main(["sample-pairs", "--qa-file", str(qa), "--n-pairs", "2",
+                   "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"qasim: error: {qa}:2: malformed QA record")
+
+    @pytest.mark.parametrize("model", ["q_model", "net"])
+    @pytest.mark.parametrize("damage", ["trailing", "truncated", "huge_header"])
+    def test_damaged_model_file_exits_one(self, ws, tmp_path, capsys, model, damage):
+        data = ws[model].read_bytes()
+        if damage == "trailing":
+            data += b"\0" * 8
+        elif damage == "truncated":
+            data = data[:-4]
+        else:  # the first size field after the magic claims 2**32 - 1
+            data = data[:4] + struct.pack("<I", 2**32 - 1) + data[8:]
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(data)
+        paths = {"q_model": ws["q_model"], "net": ws["net"], model: bad}
+        tracemalloc.start()
+        try:
+            rc = main(["eval", "--qa-file", str(ws["qa"]), "--q-model", str(paths["q_model"]),
+                       "--a-model", str(ws["a_model"]), "--simnet", str(paths["net"])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("qasim: error: ") and str(bad) in err[0]
+        # rejected from the header and the file size, not after a read sized by the header
+        assert peak < 50 * 2**20
+
     def test_dim_mismatch_exits_two(self, ws, tmp_path):
         other = tmp_path / "dim4.d2v"
         rc, _ = run(["train-doc2vec", "--qa-file", str(ws["qa"]), "--side", "answer",
@@ -418,6 +460,43 @@ class TestConfigResolution:
             rc, lines = run(argv + extra)
             assert rc == 0, lines
             assert json.loads(lines[0])["resolved"][field] == expected
+
+
+    @pytest.mark.parametrize("section, field", [
+        *[("embedding", f.name) for f in dataclasses.fields(embedding.EmbedTrainConfig)],
+        *[("simnet", f.name) for f in dataclasses.fields(training.SimTrainConfig)],
+    ])
+    def test_section_value_of_wrong_type_exits_two(self, ws, tmp_path, capsys, section, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {field: WRONG_TYPE[section][field]}}),
+                       encoding="utf-8")
+        rc = main(["train-word2vec", "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                   "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"qasim: error: invalid config field: {section}.{field} ")
+
+    def test_integer_fills_float_field(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"simnet": {"max_epochs": 1, "lam": 0, "decay": 1}}', encoding="utf-8")
+        rc, lines = run(["train-simnet", "--pairs", str(ws["pairs"]),
+                         "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                         "--config", str(cfg), "--out", str(tmp_path / "n")])
+        assert rc == 0
+        resolved = json.loads(lines[0])["resolved"]
+        assert resolved["lam"] == 0 and resolved["decay"] == 1
+
+
+# A value of the wrong JSON type for every config field.
+WRONG_TYPE = {
+    "embedding": {"dim": 5.5, "window": 2.5, "negatives": "3", "epochs": True,
+                  "learning_rate": "0.1", "min_learning_rate": False, "seed": 1.5},
+    "simnet": {"batch_size": 10.0, "max_epochs": "2", "dropout_p": True, "lam": None,
+               "init_std": [0.03], "bias_const": "0.1", "lr0": {"v": 1}, "decay": False,
+               "decay_start_epoch": 1.5, "lr_floor": "x", "early_stop_patience": 2.0,
+               "activation": 1, "seed": "5"},
+}
 
 
 class TestExportText:

@@ -317,6 +317,24 @@ class TestFileFormats:
             corpus.load_qa_dataset(path)
 
     @pytest.mark.parametrize("record", [
+        '{"question": "q", "candidates": ["a", "b"], "correct": ["x"]}',
+        '{"question": "q", "candidates": ["a", "b"], "correct": [0.5]}',
+        '{"question": "q", "candidates": ["a", "b"], "correct": [1.0]}',
+        '{"question": "q", "candidates": ["a", "b"], "correct": [true]}',
+        '{"question": "q", "candidates": ["a", "b"], "correct": 0}',
+        '{"question": "q", "candidates": 5, "correct": [0]}',
+        '{"question": "q", "candidates": ["a", 5], "correct": [0]}',
+        '{"question": 5, "candidates": ["a"], "correct": [0]}',
+        '[1]',
+    ])
+    def test_qa_dataset_malformed_record_reports_line_number(self, tmp_path, record):
+        path = tmp_path / "qa.jsonl"
+        path.write_text('{"question": "q", "candidates": ["a"], "correct": [0]}\n'
+                        + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":2: malformed QA record"):
+            corpus.load_qa_dataset(path)
+
+    @pytest.mark.parametrize("record", [
         '{"question_doc": 0}',
         '{"question_doc": 0, "answer_doc": "a", "label": 1}',
         '{"question_doc": -1, "answer_doc": 0, "label": 1}',

@@ -294,6 +294,23 @@ class TestDmStep:
         assert not np.array_equal(doc_vec, before[1][1])
 
 
+def test_step_rows_match_one_draw_per_step():
+    # a pass's rows, drawn in one call, against m draws per step from the
+    # same stream: target first, hits skipped, `distinct` exact
+    cdf = np.cumsum([0.3, 0.3, 0.2, 0.2])
+    targets = np.array([0, 1, 2, 3, 1, 0, 2, 2] * 5)
+    steps = embedding._step_rows(np.random.default_rng(4), cdf, targets, 5)
+    rng = np.random.default_rng(4)
+    repeats = 0
+    for target, (rows, distinct) in zip(targets, steps):
+        draws = np.searchsorted(cdf, rng.random(5), side="right")
+        expected = [target] + [j for j in draws if j != target]
+        assert rows.tolist() == expected
+        assert distinct == (len(set(expected)) == len(expected))
+        repeats += not distinct
+    assert 0 < repeats < len(targets)
+
+
 class TestNonFiniteTraining:
     """A learning rate far too large overflows to inf/NaN; training must
     raise instead of returning the broken matrices, and must do so
@@ -462,6 +479,105 @@ class TestInferDocVector:
             infer_doc_vector(self.model, TokenizedDocument(0, []), steps=5)
 
 
+def mixed_length_docs(docs, n):
+    """Prefixes of 1..n tokens (at most the whole document) of the given
+    documents, in mixed order."""
+    out = [TokenizedDocument(j, docs[j % len(docs)].tokens[:length])
+           for j, length in enumerate(range(1, n + 1))]
+    return out[1::2] + out[::2]
+
+
+class TestInferDocVectors:
+    """Lockstep inference: every row is the document's own vector, whatever
+    else is in the batch."""
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_rows_equal_single_inference(self, combine):
+        docs, vocab = cluster_corpus(12)
+        cfg = EmbedTrainConfig(dim=7, window=3, negatives=4, epochs=3, seed=5)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        batch = mixed_length_docs(docs, 20)
+        vecs = embedding.infer_doc_vectors(model, batch, steps=6, lr=0.05, seed=3)
+        assert vecs.shape == (len(batch), 7)
+        for doc, row in zip(batch, vecs):
+            assert np.array_equal(row, infer_doc_vector(model, doc, steps=6, lr=0.05, seed=3))
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_targets_drawn_as_negatives(self, combine):
+        # three words: about a third of all draws hit their own target
+        vocab = corpus.build_vocabulary([["a", "b", "a", "c", "b", "a"]], min_count=1)
+        docs = corpus.encode_corpus([["a", "b", "a", "c"], ["b", "a"], ["c", "c", "a"]], vocab)
+        cfg = EmbedTrainConfig(dim=5, window=2, negatives=6, epochs=4, seed=1)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        batch = mixed_length_docs(docs, 9)
+        vecs = embedding.infer_doc_vectors(model, batch, steps=5, seed=2)
+        for doc, row in zip(batch, vecs):
+            assert np.array_equal(row, infer_doc_vector(model, doc, steps=5, seed=2))
+        assert np.all(np.isfinite(vecs))
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_follows_one_step_at_a_time_oracle(self, combine):
+        # per position: draw m negatives, skip those that hit the target,
+        # take one frozen-word step; the same stream and schedule
+        vocab = corpus.build_vocabulary([["a", "b", "a", "c", "b", "a"]], min_count=1)
+        docs = corpus.encode_corpus([["a", "b", "a", "c", "b"]], vocab)
+        cfg = EmbedTrainConfig(dim=5, window=2, negatives=4, epochs=4, seed=1)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        tokens, steps, lr0, lr_min, k, m = docs[0].tokens, 6, 0.05, 0.001, 2, 4
+        rng = np.random.default_rng(8)
+        vec = (rng.random(5) - 0.5) / 5
+        cdf = np.cumsum(model.noise_probs)
+        cdf /= cdf[-1]
+        skipped = 0
+        for step in range(steps * len(tokens)):
+            i = step % len(tokens)
+            draws = np.searchsorted(cdf, rng.random(m), side="right")
+            negatives = [int(j) for j in draws if j != tokens[i]]
+            skipped += m - len(negatives)
+            context = tokens[max(0, i - k): i]
+            lr = lr0 - (lr0 - lr_min) * step / (steps * len(tokens))
+            embedding._dm_step(model, vec, context, k - len(context), tokens[i], negatives,
+                               lr, update_words=False)
+        assert skipped > 0
+        inferred = infer_doc_vector(model, docs[0], steps=steps, lr=lr0, min_lr=lr_min, seed=8)
+        np.testing.assert_allclose(inferred, vec, rtol=0, atol=1e-12)
+
+    def test_permuting_the_batch_permutes_the_rows(self, trained_doc_model):
+        docs, model = trained_doc_model
+        batch = mixed_length_docs(docs, 15)
+        vecs = embedding.infer_doc_vectors(model, batch, steps=4, seed=6)
+        perm = np.random.default_rng(0).permutation(len(batch))
+        permuted = embedding.infer_doc_vectors(model, [batch[j] for j in perm], steps=4, seed=6)
+        assert np.array_equal(permuted, vecs[perm])
+
+    def test_blocks_do_not_change_vectors(self, trained_doc_model, monkeypatch):
+        docs, model = trained_doc_model
+        batch = mixed_length_docs(docs, 11)
+        whole = embedding.infer_doc_vectors(model, batch, steps=3, seed=4)
+        monkeypatch.setattr(embedding, "INFER_BLOCK", 3)
+        assert np.array_equal(embedding.infer_doc_vectors(model, batch, steps=3, seed=4), whole)
+
+    def test_model_never_modified(self, trained_doc_model):
+        docs, model = trained_doc_model
+        fingerprint = [m.copy() for m in (model.word_matrix, model.doc_matrix,
+                                          model.output_matrix)]
+        embedding.infer_doc_vectors(model, docs[:5], steps=3, seed=2)
+        for m, before in zip((model.word_matrix, model.doc_matrix, model.output_matrix),
+                             fingerprint):
+            assert np.array_equal(m, before)
+
+    def test_empty_document_or_steps_below_one_rejected(self, trained_doc_model):
+        docs, model = trained_doc_model
+        with pytest.raises(ValueError, match="empty document"):
+            embedding.infer_doc_vectors(model, [docs[0], TokenizedDocument(1, [])], steps=5)
+        with pytest.raises(ValueError, match="steps"):
+            embedding.infer_doc_vectors(model, docs[:2], steps=0)
+
+    def test_no_documents(self, trained_doc_model):
+        _, model = trained_doc_model
+        assert embedding.infer_doc_vectors(model, [], steps=5).shape == (0, model.dim)
+
+
 class TestAnalogy:
     def make_vocab(self, tokens):
         return corpus.build_vocabulary([list(tokens) * 1], min_count=1)
@@ -563,6 +679,23 @@ class TestModelFiles:
         assert lines[1] == "bb 0.000000 2.000000"
         assert lines[2] == "<LF> 1.000000 1.000000"
         assert lines[3] == "<NUM> 3.000000 -3.000000"
+
+    @pytest.mark.parametrize("damage", ["trailing", "truncated", "huge_header"])
+    def test_size_checked_against_header(self, tmp_path, damage):
+        docs, vocab = cluster_corpus(4)
+        path = tmp_path / "model.w2v"
+        embedding.save_word2vec(train_word2vec(docs, EmbedTrainConfig(dim=4, epochs=0),
+                                               vocab_size=len(vocab)), path)
+        data = path.read_bytes()
+        if damage == "trailing":
+            data += b"\0" * 8
+        elif damage == "truncated":
+            data = data[:-1]
+        else:  # 2**32 - 1 rows: rejected by size, never read
+            data = data[:4] + (2**32 - 1).to_bytes(4, "little") + data[8:]
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="its header implies"):
+            embedding.load_word2vec(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.w2v"
