@@ -29,8 +29,8 @@ from .embedding import (
     train_doc2vec,
     train_word2vec,
 )
-from .retrieval import AnswerIndex, RoutingDecision, RoutingOutcome, route, select_answer
-from .simnet import Activation, ForwardMode, SimilarityNetwork, init_network
+from .retrieval import AnswerIndex, RoutingDecision, RoutingOutcome, route
+from .simnet import Activation, SimilarityNetwork, init_network
 from .training import SimTrainConfig, TrainReport, train_simnet
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "CombineMode",
     "DocEmbeddingModel",
     "EmbedTrainConfig",
-    "ForwardMode",
     "QAPair",
     "RoutingDecision",
     "RoutingOutcome",
@@ -61,7 +60,6 @@ __all__ = [
     "init_network",
     "route",
     "sample_pairs",
-    "select_answer",
     "tokenize",
     "train_doc2vec",
     "train_simnet",

@@ -23,8 +23,14 @@ PROG = "qasim"
 SEED_ENV_VAR = "QASIM_SEED"
 
 _SECTIONS = {"embedding": embedding.EmbedTrainConfig, "simnet": training.SimTrainConfig}
-_TOP_KEYS = {"seed", "min_count", "threshold", "positive_fraction", "n_pairs",
-             "embedding", "simnet"}
+# The other top-level config keys: (type, default), where None means no
+# default.  Each is also the flag `--key-name` of the commands that use it.
+_TOP_FIELDS = {"seed": (int, 0), "min_count": (int, 5), "threshold": (float, 0.7),
+               "positive_fraction": (float, 0.5), "n_pairs": (int, None)}
+# Config fields whose command-line flag has another name; every other
+# field `foo_bar` is set by `--foo-bar`.
+_FLAG_OF_FIELD = {"learning_rate": "lr", "min_learning_rate": "min_lr",
+                  "dropout_p": "dropout", "early_stop_patience": "patience"}
 
 
 class UsageError(Exception):
@@ -50,58 +56,56 @@ def _load_config(path) -> dict:
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
-    for key in config:
-        if key not in _TOP_KEYS:
-            raise UsageError(f"unknown config field: {key}")
+    _check_fields({k: v for k, v in config.items() if k not in _SECTIONS},
+                  {key: kind for key, (kind, _) in _TOP_FIELDS.items()}, "")
     for section, cls in _SECTIONS.items():
         values = config.get(section, {})
         if not isinstance(values, dict):
             raise UsageError(f"config field {section} must hold a JSON object")
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        for key, value in values.items():
-            if key not in defaults:
-                raise UsageError(f"unknown config field: {section}.{key}")
-            problem = _type_problem(value, defaults[key])
-            if problem:
-                raise UsageError(f"invalid config field: {section}.{key} {problem}")
+        _check_fields(values, {f.name: type(f.default) for f in dataclasses.fields(cls)},
+                      section + ".")
     return config
 
 
-def _type_problem(value, default) -> str | None:
-    """Why `value` cannot fill a config field whose default is `default`,
-    or None.  An int field takes an integer, a float field any number, an
-    enum field a string; none takes a bool."""
-    if isinstance(default, enum.Enum):
-        types, name = str, "a string"
-    elif isinstance(default, float):
-        types, name = (int, float), "a number"
-    else:
-        types, name = type(default), f"of type {type(default).__name__}"
-    if isinstance(value, bool) or not isinstance(value, types):
-        return f"must be {name}, got {value!r}"
-    return None
+def _check_fields(values: dict, kinds: dict, prefix: str) -> None:
+    """Every key of `values` is a field in `kinds` and its value fits the
+    field's type: an int field takes an integer, a float field any number,
+    an enum field a string; none takes a bool."""
+    for key, value in values.items():
+        if key not in kinds:
+            raise UsageError(f"unknown config field: {prefix}{key}")
+        kind = kinds[key]
+        if issubclass(kind, enum.Enum):
+            types, name = str, "a string"
+        elif kind is float:
+            types, name = (int, float), "a number"
+        else:
+            types, name = kind, f"of type {kind.__name__}"
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise UsageError(f"invalid config field: {prefix}{key} must be {name}, got {value!r}")
 
 
-def _first(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
+def _resolve(args, key: str, default, *configs: dict):
+    """`key`'s flag if given, else its value in the first config dict that
+    sets it, else `default`."""
+    value = getattr(args, _FLAG_OF_FIELD.get(key, key), None)
+    for config in configs:
+        if value is None:
+            value = config.get(key)
+    return default if value is None else value
+
+
+def _setting(args, config: dict, key: str):
+    """A top-level setting: its flag, else the config file, else its default."""
+    return _resolve(args, key, _TOP_FIELDS[key][1], config)
 
 
 def _seed(args, config: dict, section: dict | None = None) -> int:
+    """Flag, else the config section, else the config file, else
+    QASIM_SEED, else the default."""
     env = os.environ.get(SEED_ENV_VAR)
-    return int(_first(getattr(args, "seed", None),
-                      (section or {}).get("seed"),
-                      config.get("seed"),
-                      int(env) if env is not None else None,
-                      0))
-
-
-# Config fields whose command-line flag has another name; every other
-# field `foo_bar` is set by `--foo-bar`.
-_FLAG_OF_FIELD = {"learning_rate": "lr", "min_learning_rate": "min_lr",
-                  "dropout_p": "dropout", "early_stop_patience": "patience"}
+    default = int(env) if env is not None else _TOP_FIELDS["seed"][1]
+    return _resolve(args, "seed", default, section or {}, config)
 
 
 def _section_config(args, config: dict, section_name: str):
@@ -109,8 +113,7 @@ def _section_config(args, config: dict, section_name: str):
     section, else the dataclass default; the seed as `_seed` resolves it."""
     cls = _SECTIONS[section_name]
     section = config.get(section_name, {})
-    values = {f.name: _first(getattr(args, _FLAG_OF_FIELD.get(f.name, f.name)),
-                             section.get(f.name), f.default)
+    values = {f.name: _resolve(args, f.name, f.default, section)
               for f in dataclasses.fields(cls) if f.name != "seed"}
     try:
         return cls(**values, seed=_seed(args, config, section))
@@ -134,7 +137,7 @@ def _load_raw_docs(args) -> list[list[str]]:
 
 def cmd_build_vocab(args) -> int:
     config = _load_config(args.config)
-    min_count = _first(args.min_count, config.get("min_count"), 5)
+    min_count = _setting(args, config, "min_count")
     docs = _load_raw_docs(args)
     vocab = corpus.build_vocabulary(docs, min_count=min_count)
     corpus.save_vocabulary(vocab, args.out)
@@ -180,10 +183,10 @@ def cmd_train_doc2vec(args) -> int:
 def cmd_sample_pairs(args) -> int:
     config = _load_config(args.config)
     _, _, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
-    n_pairs = _first(args.n_pairs, config.get("n_pairs"))
+    n_pairs = _setting(args, config, "n_pairs")
     if n_pairs is None:
         raise UsageError("missing required n_pairs (flag --n-pairs or config)")
-    fraction = _first(args.positive_fraction, config.get("positive_fraction"), 0.5)
+    fraction = _setting(args, config, "positive_fraction")
     seed = _seed(args, config)
     pairs = corpus.sample_pairs(pools, n_pairs, positive_fraction=fraction, seed=seed)
     corpus.save_pairs(pairs, args.out)
@@ -270,7 +273,7 @@ def cmd_eval(args) -> int:
     q_model = embedding.load_doc2vec(_require_file(args.q_model, "question doc2vec model"))
     a_model = embedding.load_doc2vec(_require_file(args.a_model, "answer doc2vec model"))
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
-    threshold = _first(args.threshold, config.get("threshold"), 0.7)
+    threshold = _setting(args, config, "threshold")
 
     q_vocab = a_vocab = None
     if args.infer_vectors:
@@ -288,7 +291,7 @@ def cmd_eval(args) -> int:
     else:
         report["pair_accuracy"] = None
     if args.bow_baseline:
-        min_count = _first(args.min_count, config.get("min_count"), 5)
+        min_count = _setting(args, config, "min_count")
         report["bow_cosine_top1"] = _bow_cosine_top1(q_texts, a_texts, pools, min_count)
 
     _echo("eval", {"threshold": threshold, "infer_vectors": bool(args.infer_vectors)})
@@ -303,7 +306,7 @@ def cmd_eval(args) -> int:
 def cmd_classify(args) -> int:
     config = _load_config(args.config)
     texts, labels01 = evaluation.load_labeled_texts(_require_file(args.data, "labeled data file"))
-    min_count = _first(args.min_count, config.get("min_count"), 5)
+    min_count = _setting(args, config, "min_count")
     docs = [corpus.tokenize(t) for t in texts]
     vocab = corpus.build_vocabulary(docs, min_count=min_count)
     encoded = corpus.encode_corpus(docs, vocab)
@@ -342,7 +345,7 @@ def cmd_ask(args) -> int:
     if len(answer_texts) != a_model.n_docs:
         raise UsageError(f"answers file holds {len(answer_texts)} lines but the model "
                          f"has {a_model.n_docs} doc vectors")
-    threshold = _first(args.threshold, config.get("threshold"), 0.7)
+    threshold = _setting(args, config, "threshold")
     seed = _seed(args, config)
     index = retrieval.AnswerIndex(net, a_model.doc_matrix)
     candidates = np.arange(len(answer_texts))
@@ -375,14 +378,22 @@ def _add_corpus_source(p: argparse.ArgumentParser) -> None:
                    help="which side of the QA file to use (with --qa-file)")
 
 
-def _add_embed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--min-lr", type=float)
-    p.add_argument("--export-text", help="also write a text-format embedding table")
+def _add_section_flags(p: argparse.ArgumentParser, section: str) -> None:
+    """One flag per field of the section's config dataclass (the seed is
+    the common `--seed`), typed like the field's default."""
+    for f in dataclasses.fields(_SECTIONS[section]):
+        if f.name == "seed":
+            continue
+        flag = "--" + _FLAG_OF_FIELD.get(f.name, f.name).replace("_", "-")
+        if isinstance(f.default, enum.Enum):
+            p.add_argument(flag, choices=[m.value for m in type(f.default)])
+        else:
+            p.add_argument(flag, type=type(f.default))
+
+
+def _add_top_flags(p: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), type=_TOP_FIELDS[key][0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,19 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int)
+        _add_top_flags(p, "seed")
 
     p = sub.add_parser("build-vocab", help="build and save a vocabulary")
     common(p)
     _add_corpus_source(p)
-    p.add_argument("--min-count", type=int)
+    _add_top_flags(p, "min_count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train-word2vec", help="train word vectors")
     common(p)
     _add_corpus_source(p)
-    _add_embed_flags(p)
+    _add_section_flags(p, "embedding")
+    p.add_argument("--export-text", help="also write a text-format embedding table")
     p.add_argument("--vocab", required=True)
     p.add_argument("--mode", choices=["cbow", "skipgram"], default="cbow")
     p.add_argument("--out", required=True)
@@ -412,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-doc2vec", help="train paragraph vectors")
     common(p)
     _add_corpus_source(p)
-    _add_embed_flags(p)
+    _add_section_flags(p, "embedding")
+    p.add_argument("--export-text", help="also write a text-format embedding table")
     p.add_argument("--vocab", required=True)
     p.add_argument("--combine", choices=["average", "concatenate"], default="average")
     p.add_argument("--out", required=True)
@@ -421,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-pairs", help="sample labeled pairs from candidate pools")
     common(p)
     p.add_argument("--qa-file", required=True)
-    p.add_argument("--n-pairs", type=int)
-    p.add_argument("--positive-fraction", type=float)
+    _add_top_flags(p, "n_pairs", "positive_fraction")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample_pairs)
 
@@ -436,18 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="report basename (.jsonl and .csv are appended)")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--init-std", type=float)
-    p.add_argument("--bias-const", type=float)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--decay-start-epoch", type=int)
-    p.add_argument("--lr-floor", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--activation", choices=["tanh", "relu"])
+    _add_section_flags(p, "simnet")
     p.set_defaults(func=cmd_train_simnet)
 
     p = sub.add_parser("eval", help="evaluate pool and pair accuracy")
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-model", required=True)
     p.add_argument("--a-model", required=True)
     p.add_argument("--simnet", required=True)
-    p.add_argument("--threshold", type=float)
+    _add_top_flags(p, "threshold")
     p.add_argument("--infer-vectors", action="store_true",
                    help="infer doc vectors instead of using trained rows")
     p.add_argument("--infer-steps", type=int, default=50)
@@ -465,17 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-vocab")
     p.add_argument("--bow-baseline", action="store_true",
                    help="also report a bag-of-words cosine ranking baseline")
-    p.add_argument("--min-count", type=int)
+    _add_top_flags(p, "min_count")
     p.add_argument("--out", help="write the JSON report here as well as stdout")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("classify", help="bag-of-words vs doc2vec learning curves")
     common(p)
-    _add_embed_flags(p)
+    _add_section_flags(p, "embedding")
     p.add_argument("--data", required=True, help='JSONL {"text", "label"} file')
     p.add_argument("--ratios", default="0.2,0.4,0.6,0.8")
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--min-count", type=int)
+    _add_top_flags(p, "min_count")
     p.add_argument("--clf-epochs", type=int, default=20)
     p.add_argument("--clf-lr", type=float, default=0.01)
     p.add_argument("--clf-reg", type=float, default=1e-4)
@@ -489,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-model", required=True)
     p.add_argument("--a-model", required=True)
     p.add_argument("--simnet", required=True)
-    p.add_argument("--threshold", type=float)
+    _add_top_flags(p, "threshold")
     p.add_argument("--infer-steps", type=int, default=50)
     p.set_defaults(func=cmd_ask)
 

@@ -60,13 +60,8 @@ class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
     frequency: list[int]
-    min_count: int
     lf_id: int
     num_id: int
-
-    @property
-    def size(self) -> int:
-        return len(self.id_to_token)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -163,7 +158,6 @@ def build_vocabulary(docs: list[list[str]], min_count: int = 5) -> Vocabulary:
         token_to_id=token_to_id,
         id_to_token=id_to_token,
         frequency=frequency,
-        min_count=min_count,
         lf_id=len(retained),
         num_id=len(retained) + 1,
     )
@@ -251,17 +245,21 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
             fh.write(f"{token}\t{i}\t{vocab.frequency[i]}\n")
 
 
-def load_vocabulary(path, min_count: int = 5) -> Vocabulary:
+def load_vocabulary(path) -> Vocabulary:
     """Read a vocabulary file written by save_vocabulary."""
     id_to_token: list[str] = []
     frequency: list[int] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
-            token, idx, freq = line.split("\t")
-            if int(idx) != len(id_to_token):
+        for line_no, line in enumerate(fh.read().splitlines(), start=1):
+            try:
+                token, idx, freq = line.split("\t")
+                idx, freq = int(idx), int(freq)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: malformed vocabulary line: {line!r}") from None
+            if idx != len(id_to_token):
                 raise ValueError(f"non-dense id {idx} in vocabulary file {path}")
             id_to_token.append(token)
-            frequency.append(int(freq))
+            frequency.append(freq)
     if id_to_token[-2:] != [LF_TOKEN, NUM_TOKEN]:
         raise ValueError(f"vocabulary file {path} lacks the reserved symbols")
     token_to_id = {t: i for i, t in enumerate(id_to_token[:-2])}
@@ -269,7 +267,6 @@ def load_vocabulary(path, min_count: int = 5) -> Vocabulary:
         token_to_id=token_to_id,
         id_to_token=id_to_token,
         frequency=frequency,
-        min_count=min_count,
         lf_id=len(id_to_token) - 2,
         num_id=len(id_to_token) - 1,
     )

@@ -239,16 +239,6 @@ def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> list[tuple[
             for r, k, any_hit, u in zip(rows, keep, hit.any(axis=1).tolist(), distinct)]
 
 
-def _infer_vocab_size(corpus: list[TokenizedDocument]) -> int:
-    top = -1
-    for doc in corpus:
-        if doc.tokens:
-            top = max(top, max(doc.tokens))
-    if top < 0:
-        raise ValueError("corpus contains no tokens")
-    return top + 1
-
-
 def _learning_rate(lr0: float, lr_min: float, step, total_steps):
     """The linear decay from lr0 toward lr_min: the rate at `step` of
     `total_steps` (either may be an array)."""
@@ -276,8 +266,8 @@ def _check_finite(*matrices: np.ndarray) -> None:
 
 
 def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
-                   mode: Word2VecMode = Word2VecMode.CBOW,
-                   vocab_size: int | None = None) -> WordEmbeddingModel:
+                   mode: Word2VecMode = Word2VecMode.CBOW, *,
+                   vocab_size: int) -> WordEmbeddingModel:
     """Train a word2vec model with negative sampling.
 
     Negatives come from the corpus unigram distribution raised to 0.75.
@@ -288,7 +278,6 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     if not corpus:
         raise ValueError("corpus must be non-empty")
     mode = Word2VecMode(mode)
-    V = vocab_size if vocab_size is not None else _infer_vocab_size(corpus)
     d = config.dim
 
     docs = [doc.tokens for doc in corpus if len(doc.tokens) >= 2]
@@ -297,14 +286,14 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 
     rng = np.random.default_rng(config.seed)
     model = WordEmbeddingModel(
-        input_matrix=(rng.random((V, d)) - 0.5) / d,
-        output_matrix=np.zeros((V, d)),
+        input_matrix=(rng.random((vocab_size, d)) - 0.5) / d,
+        output_matrix=np.zeros((vocab_size, d)),
         mode=mode,
         window=config.window,
         negatives=config.negatives,
         dim=d,
     )
-    cdf = _noise_cdf(_unigram_noise(corpus, V))
+    cdf = _noise_cdf(_unigram_noise(corpus, vocab_size))
     k, m = config.window, config.negatives
     with np.errstate(over="ignore", invalid="ignore"):
         for _, doc, lrs in _positions(docs, config.epochs, config.learning_rate,
@@ -419,8 +408,8 @@ def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
 
 
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
-                  combine: CombineMode = CombineMode.AVERAGE,
-                  vocab_size: int | None = None) -> DocEmbeddingModel:
+                  combine: CombineMode = CombineMode.AVERAGE, *,
+                  vocab_size: int) -> DocEmbeddingModel:
     """Train a distributed-memory paragraph-vector model.
 
     At every position the document vector and the preceding `window`
@@ -433,7 +422,6 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     combine = CombineMode(combine)
     if any(not doc.tokens for doc in corpus):
         raise ValueError("corpus contains an empty document")
-    V = vocab_size if vocab_size is not None else _infer_vocab_size(corpus)
     N = len(corpus)
     d = config.dim
     k = config.window
@@ -441,14 +429,14 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 
     rng = np.random.default_rng(config.seed)
     model = DocEmbeddingModel(
-        word_matrix=(rng.random((V, d)) - 0.5) / d,
+        word_matrix=(rng.random((vocab_size, d)) - 0.5) / d,
         doc_matrix=(rng.random((N, d)) - 0.5) / d,
-        output_matrix=np.zeros((V, ctx_dim)),
+        output_matrix=np.zeros((vocab_size, ctx_dim)),
         combine=combine,
         window=k,
         negatives=config.negatives,
         dim=d,
-        noise_probs=_unigram_noise(corpus, V),
+        noise_probs=_unigram_noise(corpus, vocab_size),
     )
     with np.errstate(over="ignore", invalid="ignore"):
         _dm_train(model, [doc.tokens for doc in corpus], config.epochs,

@@ -73,13 +73,6 @@ class AnswerIndex:
         return best, float(scores[best])
 
 
-def select_answer(net: SimilarityNetwork, q_vector: np.ndarray, pool: CandidatePool,
-                  a_features) -> tuple[int, float]:
-    """Highest-scoring candidate index and its score; ties take the lowest index."""
-    rows = feature_rows(a_features, pool.candidates)
-    return AnswerIndex(net, rows).select(q_vector, np.arange(len(rows)))
-
-
 def route(score: float, threshold: float, answer_doc: int | None = None) -> RoutingDecision:
     """Answer when score >= threshold (boundary answers), else escalate."""
     if not 0.0 < threshold < 1.0:

@@ -25,11 +25,6 @@ class Activation(str, Enum):
     RELU = "relu"
 
 
-class ForwardMode(str, Enum):
-    TRAIN = "train"
-    EVAL = "eval"
-
-
 @dataclass
 class SimilarityNetwork:
     """Parameters of both towers and the decision head.
@@ -87,7 +82,6 @@ class ForwardTrace:
     masks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     logit: np.ndarray
     y_prime: np.ndarray
-    mode: ForwardMode
 
 
 def init_network(d: int, std: float = 0.03, bias_const: float = 0.1, seed: int = 0,
@@ -171,7 +165,7 @@ def _as_rows(f: np.ndarray) -> np.ndarray:
 
 
 def head_terms(net: SimilarityNetwork, f: np.ndarray, side: str) -> np.ndarray:
-    """Eval-mode head term of each feature row on side "q" or "a".
+    """Head term, without dropout, of each feature row on side "q" or "a".
 
     The logit is question term + answer term + b3, so one side's terms can
     be computed once and paired with any row of the other side.
@@ -186,16 +180,14 @@ def probabilities(net: SimilarityNetwork, q_terms: np.ndarray,
 
 
 def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
-            dropout_p: float = 0.0, mode: ForwardMode = ForwardMode.EVAL,
-            seed: int = 0, masks=None) -> ForwardTrace:
+            dropout_p: float = 0.0, seed: int = 0, masks=None) -> ForwardTrace:
     """Run both towers and the head; records everything for backprop.
 
-    Inputs may be single d-vectors or (batch, d) arrays.  In Train mode
-    with dropout_p > 0, inverted dropout is applied to both hidden layers
-    of both towers; passing `masks` replays a previous trace exactly.
-    Eval mode applies no masks and no rescaling.
+    Inputs may be single d-vectors or (batch, d) arrays.  With dropout_p
+    > 0, inverted dropout masks drawn from `seed` are applied to both
+    hidden layers of both towers; passing `masks` replays a previous
+    trace exactly.  Otherwise no masks and no rescaling are applied.
     """
-    mode = ForwardMode(mode)
     x_q = _as_rows(f_q)
     x_a = _as_rows(f_a)
     if x_q.shape != x_a.shape:
@@ -204,10 +196,8 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
     B = x_q.shape[0]
     h1, h2 = net.w1q.shape[0], net.w2q.shape[0]
 
-    if masks is None and mode is ForwardMode.TRAIN and dropout_p > 0.0:
+    if masks is None and dropout_p > 0.0:
         masks = draw_dropout_masks((B, h1), (B, h2), dropout_p, seed)
-    if mode is ForwardMode.EVAL:
-        masks = None
     m1q, m2q, m1a, m2a = masks if masks is not None else (None,) * 4
 
     z1q, h1q, z2q, h2q, q_term = _tower(net, x_q, "q", m1q, m2q)
@@ -217,7 +207,7 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
     y_prime = _sigmoid(u)
     return ForwardTrace(x_q=x_q, x_a=x_a, z1q=z1q, h1q=h1q, z2q=z2q, h2q=h2q,
                         z1a=z1a, h1a=h1a, z2a=z2a, h2a=h2a, masks=masks,
-                        logit=u, y_prime=y_prime, mode=mode)
+                        logit=u, y_prime=y_prime)
 
 
 def _loss_from_trace(trace: ForwardTrace, y: np.ndarray, lam: float, w3: np.ndarray) -> float:
@@ -232,15 +222,14 @@ def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray
          lam: float = 0.0, dropout_p: float = 0.0, seed: int = 0, masks=None) -> float:
     """Mean clamped binary cross-entropy plus lam * ||w3||^2.
 
-    With dropout_p > 0 (or explicit masks) the forward pass runs in Train
-    mode; the masks depend only on (seed, shapes), never on parameter
+    With dropout_p > 0 (or explicit masks) the forward pass applies
+    dropout; the masks depend only on (seed, shapes), never on parameter
     values, so the loss stays differentiable in the parameters.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.size == 0:
         raise ValueError("batch must be non-empty")
-    mode = ForwardMode.TRAIN if (masks is not None or dropout_p > 0.0) else ForwardMode.EVAL
-    trace = forward(net, f_q, f_a, dropout_p, mode, seed, masks)
+    trace = forward(net, f_q, f_a, dropout_p, seed, masks)
     return _loss_from_trace(trace, y, lam, net.w3)
 
 
@@ -257,8 +246,7 @@ def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.nd
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.size == 0:
         raise ValueError("batch must be non-empty")
-    mode = ForwardMode.TRAIN if (masks is not None or dropout_p > 0.0) else ForwardMode.EVAL
-    trace = forward(net, f_q, f_a, dropout_p, mode, seed, masks)
+    trace = forward(net, f_q, f_a, dropout_p, seed, masks)
     value = _loss_from_trace(trace, y, lam, net.w3)
 
     B = trace.x_q.shape[0]
@@ -300,14 +288,8 @@ def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.nd
 
 
 def score(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray) -> float:
-    """Eval-mode match probability for one (question, answer) pair."""
-    trace = forward(net, f_q, f_a, mode=ForwardMode.EVAL)
-    return float(trace.y_prime[0])
-
-
-def score_batch(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray) -> np.ndarray:
-    """Eval-mode match probabilities for aligned (B, d) feature arrays."""
-    return forward(net, f_q, f_a, mode=ForwardMode.EVAL).y_prime
+    """Match probability without dropout for one (question, answer) pair."""
+    return float(forward(net, f_q, f_a).y_prime[0])
 
 
 # ---------------------------------------------------------------------------

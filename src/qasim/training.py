@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -133,8 +132,7 @@ def evaluate_pair_accuracy(net: SimilarityNetwork, pairs: list[QAPair], features
 
 
 def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
-                 config: SimTrainConfig, checkpoint_dir=None,
-                 checkpoint_every: int = 0) -> tuple[SimilarityNetwork, TrainReport]:
+                 config: SimTrainConfig) -> tuple[SimilarityNetwork, TrainReport]:
     """Train the similarity network with seeded mini-batch SGD.
 
     `features` is a (question, answer) tuple of feature arrays holding
@@ -143,10 +141,6 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
     pair accuracy decides early stopping: when it has not improved for
     more than `early_stop_patience` consecutive epochs, training stops
     and the parameters of the best validation epoch are returned.
-
-    With checkpoint_every > 0, the current parameters are written to
-    checkpoint_dir every that many epochs in the model binary format,
-    named by epoch.
     """
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation pair sets must be non-empty")
@@ -186,10 +180,6 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
         report.epochs.append(EpochStats(epoch=epoch, lr=lr,
                                         train_loss=float(np.mean(batch_losses)),
                                         train_acc=_pair_accuracy(net, *train), val_acc=val_acc))
-
-        if checkpoint_every > 0 and checkpoint_dir is not None \
-                and (epoch + 1) % checkpoint_every == 0:
-            simnet.save_simnet(net, os.path.join(checkpoint_dir, f"epoch{epoch}.simnet"))
 
         if val_acc > best_val:
             best_val = val_acc

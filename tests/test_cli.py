@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, config/flag/seed precedence, output
 determinism, the full pipeline end to end, and the interactive loop."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from qasim import corpus, embedding, training
-from qasim.cli import main
+from qasim.cli import build_parser, main
 from qasim.datasets import planted_qa_records
 
 
@@ -346,6 +347,18 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith(f"qasim: error: {qa}:2: malformed QA record")
 
+    @pytest.mark.parametrize("bad_line", ["a\t0", "", "a\tx\t3"])
+    def test_malformed_vocabulary_line_exits_one(self, ws, tmp_path, capsys, bad_line):
+        vocab = tmp_path / "bad.vocab"
+        good = ws["q_vocab"].read_text(encoding="utf-8")
+        vocab.write_text(good + bad_line + "\n", encoding="utf-8")
+        line_no = len(good.splitlines()) + 1
+        rc = main(["train-doc2vec", "--qa-file", str(ws["qa"]), "--vocab", str(vocab),
+                   "--dim", "4", "--epochs", "1", "--out", str(tmp_path / "m")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"qasim: error: {vocab}:{line_no}: malformed vocabulary line: {bad_line!r}"]
+
     @pytest.mark.parametrize("model", ["q_model", "net"])
     @pytest.mark.parametrize("damage", ["trailing", "truncated", "huge_header"])
     def test_damaged_model_file_exits_one(self, ws, tmp_path, capsys, model, damage):
@@ -497,6 +510,106 @@ WRONG_TYPE = {
                "decay_start_epoch": 1.5, "lr_floor": "x", "early_stop_patience": 2.0,
                "activation": 1, "seed": "5"},
 }
+
+
+# A value of the wrong JSON type for every top-level config key, and a
+# command that reads it.
+TOP_WRONG_TYPE = {"seed": ("3", "sample-pairs"), "min_count": ("2", "build-vocab"),
+                  "threshold": ("0.5", "eval"), "positive_fraction": (True, "sample-pairs"),
+                  "n_pairs": (2.5, "sample-pairs")}
+
+
+def command_argv(ws, tmp_path, command):
+    """Inputs and output of `command` from the pipeline workspace."""
+    return {
+        "sample-pairs": ["sample-pairs", "--qa-file", str(ws["qa"]),
+                         "--out", str(tmp_path / "p.jsonl")],
+        "build-vocab": ["build-vocab", "--qa-file", str(ws["qa"]), "--out", str(tmp_path / "v")],
+        "eval": ["eval", "--qa-file", str(ws["qa"]), "--q-model", str(ws["q_model"]),
+                 "--a-model", str(ws["a_model"]), "--simnet", str(ws["net"])],
+    }[command]
+
+
+class TestTopLevelConfig:
+    @pytest.mark.parametrize("key", sorted(TOP_WRONG_TYPE))
+    def test_value_of_wrong_type_exits_two(self, ws, tmp_path, capsys, key):
+        value, command = TOP_WRONG_TYPE[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        rc = main(command_argv(ws, tmp_path, command) + ["--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"qasim: error: invalid config field: {key} ")
+
+    def test_integer_fills_positive_fraction(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"positive_fraction": 1, "n_pairs": 4}', encoding="utf-8")
+        rc, lines = run(command_argv(ws, tmp_path, "sample-pairs") + ["--config", str(cfg)])
+        assert rc == 0
+        assert json.loads(lines[0])["resolved"]["positive_fraction"] == 1
+        assert all(p.label == 1 for p in corpus.load_pairs(tmp_path / "p.jsonl"))
+
+    def test_integer_fills_threshold(self, ws, tmp_path, capsys):
+        # an integer threshold passes the type check; route() then rejects 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"threshold": 1}', encoding="utf-8")
+        rc = main(command_argv(ws, tmp_path, "eval") + ["--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: threshold must lie in (0, 1)"]
+
+    def test_missing_n_pairs(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"positive_fraction": 0.5}', encoding="utf-8")
+        rc = main(command_argv(ws, tmp_path, "sample-pairs") + ["--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: missing required n_pairs (flag --n-pairs or config)"]
+
+
+# Every subcommand's options besides -h/--help.  A config field added
+# without a flag, or a flag renamed by accident, shows here.
+FLAG_SURFACE = {
+    "build-vocab": ["--config", "--corpus", "--min-count", "--out", "--qa-file", "--seed",
+                    "--side"],
+    "train-word2vec": ["--config", "--corpus", "--dim", "--epochs", "--export-text", "--lr",
+                       "--min-lr", "--mode", "--negatives", "--out", "--qa-file", "--seed",
+                       "--side", "--vocab", "--window"],
+    "train-doc2vec": ["--combine", "--config", "--corpus", "--dim", "--epochs",
+                      "--export-text", "--lr", "--min-lr", "--negatives", "--out",
+                      "--qa-file", "--seed", "--side", "--vocab", "--window"],
+    "sample-pairs": ["--config", "--n-pairs", "--out", "--positive-fraction", "--qa-file",
+                     "--seed"],
+    "train-simnet": ["--a-model", "--activation", "--batch-size", "--bias-const", "--config",
+                     "--decay", "--decay-start-epoch", "--dropout", "--init-std", "--lam",
+                     "--lr-floor", "--lr0", "--max-epochs", "--out", "--pairs", "--patience",
+                     "--q-model", "--report", "--seed", "--val-fraction", "--val-pairs"],
+    "eval": ["--a-model", "--a-vocab", "--bow-baseline", "--config", "--infer-steps",
+             "--infer-vectors", "--min-count", "--out", "--pairs", "--q-model", "--q-vocab",
+             "--qa-file", "--seed", "--simnet", "--threshold"],
+    "classify": ["--clf-epochs", "--clf-lr", "--clf-reg", "--config", "--data", "--dim",
+                 "--epochs", "--lr", "--min-count", "--min-lr", "--negatives", "--out",
+                 "--ratios", "--seed", "--seeds", "--window"],
+    "ask": ["--a-model", "--answers", "--config", "--infer-steps", "--q-model", "--q-vocab",
+            "--seed", "--simnet", "--threshold"],
+}
+
+
+class TestFlagSurface:
+    def test_options_of_every_subcommand(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {name: sorted(opt for action in p._actions for opt in action.option_strings
+                                if opt not in ("-h", "--help"))
+                   for name, p in sub.choices.items()}
+        assert surface == FLAG_SURFACE
+
+    def test_classify_has_no_export_text(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--data", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "c"),
+                  "--export-text", "x"])
+        assert exc.value.code == 2
 
 
 class TestExportText:

@@ -260,7 +260,7 @@ class TestFileFormats:
         vocab = build_vocabulary([["b", "b", "a", "a", "a", "zz"]], min_count=2)
         path = tmp_path / "vocab.tsv"
         corpus.save_vocabulary(vocab, path)
-        loaded = corpus.load_vocabulary(path, min_count=2)
+        loaded = corpus.load_vocabulary(path)
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.id_to_token == vocab.id_to_token
         assert loaded.frequency == vocab.frequency
@@ -271,6 +271,14 @@ class TestFileFormats:
         path.write_text("a\t0\t3\nb\t2\t2\n", encoding="utf-8")
         with pytest.raises(ValueError):
             corpus.load_vocabulary(path)
+
+    @pytest.mark.parametrize("bad_line", ["a\t0", "", "a\tx\t3"])
+    def test_malformed_vocabulary_line_names_path_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"a\t0\t3\n{bad_line}\n<LF>\t1\t0\n<NUM>\t2\t0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            corpus.load_vocabulary(path)
+        assert str(exc.value) == f"{path}:2: malformed vocabulary line: {bad_line!r}"
 
     def test_vocabulary_missing_reserved_symbols(self, tmp_path):
         path = tmp_path / "vocab.tsv"

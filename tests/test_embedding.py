@@ -367,7 +367,7 @@ class TestTrainWord2vec:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            train_word2vec([], EmbedTrainConfig(dim=4))
+            train_word2vec([], EmbedTrainConfig(dim=4), vocab_size=4)
 
     @pytest.mark.parametrize("mode", [Word2VecMode.CBOW, Word2VecMode.SKIPGRAM])
     def test_cluster_separation(self, mode):

@@ -15,7 +15,6 @@ from qasim.retrieval import (
     feature_rows,
     pool_report,
     route,
-    select_answer,
 )
 
 
@@ -35,7 +34,7 @@ class TestSelectAnswer:
         qf, af = features
         pool = CandidatePool(question_doc=0, candidates=(3, 9, 14, 2, 30),
                              correct=frozenset({1}))
-        best, best_score = select_answer(net, qf[0], pool, af)
+        best, best_score = AnswerIndex(net, af).select(qf[0], pool.candidates)
         # oracle: score every candidate one at a time, keep first maximum
         oracle = [simnet.score(net, qf[0], af[c]) for c in pool.candidates]
         want = max(range(len(oracle)), key=lambda i: (oracle[i], -i))
@@ -50,7 +49,7 @@ class TestSelectAnswer:
             pool = CandidatePool(question_doc=int(rng.integers(0, 40)),
                                  candidates=(tuple(int(c) for c in cands)),
                                  correct=frozenset({0}))
-            best, score = select_answer(net, qf[pool.question_doc], pool, af)
+            best, score = AnswerIndex(net, af).select(qf[pool.question_doc], pool.candidates)
             oracle = [simnet.score(net, qf[pool.question_doc], af[c])
                       for c in pool.candidates]
             assert oracle[best] == pytest.approx(max(oracle), abs=1e-12)
@@ -64,19 +63,19 @@ class TestSelectAnswer:
         tied[30] = tied[5]
         pool = CandidatePool(question_doc=1, candidates=(5, 12, 30),
                              correct=frozenset({2}))
-        best, _ = select_answer(net, qf[1], pool, tied)
+        best, _ = AnswerIndex(net, tied).select(qf[1], pool.candidates)
         assert best == 0
 
     def test_covariant_under_permutation(self, net, features):
         qf, af = features
         cands = (8, 17, 3, 22, 11)
         pool = CandidatePool(question_doc=2, candidates=cands, correct=frozenset({0}))
-        best, score = select_answer(net, qf[2], pool, af)
+        best, score = AnswerIndex(net, af).select(qf[2], pool.candidates)
         perm = (2, 4, 0, 3, 1)
         shuffled = CandidatePool(question_doc=2,
                                  candidates=tuple(cands[i] for i in perm),
                                  correct=frozenset({0}))
-        best2, score2 = select_answer(net, qf[2], shuffled, af)
+        best2, score2 = AnswerIndex(net, af).select(qf[2], shuffled.candidates)
         assert shuffled.candidates[best2] == cands[best]
         assert score2 == pytest.approx(score, abs=1e-12)
 
@@ -87,14 +86,14 @@ class TestSelectAnswer:
         object.__setattr__(pool, "candidates", ())
         object.__setattr__(pool, "correct", frozenset())
         with pytest.raises(ValueError):
-            select_answer(net, qf[0], pool, af)
+            AnswerIndex(net, af).select(qf[0], pool.candidates)
 
     def test_missing_answer_feature_rejected(self, net, features):
         qf, af = features
         pool = CandidatePool(question_doc=0, candidates=(0, 99),
                              correct=frozenset({0}))
         with pytest.raises(ValueError):
-            select_answer(net, qf[0], pool, af)
+            AnswerIndex(net, af).select(qf[0], pool.candidates)
 
 
 class TestFeatureRows:
@@ -131,15 +130,6 @@ class TestAnswerIndex:
                 oracle = np.array([simnet.score(net, q, af[c]) for c in cands])
                 assert best == int(np.argmax(oracle))  # first maximum
                 assert best_score == pytest.approx(oracle[best], abs=1e-12)
-
-    def test_matches_select_answer(self, collection):
-        net, af, qf = collection
-        pool = CandidatePool(question_doc=0, candidates=(40, 7, 1999, 3),
-                             correct=frozenset({0}))
-        got = AnswerIndex(net, af).select(qf[0], pool.candidates)
-        want = select_answer(net, qf[0], pool, af)
-        assert got[0] == want[0]
-        assert got[1] == pytest.approx(want[1], abs=1e-12)
 
     def test_saturated_probabilities_tie_to_lowest_index(self, collection):
         net, af, qf = collection
@@ -224,8 +214,7 @@ class TestEvaluatePoolAccuracy:
         pools = []
         for q in range(n_pools):
             cands = tuple(int(c) for c in rng.choice(40, size=pool_size, replace=False))
-            best, _ = select_answer(net, qf[q % 40], CandidatePool(
-                question_doc=q % 40, candidates=cands, correct=frozenset({0})), af)
+            best, _ = AnswerIndex(net, af).select(qf[q % 40], cands)
             pools.append(CandidatePool(question_doc=q % 40, candidates=cands,
                                        correct=frozenset({best})))
         return pools

@@ -10,7 +10,6 @@ import pytest
 from qasim import simnet
 from qasim.simnet import (
     Activation,
-    ForwardMode,
     SimilarityNetwork,
     draw_dropout_masks,
     forward,
@@ -18,7 +17,6 @@ from qasim.simnet import (
     init_network,
     loss,
     score,
-    score_batch,
 )
 
 
@@ -138,25 +136,17 @@ class TestForward:
     def test_train_with_zero_dropout_equals_eval(self):
         net = toy_network()
         fq, fa = np.array([0.6, -0.3]), np.array([-0.2, 0.5])
-        eval_trace = forward(net, fq, fa, mode=ForwardMode.EVAL)
-        train_trace = forward(net, fq, fa, dropout_p=0.0, mode=ForwardMode.TRAIN, seed=7)
+        eval_trace = forward(net, fq, fa)
+        train_trace = forward(net, fq, fa, dropout_p=0.0, seed=7)
         assert train_trace.y_prime[0] == eval_trace.y_prime[0]
-
-    def test_eval_mode_ignores_dropout(self):
-        net = toy_network()
-        fq, fa = np.array([0.6, -0.3]), np.array([-0.2, 0.5])
-        a = forward(net, fq, fa, mode=ForwardMode.EVAL)
-        b = forward(net, fq, fa, dropout_p=0.9, mode=ForwardMode.EVAL, seed=1)
-        assert a.y_prime[0] == b.y_prime[0]
-        assert b.masks is None
 
     def test_dropout_masks_recorded_and_replayable(self):
         net = init_network(4, seed=2)
         rng = np.random.default_rng(0)
         fq, fa = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        t1 = forward(net, fq, fa, dropout_p=0.5, mode=ForwardMode.TRAIN, seed=11)
+        t1 = forward(net, fq, fa, dropout_p=0.5, seed=11)
         assert t1.masks is not None
-        t2 = forward(net, fq, fa, mode=ForwardMode.TRAIN, masks=t1.masks)
+        t2 = forward(net, fq, fa, masks=t1.masks)
         assert np.array_equal(t1.y_prime, t2.y_prime)
 
     def test_non_finite_input_rejected(self):
@@ -348,18 +338,18 @@ class TestScore:
         fq, fa = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
         split = simnet.probabilities(net, simnet.head_terms(net, fq, "q"),
                                      simnet.head_terms(net, fa, "a"))
-        assert np.array_equal(split, score_batch(net, fq, fa))
+        assert np.array_equal(split, forward(net, fq, fa).y_prime)
 
     def test_head_terms_reject_non_finite_features(self):
         net = init_network(3, seed=0)
         with pytest.raises(ValueError):
             simnet.head_terms(net, np.array([0.0, np.inf, 0.0]), "a")
 
-    def test_score_batch_matches_scalar_scores(self):
+    def test_batch_forward_matches_scalar_scores(self):
         net = init_network(5, std=0.4, seed=11)
         rng = np.random.default_rng(10)
         fq, fa = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
-        batch = score_batch(net, fq, fa)
+        batch = forward(net, fq, fa).y_prime
         for i in range(7):
             assert batch[i] == pytest.approx(score(net, fq[i], fa[i]), rel=1e-15)
 

@@ -247,16 +247,6 @@ class TestTrainSimnet:
         assert net.activation is Activation.RELU
         assert max(e.train_acc for e in report.epochs) >= 0.9
 
-    def test_checkpoints_written(self, tmp_path):
-        pairs, feats = separable_fixture(n=30)
-        cfg = self.overfit_config(max_epochs=6, early_stop_patience=6)
-        train_simnet(pairs, pairs, feats, cfg,
-                     checkpoint_dir=tmp_path, checkpoint_every=2)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["epoch1.simnet", "epoch3.simnet", "epoch5.simnet"]
-        restored = simnet.load_simnet(tmp_path / "epoch3.simnet")
-        assert restored.layer_dims == (8, 50, 20)
-
 
 class TestReportSerialization:
     def make_report(self):
