@@ -103,9 +103,14 @@ def _setting(args, config: dict, key: str):
 def _seed(args, config: dict, section: dict | None = None) -> int:
     """Flag, else the config section, else the config file, else
     QASIM_SEED, else the default."""
+    seed = _resolve(args, "seed", None, section or {}, config)
     env = os.environ.get(SEED_ENV_VAR)
-    default = int(env) if env is not None else _TOP_FIELDS["seed"][1]
-    return _resolve(args, "seed", default, section or {}, config)
+    if seed is None and env is not None:
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"invalid {SEED_ENV_VAR}: {env!r} is not an integer") from None
+    return _TOP_FIELDS["seed"][1] if seed is None else seed
 
 
 def _section_config(args, config: dict, section_name: str):
@@ -232,6 +237,12 @@ def cmd_train_simnet(args) -> int:
     return 0
 
 
+def _check_vocab(vocab, model, what: str) -> None:
+    if len(vocab) != model.vocab_size:
+        raise UsageError(f"{what} vocabulary holds {len(vocab)} tokens but its doc2vec "
+                         f"model has {model.vocab_size}")
+
+
 def _doc_vectors(texts, model, vocab, args, seed: int, what: str) -> np.ndarray:
     """Doc-matrix rows when the file matches the trained corpus, else inference."""
     if not args.infer_vectors:
@@ -279,6 +290,8 @@ def cmd_eval(args) -> int:
     if args.infer_vectors:
         q_vocab = corpus.load_vocabulary(_require_file(args.q_vocab, "question vocabulary"))
         a_vocab = corpus.load_vocabulary(_require_file(args.a_vocab, "answer vocabulary"))
+        _check_vocab(q_vocab, q_model, "question")
+        _check_vocab(a_vocab, a_model, "answer")
     seed = _seed(args, config)
     q_vectors = _doc_vectors(q_texts, q_model, q_vocab, args, seed, "questions")
     a_vectors = _doc_vectors(a_texts, a_model, a_vocab, args, seed, "answers")
@@ -337,8 +350,12 @@ def cmd_classify(args) -> int:
 def cmd_ask(args) -> int:
     config = _load_config(args.config)
     q_vocab = corpus.load_vocabulary(_require_file(args.q_vocab, "question vocabulary"))
-    q_model = embedding.load_doc2vec(_require_file(args.q_model, "question doc2vec model"))
-    a_model = embedding.load_doc2vec(_require_file(args.a_model, "answer doc2vec model"))
+    # a question is inferred, never looked up; an answer is only looked up
+    q_model = embedding.load_doc2vec(_require_file(args.q_model, "question doc2vec model"),
+                                     skip=("doc_matrix",))
+    _check_vocab(q_vocab, q_model, "question")
+    a_model = embedding.load_doc2vec(_require_file(args.a_model, "answer doc2vec model"),
+                                     skip=("word_matrix", "output_matrix", "noise_probs"))
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
     with open(_require_file(args.answers, "answers file"), encoding="utf-8") as fh:
         answer_texts = fh.read().splitlines()

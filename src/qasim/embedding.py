@@ -134,7 +134,7 @@ def _ns_grad(s: np.ndarray) -> np.ndarray:
     """dL/ds = sigma(s) - label, over the last axis of the scores (target
     first); any leading axes are a batch."""
     g = 1.0 / (1.0 + np.exp(-s))
-    g[..., 0] -= 1.0
+    g.T[0] -= 1.0                  # the target's column; faster than g[..., 0]
     return g
 
 
@@ -357,22 +357,20 @@ def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, context, n_missing
     return s
 
 
-def _dm_frozen_update(model: DocEmbeddingModel, doc_vecs: np.ndarray, h: np.ndarray,
-                      rows: np.ndarray, hit: np.ndarray, lr: np.ndarray,
-                      scale: float) -> np.ndarray:
+def _dm_frozen_update(out: np.ndarray, doc_vecs: np.ndarray, h: np.ndarray,
+                      keep: np.ndarray, lr: np.ndarray, scale: float) -> np.ndarray:
     """One inference step for B documents at once, word and output
-    matrices frozen: hidden vectors `h` (B, D), output rows (B, 1+m)
-    target first, `hit` (B, m) marks the draws that hit their target and
-    get no gradient, `lr` (B, 1).  Updates `doc_vecs` (B, d) in place and
-    returns the scores (B, 1+m).  Each document's rows have the same
-    fixed width whatever the batch, so its arithmetic does not depend on
-    the batch."""
-    out = model.output_matrix[rows]                       # (B, 1+m, D)
+    matrices frozen: the gathered output rows `out` (B, 1+m, D), target
+    first, hidden vectors `h` (B, D), `keep` (B, 1+m) 1.0 or 0.0 (a draw
+    that hit its target gets no gradient), `lr` (B, 1).  Updates
+    `doc_vecs` (B, d) in place and returns the scores (B, 1+m).  Each
+    document's rows have the same fixed width whatever the batch, so its
+    arithmetic does not depend on the batch."""
     s = np.matmul(out, h[:, :, None])[:, :, 0]
     g = _ns_grad(s)
-    g[:, 1:][hit] = 0.0
-    grad_h = np.matmul(g[:, None, :], out)[:, 0, :]
-    doc_vecs -= lr * grad_h[:, :model.dim] * scale
+    g *= keep
+    grad_h = np.matmul(g[:, None, :], out)
+    doc_vecs -= lr * grad_h[:, 0, :doc_vecs.shape[1]] * scale
     return s
 
 
@@ -387,8 +385,8 @@ def _dm_step(model: DocEmbeddingModel, doc_vec: np.ndarray, context: list[int],
     if update_words:
         return _ns_loss(_dm_update(model, doc_vec, context, n_missing, rows, lr))
     h = _dm_hidden(model, doc_vec, context, n_missing)
-    s = _dm_frozen_update(model, doc_vec[None], h[None], rows[None],
-                          np.zeros((1, len(negatives)), bool), np.array([[lr]]),
+    s = _dm_frozen_update(model.output_matrix[rows][None], doc_vec[None], h[None],
+                          np.ones((1, len(rows))), np.array([[lr]]),
                           _dm_scale(model, len(context)))
     return _ns_loss(s[0])
 
@@ -470,41 +468,59 @@ def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]], n_max: int)
 
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
                  lr0: float, lr_min: float, seed: int) -> np.ndarray:
-    """Doc vectors of `docs`, longest first, inferred in lockstep."""
+    """Doc vectors of `docs`, longest first, inferred in lockstep.  With
+    `wide` = INFER_BLOCK // B (at least 1), the negatives of `wide` passes
+    are drawn at once and each pass gathers the output rows of `wide`
+    positions at once, so no buffer outgrows a full block's."""
     B, d, k, m = len(docs), model.dim, model.window, model.negatives
     lengths = np.array([len(tokens) for tokens in docs])
     n_max = lengths[0]
+    wide = max(1, INFER_BLOCK // B)
     valid = np.arange(n_max) < lengths[:, None]               # (B, n_max)
     average = model.combine is CombineMode.AVERAGE
     cdf = _noise_cdf(model.noise_probs)
     rngs = [np.random.default_rng(seed) for _ in docs]
     vecs = np.stack([(rng.random(d) - 0.5) / d for rng in rngs])
     ctx = _frozen_context(model, docs, n_max)
-    rows = np.zeros((B, n_max, 1 + m), dtype=np.intp)
-    rows[:, :, 0][valid] = np.concatenate(docs)
-    draws, targets = rows[:, :, 1:], rows[:, :, :1]
-    draw_slots = np.repeat(valid[:, :, None], m, axis=2)
-    hit = np.zeros((B, n_max, m), dtype=bool)
-    lrs = np.zeros((B, n_max, 1))
-    # Position i's documents are the first `a`.  Its views into the arrays
-    # that each pass refills: vectors, frozen context, rows, hits, rates.
-    at = []
-    for i in range(n_max):
-        a, c = int(valid[:, i].sum()), min(i, k)
-        frozen = ctx[:a, i] if average else ctx[:a, i: i + k].reshape(a, k * d)
-        at.append((vecs[:a], frozen, rows[:a, i], hit[:a, i], lrs[:a, i], 1 + c,
-                   _dm_scale(model, c)))
-    for e in range(steps):
-        # each document's own stream: one call per pass, n*m draws
-        draws[draw_slots] = np.searchsorted(
-            cdf, np.concatenate([rng.random(n * m) for rng, n in zip(rngs, lengths.tolist())]),
-            side="right")
-        np.equal(draws, targets, out=hit)
-        lrs[:, :, 0] = _learning_rate(lr0, lr_min, e * lengths[:, None] + np.arange(n_max),
-                                      steps * lengths[:, None])
-        for vec, frozen, pos_rows, pos_hit, lr, div, scale in at:
-            h = (vec + frozen) / div if average else np.concatenate((vec, frozen), axis=1)
-            _dm_frozen_update(model, vec, h, pos_rows, pos_hit, lr, scale)
+    # Position-major: rows[i0:i1] is one contiguous gather window.
+    rows = np.zeros((n_max, B, 1 + m), dtype=np.intp)
+    rows[:, :, 0].T[valid] = np.concatenate(docs)
+    keep = np.ones((n_max, B, 1 + m))
+    lrs = np.zeros((n_max, B, 1))
+    uniform = np.zeros((min(wide, steps), n_max, B, m))
+    buf = np.empty((min(wide, n_max), B, 1 + m, model.output_matrix.shape[1]))
+    # Per gather window: its rows and buffer, then per position (whose
+    # documents are the first `a`) the views that each pass refills:
+    # vectors, frozen context, gathered rows, keep mask, rates.
+    windows = []
+    for i0 in range(0, n_max, wide):
+        at = []
+        for i in range(i0, min(i0 + wide, n_max)):
+            a, c = int(valid[:, i].sum()), min(i, k)
+            frozen = ctx[:a, i] if average else ctx[:a, i: i + k].reshape(a, k * d)
+            at.append((vecs[:a], frozen, buf[i - i0, :a], keep[i, :a], lrs[i, :a], 1 + c,
+                       _dm_scale(model, c)))
+        windows.append((rows[i0: i0 + wide], buf[:len(at)], at))
+    for e0 in range(0, steps, wide):
+        passes = min(wide, steps - e0)
+        # each document's own stream: one call per chunk, the same stream
+        # as one call of n*m draws per pass
+        for b, (rng, n) in enumerate(zip(rngs, lengths.tolist())):
+            uniform[:passes, :n, b] = rng.random((passes, n, m))
+        draws = np.searchsorted(cdf, uniform[:passes], side="right")
+        kept = draws != rows[:, :, :1]
+        step = (e0 + np.arange(passes))[:, None, None] * lengths + np.arange(n_max)[:, None]
+        rates = _learning_rate(lr0, lr_min, step, steps * lengths)
+        for p in range(passes):
+            rows[:, :, 1:] = draws[p]
+            keep[:, :, 1:] = kept[p]
+            lrs[:, :, 0] = rates[p]
+            for window_rows, out, at in windows:
+                # ids are checked in infer_doc_vectors; "raise" would buffer `out`
+                np.take(model.output_matrix, window_rows, axis=0, out=out, mode="wrap")
+                for vec, frozen, pos_out, pos_keep, lr, div, scale in at:
+                    h = (vec + frozen) / div if average else np.concatenate((vec, frozen), axis=1)
+                    _dm_frozen_update(pos_out, vec, h, pos_keep, lr, scale)
     return vecs
 
 
@@ -525,6 +541,10 @@ def infer_doc_vectors(model: DocEmbeddingModel, docs: list[TokenizedDocument],
         raise ValueError("steps must be >= 1")
     if any(not doc.tokens for doc in docs):
         raise ValueError("cannot infer a vector for an empty document")
+    V = model.vocab_size
+    bad = next((t for doc in docs for t in doc.tokens if not 0 <= t < V), None)
+    if bad is not None:
+        raise ValueError(f"token id {bad} is outside the model's vocabulary of {V} words")
     order = sorted(range(len(docs)), key=lambda j: -len(docs[j].tokens))
     vecs = np.empty((len(docs), model.dim))
     for start in range(0, len(order), INFER_BLOCK):
@@ -602,9 +622,10 @@ def _d2v_shapes(V: int, N: int, dim: int, window: int, negatives: int, flag: int
             "noise_probs": (V,)}
 
 
-def load_doc2vec(path) -> DocEmbeddingModel:
+def load_doc2vec(path, skip=()) -> DocEmbeddingModel:
+    """The model in `path`; the matrices named in `skip` are left None."""
     (_, _, dim, window, negatives, flag), arrays = read_model(
-        path, _D2V_HEADER, _D2V_MAGIC, "doc2vec model", _d2v_shapes)
+        path, _D2V_HEADER, _D2V_MAGIC, "doc2vec model", _d2v_shapes, skip)
     combine = CombineMode.CONCATENATE if flag else CombineMode.AVERAGE
     return DocEmbeddingModel(**arrays, combine=combine, window=window, negatives=negatives,
                              dim=dim)

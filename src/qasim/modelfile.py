@@ -25,9 +25,12 @@ def write_model(path, header_fmt: str, header: tuple, matrices) -> None:
 
 
 def read_model(path, header_fmt: str, magic: bytes, what: str,
-               shapes: Callable[..., dict[str, tuple[int, ...]]]) -> tuple[tuple, dict]:
+               shapes: Callable[..., dict[str, tuple[int, ...]]],
+               skip=()) -> tuple[tuple, dict]:
     """The header fields after the magic, and the float64 arrays of the
-    {name: shape} that `shapes(*fields)` gives, in that order."""
+    {name: shape} that `shapes(*fields)` gives, in that order.  The arrays
+    named in `skip` are seeked past, unread, and given as None; their
+    bytes still count in the size check."""
     header_size = struct.calcsize(header_fmt)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -43,6 +46,13 @@ def read_model(path, header_fmt: str, magic: bytes, what: str,
             kind = "truncated" if size < expected else "trailing bytes in"
             raise ValueError(f"{kind} {what} file: {path} holds {size} bytes, "
                              f"its header implies {expected}")
-        matrices = {name: np.frombuffer(fh.read(4 * math.prod(shape)), dtype="<f4")
-                    .astype(np.float64).reshape(shape) for name, shape in dims.items()}
+        matrices = {}
+        for name, shape in dims.items():
+            n_bytes = 4 * math.prod(shape)
+            if name in skip:
+                fh.seek(n_bytes, os.SEEK_CUR)
+                matrices[name] = None
+            else:
+                matrices[name] = np.frombuffer(fh.read(n_bytes), dtype="<f4"
+                                               ).astype(np.float64).reshape(shape)
     return tuple(fields), matrices

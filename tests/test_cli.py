@@ -143,11 +143,38 @@ class TestPipeline:
         assert rc == 0
         assert 0.0 <= last_json(lines)["pool_top1"] <= 1.0
 
+    def test_infer_vectors_vocab_model_mismatch_exits_two(self, ws, tmp_path, capsys):
+        grown, n_vocab = grown_vocab(ws, tmp_path)
+        rc = main(["eval", "--qa-file", str(ws["qa"]),
+                   "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                   "--simnet", str(ws["net"]), "--infer-vectors", "--infer-steps", "2",
+                   "--q-vocab", str(grown), "--a-vocab", str(ws["a_vocab"])])
+        assert rc == 2
+        n_model = embedding.load_doc2vec(ws["q_model"]).vocab_size
+        assert capsys.readouterr().err.splitlines() == [vocab_mismatch_line(n_vocab, n_model)]
+
     def test_infer_vectors_requires_vocab(self, ws):
         rc, _ = run(["eval", "--qa-file", str(ws["qa"]),
                      "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
                      "--simnet", str(ws["net"]), "--infer-vectors"])
         assert rc == 2
+
+
+def grown_vocab(ws, tmp_path, extra=("zzfoo", "zzbar")):
+    """The question vocabulary plus `extra` tokens the question model has
+    no rows for; returns its path and its length."""
+    rows = [line.split("\t") for line in ws["q_vocab"].read_text(encoding="utf-8").splitlines()]
+    # the reserved symbols stay last
+    rows = rows[:-2] + [[token, "", "1"] for token in extra] + rows[-2:]
+    lines = [f"{token}\t{i}\t{freq}" for i, (token, _, freq) in enumerate(rows)]
+    path = tmp_path / "grown.vocab"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, len(lines)
+
+
+def vocab_mismatch_line(n_vocab, n_model):
+    return (f"qasim: error: question vocabulary holds {n_vocab} tokens but its doc2vec "
+            f"model has {n_model}")
 
 
 class TestDeterminism:
@@ -242,6 +269,21 @@ class TestSeedResolution:
             assert rc == 0
         assert set(inferred) == {7, 8}
         assert any(not np.array_equal(a, b) for a, b in zip(inferred[7], inferred[8]))
+
+    def test_flag_beats_bad_env_seed(self, ws, monkeypatch, tmp_path):
+        monkeypatch.setenv("QASIM_SEED", "abc")
+        rc, lines = run(["sample-pairs", "--qa-file", str(ws["qa"]), "--seed", "3",
+                         "--n-pairs", "10", "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 0
+        assert json.loads(lines[0])["resolved"]["seed"] == 3
+
+    def test_bad_env_seed_alone_exits_two(self, ws, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("QASIM_SEED", "abc")
+        rc = main(["sample-pairs", "--qa-file", str(ws["qa"]),
+                   "--n-pairs", "10", "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: invalid QASIM_SEED: 'abc' is not an integer"]
 
     def test_default_seed_zero(self, ws, monkeypatch, tmp_path):
         monkeypatch.delenv("QASIM_SEED", raising=False)
@@ -697,6 +739,20 @@ class TestAsk:
         rc = main(self.ask_argv(ws, "0.5"))
         assert rc == 0
         assert capsys.readouterr().out == ""
+
+    def test_vocab_model_mismatch_exits_two_before_ready(self, ws, answers_file, monkeypatch,
+                                                          tmp_path, capsys):
+        grown, n_vocab = grown_vocab(ws, tmp_path)
+        argv = self.ask_argv(ws, "0.5")
+        argv[argv.index("--q-vocab") + 1] = str(grown)
+        # zzfoo has an id past the question model's rows
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is zzfoo\n"))
+        rc = main(argv)
+        assert rc == 2
+        n_model = embedding.load_doc2vec(ws["q_model"]).vocab_size
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [vocab_mismatch_line(n_vocab, n_model)]
+        assert captured.out == ""
 
     def test_wrong_answer_count_exits_two(self, ws, answers_file, monkeypatch, tmp_path):
         short = tmp_path / "answers.txt"

@@ -479,11 +479,11 @@ class TestInferDocVector:
             infer_doc_vector(self.model, TokenizedDocument(0, []), steps=5)
 
 
-def mixed_length_docs(docs, n):
-    """Prefixes of 1..n tokens (at most the whole document) of the given
-    documents, in mixed order."""
+def mixed_length_docs(docs, n, shortest=1):
+    """Prefixes of shortest..n tokens (at most the whole document) of the
+    given documents, in mixed order."""
     out = [TokenizedDocument(j, docs[j % len(docs)].tokens[:length])
-           for j, length in enumerate(range(1, n + 1))]
+           for j, length in enumerate(range(shortest, n + 1))]
     return out[1::2] + out[::2]
 
 
@@ -550,12 +550,23 @@ class TestInferDocVectors:
         permuted = embedding.infer_doc_vectors(model, [batch[j] for j in perm], steps=4, seed=6)
         assert np.array_equal(permuted, vecs[perm])
 
-    def test_blocks_do_not_change_vectors(self, trained_doc_model, monkeypatch):
-        docs, model = trained_doc_model
-        batch = mixed_length_docs(docs, 11)
-        whole = embedding.infer_doc_vectors(model, batch, steps=3, seed=4)
-        monkeypatch.setattr(embedding, "INFER_BLOCK", 3)
-        assert np.array_equal(embedding.infer_doc_vectors(model, batch, steps=3, seed=4), whole)
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_blocks_do_not_change_vectors(self, monkeypatch, combine, block):
+        # Seven documents of 4..10 tokens.  A block of B documents draws
+        # INFER_BLOCK // B passes at once and gathers as many positions at
+        # once: the last block (B = 1, 4 tokens) has gather windows of
+        # `block` positions, so a window ends inside the document, and at
+        # blocks 2 and 3, 5 steps are not a multiple of its pass chunk.  The
+        # default block holds all seven, with a chunk of 18 passes, more
+        # than 5.
+        docs, vocab = cluster_corpus(12)
+        cfg = EmbedTrainConfig(dim=7, window=3, negatives=4, epochs=3, seed=5)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        batch = mixed_length_docs(docs, 10, shortest=4)
+        whole = embedding.infer_doc_vectors(model, batch, steps=5, seed=4)
+        monkeypatch.setattr(embedding, "INFER_BLOCK", block)
+        assert np.array_equal(embedding.infer_doc_vectors(model, batch, steps=5, seed=4), whole)
 
     def test_model_never_modified(self, trained_doc_model):
         docs, model = trained_doc_model
@@ -572,6 +583,15 @@ class TestInferDocVectors:
             embedding.infer_doc_vectors(model, [docs[0], TokenizedDocument(1, [])], steps=5)
         with pytest.raises(ValueError, match="steps"):
             embedding.infer_doc_vectors(model, docs[:2], steps=0)
+
+    @pytest.mark.parametrize("bad", ["vocab_size", -1])
+    def test_token_id_outside_vocabulary_rejected(self, trained_doc_model, bad):
+        docs, model = trained_doc_model
+        bad = model.vocab_size if bad == "vocab_size" else bad
+        doc = TokenizedDocument(1, [docs[1].tokens[0], bad])
+        with pytest.raises(ValueError, match=f"token id {bad} is outside the model's "
+                                             f"vocabulary of {model.vocab_size} words"):
+            embedding.infer_doc_vectors(model, [docs[0], doc], steps=2)
 
     def test_no_documents(self, trained_doc_model):
         _, model = trained_doc_model
@@ -668,6 +688,25 @@ class TestModelFiles:
         c = infer_doc_vector(loaded, docs[0], steps=10, seed=8)
         assert np.array_equal(b, c)
         assert np.allclose(a, b, atol=1e-5)
+
+    def test_skipped_matrices_are_not_read_but_still_sized(self, tmp_path):
+        docs, vocab = cluster_corpus(6)
+        path = tmp_path / "model.d2v"
+        embedding.save_doc2vec(train_doc2vec(docs, EmbedTrainConfig(dim=4, epochs=1),
+                                             vocab_size=len(vocab)), path)
+        full = embedding.load_doc2vec(path)
+        part = embedding.load_doc2vec(path, skip=("word_matrix", "doc_matrix"))
+        assert part.word_matrix is None and part.doc_matrix is None
+        assert np.array_equal(part.output_matrix, full.output_matrix)
+        assert np.array_equal(part.noise_probs, full.noise_probs)
+        # the same file without the doc matrix's bytes: a skipped matrix
+        # still counts toward the size the header implies
+        data = path.read_bytes()
+        doc_bytes = 4 * full.doc_matrix.size
+        end = len(data) - 4 * full.noise_probs.size
+        path.write_bytes(data[:end - doc_bytes] + data[end:])
+        with pytest.raises(ValueError, match="truncated .* its header implies"):
+            embedding.load_doc2vec(path, skip=("doc_matrix",))
 
     def test_export_text_format(self, tmp_path):
         vocab = corpus.build_vocabulary([["aa", "bb", "aa"]], min_count=1)
