@@ -200,11 +200,24 @@ def cmd_sample_pairs(args) -> int:
     return 0
 
 
+def _load_doc2vec(path, what: str, infer: bool):
+    """The doc2vec model at `path` with only the matrices that one use
+    reads: inference (`infer`) needs no doc matrix, and a lookup of the
+    trained doc vectors needs nothing else."""
+    skip = ("doc_matrix",) if infer else ("word_matrix", "output_matrix", "noise_probs")
+    return embedding.load_doc2vec(_require_file(path, what), skip=skip)
+
+
+def _check_infer_steps(args) -> None:
+    if args.infer_steps < 1:
+        raise UsageError(f"--infer-steps must be >= 1, got {args.infer_steps}")
+
+
 def cmd_train_simnet(args) -> int:
     config = _load_config(args.config)
     pairs = corpus.load_pairs(_require_file(args.pairs, "pair file"))
-    q_model = embedding.load_doc2vec(_require_file(args.q_model, "question doc2vec model"))
-    a_model = embedding.load_doc2vec(_require_file(args.a_model, "answer doc2vec model"))
+    q_model = _load_doc2vec(args.q_model, "question doc2vec model", infer=False)
+    a_model = _load_doc2vec(args.a_model, "answer doc2vec model", infer=False)
     if q_model.dim != a_model.dim:
         raise UsageError(f"doc2vec dimensions differ: {q_model.dim} vs {a_model.dim}")
     cfg = _section_config(args, config, "simnet")
@@ -279,10 +292,12 @@ def _bow_cosine_top1(q_texts, a_texts, pools, min_count: int):
 
 
 def cmd_eval(args) -> int:
+    if args.infer_vectors:
+        _check_infer_steps(args)
     config = _load_config(args.config)
     q_texts, a_texts, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
-    q_model = embedding.load_doc2vec(_require_file(args.q_model, "question doc2vec model"))
-    a_model = embedding.load_doc2vec(_require_file(args.a_model, "answer doc2vec model"))
+    q_model = _load_doc2vec(args.q_model, "question doc2vec model", args.infer_vectors)
+    a_model = _load_doc2vec(args.a_model, "answer doc2vec model", args.infer_vectors)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
     threshold = _setting(args, config, "threshold")
 
@@ -348,14 +363,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ask(args) -> int:
+    _check_infer_steps(args)
     config = _load_config(args.config)
     q_vocab = corpus.load_vocabulary(_require_file(args.q_vocab, "question vocabulary"))
     # a question is inferred, never looked up; an answer is only looked up
-    q_model = embedding.load_doc2vec(_require_file(args.q_model, "question doc2vec model"),
-                                     skip=("doc_matrix",))
+    q_model = _load_doc2vec(args.q_model, "question doc2vec model", infer=True)
     _check_vocab(q_vocab, q_model, "question")
-    a_model = embedding.load_doc2vec(_require_file(args.a_model, "answer doc2vec model"),
-                                     skip=("word_matrix", "output_matrix", "noise_probs"))
+    a_model = _load_doc2vec(args.a_model, "answer doc2vec model", infer=False)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
     with open(_require_file(args.answers, "answers file"), encoding="utf-8") as fh:
         answer_texts = fh.read().splitlines()

@@ -94,42 +94,6 @@ class DocEmbeddingModel:
         return self.doc_matrix.shape[0]
 
 
-def _log_sigmoid(x):
-    # -softplus(-x), stable for large |x|
-    return -(np.logaddexp(0.0, -x))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
-def context_probability(model: WordEmbeddingModel, center: int, context: list[int]) -> float:
-    """CBOW probability of `center` given the averaged context rows.
-
-    Full softmax over the vocabulary; used as a diagnostic, not in
-    training (training uses negative sampling).
-    """
-    if len(context) == 0:
-        raise ValueError("context must be non-empty")
-    c = model.input_matrix[list(context)].mean(axis=0)
-    probs = _softmax(model.output_matrix @ c)
-    return float(probs[center])
-
-
-def skipgram_probability(model: WordEmbeddingModel, center: int, outside: int) -> float:
-    """Skip-gram probability of `outside` given `center`, full softmax."""
-    probs = _softmax(model.output_matrix @ model.input_matrix[center])
-    return float(probs[outside])
-
-
-def _ns_loss(s: np.ndarray) -> float:
-    """The negative-sampling loss -log s(s_t) - sum -log s(-s_n) from the
-    scores of the target (first) and the negatives."""
-    return float(-_log_sigmoid(s[0]) - _log_sigmoid(-s[1:]).sum())
-
-
 def _ns_grad(s: np.ndarray) -> np.ndarray:
     """dL/ds = sigma(s) - label, over the last axis of the scores (target
     first); any leading axes are a batch."""
@@ -177,29 +141,6 @@ def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float,
         _add_rows(model.input_matrix, inputs, -lr * grad_h / len(inputs),
                   len(set(inputs)) == len(inputs))
     return s
-
-
-def negative_sampling_step(model: WordEmbeddingModel, center_or_context, target: int,
-                           negatives: list[int], lr: float) -> float:
-    """One SGD step of the logistic negative-sampling loss.
-
-    `center_or_context` is a single id (skip-gram: hidden vector is that
-    input row) or a list of ids (CBOW: hidden vector is their mean).
-    The loss -log s(h.o_t) - sum -log s(-h.o_n) is computed at the current
-    parameters, then only the touched rows are updated.  Returns the
-    pre-update loss.
-    """
-    if target in negatives:
-        raise ValueError("target must not appear among the negatives")
-
-    cbow = not np.isscalar(center_or_context) and not isinstance(center_or_context, (int, np.integer))
-    if cbow:
-        inputs = list(center_or_context)
-        if not inputs:
-            raise ValueError("context must be non-empty")
-    else:
-        inputs = int(center_or_context)
-    return _ns_loss(_word_step(model, inputs, np.array([target, *negatives]), lr))
 
 
 def _unigram_noise(corpus: list[TokenizedDocument], vocab_size: int) -> np.ndarray:
@@ -372,23 +313,6 @@ def _dm_frozen_update(out: np.ndarray, doc_vecs: np.ndarray, h: np.ndarray,
     grad_h = np.matmul(g[:, None, :], out)
     doc_vecs -= lr * grad_h[:, 0, :doc_vecs.shape[1]] * scale
     return s
-
-
-def _dm_step(model: DocEmbeddingModel, doc_vec: np.ndarray, context: list[int],
-             n_missing: int, target: int, negatives: list[int], lr: float,
-             update_words: bool) -> float:
-    """One distributed-memory update at one position, returning the
-    pre-update loss: training's step when `update_words`, else inference's
-    step (only `doc_vec` moves) for a batch of one.  The trainer and
-    inference run these steps without computing the loss."""
-    rows = np.array([target, *negatives])
-    if update_words:
-        return _ns_loss(_dm_update(model, doc_vec, context, n_missing, rows, lr))
-    h = _dm_hidden(model, doc_vec, context, n_missing)
-    s = _dm_frozen_update(model.output_matrix[rows][None], doc_vec[None], h[None],
-                          np.ones((1, len(rows))), np.array([[lr]]),
-                          _dm_scale(model, len(context)))
-    return _ns_loss(s[0])
 
 
 def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,

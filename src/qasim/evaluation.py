@@ -16,22 +16,6 @@ import numpy as np
 from .corpus import TokenizedDocument, Vocabulary, check_label
 
 
-@dataclass(frozen=True)
-class BowVector:
-    """Sparse unigram histogram: vocabulary id -> count."""
-
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        dense = np.zeros(dim, dtype=np.float64)
-        for idx, count in self.counts.items():
-            dense[idx] = count
-        return dense
-
-
 @dataclass
 class LinearClassifier:
     """Dense weight vector + bias trained with hinge loss."""
@@ -45,16 +29,6 @@ class LinearClassifier:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Labels in {-1, +1}; a decision value of exactly 0 predicts +1."""
         return np.where(self.decision(x) >= 0.0, 1, -1)
-
-
-def bow_features(doc: TokenizedDocument, vocab: Vocabulary) -> BowVector:
-    """Exact unigram counts; insensitive to token order."""
-    counts: dict[int, int] = {}
-    for t in doc.tokens:
-        if t >= len(vocab):
-            raise ValueError(f"token id {t} outside vocabulary of size {len(vocab)}")
-        counts[t] = counts.get(t, 0) + 1
-    return BowVector(counts)
 
 
 def bow_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> np.ndarray:

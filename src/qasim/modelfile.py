@@ -5,6 +5,7 @@ Every loader reads through `read_model`, which checks the byte count the
 header implies against the file size before reading any matrix, so a
 truncated file, trailing bytes, or a header claiming huge sizes is
 rejected with a ValueError instead of a short read or a large allocation.
+A matrix holding NaN or infinity is rejected as it is read.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ def read_model(path, header_fmt: str, magic: bytes, what: str,
                shapes: Callable[..., dict[str, tuple[int, ...]]],
                skip=()) -> tuple[tuple, dict]:
     """The header fields after the magic, and the float64 arrays of the
-    {name: shape} that `shapes(*fields)` gives, in that order.  The arrays
-    named in `skip` are seeked past, unread, and given as None; their
-    bytes still count in the size check."""
+    {name: shape} that `shapes(*fields)` gives, in that order; a NaN or
+    infinity in any of them is a ValueError.  The arrays named in `skip`
+    are seeked past, unread and unchecked, and given as None; their bytes
+    still count in the size check."""
     header_size = struct.calcsize(header_fmt)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -53,6 +55,8 @@ def read_model(path, header_fmt: str, magic: bytes, what: str,
                 fh.seek(n_bytes, os.SEEK_CUR)
                 matrices[name] = None
             else:
-                matrices[name] = np.frombuffer(fh.read(n_bytes), dtype="<f4"
-                                               ).astype(np.float64).reshape(shape)
+                matrix = np.frombuffer(fh.read(n_bytes), dtype="<f4").astype(np.float64)
+                if not np.isfinite(matrix).all():
+                    raise ValueError(f"non-finite values in {what} file: {path}")
+                matrices[name] = matrix.reshape(shape)
     return tuple(fields), matrices

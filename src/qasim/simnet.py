@@ -287,11 +287,6 @@ def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.nd
     return grads, value
 
 
-def score(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray) -> float:
-    """Match probability without dropout for one (question, answer) pair."""
-    return float(forward(net, f_q, f_a).y_prime[0])
-
-
 # ---------------------------------------------------------------------------
 # Binary model format
 # ---------------------------------------------------------------------------

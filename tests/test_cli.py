@@ -153,11 +153,31 @@ class TestPipeline:
         n_model = embedding.load_doc2vec(ws["q_model"]).vocab_size
         assert capsys.readouterr().err.splitlines() == [vocab_mismatch_line(n_vocab, n_model)]
 
+    def test_infer_steps_below_one_exits_two(self, ws, capsys):
+        rc = main(["eval", "--qa-file", str(ws["qa"]),
+                   "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                   "--simnet", str(ws["net"]), "--infer-vectors", "--infer-steps", "0",
+                   "--q-vocab", str(ws["q_vocab"]), "--a-vocab", str(ws["a_vocab"])])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: --infer-steps must be >= 1, got 0"]
+
     def test_infer_vectors_requires_vocab(self, ws):
         rc, _ = run(["eval", "--qa-file", str(ws["qa"]),
                      "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
                      "--simnet", str(ws["net"]), "--infer-vectors"])
         assert rc == 2
+
+
+def with_nan(path, tmp_path, offset):
+    """A copy of the model file at `path` with a float32 NaN at byte
+    `offset` (from the end when negative)."""
+    data = bytearray(path.read_bytes())
+    offset %= len(data)
+    data[offset: offset + 4] = struct.pack("<f", float("nan"))
+    bad = tmp_path / ("nan" + path.suffix)
+    bad.write_bytes(bytes(data))
+    return bad
 
 
 def grown_vocab(ws, tmp_path, extra=("zzfoo", "zzbar")):
@@ -427,6 +447,16 @@ class TestExitCodes:
         assert err[0].startswith("qasim: error: ") and str(bad) in err[0]
         # rejected from the header and the file size, not after a read sized by the header
         assert peak < 50 * 2**20
+
+    def test_non_finite_simnet_exits_one(self, ws, tmp_path, capsys):
+        bad = with_nan(ws["net"], tmp_path, -4)
+        rc = main(["eval", "--qa-file", str(ws["qa"]), "--q-model", str(ws["q_model"]),
+                   "--a-model", str(ws["a_model"]), "--simnet", str(bad)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: non-finite values in similarity-network file: {bad}"]
+        assert captured.out == ""
 
     def test_dim_mismatch_exits_two(self, ws, tmp_path):
         other = tmp_path / "dim4.d2v"
@@ -752,6 +782,31 @@ class TestAsk:
         n_model = embedding.load_doc2vec(ws["q_model"]).vocab_size
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [vocab_mismatch_line(n_vocab, n_model)]
+        assert captured.out == ""
+
+    def test_non_finite_question_model_exits_one_before_ready(self, ws, answers_file,
+                                                               monkeypatch, tmp_path, capsys):
+        # the first value of the word matrix, right after the header
+        bad = with_nan(ws["q_model"], tmp_path, struct.calcsize(embedding._D2V_HEADER))
+        argv = self.ask_argv(ws, "0.5")
+        argv[argv.index("--q-model") + 1] = str(bad)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        rc = main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: non-finite values in doc2vec model file: {bad}"]
+        assert captured.out == ""
+
+    def test_infer_steps_below_one_exits_two_before_ready(self, ws, answers_file, monkeypatch,
+                                                          capsys):
+        argv = self.ask_argv(ws, "0.5")
+        argv[argv.index("--infer-steps") + 1] = "0"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["qasim: error: --infer-steps must be >= 1, got 0"]
         assert captured.out == ""
 
     def test_wrong_answer_count_exits_two(self, ws, answers_file, monkeypatch, tmp_path):

@@ -1,8 +1,10 @@
-"""Word2vec / doc2vec tests: probability oracles, finite-difference
-gradients for the negative-sampling step, cluster-structure checks, the
-analogy operation, and binary model round-trips."""
+"""Word2vec / doc2vec tests: finite-difference gradients for the
+negative-sampling steps that training and inference run, cluster-structure
+checks, the analogy operation, and binary model round-trips."""
 
+import copy
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,25 +18,10 @@ from qasim.embedding import (
     Word2VecMode,
     WordEmbeddingModel,
     analogy,
-    context_probability,
     infer_doc_vector,
-    negative_sampling_step,
-    skipgram_probability,
     train_doc2vec,
     train_word2vec,
 )
-
-# hand-set 3x2 model used by the frozen softmax oracles below
-HAND_INPUT = np.array([[0.1, 0.2], [0.3, -0.1], [-0.2, 0.5]])
-HAND_OUTPUT = np.array([[0.05, -0.3], [0.4, 0.1], [-0.25, 0.2]])
-
-
-def hand_model(mode=Word2VecMode.CBOW):
-    return WordEmbeddingModel(
-        input_matrix=HAND_INPUT.copy(),
-        output_matrix=HAND_OUTPUT.copy(),
-        mode=mode, window=2, negatives=1, dim=2,
-    )
 
 
 def zero_model(v, d, mode=Word2VecMode.CBOW):
@@ -65,42 +52,16 @@ def mean_cosine(F, ids_a, ids_b):
     return float(G.mean())
 
 
-class TestProbabilities:
-    def test_uniform_at_zero_logits(self):
-        model = zero_model(2, 3)
-        assert context_probability(model, 0, [1]) == pytest.approx(0.5)
-        assert skipgram_probability(zero_model(4, 3), 1, 2) == pytest.approx(0.25)
+def sigma(x):
+    return 1.0 / (1.0 + math.exp(-x))
 
-    def test_context_probability_matches_hand_softmax(self):
-        # c = mean(rows 0, 2) = [-0.05, 0.35]; softmax of HAND_OUTPUT @ c
-        model = hand_model()
-        expected = [0.2994398632046567, 0.3384626026925698, 0.3620975341027735]
-        for center in range(3):
-            assert context_probability(model, center, [0, 2]) == pytest.approx(
-                expected[center], abs=1e-12)
 
-    def test_skipgram_probability_matches_hand_softmax(self):
-        model = hand_model(Word2VecMode.SKIPGRAM)
-        expected = [0.3405394593437185, 0.363409757197563, 0.2960507834587185]
-        for outside in range(3):
-            assert skipgram_probability(model, 1, outside) == pytest.approx(
-                expected[outside], abs=1e-12)
-
-    def test_normalization(self):
-        rng = np.random.default_rng(5)
-        model = WordEmbeddingModel(
-            input_matrix=rng.normal(size=(7, 4)),
-            output_matrix=rng.normal(size=(7, 4)),
-            mode=Word2VecMode.CBOW, window=2, negatives=1, dim=4,
-        )
-        total = sum(context_probability(model, c, [1, 3, 5]) for c in range(7))
-        assert abs(total - 1.0) < 1e-9
-        total = sum(skipgram_probability(model, 2, o) for o in range(7))
-        assert abs(total - 1.0) < 1e-9
-
-    def test_empty_context_rejected(self):
-        with pytest.raises(ValueError):
-            context_probability(zero_model(2, 2), 0, [])
+def ns_loss_oracle(output_matrix, h, target, negatives):
+    """-log s(o_t.h) - sum -log s(-o_n.h), one term at a time."""
+    total = -math.log(sigma(float(output_matrix[target] @ h)))
+    for n in negatives:
+        total += -math.log(sigma(-float(output_matrix[n] @ h)))
+    return total
 
 
 def nss_loss_oracle(model, center_or_context, target, negatives):
@@ -109,19 +70,24 @@ def nss_loss_oracle(model, center_or_context, target, negatives):
         h = model.input_matrix[int(center_or_context)]
     else:
         h = model.input_matrix[list(center_or_context)].mean(axis=0)
-    def sigma(x):
-        return 1.0 / (1.0 + math.exp(-x))
-    total = -math.log(sigma(float(model.output_matrix[target] @ h)))
-    for n in negatives:
-        total += -math.log(sigma(-float(model.output_matrix[n] @ h)))
-    return total
+    return ns_loss_oracle(model.output_matrix, h, target, negatives)
+
+
+def step_rows(target, negatives):
+    """A step's output rows, target first, and whether none repeats: what
+    the trainers pass to the kernels."""
+    rows = [target, *negatives]
+    return np.array(rows), len(set(rows)) == len(rows)
 
 
 class TestNegativeSamplingStep:
+    """`_word_step`, the word2vec step that training runs."""
+
     def test_zero_matrices_loss(self):
         model = zero_model(4, 3)
-        loss = negative_sampling_step(model, 0, 1, [2], lr=0.0)
-        assert loss == pytest.approx(2 * math.log(2), abs=1e-12)
+        rows, distinct = step_rows(1, [2])
+        assert not embedding._word_step(model, 0, rows, 0.0, distinct).any()
+        assert nss_loss_oracle(model, 0, 1, [2]) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_loss_decreases_after_step(self):
         rng = np.random.default_rng(0)
@@ -131,14 +97,13 @@ class TestNegativeSamplingStep:
             mode=Word2VecMode.SKIPGRAM, window=2, negatives=2, dim=4,
         )
         before = nss_loss_oracle(model, 1, 2, [3, 4])
-        returned = negative_sampling_step(model, 1, 2, [3, 4], lr=0.1)
+        rows, distinct = step_rows(2, [3, 4])
+        expected = model.output_matrix[rows] @ model.input_matrix[1]
+        returned = embedding._word_step(model, 1, rows, 0.1, distinct)
         after = nss_loss_oracle(model, 1, 2, [3, 4])
-        assert returned == pytest.approx(before, rel=1e-12)
+        # the scores at the parameters before the step
+        np.testing.assert_allclose(returned, expected, rtol=1e-12)
         assert after < before
-
-    def test_target_in_negatives_rejected(self):
-        with pytest.raises(ValueError):
-            negative_sampling_step(zero_model(4, 2), 0, 1, [1], lr=0.1)
 
     @pytest.mark.parametrize("case", [
         ("skipgram", 1, 2, [3, 4]),
@@ -147,8 +112,8 @@ class TestNegativeSamplingStep:
         ("dup-negatives", 0, 1, [4, 4]),
     ])
     def test_gradients_match_finite_differences(self, case):
+        # rows without a repeat take the direct update, "dup-negatives" np.add.at
         name, arg, target, negatives = case
-        rng = np.random.default_rng(hash(name) % 2**32)
         mode = Word2VecMode.SKIPGRAM if isinstance(arg, int) else Word2VecMode.CBOW
         def fresh():
             r = np.random.default_rng(9)
@@ -161,7 +126,8 @@ class TestNegativeSamplingStep:
         model = fresh()
         before_in = model.input_matrix.copy()
         before_out = model.output_matrix.copy()
-        negative_sampling_step(model, arg, target, negatives, lr=1.0)
+        rows, distinct = step_rows(target, negatives)
+        embedding._word_step(model, arg, rows, 1.0, distinct)
         grad_in = before_in - model.input_matrix
         grad_out = before_out - model.output_matrix
 
@@ -191,7 +157,7 @@ class TestNegativeSamplingStep:
         )
         before_in = model.input_matrix.copy()
         before_out = model.output_matrix.copy()
-        negative_sampling_step(model, 1, 2, [3], lr=0.5)
+        embedding._word_step(model, 1, *step_rows(2, [3]), 0.5)
         touched_in, touched_out = {1}, {2, 3}
         for row in range(8):
             if row not in touched_in:
@@ -200,28 +166,30 @@ class TestNegativeSamplingStep:
                 assert np.array_equal(model.output_matrix[row], before_out[row])
 
 
-def dm_loss_oracle(model, doc_vec, context, n_missing, target, negatives):
-    """Independent recomputation of the distributed-memory loss."""
+def dm_hidden_oracle(model, doc_vec, context, n_missing):
     d = model.dim
     if model.combine is CombineMode.AVERAGE:
         h = doc_vec.copy()
         for t in context:
             h = h + model.word_matrix[t]
-        h = h / (1 + len(context))
-    else:
-        h = np.zeros(d * (1 + model.window))
-        h[:d] = doc_vec
-        for slot, t in enumerate(context, start=n_missing):
-            h[d * (1 + slot): d * (2 + slot)] = model.word_matrix[t]
-    def sigma(x):
-        return 1.0 / (1.0 + math.exp(-x))
-    total = -math.log(sigma(float(model.output_matrix[target] @ h)))
-    for n in negatives:
-        total += -math.log(sigma(-float(model.output_matrix[n] @ h)))
-    return total
+        return h / (1 + len(context))
+    h = np.zeros(d * (1 + model.window))
+    h[:d] = doc_vec
+    for slot, t in enumerate(context, start=n_missing):
+        h[d * (1 + slot): d * (2 + slot)] = model.word_matrix[t]
+    return h
+
+
+def dm_loss_oracle(model, doc_vec, context, n_missing, target, negatives):
+    """Independent recomputation of the distributed-memory loss."""
+    h = dm_hidden_oracle(model, doc_vec, context, n_missing)
+    return ns_loss_oracle(model.output_matrix, h, target, negatives)
 
 
 class TestDmStep:
+    """`_dm_update`, the step that doc2vec training runs, and
+    `_dm_frozen_update`, the step that inference runs."""
+
     WINDOW = 3
     CASES = [
         (CombineMode.AVERAGE, [0, 2], 1, [3, 4]),
@@ -246,20 +214,23 @@ class TestDmStep:
 
     @pytest.mark.parametrize("case", CASES)
     def test_gradients_match_finite_differences(self, case):
+        # rows without a repeat take the direct update, [0, 0] np.add.at
         combine, context, target, negatives = case
         n_missing = self.WINDOW - len(context)
+        rows, distinct = step_rows(target, negatives)
         # analytic gradient, extracted exactly from one unit-lr update
         model, doc_vec = self.fresh(combine)
         before = (doc_vec.copy(), model.word_matrix.copy(), model.output_matrix.copy())
-        loss = embedding._dm_step(model, doc_vec, context, n_missing, target, negatives,
-                                  lr=1.0, update_words=True)
+        scores = embedding._dm_update(model, doc_vec, context, n_missing, rows, 1.0, distinct)
         grads = [b - a for b, a in zip(before, (doc_vec, model.word_matrix,
                                                  model.output_matrix))]
 
         eps = 1e-5
         probe, probe_vec = self.fresh(combine)
-        assert loss == pytest.approx(
-            dm_loss_oracle(probe, probe_vec, context, n_missing, target, negatives), rel=1e-12)
+        # the scores at the parameters before the step
+        np.testing.assert_allclose(
+            scores, probe.output_matrix[rows] @ dm_hidden_oracle(probe, probe_vec, context,
+                                                                 n_missing), rtol=1e-12)
         for matrix, grad in zip((probe_vec, probe.word_matrix, probe.output_matrix), grads):
             it = np.nditer(matrix, flags=["multi_index"])
             for _ in it:
@@ -278,14 +249,16 @@ class TestDmStep:
     def test_frozen_words_update_only_the_doc_vector(self, case):
         combine, context, target, negatives = case
         n_missing = self.WINDOW - len(context)
+        rows, distinct = step_rows(target, negatives)
         trained, trained_vec = self.fresh(combine)
-        embedding._dm_step(trained, trained_vec, context, n_missing, target, negatives,
-                           lr=0.5, update_words=True)
+        embedding._dm_update(trained, trained_vec, context, n_missing, rows, 0.5, distinct)
         model, doc_vec = self.fresh(combine)
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
-        embedding._dm_step(model, doc_vec, context, n_missing, target, negatives,
-                           lr=0.5, update_words=False)
+        h = embedding._dm_hidden(model, doc_vec, context, n_missing)
+        embedding._dm_frozen_update(model.output_matrix[rows][None], doc_vec[None], h[None],
+                                    np.ones((1, len(rows))), np.array([[0.5]]),
+                                    embedding._dm_scale(model, len(context)))
         assert np.array_equal(model.word_matrix, before[0])
         assert np.array_equal(model.output_matrix, before[2])
         assert np.array_equal(model.doc_matrix[0], before[1][0])
@@ -518,7 +491,8 @@ class TestInferDocVectors:
     @pytest.mark.parametrize("combine", list(CombineMode))
     def test_follows_one_step_at_a_time_oracle(self, combine):
         # per position: draw m negatives, skip those that hit the target,
-        # take one frozen-word step; the same stream and schedule
+        # take one training step on a throwaway copy of the model and keep
+        # only the doc vector's update; the same stream and schedule
         vocab = corpus.build_vocabulary([["a", "b", "a", "c", "b", "a"]], min_count=1)
         docs = corpus.encode_corpus([["a", "b", "a", "c", "b"]], vocab)
         cfg = EmbedTrainConfig(dim=5, window=2, negatives=4, epochs=4, seed=1)
@@ -536,8 +510,8 @@ class TestInferDocVectors:
             skipped += m - len(negatives)
             context = tokens[max(0, i - k): i]
             lr = lr0 - (lr0 - lr_min) * step / (steps * len(tokens))
-            embedding._dm_step(model, vec, context, k - len(context), tokens[i], negatives,
-                               lr, update_words=False)
+            embedding._dm_update(copy.deepcopy(model), vec, context, k - len(context),
+                                 np.array([tokens[i], *negatives]), lr)
         assert skipped > 0
         inferred = infer_doc_vector(model, docs[0], steps=steps, lr=lr0, min_lr=lr_min, seed=8)
         np.testing.assert_allclose(inferred, vec, rtol=0, atol=1e-12)
@@ -707,6 +681,26 @@ class TestModelFiles:
         path.write_bytes(data[:end - doc_bytes] + data[end:])
         with pytest.raises(ValueError, match="truncated .* its header implies"):
             embedding.load_doc2vec(path, skip=("doc_matrix",))
+
+    @pytest.mark.parametrize("kind, offset, value", [
+        ("word2vec", struct.calcsize(embedding._W2V_HEADER), np.inf),  # first input value
+        ("doc2vec", -4, np.nan),                                       # last noise probability
+    ], ids=["word2vec", "doc2vec"])
+    def test_non_finite_values_rejected(self, tmp_path, kind, offset, value):
+        docs, vocab = cluster_corpus(4)
+        train = train_word2vec if kind == "word2vec" else train_doc2vec
+        path = tmp_path / "model"
+        getattr(embedding, "save_" + kind)(
+            train(docs, EmbedTrainConfig(dim=4, epochs=1), vocab_size=len(vocab)), path)
+        data = bytearray(path.read_bytes())
+        offset %= len(data)
+        data[offset: offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"non-finite values in {kind} model file"):
+            getattr(embedding, "load_" + kind)(path)
+        if kind == "doc2vec":
+            # a skipped matrix is never read, so never checked
+            assert embedding.load_doc2vec(path, skip=("noise_probs",)).noise_probs is None
 
     def test_export_text_format(self, tmp_path):
         vocab = corpus.build_vocabulary([["aa", "bb", "aa"]], min_count=1)

@@ -2,6 +2,8 @@
 training against finite differences, stratified splits, and the
 learning-curve CSV output."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from qasim.corpus import TokenizedDocument, build_vocabulary, encode, tokenize
 from qasim.evaluation import (
     LinearClassifier,
     _stratified_split,
-    bow_features,
     bow_matrix,
     hinge_loss,
     learning_curve,
@@ -31,39 +32,39 @@ def vocab():
     return build_vocabulary([tokenize(t) for t in texts], min_count=1)
 
 
+def bow_row(d, vocab):
+    return bow_matrix([d], vocab)[0]
+
+
 class TestBowFeatures:
+    """`bow_matrix`: one row of exact unigram counts per document."""
+
     def test_exact_counts(self, vocab):
-        vec = bow_features(encode(tokenize("red blue red red"), vocab), vocab)
+        row = bow_row(encode(tokenize("red blue red red"), vocab), vocab)
         red, blue = vocab.token_to_id["red"], vocab.token_to_id["blue"]
-        assert vec.counts[red] == 3
-        assert vec.counts[blue] == 1
-        assert vec.total() == 4
+        assert row[red] == 3
+        assert row[blue] == 1
+        assert row.sum() == 4
 
     def test_order_insensitive(self, vocab):
         a = encode(tokenize("red green blue"), vocab)
         b = encode(tokenize("blue red green"), vocab)
-        assert bow_features(a, vocab).counts == bow_features(b, vocab).counts
+        assert np.array_equal(bow_row(a, vocab), bow_row(b, vocab))
 
     def test_concatenation_adds(self, vocab):
         # histogram of doc1+doc2 equals the sum of the histograms
         a = encode(tokenize("red green"), vocab)
         b = encode(tokenize("green blue blue"), vocab)
-        joint = bow_features(doc(list(a.tokens) + list(b.tokens)), vocab)
-        parts = (bow_features(a, vocab).to_dense(len(vocab))
-                 + bow_features(b, vocab).to_dense(len(vocab)))
-        assert np.array_equal(joint.to_dense(len(vocab)), parts)
+        joint = bow_row(doc(list(a.tokens) + list(b.tokens)), vocab)
+        assert np.array_equal(joint, bow_row(a, vocab) + bow_row(b, vocab))
 
     @given(st.lists(st.integers(min_value=0, max_value=5), max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_total_matches_length(self, tokens):
         vocab = build_vocabulary([[f"t{c}" for c in "abcdef"]], min_count=1)
-        assert bow_features(doc(tokens), vocab).total() == len(tokens)
+        assert bow_row(doc(tokens), vocab).sum() == len(tokens)
 
     def test_out_of_vocab_id_rejected(self, vocab):
-        with pytest.raises(ValueError, match="outside vocabulary"):
-            bow_features(doc([len(vocab) + 3]), vocab)
-
-    def test_matrix_out_of_vocab_id_rejected(self, vocab):
         with pytest.raises(ValueError, match=f"token id {len(vocab) + 3} outside vocabulary"):
             bow_matrix([doc([0]), doc([1, len(vocab) + 3])], vocab)
 
@@ -73,7 +74,10 @@ class TestBowFeatures:
         X = bow_matrix(docs, vocab)
         assert X.shape == (3, len(vocab))
         for row, d in enumerate(docs):
-            assert np.array_equal(X[row], bow_features(d, vocab).to_dense(len(vocab)))
+            expected = np.zeros(len(vocab))
+            for token, count in Counter(d.tokens).items():
+                expected[token] = count
+            assert np.array_equal(X[row], expected)
 
 
 class TestTrainLinear:

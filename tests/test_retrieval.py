@@ -36,7 +36,7 @@ class TestSelectAnswer:
                              correct=frozenset({1}))
         best, best_score = AnswerIndex(net, af).select(qf[0], pool.candidates)
         # oracle: score every candidate one at a time, keep first maximum
-        oracle = [simnet.score(net, qf[0], af[c]) for c in pool.candidates]
+        oracle = [simnet.forward(net, qf[0], af[c]).y_prime[0] for c in pool.candidates]
         want = max(range(len(oracle)), key=lambda i: (oracle[i], -i))
         assert best == want
         assert best_score == pytest.approx(oracle[want], abs=1e-12)
@@ -50,7 +50,7 @@ class TestSelectAnswer:
                                  candidates=(tuple(int(c) for c in cands)),
                                  correct=frozenset({0}))
             best, score = AnswerIndex(net, af).select(qf[pool.question_doc], pool.candidates)
-            oracle = [simnet.score(net, qf[pool.question_doc], af[c])
+            oracle = [simnet.forward(net, qf[pool.question_doc], af[c]).y_prime[0]
                       for c in pool.candidates]
             assert oracle[best] == pytest.approx(max(oracle), abs=1e-12)
             assert all(oracle[i] < oracle[best] + 1e-12 for i in range(best))
@@ -127,7 +127,7 @@ class TestAnswerIndex:
         for q in qf:
             for cands in candidates:
                 best, best_score = index.select(q, cands)
-                oracle = np.array([simnet.score(net, q, af[c]) for c in cands])
+                oracle = np.array([simnet.forward(net, q, af[c]).y_prime[0] for c in cands])
                 assert best == int(np.argmax(oracle))  # first maximum
                 assert best_score == pytest.approx(oracle[best], abs=1e-12)
 
@@ -137,7 +137,8 @@ class TestAnswerIndex:
         net.b3[0] = 60.0  # sigmoid(u) rounds to exactly 1.0 for every candidate
         index = AnswerIndex(net, af)
         low, high = np.argsort(index.terms)[[0, -1]]
-        assert simnet.score(net, qf[0], af[low]) == simnet.score(net, qf[0], af[high]) == 1.0
+        for c in (low, high):
+            assert simnet.forward(net, qf[0], af[c]).y_prime[0] == 1.0
         # the later candidate has the larger logit, yet the first position wins
         assert index.select(qf[0], [low, high]) == (0, 1.0)
         assert index.select(qf[0], [high, low]) == (0, 1.0)

@@ -3,6 +3,7 @@ loss recomputation, finite-difference gradient verification, dropout
 semantics, and the binary model format."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from qasim.simnet import (
     gradients,
     init_network,
     loss,
-    score,
 )
 
 
@@ -316,21 +316,21 @@ class TestGradients:
 
 class TestScore:
     def test_zero_network(self):
-        assert score(zero_network(), np.ones(3), np.ones(3)) == pytest.approx(0.5)
+        assert forward(zero_network(), np.ones(3), np.ones(3)).y_prime[0] == pytest.approx(0.5)
 
     def test_deterministic(self):
         net = init_network(4, std=0.5, seed=10)
         rng = np.random.default_rng(9)
         fq, fa = rng.normal(size=4), rng.normal(size=4)
-        assert score(net, fq, fa) == score(net, fq, fa)
+        assert forward(net, fq, fa).y_prime[0] == forward(net, fq, fa).y_prime[0]
 
     def test_monotone_in_matching_logit(self):
         net = toy_network()
         fq = np.array([0.6, -0.3])
         fa = np.array([-0.2, 0.5])
-        base = score(net, fq, fa)
+        base = forward(net, fq, fa).y_prime[0]
         net.b3 = net.b3 + 1.0  # push the logit up
-        assert score(net, fq, fa) > base
+        assert forward(net, fq, fa).y_prime[0] > base
 
     def test_head_terms_reproduce_forward(self):
         net = init_network(5, std=0.4, seed=15, activation=Activation.RELU)
@@ -351,7 +351,7 @@ class TestScore:
         fq, fa = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
         batch = forward(net, fq, fa).y_prime
         for i in range(7):
-            assert batch[i] == pytest.approx(score(net, fq[i], fa[i]), rel=1e-15)
+            assert batch[i] == pytest.approx(forward(net, fq[i], fa[i]).y_prime[0], rel=1e-15)
 
 
 class TestModelFile:
@@ -374,7 +374,16 @@ class TestModelFile:
         rng = np.random.default_rng(14)
         fq, fa = rng.normal(size=6), rng.normal(size=6)
         # float32 storage: scores agree to single precision
-        assert score(loaded, fq, fa) == pytest.approx(score(net, fq, fa), abs=1e-6)
+        assert forward(loaded, fq, fa).y_prime[0] == pytest.approx(
+            forward(net, fq, fa).y_prime[0], abs=1e-6)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = tmp_path / "net.sim"
+        simnet.save_simnet(init_network(4, seed=0), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] + struct.pack("<f", np.nan))  # the head's bias
+        with pytest.raises(ValueError, match="non-finite values in similarity-network file"):
+            simnet.load_simnet(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.sim"

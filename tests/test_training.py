@@ -111,7 +111,7 @@ class TestEvaluatePairAccuracy:
         assert abs(fast - 0.5) < 6 * (0.25 / n) ** 0.5
         # exact recount on a prefix, one pair at a time through the scalar path
         exact = sum(
-            (simnet.score(net, qf[i], af[i]) >= 0.5) == bool(labels[i])
+            (simnet.forward(net, qf[i], af[i]).y_prime[0] >= 0.5) == bool(labels[i])
             for i in range(2048)
         ) / 2048
         prefix = evaluate_pair_accuracy(net, pairs[:2048], (qf, af))
@@ -127,8 +127,9 @@ class TestEvaluatePairAccuracy:
         pairs = [QAPair(int(q), int(a), int(y)) for q, a, y in
                  zip(rng.integers(0, 7, 300), rng.integers(0, 11, 300),
                      rng.integers(0, 2, 300))]
-        exact = np.mean([(simnet.score(net, qf[p.question_doc], af[p.answer_doc]) >= 0.5)
-                         == bool(p.label) for p in pairs])
+        exact = np.mean([
+            (simnet.forward(net, qf[p.question_doc], af[p.answer_doc]).y_prime[0] >= 0.5)
+            == bool(p.label) for p in pairs])
         assert evaluate_pair_accuracy(net, pairs, (qf, af)) == pytest.approx(exact, abs=1e-12)
 
     def test_missing_doc_rejected(self):
