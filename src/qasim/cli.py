@@ -100,6 +100,13 @@ def _setting(args, config: dict, key: str):
     return _resolve(args, key, _TOP_FIELDS[key][1], config)
 
 
+def _threshold(args, config: dict) -> float:
+    try:
+        return retrieval.check_threshold(_setting(args, config, "threshold"))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _seed(args, config: dict, section: dict | None = None) -> int:
     """Flag, else the config section, else the config file, else
     QASIM_SEED, else the default."""
@@ -146,14 +153,11 @@ def cmd_build_vocab(args) -> int:
     docs = _load_raw_docs(args)
     vocab = corpus.build_vocabulary(docs, min_count=min_count)
     corpus.save_vocabulary(vocab, args.out)
-
-    encoded = corpus.encode_corpus(docs, vocab)
-    total = sum(len(d.tokens) for d in encoded)
-    lf = sum(1 for d in encoded for t in d.tokens if t == vocab.lf_id)
-    num = sum(1 for d in encoded for t in d.tokens if t == vocab.num_id)
     _echo("build-vocab", {"min_count": min_count, "out": args.out})
-    print(json.dumps({"vocab_size": len(vocab), "tokens": total,
-                      "lf_replacements": lf, "num_replacements": num}, sort_keys=True))
+    # the reserved ids' frequencies count the tokens that encoding maps onto them
+    print(json.dumps({"vocab_size": len(vocab), "tokens": sum(map(len, docs)),
+                      "lf_replacements": vocab.frequency[vocab.lf_id],
+                      "num_replacements": vocab.frequency[vocab.num_id]}, sort_keys=True))
     return 0
 
 
@@ -295,11 +299,11 @@ def cmd_eval(args) -> int:
     if args.infer_vectors:
         _check_infer_steps(args)
     config = _load_config(args.config)
+    threshold = _threshold(args, config)
     q_texts, a_texts, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
     q_model = _load_doc2vec(args.q_model, "question doc2vec model", args.infer_vectors)
     a_model = _load_doc2vec(args.a_model, "answer doc2vec model", args.infer_vectors)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
-    threshold = _setting(args, config, "threshold")
 
     q_vocab = a_vocab = None
     if args.infer_vectors:
@@ -365,6 +369,7 @@ def cmd_classify(args) -> int:
 def cmd_ask(args) -> int:
     _check_infer_steps(args)
     config = _load_config(args.config)
+    threshold = _threshold(args, config)
     q_vocab = corpus.load_vocabulary(_require_file(args.q_vocab, "question vocabulary"))
     # a question is inferred, never looked up; an answer is only looked up
     q_model = _load_doc2vec(args.q_model, "question doc2vec model", infer=True)
@@ -376,7 +381,6 @@ def cmd_ask(args) -> int:
     if len(answer_texts) != a_model.n_docs:
         raise UsageError(f"answers file holds {len(answer_texts)} lines but the model "
                          f"has {a_model.n_docs} doc vectors")
-    threshold = _setting(args, config, "threshold")
     seed = _seed(args, config)
     index = retrieval.AnswerIndex(net, a_model.doc_matrix)
     candidates = np.arange(len(answer_texts))

@@ -84,14 +84,17 @@ class DocEmbeddingModel:
     negatives: int
     dim: int
     noise_probs: np.ndarray = field(repr=False, default=None)
+    # a loaded model's (vocab_size, n_docs) from its file header, which
+    # hold even when the matrices they are read from were skipped
+    _sizes: tuple[int, int] | None = field(repr=False, default=None)
 
     @property
     def vocab_size(self) -> int:
-        return self.word_matrix.shape[0]
+        return self._sizes[0] if self._sizes else self.word_matrix.shape[0]
 
     @property
     def n_docs(self) -> int:
-        return self.doc_matrix.shape[0]
+        return self._sizes[1] if self._sizes else self.doc_matrix.shape[0]
 
 
 def _ns_grad(s: np.ndarray) -> np.ndarray:
@@ -527,10 +530,10 @@ def save_word2vec(model: WordEmbeddingModel, path) -> None:
 
 
 def load_word2vec(path) -> WordEmbeddingModel:
-    (_, dim, window, negatives, flag), arrays = read_model(
+    (_, dim, window, negatives, mode), arrays = read_model(
         path, _W2V_HEADER, _W2V_MAGIC, "word2vec model",
-        lambda V, dim, *_: {"input_matrix": (V, dim), "output_matrix": (V, dim)})
-    mode = Word2VecMode.SKIPGRAM if flag else Word2VecMode.CBOW
+        lambda V, dim, *_: {"input_matrix": (V, dim), "output_matrix": (V, dim)},
+        ("mode", _WORD_MODE_FLAG))
     return WordEmbeddingModel(**arrays, mode=mode, window=window, negatives=negatives, dim=dim)
 
 
@@ -540,19 +543,20 @@ def save_doc2vec(model: DocEmbeddingModel, path) -> None:
                 (model.word_matrix, model.output_matrix, model.doc_matrix, model.noise_probs))
 
 
-def _d2v_shapes(V: int, N: int, dim: int, window: int, negatives: int, flag: int) -> dict:
-    ctx_dim = dim * (1 + window) if flag else dim
+def _d2v_shapes(V: int, N: int, dim: int, window: int, negatives: int,
+                combine: CombineMode) -> dict:
+    ctx_dim = dim * (1 + window) if combine is CombineMode.CONCATENATE else dim
     return {"word_matrix": (V, dim), "output_matrix": (V, ctx_dim), "doc_matrix": (N, dim),
             "noise_probs": (V,)}
 
 
 def load_doc2vec(path, skip=()) -> DocEmbeddingModel:
     """The model in `path`; the matrices named in `skip` are left None."""
-    (_, _, dim, window, negatives, flag), arrays = read_model(
-        path, _D2V_HEADER, _D2V_MAGIC, "doc2vec model", _d2v_shapes, skip)
-    combine = CombineMode.CONCATENATE if flag else CombineMode.AVERAGE
+    (V, N, dim, window, negatives, combine), arrays = read_model(
+        path, _D2V_HEADER, _D2V_MAGIC, "doc2vec model", _d2v_shapes,
+        ("combine", _COMBINE_FLAG), skip)
     return DocEmbeddingModel(**arrays, combine=combine, window=window, negatives=negatives,
-                             dim=dim)
+                             dim=dim, _sizes=(V, N))
 
 
 def export_text(matrix: np.ndarray, vocab: Vocabulary, path) -> None:

@@ -5,7 +5,9 @@ Every loader reads through `read_model`, which checks the byte count the
 header implies against the file size before reading any matrix, so a
 truncated file, trailing bytes, or a header claiming huge sizes is
 rejected with a ValueError instead of a short read or a large allocation.
-A matrix holding NaN or infinity is rejected as it is read.
+The header's last field is a mode flag, decoded through the table its
+saver encodes with; an unknown flag is rejected before any size is
+computed.  A matrix holding NaN or infinity is rejected as it is read.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ def write_model(path, header_fmt: str, header: tuple, matrices) -> None:
 
 def read_model(path, header_fmt: str, magic: bytes, what: str,
                shapes: Callable[..., dict[str, tuple[int, ...]]],
-               skip=()) -> tuple[tuple, dict]:
+               flag: tuple[str, dict], skip=()) -> tuple[tuple, dict]:
     """The header fields after the magic, and the float64 arrays of the
     {name: shape} that `shapes(*fields)` gives, in that order; a NaN or
-    infinity in any of them is a ValueError.  The arrays named in `skip`
-    are seeked past, unread and unchecked, and given as None; their bytes
-    still count in the size check."""
+    infinity in any of them is a ValueError.  `flag` is the last field's
+    (name, {value: flag}) table, and that field is given as its value.
+    The arrays named in `skip` are seeked past, unread and unchecked, and
+    given as None; their bytes still count in the size check."""
     header_size = struct.calcsize(header_fmt)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -42,6 +45,11 @@ def read_model(path, header_fmt: str, magic: bytes, what: str,
         found, *fields = struct.unpack(header_fmt, header)
         if found != magic:
             raise ValueError(f"not a {what} file: {path}")
+        field, table = flag
+        value = {code: value for value, code in table.items()}.get(fields[-1])
+        if value is None:
+            raise ValueError(f"unknown {field} flag {fields[-1]} in {what} file: {path}")
+        fields[-1] = value
         dims = shapes(*fields)
         expected = header_size + 4 * sum(math.prod(shape) for shape in dims.values())
         if size != expected:

@@ -73,10 +73,16 @@ class AnswerIndex:
         return best, float(scores[best])
 
 
-def route(score: float, threshold: float, answer_doc: int | None = None) -> RoutingDecision:
-    """Answer when score >= threshold (boundary answers), else escalate."""
+def check_threshold(threshold: float) -> float:
+    """The routing threshold, if it lies in (0, 1); else a ValueError."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
+    return threshold
+
+
+def route(score: float, threshold: float, answer_doc: int | None = None) -> RoutingDecision:
+    """Answer when score >= threshold (boundary answers), else escalate."""
+    check_threshold(threshold)
     if score >= threshold:
         return RoutingDecision(RoutingOutcome.ANSWER, confidence=score, answer_doc=answer_doc)
     return RoutingDecision(RoutingOutcome.ESCALATE, confidence=score)

@@ -25,6 +25,13 @@ class Activation(str, Enum):
     RELU = "relu"
 
 
+def _param_shapes(d: int, h1: int, h2: int, *_) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in file and draw order; later header fields are ignored."""
+    return {"w1q": (h1, d), "b1q": (h1,), "w2q": (h2, h1), "b2q": (h2,),
+            "w1a": (h1, d), "b1a": (h1,), "w2a": (h2, h1), "b2a": (h2,),
+            "w3": (2 * h2,), "b3": (1,)}
+
+
 @dataclass
 class SimilarityNetwork:
     """Parameters of both towers and the decision head.
@@ -51,34 +58,34 @@ class SimilarityNetwork:
 
     def params(self) -> dict[str, np.ndarray]:
         """Parameter arrays in the canonical (file) order."""
-        return {
-            "w1q": self.w1q, "b1q": self.b1q, "w2q": self.w2q, "b2q": self.b2q,
-            "w1a": self.w1a, "b1a": self.b1a, "w2a": self.w2a, "b2a": self.b2a,
-            "w3": self.w3, "b3": self.b3,
-        }
+        return {name: getattr(self, name) for name in _param_shapes(*self.layer_dims)}
 
     def copy(self) -> "SimilarityNetwork":
-        return SimilarityNetwork(
-            **{name: arr.copy() for name, arr in self.params().items()},
-            activation=self.activation,
-        )
+        return SimilarityNetwork(**{name: arr.copy() for name, arr in self.params().items()},
+                                 activation=self.activation)
+
+
+@dataclass
+class TowerTrace:
+    """One tower's pass over (batch, d) rows: the input x, then per layer
+    the pre-activation z, the activation a, and the output h (after dropout)."""
+
+    x: np.ndarray
+    z1: np.ndarray
+    a1: np.ndarray
+    h1: np.ndarray
+    z2: np.ndarray
+    a2: np.ndarray
+    h2: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs: pre-activations, activations
-    (post-dropout), the masks used, and the final score."""
+    """Everything the backward pass needs: both towers' traces, the
+    masks used, and the final score."""
 
-    x_q: np.ndarray
-    x_a: np.ndarray
-    z1q: np.ndarray
-    h1q: np.ndarray
-    z2q: np.ndarray
-    h2q: np.ndarray
-    z1a: np.ndarray
-    h1a: np.ndarray
-    z2a: np.ndarray
-    h2a: np.ndarray
+    q: TowerTrace
+    a: TowerTrace
     masks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     logit: np.ndarray
     y_prime: np.ndarray
@@ -97,19 +104,11 @@ def init_network(d: int, std: float = 0.03, bias_const: float = 0.1, seed: int =
     if std <= 0:
         raise ValueError("std must be > 0")
     rng = np.random.default_rng(seed)
-    return SimilarityNetwork(
-        w1q=rng.normal(0.0, std, (hidden1, d)),
-        b1q=np.full(hidden1, bias_const, dtype=np.float64),
-        w2q=rng.normal(0.0, std, (hidden2, hidden1)),
-        b2q=np.full(hidden2, bias_const, dtype=np.float64),
-        w1a=rng.normal(0.0, std, (hidden1, d)),
-        b1a=np.full(hidden1, bias_const, dtype=np.float64),
-        w2a=rng.normal(0.0, std, (hidden2, hidden1)),
-        b2a=np.full(hidden2, bias_const, dtype=np.float64),
-        w3=rng.normal(0.0, std, 2 * hidden2),
-        b3=np.full(1, bias_const, dtype=np.float64),
-        activation=Activation(activation),
-    )
+    shapes = _param_shapes(d, hidden1, hidden2)
+    return SimilarityNetwork(**{name: rng.normal(0.0, std, shape) if name.startswith("w")
+                                else np.full(shape, bias_const, dtype=np.float64)
+                                for name, shape in shapes.items()},
+                             activation=Activation(activation))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -122,15 +121,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _act(z: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.TANH:
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+    return np.tanh(z) if activation is Activation.TANH else np.maximum(z, 0.0)
 
 
-def _act_grad(z: np.ndarray, a: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.TANH:
-        return 1.0 - a * a
-    return (z > 0).astype(np.float64)
+def _act_grad(a: np.ndarray, activation: Activation) -> np.ndarray:
+    """Derivative of the activation, from its output a: relu's a > 0 iff z > 0."""
+    return 1.0 - a * a if activation is Activation.TANH else (a > 0).astype(np.float64)
 
 
 def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed):
@@ -143,18 +139,26 @@ def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed)
     )
 
 
-def _tower(net: SimilarityNetwork, x: np.ndarray, side: str, m1=None, m2=None):
-    """Question ("q") or answer ("a") tower on (batch, d) rows: z1, h1, z2, h2
-    (post-dropout) and the side's head term, h2 times its half of w3."""
-    p = net.params()
-    z1 = x @ p["w1" + side].T + p["b1" + side]
+def _half(seq, side: str):
+    """Side "q" or "a"'s half of w3 or of the dropout masks (None: two Nones)."""
+    if seq is None:
+        return None, None
+    half = len(seq) // 2
+    return seq[:half] if side == "q" else seq[half:]
+
+
+def _tower(net: SimilarityNetwork, x: np.ndarray, side: str,
+           masks=None) -> tuple[TowerTrace, np.ndarray]:
+    """Question ("q") or answer ("a") tower on (batch, d) rows: its trace,
+    and the side's head term, h2 times its half of w3."""
+    m1, m2 = _half(masks, side)
+    z1 = x @ getattr(net, "w1" + side).T + getattr(net, "b1" + side)
     a1 = _act(z1, net.activation)
     h1 = a1 * m1 if m1 is not None else a1
-    z2 = h1 @ p["w2" + side].T + p["b2" + side]
+    z2 = h1 @ getattr(net, "w2" + side).T + getattr(net, "b2" + side)
     a2 = _act(z2, net.activation)
     h2 = a2 * m2 if m2 is not None else a2
-    half = len(net.w3) // 2
-    return z1, h1, z2, h2, h2 @ (net.w3[:half] if side == "q" else net.w3[half:])
+    return TowerTrace(x, z1, a1, h1, z2, a2, h2), h2 @ _half(net.w3, side)
 
 
 def _as_rows(f: np.ndarray) -> np.ndarray:
@@ -170,7 +174,7 @@ def head_terms(net: SimilarityNetwork, f: np.ndarray, side: str) -> np.ndarray:
     The logit is question term + answer term + b3, so one side's terms can
     be computed once and paired with any row of the other side.
     """
-    return _tower(net, _as_rows(f), side)[4]
+    return _tower(net, _as_rows(f), side)[1]
 
 
 def probabilities(net: SimilarityNetwork, q_terms: np.ndarray,
@@ -193,29 +197,28 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
     if x_q.shape != x_a.shape:
         raise ValueError(f"feature shapes differ: {x_q.shape} vs {x_a.shape}")
 
-    B = x_q.shape[0]
-    h1, h2 = net.w1q.shape[0], net.w2q.shape[0]
-
     if masks is None and dropout_p > 0.0:
-        masks = draw_dropout_masks((B, h1), (B, h2), dropout_p, seed)
-    m1q, m2q, m1a, m2a = masks if masks is not None else (None,) * 4
+        _, h1, h2 = net.layer_dims
+        masks = draw_dropout_masks((len(x_q), h1), (len(x_q), h2), dropout_p, seed)
 
-    z1q, h1q, z2q, h2q, q_term = _tower(net, x_q, "q", m1q, m2q)
-    z1a, h1a, z2a, h2a, a_term = _tower(net, x_a, "a", m1a, m2a)
-
+    q, q_term = _tower(net, x_q, "q", masks)
+    a, a_term = _tower(net, x_a, "a", masks)
     u = q_term + a_term + net.b3[0]
-    y_prime = _sigmoid(u)
-    return ForwardTrace(x_q=x_q, x_a=x_a, z1q=z1q, h1q=h1q, z2q=z2q, h2q=h2q,
-                        z1a=z1a, h1a=h1a, z2a=z2a, h2a=h2a, masks=masks,
-                        logit=u, y_prime=y_prime)
+    return ForwardTrace(q=q, a=a, masks=masks, logit=u, y_prime=_sigmoid(u))
 
 
-def _loss_from_trace(trace: ForwardTrace, y: np.ndarray, lam: float, w3: np.ndarray) -> float:
+def _forward_loss(net: SimilarityNetwork, f_q, f_a, y, lam: float, dropout_p: float,
+                  seed, masks) -> tuple[ForwardTrace, np.ndarray, float]:
+    """The trace, the labels as a float array, and the loss of one batch."""
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    if y.size == 0:
+        raise ValueError("batch must be non-empty")
+    trace = forward(net, f_q, f_a, dropout_p, seed, masks)
     yc = np.clip(trace.y_prime, EPS, 1.0 - EPS)
     bce = -(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc))
     # diverged weights overflow to inf here; callers check the loss is finite
     with np.errstate(over="ignore"):
-        return float(bce.mean() + lam * np.dot(w3, w3))
+        return trace, y, float(bce.mean() + lam * np.dot(net.w3, net.w3))
 
 
 def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
@@ -226,11 +229,22 @@ def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray
     dropout; the masks depend only on (seed, shapes), never on parameter
     values, so the loss stays differentiable in the parameters.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.size == 0:
-        raise ValueError("batch must be non-empty")
-    trace = forward(net, f_q, f_a, dropout_p, seed, masks)
-    return _loss_from_trace(trace, y, lam, net.w3)
+    return _forward_loss(net, f_q, f_a, y, lam, dropout_p, seed, masks)[2]
+
+
+def _tower_grads(net: SimilarityNetwork, t: TowerTrace, g_u: np.ndarray, side: str,
+                 masks) -> dict[str, np.ndarray]:
+    """Gradients of one tower's four parameters from its trace and the
+    head residual g_u, reusing the activations the forward pass kept."""
+    m1, m2 = _half(masks, side)
+    dh2 = np.outer(g_u, _half(net.w3, side))
+    da2 = dh2 * m2 if m2 is not None else dh2
+    dz2 = da2 * _act_grad(t.a2, net.activation)
+    dh1 = dz2 @ getattr(net, "w2" + side)
+    da1 = dh1 * m1 if m1 is not None else dh1
+    dz1 = da1 * _act_grad(t.a1, net.activation)
+    return {"w1" + side: dz1.T @ t.x, "b1" + side: dz1.sum(axis=0),
+            "w2" + side: dz2.T @ t.h1, "b2" + side: dz2.sum(axis=0)}
 
 
 def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
@@ -243,47 +257,15 @@ def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.nd
     Where the clamp saturates the predicted probability, the gradient of
     the clamped loss is exactly zero, matching finite differences.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if y.size == 0:
-        raise ValueError("batch must be non-empty")
-    trace = forward(net, f_q, f_a, dropout_p, seed, masks)
-    value = _loss_from_trace(trace, y, lam, net.w3)
-
-    B = trace.x_q.shape[0]
-    h2 = net.w2q.shape[0]
+    trace, y, value = _forward_loss(net, f_q, f_a, y, lam, dropout_p, seed, masks)
     yp = trace.y_prime
     clamped = (yp < EPS) | (yp > 1.0 - EPS)
-    g_u = np.where(clamped, 0.0, yp - y) / B
+    g_u = np.where(clamped, 0.0, yp - y) / len(yp)
 
-    d_w3 = np.concatenate([trace.h2q.T @ g_u, trace.h2a.T @ g_u]) + 2.0 * lam * net.w3
-    d_b3 = np.array([g_u.sum()])
-    act = net.activation
-    m1q, m2q, m1a, m2a = trace.masks if trace.masks is not None else (None,) * 4
-
-    def tower_grads(dh2, z2, h1, z1, x, w2, m1, m2):
-        da2 = dh2 * m2 if m2 is not None else dh2
-        dz2 = da2 * _act_grad(z2, _act(z2, act), act)
-        dw2 = dz2.T @ h1
-        db2 = dz2.sum(axis=0)
-        dh1 = dz2 @ w2
-        da1 = dh1 * m1 if m1 is not None else dh1
-        dz1 = da1 * _act_grad(z1, _act(z1, act), act)
-        dw1 = dz1.T @ x
-        db1 = dz1.sum(axis=0)
-        return dw1, db1, dw2, db2
-
-    dh2q = np.outer(g_u, net.w3[:h2])
-    dh2a = np.outer(g_u, net.w3[h2:])
-    dw1q, db1q, dw2q, db2q = tower_grads(dh2q, trace.z2q, trace.h1q, trace.z1q,
-                                         trace.x_q, net.w2q, m1q, m2q)
-    dw1a, db1a, dw2a, db2a = tower_grads(dh2a, trace.z2a, trace.h1a, trace.z1a,
-                                         trace.x_a, net.w2a, m1a, m2a)
-
-    grads = {
-        "w1q": dw1q, "b1q": db1q, "w2q": dw2q, "b2q": db2q,
-        "w1a": dw1a, "b1a": db1a, "w2a": dw2a, "b2a": db2a,
-        "w3": d_w3, "b3": d_b3,
-    }
+    grads = {**_tower_grads(net, trace.q, g_u, "q", trace.masks),
+             **_tower_grads(net, trace.a, g_u, "a", trace.masks)}
+    grads["w3"] = np.concatenate([trace.q.h2.T @ g_u, trace.a.h2.T @ g_u]) + 2.0 * lam * net.w3
+    grads["b3"] = np.array([g_u.sum()])
     return grads, value
 
 
@@ -302,13 +284,7 @@ def save_simnet(net: SimilarityNetwork, path) -> None:
                 net.params().values())
 
 
-def _param_shapes(d: int, h1: int, h2: int) -> dict[str, tuple[int, ...]]:
-    return {"w1q": (h1, d), "b1q": (h1,), "w2q": (h2, h1), "b2q": (h2,),
-            "w1a": (h1, d), "b1a": (h1,), "w2a": (h2, h1), "b2a": (h2,),
-            "w3": (2 * h2,), "b3": (1,)}
-
-
 def load_simnet(path) -> SimilarityNetwork:
-    (_, _, _, flag), arrays = read_model(path, _SIM_HEADER, _SIM_MAGIC, "similarity-network",
-                                         lambda d, h1, h2, flag: _param_shapes(d, h1, h2))
-    return SimilarityNetwork(**arrays, activation=Activation.RELU if flag else Activation.TANH)
+    (_, _, _, activation), arrays = read_model(path, _SIM_HEADER, _SIM_MAGIC, "similarity-network",
+                                               _param_shapes, ("activation", _ACT_FLAG))
+    return SimilarityNetwork(**arrays, activation=activation)

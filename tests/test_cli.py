@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from qasim import corpus, embedding, training
+from qasim import corpus, embedding, simnet, training
 from qasim.cli import build_parser, main
 from qasim.datasets import planted_qa_records
 
@@ -91,6 +91,18 @@ class TestPipeline:
         assert stats["vocab_size"] > 2  # topic tokens + reserved symbols
         assert stats["tokens"] == 12 * 8  # question_len tokens per question
         assert stats["lf_replacements"] == 0  # min-count 1 retains everything
+
+    def test_build_vocab_counts_rare_and_digit_tokens(self, tmp_path):
+        text = ("the cat sat 42 times\nthe dog ran 7 laps\n"
+                "a cat and a 3d dog\nthe end 2024\n")
+        path = tmp_path / "corpus.txt"
+        path.write_text(text, encoding="utf-8")
+        rc, lines = run(["build-vocab", "--corpus", str(path), "--min-count", "2",
+                         "--out", str(tmp_path / "v.vocab")])
+        assert rc == 0
+        # kept at min-count 2: the, cat, dog, a; digits: 42, 7, 3d, 2024
+        assert last_json(lines) == {"vocab_size": 6, "tokens": 19,
+                                    "lf_replacements": 6, "num_replacements": 4}
 
     def test_echo_line_is_json_with_command(self, ws):
         echo = json.loads(ws["out"]["build_q"][0])
@@ -458,6 +470,28 @@ class TestExitCodes:
             f"qasim: error: non-finite values in similarity-network file: {bad}"]
         assert captured.out == ""
 
+    def test_unknown_activation_flag_exits_one(self, ws, tmp_path, capsys):
+        data = bytearray(ws["net"].read_bytes())
+        data[struct.calcsize(simnet._SIM_HEADER) - 1] = 7  # the activation byte ends the header
+        bad = tmp_path / "flag.simnet"
+        bad.write_bytes(bytes(data))
+        rc = main(["eval", "--qa-file", str(ws["qa"]), "--q-model", str(ws["q_model"]),
+                   "--a-model", str(ws["a_model"]), "--simnet", str(bad)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: unknown activation flag 7 in similarity-network file: {bad}"]
+        assert captured.out == ""
+
+    def test_eval_threshold_out_of_range_exits_two_before_loading(self, ws, tmp_path, capsys):
+        # the models named do not exist: the threshold is checked first
+        missing = str(tmp_path / "missing")
+        rc = main(["eval", "--qa-file", str(ws["qa"]), "--q-model", missing,
+                   "--a-model", missing, "--simnet", missing, "--threshold", "1.5"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: threshold must lie in (0, 1)"]
+
     def test_dim_mismatch_exits_two(self, ws, tmp_path):
         other = tmp_path / "dim4.d2v"
         rc, _ = run(["train-doc2vec", "--qa-file", str(ws["qa"]), "--side", "answer",
@@ -623,11 +657,11 @@ class TestTopLevelConfig:
         assert all(p.label == 1 for p in corpus.load_pairs(tmp_path / "p.jsonl"))
 
     def test_integer_fills_threshold(self, ws, tmp_path, capsys):
-        # an integer threshold passes the type check; route() then rejects 1
+        # an integer threshold passes the type check; the range check then rejects 1
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"threshold": 1}', encoding="utf-8")
         rc = main(command_argv(ws, tmp_path, "eval") + ["--config", str(cfg)])
-        assert rc == 1
+        assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "qasim: error: threshold must lie in (0, 1)"]
 
@@ -807,6 +841,16 @@ class TestAsk:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["qasim: error: --infer-steps must be >= 1, got 0"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "1", "-0.2"])
+    def test_threshold_out_of_range_exits_two_before_ready(self, ws, answers_file, monkeypatch,
+                                                           capsys, threshold):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        rc = main(self.ask_argv(ws, threshold))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["qasim: error: threshold must lie in (0, 1)"]
         assert captured.out == ""
 
     def test_wrong_answer_count_exits_two(self, ws, answers_file, monkeypatch, tmp_path):

@@ -682,6 +682,46 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="truncated .* its header implies"):
             embedding.load_doc2vec(path, skip=("doc_matrix",))
 
+    # the skip tuples of inference and of a doc-vector lookup
+    @pytest.mark.parametrize("skip", [("doc_matrix",),
+                                      ("word_matrix", "output_matrix", "noise_probs")])
+    def test_skipped_matrices_keep_the_model_sizes(self, tmp_path, skip):
+        docs, vocab = cluster_corpus(6)
+        path = tmp_path / "model.d2v"
+        embedding.save_doc2vec(train_doc2vec(docs, EmbedTrainConfig(dim=4, epochs=1),
+                                             vocab_size=len(vocab)), path)
+        full = embedding.load_doc2vec(path)
+        part = embedding.load_doc2vec(path, skip=skip)
+        assert (part.vocab_size, part.n_docs, part.dim) == (full.vocab_size, full.n_docs, full.dim)
+        assert (full.vocab_size, full.n_docs) == (len(vocab), 6)
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_unknown_word2vec_mode_flag_rejected(self, tmp_path, flag):
+        docs, vocab = cluster_corpus(4)
+        path = tmp_path / "model.w2v"
+        embedding.save_word2vec(train_word2vec(docs, EmbedTrainConfig(dim=4, epochs=0),
+                                               vocab_size=len(vocab)), path)
+        data = bytearray(path.read_bytes())
+        data[struct.calcsize(embedding._W2V_HEADER) - 1] = flag
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as exc:
+            embedding.load_word2vec(path)
+        assert str(exc.value) == f"unknown mode flag {flag} in word2vec model file: {path}"
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_unknown_doc2vec_combine_flag_rejected(self, tmp_path, flag):
+        # an average-mode file: read as concatenate, its size would not match
+        docs, vocab = cluster_corpus(4)
+        path = tmp_path / "model.d2v"
+        embedding.save_doc2vec(train_doc2vec(docs, EmbedTrainConfig(dim=4, epochs=0),
+                                             vocab_size=len(vocab)), path)
+        data = bytearray(path.read_bytes())
+        data[struct.calcsize(embedding._D2V_HEADER) - 1] = flag
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as exc:
+            embedding.load_doc2vec(path)
+        assert str(exc.value) == f"unknown combine flag {flag} in doc2vec model file: {path}"
+
     @pytest.mark.parametrize("kind, offset, value", [
         ("word2vec", struct.calcsize(embedding._W2V_HEADER), np.inf),  # first input value
         ("doc2vec", -4, np.nan),                                       # last noise probability

@@ -120,6 +120,22 @@ class TestInitNetwork:
         assert not np.array_equal(net.w1q, net.w1a)
         assert not np.array_equal(net.w2q, net.w2a)
 
+    def test_draw_order_pinned(self):
+        net = init_network(4, std=0.2, bias_const=0.3, seed=11, hidden1=3, hidden2=2)
+        rng = np.random.default_rng(11)
+        w1q = rng.normal(0.0, 0.2, (3, 4))
+        w2q = rng.normal(0.0, 0.2, (2, 3))
+        w1a = rng.normal(0.0, 0.2, (3, 4))
+        w2a = rng.normal(0.0, 0.2, (2, 3))
+        w3 = rng.normal(0.0, 0.2, 4)
+        for name, expected in (("w1q", w1q), ("w2q", w2q), ("w1a", w1a), ("w2a", w2a),
+                               ("w3", w3)):
+            assert np.array_equal(getattr(net, name), expected), name
+        for name, size in (("b1q", 3), ("b2q", 2), ("b1a", 3), ("b2a", 2), ("b3", 1)):
+            assert np.array_equal(getattr(net, name), np.full(size, 0.3)), name
+        assert list(net.params()) == ["w1q", "b1q", "w2q", "b2q", "w1a", "b1a",
+                                      "w2a", "b2a", "w3", "b3"]
+
 
 class TestForward:
     def test_zero_network_scores_half(self):
@@ -170,7 +186,7 @@ class TestForward:
         h1q = np.maximum(z1q, 0.0)
         z2q = net.w2q @ h1q + net.b2q
         h2q = np.maximum(z2q, 0.0)
-        assert np.allclose(trace.h2q[0], h2q)
+        assert np.allclose(trace.q.h2[0], h2q)
 
 
 class TestDropoutMasks:
@@ -260,8 +276,8 @@ class TestGradients:
         fq, fa = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
         y = np.array([1.0, 0.0, 1.0])
         near_kink = []
-        for z in (forward(net, fq, fa).z1q, forward(net, fq, fa).z2q,
-                  forward(net, fq, fa).z1a, forward(net, fq, fa).z2a):
+        for z in (forward(net, fq, fa).q.z1, forward(net, fq, fa).q.z2,
+                  forward(net, fq, fa).a.z1, forward(net, fq, fa).a.z2):
             near_kink.append(np.any(np.abs(z) < 1e-3))
         assert not any(near_kink), "fixture would straddle a relu kink"
         finite_difference_check(net, fq, fa, y, lam=0.0005)
@@ -291,7 +307,7 @@ class TestGradients:
         # only through h2a and the shared residual
         g1, _ = gradients(net1, fq, fa, y, lam=0.0)
         g2, _ = gradients(net2, fq, fa, y, lam=0.0)
-        if np.allclose(trace1.h2a, trace2.h2a):
+        if np.allclose(trace1.a.h2, trace2.a.h2):
             assert np.allclose(g1["w1q"], g2["w1q"])
 
     def test_regularizer_only_touches_head_weights(self):
@@ -384,6 +400,18 @@ class TestModelFile:
         path.write_bytes(data[:-4] + struct.pack("<f", np.nan))  # the head's bias
         with pytest.raises(ValueError, match="non-finite values in similarity-network file"):
             simnet.load_simnet(path)
+
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_unknown_activation_flag_rejected(self, tmp_path, flag):
+        path = tmp_path / "net.sim"
+        simnet.save_simnet(init_network(4, seed=0), path)
+        data = bytearray(path.read_bytes())
+        data[struct.calcsize(simnet._SIM_HEADER) - 1] = flag
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as exc:
+            simnet.load_simnet(path)
+        assert str(exc.value) == (f"unknown activation flag {flag} in similarity-network "
+                                  f"file: {path}")
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.sim"
