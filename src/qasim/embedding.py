@@ -8,6 +8,7 @@ bit-reproducible.  Vectors are stored one per row.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,60 +101,84 @@ class DocEmbeddingModel:
 def _ns_grad(s: np.ndarray) -> np.ndarray:
     """dL/ds = sigma(s) - label, over the last axis of the scores (target
     first); any leading axes are a batch."""
-    g = 1.0 / (1.0 + np.exp(-s))
+    g = np.exp(-s)
+    g += 1.0
+    np.divide(1.0, g, out=g)       # 1 / (1 + exp(-s)), without temporaries
     g.T[0] -= 1.0                  # the target's column; faster than g[..., 0]
     return g
 
 
-def _add_rows(matrix: np.ndarray, rows, delta, distinct: bool) -> None:
-    """matrix[rows] += delta, a repeated row taking each of its updates in
-    turn.  A direct update gives np.add.at's result when no row repeats,
+def _repeats(ids: list[int]) -> tuple[list[tuple[int, int]], np.ndarray] | None:
+    """None when no id in `ids` repeats.  Otherwise (j, p) for every entry
+    j that repeats the id of an earlier entry p (the nearest), in order,
+    and the index array of each id's last entry."""
+    last, chain = {}, []
+    for j, i in enumerate(ids):
+        if i in last:
+            chain.append((j, last[i]))
+        last[i] = j
+    return (chain, np.array(list(last.values()))) if chain else None
+
+
+def _add_rows(matrix: np.ndarray, rows, gathered: np.ndarray, delta, repeats) -> None:
+    """matrix[rows] += delta, where `gathered` holds matrix[rows] as read
+    before the update and `repeats` is `_repeats(rows)`.  A repeated row
+    adds its entries' deltas in index order, each to what the entry before
+    it left, and is written once, from its last entry: np.add.at's result,
     at a fraction of its cost."""
-    if distinct:
-        matrix[rows] += delta
-    else:
-        np.add.at(matrix, rows, delta)
+    new = gathered + delta
+    if repeats is not None:
+        chain, last = repeats
+        for j, p in chain:
+            np.add(new[p], delta[j] if delta.ndim > 1 else delta, out=new[j])
+        rows, new = rows[last], new[last]
+    matrix[rows] = new
 
 
 def _ns_update(output_matrix: np.ndarray, h: np.ndarray, rows, lr: float,
-               distinct: bool = False) -> tuple[np.ndarray, np.ndarray]:
+               repeats) -> tuple[np.ndarray, np.ndarray]:
     """The training kernel of every model here: scores `s` of the output
-    `rows` (target first) at the current parameters, the SGD step on those
-    rows, and the gradient with respect to the hidden vector `h` (the
-    caller updates the rows `h` came from).  `distinct`: no row repeats."""
+    `rows` (target first; `repeats` is `_repeats(rows)`) at the current
+    parameters, the SGD step on those rows, and the gradient with respect
+    to the hidden vector `h` (the caller updates the rows `h` came from)."""
     out = output_matrix[rows]                  # copy, (1+m, d)
-    s = out @ h
+    # np.dot: the BLAS call of `@`, at less overhead per call
+    s = np.dot(out, h)
     g = _ns_grad(s)
-    _add_rows(output_matrix, rows, (-lr * g)[:, None] * h, distinct)
-    return s, g @ out
+    _add_rows(output_matrix, rows, out, (-lr * g)[:, None] * h, repeats)
+    return s, np.dot(g, out)
 
 
-def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float,
-               distinct: bool = False) -> np.ndarray:
+def _context(ids: list[int]) -> tuple[np.ndarray, tuple | None]:
+    """A context's word ids as an index array, and their `_repeats`."""
+    return np.array(ids, dtype=np.intp), _repeats(ids)
+
+
+def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float, repeats) -> np.ndarray:
     """One word2vec update: `inputs` is one input id (skip-gram: the hidden
-    vector is that row) or a list of ids (CBOW: their mean).  Returns the
-    scores of `rows`."""
+    vector is that row) or a `_context` (CBOW: the mean of its rows).
+    Returns the scores of `rows`."""
+    X = model.input_matrix
     if isinstance(inputs, int):
-        h = model.input_matrix[inputs].copy()
+        h = X[inputs]
+        s, grad_h = _ns_update(model.output_matrix, h.copy(), rows, lr, repeats)
+        h -= lr * grad_h
     else:
-        h = model.input_matrix[inputs].mean(axis=0)
-    s, grad_h = _ns_update(model.output_matrix, h, rows, lr, distinct)
-    if isinstance(inputs, int):
-        model.input_matrix[inputs] -= lr * grad_h
-    else:
-        _add_rows(model.input_matrix, inputs, -lr * grad_h / len(inputs),
-                  len(set(inputs)) == len(inputs))
+        ids, ids_repeats = inputs
+        words = X[ids]
+        s, grad_h = _ns_update(model.output_matrix, words.mean(axis=0), rows, lr, repeats)
+        _add_rows(X, ids, words, -lr * grad_h / len(ids), ids_repeats)
     return s
 
 
 def _unigram_noise(corpus: list[TokenizedDocument], vocab_size: int) -> np.ndarray:
     """Unigram distribution raised to 0.75, quantized to float32 so the
     binary model format round-trips exactly."""
-    counts = np.zeros(vocab_size, dtype=np.float64)
-    for doc in corpus:
-        for t in doc.tokens:
-            counts[t] += 1.0
-    weights = counts ** 0.75
+    tokens = np.fromiter((t for doc in corpus for t in doc.tokens), dtype=np.intp)
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab_size:
+        bad = tokens[(tokens < 0) | (tokens >= vocab_size)][0]
+        raise ValueError(f"token id {bad} is outside the vocabulary of {vocab_size} words")
+    weights = np.bincount(tokens, minlength=vocab_size).astype(np.float64) ** 0.75
     total = weights.sum()
     if total <= 0:
         raise ValueError("corpus has no tokens")
@@ -167,20 +192,24 @@ def _noise_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> list[tuple[np.ndarray, bool]]:
+def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> list[tuple]:
     """Per training step, in order: the output rows, target first, and
-    whether they are distinct.  One rng call draws the m negatives of
-    every target, the same stream as one call of m per step; a draw that
-    hits its target is skipped (the C-word2vec convention)."""
+    their `_repeats`.  One rng call draws the m negatives of every target,
+    the same stream as one call of m per step; a draw that hits its target
+    is skipped (the C-word2vec convention)."""
     draws = np.searchsorted(cdf, rng.random(len(targets) * m), side="right")
     draws = draws.reshape(len(targets), m)
     rows, hit = np.column_stack((targets, draws)), draws == targets[:, None]
     # a skipped draw becomes its own placeholder, so only real repeats count
     negs = np.sort(np.where(hit, -1 - np.arange(m), draws), axis=1)
-    distinct = (negs[:, 1:] != negs[:, :-1]).all(axis=1).tolist()
+    distinct = (negs[:, 1:] != negs[:, :-1]).all(axis=1)
     keep = np.column_stack((np.ones(len(targets), dtype=bool), ~hit))
-    return [(r[k] if any_hit else r, u)
-            for r, k, any_hit, u in zip(rows, keep, hit.any(axis=1).tolist(), distinct)]
+    steps = [(r, None) for r in rows]
+    # only the steps with a hit or a repeat need more than a view of `rows`
+    for t in np.flatnonzero(hit.any(axis=1) | ~distinct).tolist():
+        r = rows[t][keep[t]]
+        steps[t] = (r, None if distinct[t] else _repeats(r.tolist()))
+    return steps
 
 
 def _learning_rate(lr0: float, lr_min: float, step, total_steps):
@@ -189,17 +218,30 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
     return lr0 - (lr0 - lr_min) * step / total_steps
 
 
-def _positions(docs: list[list[int]], epochs: int, lr0: float, lr_min: float):
-    """(doc index, tokens as an array, learning rate of each position) for
-    every document pass of `epochs` passes over `docs`; the rate decays
-    over all positions of all epochs."""
-    total_steps = epochs * sum(len(doc) for doc in docs)
-    step = 0
-    for _ in range(epochs):
-        for row, doc in enumerate(docs):
-            steps = np.arange(step, step + len(doc))
-            yield row, np.asarray(doc), _learning_rate(lr0, lr_min, steps, total_steps)
-            step += len(doc)
+# Training steps whose negatives one `_step_rows` call draws: bounds the
+# drawn rows' memory, whatever the corpus size.
+TRAIN_CHUNK = 1024
+
+
+def _schedule(plan: list, targets: np.ndarray, position: np.ndarray, epochs: int, rng,
+              cdf: np.ndarray, m: int, lr0: float, lr_min: float):
+    """(plan entry, (output rows, their `_repeats`), learning rate) of every
+    step of `epochs` passes, in order.  A pass takes one step per entry of
+    `plan`, predicting that entry of `targets` at that `position` of the
+    pass (a skip-gram center's steps share one); the rate decays over all
+    positions of all epochs.  Negatives are drawn TRAIN_CHUNK steps at a
+    time, across documents and epochs: the stream of one call per step."""
+    n, n_positions = len(plan), int(position[-1]) + 1
+    passes = itertools.chain.from_iterable(itertools.repeat(plan, epochs))
+
+    def chunk(start: int):
+        epoch, i = np.divmod(np.arange(start, min(start + TRAIN_CHUNK, epochs * n)), n)
+        rates = _learning_rate(lr0, lr_min, epoch * n_positions + position[i],
+                               epochs * n_positions)
+        return zip(itertools.islice(passes, len(i)), _step_rows(rng, cdf, targets[i], m),
+                   rates.tolist())
+    # chained in C: no Python frame resumes per step
+    return itertools.chain.from_iterable(map(chunk, range(0, epochs * n, TRAIN_CHUNK)))
 
 
 def _check_finite(*matrices: np.ndarray) -> None:
@@ -238,43 +280,49 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         dim=d,
     )
     cdf = _noise_cdf(_unigram_noise(corpus, vocab_size))
-    k, m = config.window, config.negatives
+    k = config.window
+    windows = [tokens[max(0, i - k): i] + tokens[i + 1: i + k + 1]
+               for tokens in docs for i in range(len(tokens))]
+    if mode is Word2VecMode.CBOW:
+        plan = [_context(window) for window in windows]
+        targets = [t for tokens in docs for t in tokens]
+        position = np.arange(len(plan))
+    else:
+        # one step per output word of a center's window
+        centers = [int(t) for tokens in docs for t in tokens]
+        plan = [center for center, window in zip(centers, windows) for _ in window]
+        targets = [o for window in windows for o in window]
+        position = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, doc, lrs in _positions(docs, config.epochs, config.learning_rate,
-                                      config.min_learning_rate):
-            tokens = doc.tolist()
-            windows = [tokens[max(0, i - k): i] + tokens[i + 1: i + k + 1]
-                       for i in range(len(tokens))]
-            if mode is Word2VecMode.CBOW:
-                for window, (rows, distinct), lr in zip(
-                        windows, _step_rows(rng, cdf, doc, m), lrs.tolist()):
-                    _word_step(model, window, rows, lr, distinct)
-            else:
-                steps = iter(_step_rows(rng, cdf, np.array([o for w in windows for o in w]), m))
-                for center, window, lr in zip(tokens, windows, lrs.tolist()):
-                    for _ in window:
-                        rows, distinct = next(steps)
-                        _word_step(model, center, rows, lr, distinct)
+        for inputs, (rows, repeats), lr in _schedule(
+                plan, np.array(targets), position, config.epochs, rng, cdf, config.negatives,
+                config.learning_rate, config.min_learning_rate):
+            _word_step(model, inputs, rows, lr, repeats)
     _check_finite(model.input_matrix, model.output_matrix)
     return model
 
 
-def _dm_hidden(model: DocEmbeddingModel, doc_vec: np.ndarray, context,
-               n_missing: int) -> np.ndarray:
-    """Combine doc vector and context word vectors per the model's mode.
+def _dm_position(model: DocEmbeddingModel, context, n_missing: int) -> tuple:
+    """One position's plan, built once per run: its `_context`, where the
+    context starts in the hidden vector (concatenate mode: `n_missing`
+    leading slots are padding) and d h / d doc_vec."""
+    return (*_context(context), model.dim * (1 + n_missing), _dm_scale(model, len(context)))
 
-    In concatenate mode the context occupies `window` fixed slots (oldest
-    first); positions before the document start stay zero, so
-    `n_missing` leading slots are padding.
-    """
+
+def _dm_hidden(model: DocEmbeddingModel, doc_vec: np.ndarray, words: np.ndarray,
+               start: int) -> np.ndarray:
+    """Combine doc vector and the context's word rows `words` per the
+    model's mode.  In concatenate mode the context occupies `window` fixed
+    slots (oldest first); the words fill them from `start` on, and
+    positions before the document start stay zero."""
     if model.combine is CombineMode.AVERAGE:
-        if len(context):
-            return (doc_vec + model.word_matrix[context].sum(axis=0)) / (1 + len(context))
+        if len(words):
+            # words.sum(axis=0), without the method's Python wrapper
+            return (doc_vec + np.add.reduce(words, axis=0)) / (1 + len(words))
         return doc_vec.copy()
-    d = model.dim
-    h = np.zeros(d * (1 + model.window))
-    h[:d] = doc_vec
-    h[d * (1 + n_missing):] = model.word_matrix[context].ravel()
+    h = np.zeros(model.dim * (1 + model.window))
+    h[:model.dim] = doc_vec
+    h[start:] = words.ravel()
     return h
 
 
@@ -283,21 +331,25 @@ def _dm_scale(model: DocEmbeddingModel, n_context: int) -> float:
     return 1.0 / (1 + n_context) if model.combine is CombineMode.AVERAGE else 1.0
 
 
-def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, context, n_missing: int,
-               rows, lr: float, distinct: bool = False) -> np.ndarray:
+def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, position: tuple,
+               rows, lr: float, repeats) -> np.ndarray:
     """One negative-sampling update of the distributed-memory model in
-    training: gradients at the current parameters, applied to the doc
-    vector (in place), the output rows and the context word rows.  Returns
-    the scores of `rows`."""
-    h = _dm_hidden(model, doc_vec, context, n_missing)
-    s, grad_h = _ns_update(model.output_matrix, h, rows, lr, distinct)
-    d = model.dim
-    step = lr * grad_h * _dm_scale(model, len(context))
-    doc_vec -= step[:d]
+    training at a `_dm_position`: gradients at the current parameters,
+    applied to the doc vector (in place), the output rows and the context
+    word rows.  Returns the scores of `rows`."""
+    context, context_repeats, start, scale = position
+    words = model.word_matrix[context]
+    s, grad_h = _ns_update(model.output_matrix, _dm_hidden(model, doc_vec, words, start),
+                           rows, lr, repeats)
+    # -(lr * grad_h * scale) to the bit: a product rounds the same either sign
+    step = -lr * grad_h * scale
+    if model.combine is CombineMode.AVERAGE:
+        doc_vec += step
+    else:
+        doc_vec += step[:model.dim]
+        step = step[start:].reshape(words.shape)
     if len(context):
-        words = step if model.combine is CombineMode.AVERAGE else (
-            step[d * (1 + n_missing):].reshape(len(context), d))
-        _add_rows(model.word_matrix, context, -words, len(set(context)) == len(context))
+        _add_rows(model.word_matrix, context, words, step, context_repeats)
     return s
 
 
@@ -322,14 +374,14 @@ def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
               lr0: float, lr_min: float, rng) -> None:
     """Distributed-memory SGD over `docs` (doc r is row r of the doc
     matrix), updating the doc, word and output matrices in place."""
-    cdf = _noise_cdf(model.noise_probs)
     k = model.window
-    for row, tokens, lrs in _positions(docs, epochs, lr0, lr_min):
-        doc_vec = model.doc_matrix[row]
-        for i, ((rows, distinct), lr) in enumerate(
-                zip(_step_rows(rng, cdf, tokens, model.negatives), lrs.tolist())):
-            context = tokens[max(0, i - k): i]
-            _dm_update(model, doc_vec, context, k - len(context), rows, lr, distinct)
+    plan = [(model.doc_matrix[row], _dm_position(model, tokens[max(0, i - k): i], k - min(i, k)))
+            for row, tokens in enumerate(docs) for i in range(len(tokens))]
+    targets = np.array([t for tokens in docs for t in tokens])
+    for (doc_vec, position), (rows, repeats), lr in _schedule(
+            plan, targets, np.arange(len(plan)), epochs, rng, _noise_cdf(model.noise_probs),
+            model.negatives, lr0, lr_min):
+        _dm_update(model, doc_vec, position, rows, lr, repeats)
 
 
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,

@@ -68,13 +68,11 @@ class SimilarityNetwork:
 @dataclass
 class TowerTrace:
     """One tower's pass over (batch, d) rows: the input x, then per layer
-    the pre-activation z, the activation a, and the output h (after dropout)."""
+    the activation a and the output h (after dropout)."""
 
     x: np.ndarray
-    z1: np.ndarray
     a1: np.ndarray
     h1: np.ndarray
-    z2: np.ndarray
     a2: np.ndarray
     h2: np.ndarray
 
@@ -152,13 +150,11 @@ def _tower(net: SimilarityNetwork, x: np.ndarray, side: str,
     """Question ("q") or answer ("a") tower on (batch, d) rows: its trace,
     and the side's head term, h2 times its half of w3."""
     m1, m2 = _half(masks, side)
-    z1 = x @ getattr(net, "w1" + side).T + getattr(net, "b1" + side)
-    a1 = _act(z1, net.activation)
+    a1 = _act(x @ getattr(net, "w1" + side).T + getattr(net, "b1" + side), net.activation)
     h1 = a1 * m1 if m1 is not None else a1
-    z2 = h1 @ getattr(net, "w2" + side).T + getattr(net, "b2" + side)
-    a2 = _act(z2, net.activation)
+    a2 = _act(h1 @ getattr(net, "w2" + side).T + getattr(net, "b2" + side), net.activation)
     h2 = a2 * m2 if m2 is not None else a2
-    return TowerTrace(x, z1, a1, h1, z2, a2, h2), h2 @ _half(net.w3, side)
+    return TowerTrace(x, a1, h1, a2, h2), h2 @ _half(net.w3, side)
 
 
 def _as_rows(f: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 negative-sampling steps that training and inference run, cluster-structure
 checks, the analogy operation, and binary model round-trips."""
 
+import collections
 import copy
 import math
 import struct
@@ -73,11 +74,23 @@ def nss_loss_oracle(model, center_or_context, target, negatives):
     return ns_loss_oracle(model.output_matrix, h, target, negatives)
 
 
+def repeats_of(ids):
+    """None when no id repeats; else (entry, the nearest earlier entry of
+    its id) for every repeat, in order, and each id's last entry."""
+    ids = list(ids)
+    if len(set(ids)) == len(ids):
+        return None
+    chain = [(j, max(p for p in range(j) if ids[p] == ids[j]))
+             for j in range(len(ids)) if ids[j] in ids[:j]]
+    last = [j for j in range(len(ids)) if ids[j] not in ids[j + 1:]]
+    return chain, last
+
+
 def step_rows(target, negatives):
-    """A step's output rows, target first, and whether none repeats: what
-    the trainers pass to the kernels."""
+    """A step's output rows, target first, and their repeats: what the
+    trainers pass to the kernels."""
     rows = [target, *negatives]
-    return np.array(rows), len(set(rows)) == len(rows)
+    return np.array(rows), repeats_of(rows)
 
 
 class TestNegativeSamplingStep:
@@ -85,8 +98,8 @@ class TestNegativeSamplingStep:
 
     def test_zero_matrices_loss(self):
         model = zero_model(4, 3)
-        rows, distinct = step_rows(1, [2])
-        assert not embedding._word_step(model, 0, rows, 0.0, distinct).any()
+        rows, repeats = step_rows(1, [2])
+        assert not embedding._word_step(model, 0, rows, 0.0, repeats).any()
         assert nss_loss_oracle(model, 0, 1, [2]) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_loss_decreases_after_step(self):
@@ -97,9 +110,9 @@ class TestNegativeSamplingStep:
             mode=Word2VecMode.SKIPGRAM, window=2, negatives=2, dim=4,
         )
         before = nss_loss_oracle(model, 1, 2, [3, 4])
-        rows, distinct = step_rows(2, [3, 4])
+        rows, repeats = step_rows(2, [3, 4])
         expected = model.output_matrix[rows] @ model.input_matrix[1]
-        returned = embedding._word_step(model, 1, rows, 0.1, distinct)
+        returned = embedding._word_step(model, 1, rows, 0.1, repeats)
         after = nss_loss_oracle(model, 1, 2, [3, 4])
         # the scores at the parameters before the step
         np.testing.assert_allclose(returned, expected, rtol=1e-12)
@@ -112,7 +125,7 @@ class TestNegativeSamplingStep:
         ("dup-negatives", 0, 1, [4, 4]),
     ])
     def test_gradients_match_finite_differences(self, case):
-        # rows without a repeat take the direct update, "dup-negatives" np.add.at
+        # "cbow-dup-context" and "dup-negatives" take the repeated-row update
         name, arg, target, negatives = case
         mode = Word2VecMode.SKIPGRAM if isinstance(arg, int) else Word2VecMode.CBOW
         def fresh():
@@ -126,8 +139,9 @@ class TestNegativeSamplingStep:
         model = fresh()
         before_in = model.input_matrix.copy()
         before_out = model.output_matrix.copy()
-        rows, distinct = step_rows(target, negatives)
-        embedding._word_step(model, arg, rows, 1.0, distinct)
+        rows, repeats = step_rows(target, negatives)
+        inputs = arg if isinstance(arg, int) else embedding._context(arg)
+        embedding._word_step(model, inputs, rows, 1.0, repeats)
         grad_in = before_in - model.input_matrix
         grad_out = before_out - model.output_matrix
 
@@ -157,7 +171,8 @@ class TestNegativeSamplingStep:
         )
         before_in = model.input_matrix.copy()
         before_out = model.output_matrix.copy()
-        embedding._word_step(model, 1, *step_rows(2, [3]), 0.5)
+        rows, repeats = step_rows(2, [3])
+        embedding._word_step(model, 1, rows, 0.5, repeats)
         touched_in, touched_out = {1}, {2, 3}
         for row in range(8):
             if row not in touched_in:
@@ -214,14 +229,15 @@ class TestDmStep:
 
     @pytest.mark.parametrize("case", CASES)
     def test_gradients_match_finite_differences(self, case):
-        # rows without a repeat take the direct update, [0, 0] np.add.at
+        # [2, 2, 5], [3, 3, 1] and [0, 0] take the repeated-row update
         combine, context, target, negatives = case
         n_missing = self.WINDOW - len(context)
-        rows, distinct = step_rows(target, negatives)
+        rows, repeats = step_rows(target, negatives)
         # analytic gradient, extracted exactly from one unit-lr update
         model, doc_vec = self.fresh(combine)
         before = (doc_vec.copy(), model.word_matrix.copy(), model.output_matrix.copy())
-        scores = embedding._dm_update(model, doc_vec, context, n_missing, rows, 1.0, distinct)
+        position = embedding._dm_position(model, context, n_missing)
+        scores = embedding._dm_update(model, doc_vec, position, rows, 1.0, repeats)
         grads = [b - a for b, a in zip(before, (doc_vec, model.word_matrix,
                                                  model.output_matrix))]
 
@@ -249,13 +265,14 @@ class TestDmStep:
     def test_frozen_words_update_only_the_doc_vector(self, case):
         combine, context, target, negatives = case
         n_missing = self.WINDOW - len(context)
-        rows, distinct = step_rows(target, negatives)
+        rows, repeats = step_rows(target, negatives)
         trained, trained_vec = self.fresh(combine)
-        embedding._dm_update(trained, trained_vec, context, n_missing, rows, 0.5, distinct)
+        position = embedding._dm_position(trained, context, n_missing)
+        embedding._dm_update(trained, trained_vec, position, rows, 0.5, repeats)
         model, doc_vec = self.fresh(combine)
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
-        h = embedding._dm_hidden(model, doc_vec, context, n_missing)
+        h = embedding._dm_hidden(model, doc_vec, model.word_matrix[context], position[2])
         embedding._dm_frozen_update(model.output_matrix[rows][None], doc_vec[None], h[None],
                                     np.ones((1, len(rows))), np.array([[0.5]]),
                                     embedding._dm_scale(model, len(context)))
@@ -269,19 +286,135 @@ class TestDmStep:
 
 def test_step_rows_match_one_draw_per_step():
     # a pass's rows, drawn in one call, against m draws per step from the
-    # same stream: target first, hits skipped, `distinct` exact
+    # same stream: target first, hits skipped, repeats exact
     cdf = np.cumsum([0.3, 0.3, 0.2, 0.2])
     targets = np.array([0, 1, 2, 3, 1, 0, 2, 2] * 5)
     steps = embedding._step_rows(np.random.default_rng(4), cdf, targets, 5)
     rng = np.random.default_rng(4)
     repeats = 0
-    for target, (rows, distinct) in zip(targets, steps):
+    for target, (rows, step_repeats) in zip(targets, steps):
         draws = np.searchsorted(cdf, rng.random(5), side="right")
         expected = [target] + [j for j in draws if j != target]
         assert rows.tolist() == expected
-        assert distinct == (len(set(expected)) == len(expected))
-        repeats += not distinct
+        want = repeats_of(expected)
+        if want is None:
+            assert step_repeats is None
+        else:
+            assert step_repeats[0] == want[0]
+            assert sorted(step_repeats[1].tolist()) == want[1]
+        repeats += want is not None
     assert 0 < repeats < len(targets)
+
+
+class TestRepeatedRows:
+    """A row that repeats, among the output rows or in a context, takes its
+    updates in index order: the same bytes as np.add.at."""
+
+    @pytest.mark.parametrize("rows", [[1, 4, 4, 2], [1, 4, 4, 4, 2], [3, 0, 3, 0, 3]])
+    @pytest.mark.parametrize("rowwise", [True, False])
+    def test_add_rows_matches_add_at(self, rows, rowwise):
+        rng = np.random.default_rng(7)
+        matrix = rng.normal(size=(6, 5))
+        delta = rng.normal(size=(len(rows), 5) if rowwise else 5)
+        expected = matrix.copy()
+        np.add.at(expected, rows, delta)
+        rows = np.array(rows)
+        embedding._add_rows(matrix, rows, matrix[rows], delta, embedding._repeats(rows.tolist()))
+        assert np.array_equal(matrix, expected)
+
+    @staticmethod
+    def add_at_step(output_matrix, h, rows, lr):
+        """The negative-sampling step with every row update by np.add.at."""
+        out = output_matrix[rows]
+        g = 1.0 / (1.0 + np.exp(-(out @ h)))
+        g[0] -= 1.0
+        np.add.at(output_matrix, rows, (-lr * g)[:, None] * h)
+        return g @ out
+
+    @pytest.mark.parametrize("context", [[2, 2, 5], [2, 2, 2], [0, 5, 3]])
+    @pytest.mark.parametrize("negatives", [[4, 4], [4, 4, 4], [3, 4]])
+    def test_cbow_step_matches_add_at(self, context, negatives):
+        r = np.random.default_rng(11)
+        model = WordEmbeddingModel(input_matrix=r.normal(scale=0.4, size=(6, 4)),
+                                   output_matrix=r.normal(scale=0.4, size=(6, 4)),
+                                   mode=Word2VecMode.CBOW, window=2, negatives=3, dim=4)
+        X, O = model.input_matrix.copy(), model.output_matrix.copy()
+        grad_h = self.add_at_step(O, X[context].mean(axis=0), [1, *negatives], 0.3)
+        np.add.at(X, context, -0.3 * grad_h / len(context))
+        rows, repeats = step_rows(1, negatives)
+        embedding._word_step(model, embedding._context(context), rows, 0.3, repeats)
+        assert np.array_equal(model.input_matrix, X)
+        assert np.array_equal(model.output_matrix, O)
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    @pytest.mark.parametrize("context", [[2, 2, 5], [3, 3, 3], [1, 5]])
+    @pytest.mark.parametrize("negatives", [[0, 0], [0, 0, 0], [0, 4]])
+    def test_dm_step_matches_add_at(self, combine, context, negatives):
+        model, doc_vec = TestDmStep().fresh(combine)
+        d, k, n_missing = model.dim, TestDmStep.WINDOW, TestDmStep.WINDOW - len(context)
+        W, O, vec = model.word_matrix.copy(), model.output_matrix.copy(), doc_vec.copy()
+        if combine is CombineMode.AVERAGE:
+            h = (vec + W[context].sum(axis=0)) / (1 + len(context))
+        else:
+            h = np.zeros(d * (1 + k))
+            h[:d] = vec
+            h[d * (1 + n_missing):] = W[context].ravel()
+        step = 0.3 * self.add_at_step(O, h, [2, *negatives], 0.3)
+        if combine is CombineMode.AVERAGE:
+            step *= 1.0 / (1 + len(context))
+        vec -= step[:d]
+        words = step if combine is CombineMode.AVERAGE else (
+            step[d * (1 + n_missing):].reshape(len(context), d))
+        np.add.at(W, context, -words)
+        rows, repeats = step_rows(2, negatives)
+        embedding._dm_update(model, doc_vec, embedding._dm_position(model, context, n_missing),
+                             rows, 0.3, repeats)
+        assert np.array_equal(doc_vec, vec)
+        assert np.array_equal(model.word_matrix, W)
+        assert np.array_equal(model.output_matrix, O)
+
+
+class TestTrainChunk:
+    """Training draws its negatives TRAIN_CHUNK steps at a time, across
+    documents and epochs; the chunk size must not change a single byte."""
+
+    @pytest.mark.parametrize("train, mode", [
+        (train_word2vec, Word2VecMode.CBOW),
+        (train_word2vec, Word2VecMode.SKIPGRAM),
+        (train_doc2vec, CombineMode.AVERAGE),
+        (train_doc2vec, CombineMode.CONCATENATE),
+    ])
+    def test_chunk_size_changes_nothing(self, monkeypatch, train, mode):
+        # Six documents of 20 tokens, two epochs.  A chunk of 1 draws per
+        # step; 7 is less than a document, and its chunks end inside
+        # documents and straddle the epoch boundary; 10**6 holds every step
+        # of both epochs in one draw.
+        docs, vocab = cluster_corpus(6)
+        cfg = EmbedTrainConfig(dim=6, window=3, negatives=4, epochs=2, seed=3)
+        fields = ("input_matrix", "output_matrix", "word_matrix", "doc_matrix")
+        results = []
+        for chunk in (10 ** 6, 1, 7):
+            monkeypatch.setattr(embedding, "TRAIN_CHUNK", chunk)
+            model = train(docs, cfg, mode, vocab_size=len(vocab))
+            results.append([getattr(model, f) for f in fields if hasattr(model, f)])
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a, b)
+
+
+class TestUnigramNoise:
+    def test_counts_match_a_counter(self):
+        docs, vocab = cluster_corpus(12)
+        counts = collections.Counter(t for doc in docs for t in doc.tokens)
+        weights = np.array([counts[i] for i in range(len(vocab))], dtype=np.float64) ** 0.75
+        expected = (weights / weights.sum()).astype(np.float32).astype(np.float64)
+        assert np.array_equal(embedding._unigram_noise(docs, len(vocab)), expected)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    def test_token_outside_the_vocabulary_rejected(self, bad):
+        docs = [TokenizedDocument(0, [0, 1, 2]), TokenizedDocument(1, [3, bad, 1])]
+        with pytest.raises(ValueError, match=f"token id {bad} is outside the vocabulary of 4"):
+            embedding._unigram_noise(docs, 4)
 
 
 class TestNonFiniteTraining:
@@ -510,8 +643,9 @@ class TestInferDocVectors:
             skipped += m - len(negatives)
             context = tokens[max(0, i - k): i]
             lr = lr0 - (lr0 - lr_min) * step / (steps * len(tokens))
-            embedding._dm_update(copy.deepcopy(model), vec, context, k - len(context),
-                                 np.array([tokens[i], *negatives]), lr)
+            position = embedding._dm_position(model, context, k - len(context))
+            rows, repeats = step_rows(tokens[i], negatives)
+            embedding._dm_update(copy.deepcopy(model), vec, position, rows, lr, repeats)
         assert skipped > 0
         inferred = infer_doc_vector(model, docs[0], steps=steps, lr=lr0, min_lr=lr_min, seed=8)
         np.testing.assert_allclose(inferred, vec, rtol=0, atol=1e-12)

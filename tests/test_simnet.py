@@ -276,9 +276,10 @@ class TestGradients:
         fq, fa = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
         y = np.array([1.0, 0.0, 1.0])
         near_kink = []
-        for z in (forward(net, fq, fa).q.z1, forward(net, fq, fa).q.z2,
-                  forward(net, fq, fa).a.z1, forward(net, fq, fa).a.z2):
-            near_kink.append(np.any(np.abs(z) < 1e-3))
+        for x, side in ((fq, "q"), (fa, "a")):
+            z1 = x @ getattr(net, "w1" + side).T + getattr(net, "b1" + side)
+            z2 = np.maximum(z1, 0.0) @ getattr(net, "w2" + side).T + getattr(net, "b2" + side)
+            near_kink += [np.any(np.abs(z1) < 1e-3), np.any(np.abs(z2) < 1e-3)]
         assert not any(near_kink), "fixture would straddle a relu kink"
         finite_difference_check(net, fq, fa, y, lam=0.0005)
 
