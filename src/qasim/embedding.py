@@ -8,6 +8,7 @@ bit-reproducible.  Vectors are stored one per row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -98,14 +99,27 @@ class DocEmbeddingModel:
         return self._sizes[1] if self._sizes else self.doc_matrix.shape[0]
 
 
-def _ns_grad(s: np.ndarray) -> np.ndarray:
-    """dL/ds = sigma(s) - label, over the last axis of the scores (target
-    first); any leading axes are a batch."""
-    g = np.exp(-s)
+def _ns_grad(s: np.ndarray, keep, label: np.ndarray, out=None) -> np.ndarray:
+    """dL/ds = keep * sigma(s) - label over the last axis of the scores,
+    from the negated scores `s`, so exp(s) needs no negation: `keep` is
+    1.0, or per score 1.0 or 0.0 (a draw that hit its target gets no
+    gradient), and `label` is 1.0 at the target, 0.0 elsewhere.  Any
+    leading axes are a batch.  Written to `out` when given (it may be
+    `s`)."""
+    g = np.exp(s, out=out)
     g += 1.0
-    np.divide(1.0, g, out=g)       # 1 / (1 + exp(-s)), without temporaries
-    g.T[0] -= 1.0                  # the target's column; faster than g[..., 0]
+    np.divide(keep, g, out=g)      # keep / (1 + exp(-score)); 0 / x is 0 exactly
+    np.subtract(g, label, out=g)   # one ufunc: cheaper than indexing the target
     return g
+
+
+@functools.lru_cache(maxsize=None)
+def _label(n: int) -> np.ndarray:
+    """The one-hot label of n output rows, target first."""
+    label = np.zeros(n)
+    label[0] = 1.0
+    label.flags.writeable = False          # one array, shared by every caller
+    return label
 
 
 def _repeats(ids: list[int]) -> tuple[list[tuple[int, int]], np.ndarray] | None:
@@ -144,7 +158,8 @@ def _ns_update(output_matrix: np.ndarray, h: np.ndarray, rows, lr: float,
     out = output_matrix[rows]                  # copy, (1+m, d)
     # np.dot: the BLAS call of `@`, at less overhead per call
     s = np.dot(out, h)
-    g = _ns_grad(s)
+    g = np.negative(s)
+    _ns_grad(g, 1.0, _label(len(s)), out=g)
     _add_rows(output_matrix, rows, out, (-lr * g)[:, None] * h, repeats)
     return s, np.dot(g, out)
 
@@ -353,21 +368,34 @@ def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, position: tuple,
     return s
 
 
-def _dm_frozen_update(out: np.ndarray, doc_vecs: np.ndarray, h: np.ndarray,
-                      keep: np.ndarray, lr: np.ndarray, scale: float) -> np.ndarray:
+def _dm_frozen_update(out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray, keep: np.ndarray,
+                      lr: np.ndarray, scale: float, scratch: tuple) -> None:
     """One inference step for B documents at once, word and output
     matrices frozen: the gathered output rows `out` (B, 1+m, D), target
-    first, hidden vectors `h` (B, D), `keep` (B, 1+m) 1.0 or 0.0 (a draw
-    that hit its target gets no gradient), `lr` (B, 1).  Updates
-    `doc_vecs` (B, d) in place and returns the scores (B, 1+m).  Each
+    first, the negated hidden vectors as columns `h` (B, D, 1), `keep`
+    (B, 1, 1+m) 1.0 or 0.0 (a draw that hit its target gets no
+    gradient), `lr` (B, 1).  Updates `doc_vecs` (B, d) in place and
+    overwrites `scratch`, a `_frozen_scratch` of B documents.  Each
     document's rows have the same fixed width whatever the batch, so its
     arithmetic does not depend on the batch."""
-    s = np.matmul(out, h[:, :, None])[:, :, 0]
-    g = _ns_grad(s)
-    g *= keep
-    grad_h = np.matmul(g[:, None, :], out)
-    doc_vecs -= lr * grad_h[:, 0, :doc_vecs.shape[1]] * scale
-    return s
+    scores, g, label, grad_h, grad_doc, step = scratch
+    np.matmul(out, h, out=scores)          # the negated scores
+    _ns_grad(g, keep, label, out=g)        # g: the scores' memory, as (B, 1, 1+m)
+    np.matmul(g, out, out=grad_h)
+    np.multiply(lr, grad_doc, out=step)
+    if scale != 1.0:                       # x * 1.0 is x
+        step *= scale
+    doc_vecs -= step
+
+
+def _frozen_scratch(B: int, m: int, D: int, d: int) -> tuple:
+    """The `scratch` that `_dm_frozen_update` writes for B documents, each
+    entry's [:a] that of the first a: the scores (B, 1+m, 1) and the same
+    memory as (B, 1, 1+m), the label, the gradient with respect to h
+    (B, 1, D) and its doc part, and the doc step (B, d)."""
+    scores, grad_h = np.empty((B, 1 + m, 1)), np.empty((B, 1, D))
+    return (scores, scores.reshape(B, 1, 1 + m), np.broadcast_to(_label(1 + m), (B, 1, 1 + m)),
+            grad_h, grad_h[:, 0, :d], np.empty((B, d)))
 
 
 def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
@@ -426,12 +454,17 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 # whatever the number of documents.
 INFER_BLOCK = 128
 
+# Position-steps whose negatives one draw covers: bounds the drawn
+# arrays' memory, whatever the document length.  A block draws at least
+# one pass at a time; a short question draws all its passes at once.
+INFER_CHUNK = 4096
+
 
 def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]], n_max: int) -> np.ndarray:
     """The frozen-word part of every position's hidden vector, (B, n_max,
     d) in average mode: row i of doc b is the sum of its context rows.  In
-    concatenate mode, (B, window + n_max, d): the doc's word rows after
-    `window` zero rows, so rows i..i+window are position i's slots."""
+    concatenate mode, (B, window + n_max, d), negated: the doc's word rows
+    after `window` zero rows, so rows i..i+window are position i's slots."""
     W, k = model.word_matrix, model.window
     if model.combine is CombineMode.AVERAGE:
         ctx = np.zeros((len(docs), n_max, model.dim))
@@ -442,19 +475,23 @@ def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]], n_max: int)
         ctx = np.zeros((len(docs), k + n_max, model.dim))
         for b, tokens in enumerate(docs):
             ctx[b, k: k + len(tokens)] = W[tokens]
+        np.negative(ctx, out=ctx)
     return ctx
 
 
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
                  lr0: float, lr_min: float, seed: int) -> np.ndarray:
-    """Doc vectors of `docs`, longest first, inferred in lockstep.  With
-    `wide` = INFER_BLOCK // B (at least 1), the negatives of `wide` passes
-    are drawn at once and each pass gathers the output rows of `wide`
-    positions at once, so no buffer outgrows a full block's."""
+    """Doc vectors of `docs`, longest first, inferred in lockstep.  The
+    negatives of INFER_CHUNK // (B * n_max) passes (at least one) are
+    drawn at once, and with `wide` = INFER_BLOCK // B (at least 1) each
+    pass gathers the output rows of `wide` positions at once, so no
+    buffer grows with the number of passes."""
     B, d, k, m = len(docs), model.dim, model.window, model.negatives
+    D = model.output_matrix.shape[1]
     lengths = np.array([len(tokens) for tokens in docs])
     n_max = lengths[0]
     wide = max(1, INFER_BLOCK // B)
+    chunk = min(steps, max(1, INFER_CHUNK // (B * n_max)))
     valid = np.arange(n_max) < lengths[:, None]               # (B, n_max)
     average = model.combine is CombineMode.AVERAGE
     cdf = _noise_cdf(model.noise_probs)
@@ -466,22 +503,38 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     rows[:, :, 0].T[valid] = np.concatenate(docs)
     keep = np.ones((n_max, B, 1 + m))
     lrs = np.zeros((n_max, B, 1))
-    uniform = np.zeros((min(wide, steps), n_max, B, m))
-    buf = np.empty((min(wide, n_max), B, 1 + m, model.output_matrix.shape[1]))
+    uniform = np.zeros((chunk, n_max, B, m))
+    buf = np.empty((min(wide, n_max), B, 1 + m, D))
+    hidden = np.empty((B, D, 1))           # the negated hidden vectors, as columns
+    scratch = _frozen_scratch(B, m, D, d)
+    active = valid.sum(axis=0).tolist()    # the documents at each position
+    # What every position of the first `a` documents shares: their
+    # vectors, where the negated hidden vector is written (the doc slot in
+    # concatenate mode), the context slots, the hidden columns and the
+    # step's scratch.
+    shared = {a: (vecs[:a], hidden[:a, :, 0] if average else hidden[:a, :d, 0],
+                  hidden[:a, d:, 0], hidden[:a], tuple(x[:a] for x in scratch))
+              for a in set(active)}
     # Per gather window: its rows and buffer, then per position (whose
-    # documents are the first `a`) the views that each pass refills:
-    # vectors, frozen context, gathered rows, keep mask, rates.
+    # documents are the first `a`) what each pass refills or reads: the
+    # vectors, the frozen context, where the negated hidden vector goes,
+    # -(1 + c) in average mode or the context slots in concatenate mode,
+    # and the step's arguments.
     windows = []
     for i0 in range(0, n_max, wide):
         at = []
         for i in range(i0, min(i0 + wide, n_max)):
-            a, c = int(valid[:, i].sum()), min(i, k)
-            frozen = ctx[:a, i] if average else ctx[:a, i: i + k].reshape(a, k * d)
-            at.append((vecs[:a], frozen, buf[i - i0, :a], keep[i, :a], lrs[i, :a], 1 + c,
-                       _dm_scale(model, c)))
+            a, c = active[i], min(i, k)
+            vec, hv, ctx_slots, h, step_scratch = shared[a]
+            if average:
+                frozen, slot = ctx[:a, i], -(1.0 + c)
+            else:
+                frozen, slot = ctx[:a, i: i + k].reshape(a, k * d), ctx_slots
+            at.append((vec, frozen, hv, slot, (buf[i - i0, :a], h, vec, keep[i, :a, None],
+                                               lrs[i, :a], _dm_scale(model, c), step_scratch)))
         windows.append((rows[i0: i0 + wide], buf[:len(at)], at))
-    for e0 in range(0, steps, wide):
-        passes = min(wide, steps - e0)
+    for e0 in range(0, steps, chunk):
+        passes = min(chunk, steps - e0)
         # each document's own stream: one call per chunk, the same stream
         # as one call of n*m draws per pass
         for b, (rng, n) in enumerate(zip(rngs, lengths.tolist())):
@@ -497,9 +550,15 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
             for window_rows, out, at in windows:
                 # ids are checked in infer_doc_vectors; "raise" would buffer `out`
                 np.take(model.output_matrix, window_rows, axis=0, out=out, mode="wrap")
-                for vec, frozen, pos_out, pos_keep, lr, div, scale in at:
-                    h = (vec + frozen) / div if average else np.concatenate((vec, frozen), axis=1)
-                    _dm_frozen_update(pos_out, vec, h, pos_keep, lr, scale)
+                for vec, frozen, hv, slot, args in at:
+                    # the negated hidden vector: IEEE rounding is sign-symmetric
+                    if average:
+                        np.add(vec, frozen, out=hv)
+                        np.divide(hv, slot, out=hv)
+                    else:
+                        np.negative(vec, out=hv)
+                        np.copyto(slot, frozen)
+                    _dm_frozen_update(*args)
     return vecs
 
 
@@ -518,6 +577,8 @@ def infer_doc_vectors(model: DocEmbeddingModel, docs: list[TokenizedDocument],
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not lr > min_lr > 0:
+        raise ValueError("need learning_rate > min_learning_rate > 0")
     if any(not doc.tokens for doc in docs):
         raise ValueError("cannot infer a vector for an empty document")
     V = model.vocab_size

@@ -789,6 +789,30 @@ class TestAsk:
         assert out[0].startswith("escalate (")
         assert "below threshold 0.999" in out[0]
 
+    def test_line_does_not_depend_on_earlier_questions(self, ws, answers_file, monkeypatch,
+                                                       capsys):
+        # inference reuses its scratch buffers: five questions asked in one
+        # order and then in the reverse order get the same vector and print
+        # the same line each
+        questions = corpus.load_qa_dataset(str(ws["qa"]))[0][:5]
+        vectors, infer = [], embedding.infer_doc_vectors
+
+        def recording(*args, **kwargs):
+            vecs = infer(*args, **kwargs)
+            vectors.extend(vec.tobytes() for vec in vecs)
+            return vecs
+
+        monkeypatch.setattr(embedding, "infer_doc_vectors", recording)
+        lines = []
+        for session in (questions, questions[::-1]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(session) + "\n"))
+            assert main(self.ask_argv(ws, "0.5")) == 0
+            lines.append(capsys.readouterr().out.splitlines())
+        assert len(lines[0]) == 5
+        assert lines[1] == lines[0][::-1]
+        assert len(set(vectors[:5])) == 5
+        assert vectors[5:] == vectors[:5][::-1]
+
     def test_blank_and_unusable_lines(self, ws, answers_file, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO("\n???\nreal question here\n"))
         rc = main(self.ask_argv(ws, "0.001"))

@@ -4,8 +4,13 @@ checks, the analogy operation, and binary model round-trips."""
 
 import collections
 import copy
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,9 +278,10 @@ class TestDmStep:
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
         h = embedding._dm_hidden(model, doc_vec, model.word_matrix[context], position[2])
-        embedding._dm_frozen_update(model.output_matrix[rows][None], doc_vec[None], h[None],
-                                    np.ones((1, len(rows))), np.array([[0.5]]),
-                                    embedding._dm_scale(model, len(context)))
+        scratch = embedding._frozen_scratch(1, len(rows) - 1, len(h), model.dim)
+        embedding._dm_frozen_update(model.output_matrix[rows][None], -h[None, :, None],
+                                    doc_vec[None], np.ones((1, 1, len(rows))), np.array([[0.5]]),
+                                    embedding._dm_scale(model, len(context)), scratch)
         assert np.array_equal(model.word_matrix, before[0])
         assert np.array_equal(model.output_matrix, before[2])
         assert np.array_equal(model.doc_matrix[0], before[1][0])
@@ -675,6 +681,81 @@ class TestInferDocVectors:
         whole = embedding.infer_doc_vectors(model, batch, steps=5, seed=4)
         monkeypatch.setattr(embedding, "INFER_BLOCK", block)
         assert np.array_equal(embedding.infer_doc_vectors(model, batch, steps=5, seed=4), whole)
+
+    @pytest.mark.parametrize("cap", [1, 140, 280])
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_pass_chunks_do_not_change_vectors(self, monkeypatch, combine, cap):
+        # Seven documents of 4..10 tokens, 70 positions a pass.  A chunk of
+        # INFER_CHUNK position-steps draws the negatives of one pass at a
+        # time at cap 1, of two at 140 and of four at 280; 5 steps are a
+        # multiple of neither, and the default draws all five at once.
+        docs, vocab = cluster_corpus(12)
+        cfg = EmbedTrainConfig(dim=7, window=3, negatives=4, epochs=3, seed=5)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        batch = mixed_length_docs(docs, 10, shortest=4)
+        whole = embedding.infer_doc_vectors(model, batch, steps=5, seed=4)
+        monkeypatch.setattr(embedding, "INFER_CHUNK", cap)
+        assert np.array_equal(embedding.infer_doc_vectors(model, batch, steps=5, seed=4), whole)
+
+    def test_memory_bounded_by_positions_not_passes(self):
+        # One document of 1,500 tokens, 20 passes, 12 negatives.  Drawing
+        # the negatives of all 20 passes at once peaked at about 8.5 MB.  In
+        # chunks of INFER_CHUNK position-steps it peaks at about 2.5 MB,
+        # most of which is the per-position plan, which grows with the
+        # positions only.
+        docs, vocab = cluster_corpus(12)
+        cfg = EmbedTrainConfig(dim=4, window=3, negatives=12, epochs=1, seed=5)
+        model = train_doc2vec(docs, cfg, vocab_size=len(vocab))
+        tokens = [t for doc in docs for t in doc.tokens] * 7
+        long = TokenizedDocument(0, tokens[:1500])
+        tracemalloc.start()
+        try:
+            vec = embedding.infer_doc_vectors(model, [long], steps=20, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vec))
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("lr, min_lr", [(-0.5, 1e-4), (0.01, 0.02), (0.025, 0.0)])
+    def test_bad_learning_rates_rejected(self, trained_doc_model, lr, min_lr):
+        docs, model = trained_doc_model
+        with pytest.raises(ValueError, match="need learning_rate > min_learning_rate > 0"):
+            embedding.infer_doc_vectors(model, docs[:2], steps=2, lr=lr, min_lr=min_lr)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_vectors_do_not_depend_on_blas_threads(self, tmp_path):
+        # both combine modes, one document and twenty, in two processes
+        # that differ only in their BLAS thread count
+        docs, vocab = cluster_corpus(12)
+        paths = []
+        for combine in CombineMode:
+            cfg = EmbedTrainConfig(dim=64, window=3, negatives=5, epochs=2, seed=5)
+            paths.append(str(tmp_path / f"{combine.value}.d2v"))
+            embedding.save_doc2vec(
+                train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab)), paths[-1])
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([doc.tokens for doc in mixed_length_docs(docs, 20)]))
+        script = (
+            "import json, sys\n"
+            "from qasim import embedding\n"
+            "from qasim.corpus import TokenizedDocument\n"
+            "docs = [TokenizedDocument(j, t) for j, t in enumerate(json.load(open(sys.argv[1])))]\n"
+            "for path in sys.argv[2:]:\n"
+            "    model = embedding.load_doc2vec(path)\n"
+            "    for batch in (docs[:1], docs):\n"
+            "        vecs = embedding.infer_doc_vectors(model, batch, steps=5, seed=3)\n"
+            "        print(vecs.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(embedding.__file__))
+
+        def infer(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+            return subprocess.run([sys.executable, "-c", script, str(batch), *paths], env=env,
+                                  capture_output=True, text=True, check=True).stdout
+
+        one = infer(1)
+        assert len(one.splitlines()) == 4
+        assert infer(min(2, os.cpu_count())) == one
 
     def test_model_never_modified(self, trained_doc_model):
         docs, model = trained_doc_model
