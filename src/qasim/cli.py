@@ -219,12 +219,12 @@ def _check_infer_steps(args) -> None:
 
 def cmd_train_simnet(args) -> int:
     config = _load_config(args.config)
+    cfg = _section_config(args, config, "simnet")
     pairs = corpus.load_pairs(_require_file(args.pairs, "pair file"))
     q_model = _load_doc2vec(args.q_model, "question doc2vec model", infer=False)
     a_model = _load_doc2vec(args.a_model, "answer doc2vec model", infer=False)
     if q_model.dim != a_model.dim:
         raise UsageError(f"doc2vec dimensions differ: {q_model.dim} vs {a_model.dim}")
-    cfg = _section_config(args, config, "simnet")
 
     if args.val_pairs:
         val_pairs = corpus.load_pairs(_require_file(args.val_pairs, "validation pair file"))

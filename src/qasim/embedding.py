@@ -136,32 +136,36 @@ def _repeats(ids: list[int]) -> tuple[list[tuple[int, int]], np.ndarray] | None:
 
 def _add_rows(matrix: np.ndarray, rows, gathered: np.ndarray, delta, repeats) -> None:
     """matrix[rows] += delta, where `gathered` holds matrix[rows] as read
-    before the update and `repeats` is `_repeats(rows)`.  A repeated row
-    adds its entries' deltas in index order, each to what the entry before
-    it left, and is written once, from its last entry: np.add.at's result,
-    at a fraction of its cost."""
-    new = gathered + delta
+    before the update (it is overwritten) and `repeats` is
+    `_repeats(rows)`.  A repeated row adds its entries' deltas in index
+    order, each to what the entry before it left, and is written once,
+    from its last entry: np.add.at's result, at a fraction of its cost."""
+    gathered += delta
     if repeats is not None:
         chain, last = repeats
         for j, p in chain:
-            np.add(new[p], delta[j] if delta.ndim > 1 else delta, out=new[j])
-        rows, new = rows[last], new[last]
-    matrix[rows] = new
+            np.add(gathered[p], delta[j] if delta.ndim > 1 else delta, out=gathered[j])
+        rows, gathered = rows[last], gathered[last]
+    matrix[rows] = gathered
 
 
-def _ns_update(output_matrix: np.ndarray, h: np.ndarray, rows, lr: float,
-               repeats) -> tuple[np.ndarray, np.ndarray]:
-    """The training kernel of every model here: scores `s` of the output
-    `rows` (target first; `repeats` is `_repeats(rows)`) at the current
-    parameters, the SGD step on those rows, and the gradient with respect
-    to the hidden vector `h` (the caller updates the rows `h` came from)."""
-    out = output_matrix[rows]                  # copy, (1+m, d)
+def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows, lr: float,
+               repeats) -> np.ndarray:
+    """The training kernel of every model here: the SGD step on the output
+    `rows` (target first; `repeats` is `_repeats(rows)`) from the negated
+    hidden vector `nh`, and the gradient with respect to the hidden vector
+    at the current parameters (the caller updates the rows it came from).
+    IEEE rounding is sign-symmetric, so the negation changes no bit."""
+    # a copy, (1+m, d); the take method costs a third of indexing's overhead
+    out = output_matrix.take(rows, axis=0)
     # np.dot: the BLAS call of `@`, at less overhead per call
-    s = np.dot(out, h)
-    g = np.negative(s)
-    _ns_grad(g, 1.0, _label(len(s)), out=g)
-    _add_rows(output_matrix, rows, out, (-lr * g)[:, None] * h, repeats)
-    return s, np.dot(g, out)
+    g = np.dot(out, nh)                        # the negated scores
+    _ns_grad(g, 1.0, _label(len(g)), out=g)
+    grad_h = np.dot(g, out)
+    g *= lr
+    # out - lr * g * h, row by row, in place
+    _add_rows(output_matrix, rows, out, g[:, None] * nh, repeats)
+    return grad_h
 
 
 def _context(ids: list[int]) -> tuple[np.ndarray, tuple | None]:
@@ -169,21 +173,20 @@ def _context(ids: list[int]) -> tuple[np.ndarray, tuple | None]:
     return np.array(ids, dtype=np.intp), _repeats(ids)
 
 
-def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float, repeats) -> np.ndarray:
+def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float, repeats) -> None:
     """One word2vec update: `inputs` is one input id (skip-gram: the hidden
-    vector is that row) or a `_context` (CBOW: the mean of its rows).
-    Returns the scores of `rows`."""
+    vector is that row) or a `_context` (CBOW: the mean of its rows)."""
     X = model.input_matrix
     if isinstance(inputs, int):
         h = X[inputs]
-        s, grad_h = _ns_update(model.output_matrix, h.copy(), rows, lr, repeats)
-        h -= lr * grad_h
+        h -= lr * _ns_update(model.output_matrix, np.negative(h), rows, lr, repeats)
     else:
         ids, ids_repeats = inputs
-        words = X[ids]
-        s, grad_h = _ns_update(model.output_matrix, words.mean(axis=0), rows, lr, repeats)
+        words = X.take(ids, axis=0)
+        # the negated mean: np.mean is this sum over the count
+        grad_h = _ns_update(model.output_matrix, np.add.reduce(words, axis=0) / -len(ids),
+                            rows, lr, repeats)
         _add_rows(X, ids, words, -lr * grad_h / len(ids), ids_repeats)
-    return s
 
 
 def _unigram_noise(corpus: list[TokenizedDocument], vocab_size: int) -> np.ndarray:
@@ -326,19 +329,19 @@ def _dm_position(model: DocEmbeddingModel, context, n_missing: int) -> tuple:
 
 def _dm_hidden(model: DocEmbeddingModel, doc_vec: np.ndarray, words: np.ndarray,
                start: int) -> np.ndarray:
-    """Combine doc vector and the context's word rows `words` per the
-    model's mode.  In concatenate mode the context occupies `window` fixed
-    slots (oldest first); the words fill them from `start` on, and
-    positions before the document start stay zero."""
+    """The negated combination of doc vector and the context's word rows
+    `words` per the model's mode.  In concatenate mode the context
+    occupies `window` fixed slots (oldest first); the words fill them from
+    `start` on, and positions before the document start stay zero."""
     if model.combine is CombineMode.AVERAGE:
         if len(words):
             # words.sum(axis=0), without the method's Python wrapper
-            return (doc_vec + np.add.reduce(words, axis=0)) / (1 + len(words))
-        return doc_vec.copy()
+            return (doc_vec + np.add.reduce(words, axis=0)) / -(1 + len(words))
+        return np.negative(doc_vec)
     h = np.zeros(model.dim * (1 + model.window))
     h[:model.dim] = doc_vec
     h[start:] = words.ravel()
-    return h
+    return np.negative(h, out=h)
 
 
 def _dm_scale(model: DocEmbeddingModel, n_context: int) -> float:
@@ -347,17 +350,18 @@ def _dm_scale(model: DocEmbeddingModel, n_context: int) -> float:
 
 
 def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, position: tuple,
-               rows, lr: float, repeats) -> np.ndarray:
+               rows, lr: float, repeats) -> None:
     """One negative-sampling update of the distributed-memory model in
     training at a `_dm_position`: gradients at the current parameters,
     applied to the doc vector (in place), the output rows and the context
-    word rows.  Returns the scores of `rows`."""
+    word rows."""
     context, context_repeats, start, scale = position
-    words = model.word_matrix[context]
-    s, grad_h = _ns_update(model.output_matrix, _dm_hidden(model, doc_vec, words, start),
-                           rows, lr, repeats)
+    words = model.word_matrix.take(context, axis=0)
+    step = _ns_update(model.output_matrix, _dm_hidden(model, doc_vec, words, start),
+                      rows, lr, repeats)
     # -(lr * grad_h * scale) to the bit: a product rounds the same either sign
-    step = -lr * grad_h * scale
+    step *= -lr
+    step *= scale
     if model.combine is CombineMode.AVERAGE:
         doc_vec += step
     else:
@@ -365,7 +369,6 @@ def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, position: tuple,
         step = step[start:].reshape(words.shape)
     if len(context):
         _add_rows(model.word_matrix, context, words, step, context_repeats)
-    return s
 
 
 def _dm_frozen_update(out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray, keep: np.ndarray,

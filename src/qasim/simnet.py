@@ -10,7 +10,8 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -32,61 +33,62 @@ def _param_shapes(d: int, h1: int, h2: int, *_) -> dict[str, tuple[int, ...]]:
             "w3": (2 * h2,), "b3": (1,)}
 
 
-@dataclass
-class SimilarityNetwork:
-    """Parameters of both towers and the decision head.
-
-    Weight shapes: w1 (h1, d), w2 (h2, h1) per tower; w3 (2*h2,) and a
-    single bias b3 for the head.  The two towers never share storage.
+class SimilarityNetwork(dict):
+    """Parameters of both towers and the decision head in one float64
+    buffer `flat`.  As a dict, and as attributes, each name of
+    `_param_shapes` gives its view: w1 (h1, d), w2 (h2, h1) per tower,
+    w3 (2*h2,) and b3 (1,) for the head.  The answer tower's part of
+    `flat` follows the question tower's, laid out alike, so `stacked`
+    views both as W1 (2, h1, d), B1 (2, 1, h1), W2 (2, h2, h1) and
+    B2 (2, 1, h2), question first, then w3 as W3 (2, h2, 1).  Assigning
+    to a named field copies the value in.
     """
 
-    w1q: np.ndarray
-    b1q: np.ndarray
-    w2q: np.ndarray
-    b2q: np.ndarray
-    w1a: np.ndarray
-    b1a: np.ndarray
-    w2a: np.ndarray
-    b2a: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    activation: Activation = Activation.TANH
+    def __init__(self, activation: Activation = Activation.TANH, **arrays: np.ndarray):
+        h1, d = np.shape(arrays["w1q"])
+        self._bind((d, h1, len(arrays["b2q"])), None, activation)
+        if set(arrays) != set(self):
+            raise TypeError(f"need exactly the parameters {list(self)}")
+        for name, view in self.items():
+            view[...] = arrays[name]
 
-    @property
-    def layer_dims(self) -> tuple[int, int, int]:
-        return self.w1q.shape[1], self.w1q.shape[0], self.w2q.shape[0]
+    @classmethod
+    def _of(cls, dims: tuple, flat: np.ndarray | None, activation) -> "SimilarityNetwork":
+        net = cls.__new__(cls)
+        net._bind(dims, flat, activation)
+        return net
 
-    def params(self) -> dict[str, np.ndarray]:
-        """Parameter arrays in the canonical (file) order."""
-        return {name: getattr(self, name) for name in _param_shapes(*self.layer_dims)}
+    def _bind(self, dims: tuple, flat: np.ndarray | None, activation) -> None:
+        d, h1, h2 = self.layer_dims = dims
+        t = h1 * (d + 1 + h2) + h2                 # one tower's size
+        self.flat = np.empty(2 * t + 2 * h2 + 1) if flat is None else flat
+        self.activation = Activation(activation)
+        tower = self.flat[:2 * t].reshape(2, t)
+        a, b = h1 * d, h1 * (d + 1)
+        self.stacked = W1, B1, W2, B2, _ = (
+            tower[:, :a].reshape(2, h1, d), tower[:, None, a:b],
+            tower[:, b:t - h2].reshape(2, h2, h1), tower[:, None, t - h2:],
+            self.flat[2 * t:-1].reshape(2, h2, 1))
+        self.update(w1q=W1[0], b1q=B1[0, 0], w2q=W2[0], b2q=B2[0, 0],
+                    w1a=W1[1], b1a=B1[1, 0], w2a=W2[1], b2a=B2[1, 0],
+                    w3=self.flat[2 * t:-1], b3=self.flat[-1:])
 
     def copy(self) -> "SimilarityNetwork":
-        return SimilarityNetwork(**{name: arr.copy() for name, arr in self.params().items()},
-                                 activation=self.activation)
+        return self._of(self.layer_dims, self.flat.copy(), self.activation)
+
+    def __deepcopy__(self, memo) -> "SimilarityNetwork":
+        return self.copy()                 # member-wise, the views would lose their buffer
 
 
-@dataclass
-class TowerTrace:
-    """One tower's pass over (batch, d) rows: the input x, then per layer
-    the activation a and the output h (after dropout)."""
+for _name in _param_shapes(1, 1, 1):
+    setattr(SimilarityNetwork, _name, property(
+        lambda net, name=_name: net[name],
+        lambda net, value, name=_name: net[name].__setitem__(..., value)))
 
-    x: np.ndarray
-    a1: np.ndarray
-    h1: np.ndarray
-    a2: np.ndarray
-    h2: np.ndarray
-
-
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass needs: both towers' traces, the
-    masks used, and the final score."""
-
-    q: TowerTrace
-    a: TowerTrace
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
-    logit: np.ndarray
-    y_prime: np.ndarray
+# What the backward pass needs, both towers stacked question first: inputs
+# x (2, batch, d), per layer the activation a and the output h after the
+# stacked (h1, h2) masks, and the score.
+ForwardTrace = namedtuple("ForwardTrace", "x a1 h1 a2 h2 masks logit y_prime")
 
 
 def init_network(d: int, std: float = 0.03, bias_const: float = 0.1, seed: int = 0,
@@ -102,20 +104,16 @@ def init_network(d: int, std: float = 0.03, bias_const: float = 0.1, seed: int =
     if std <= 0:
         raise ValueError("std must be > 0")
     rng = np.random.default_rng(seed)
-    shapes = _param_shapes(d, hidden1, hidden2)
-    return SimilarityNetwork(**{name: rng.normal(0.0, std, shape) if name.startswith("w")
-                                else np.full(shape, bias_const, dtype=np.float64)
-                                for name, shape in shapes.items()},
-                             activation=Activation(activation))
+    net = SimilarityNetwork._of((d, hidden1, hidden2), None, activation)
+    for name, view in net.items():
+        view[...] = rng.normal(0.0, std, view.shape) if name.startswith("w") else bias_const
+    return net
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) where x >= 0, else exp(x) / (1 + exp(x)): no overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _act(z: np.ndarray, activation: Activation) -> np.ndarray:
@@ -127,34 +125,33 @@ def _act_grad(a: np.ndarray, activation: Activation) -> np.ndarray:
     return 1.0 - a * a if activation is Activation.TANH else (a > 0).astype(np.float64)
 
 
+def _stacked_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed):
+    """The h1 and h2 masks, stacked question first, from `draw_dropout_masks`'s stream."""
+    s1 = math.prod(shape_h1)
+    masks = ((np.random.default_rng(seed).random((2, s1 + math.prod(shape_h2))) >= dropout_p)
+             / (1.0 - dropout_p))
+    return masks[:, :s1].reshape(2, *shape_h1), masks[:, s1:].reshape(2, *shape_h2)
+
+
 def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed):
     """Inverted-dropout masks for (h1q, h2q, h1a, h2a), drawn in that order."""
-    rng = np.random.default_rng(seed)
-    keep = 1.0 - dropout_p
-    return tuple(
-        (rng.random(shape) >= dropout_p) / keep
-        for shape in (shape_h1, shape_h2, shape_h1, shape_h2)
-    )
+    m1, m2 = _stacked_masks(shape_h1, shape_h2, dropout_p, seed)
+    return m1[0], m2[0], m1[1], m2[1]
 
 
-def _half(seq, side: str):
-    """Side "q" or "a"'s half of w3 or of the dropout masks (None: two Nones)."""
-    if seq is None:
-        return None, None
-    half = len(seq) // 2
-    return seq[:half] if side == "q" else seq[half:]
-
-
-def _tower(net: SimilarityNetwork, x: np.ndarray, side: str,
-           masks=None) -> tuple[TowerTrace, np.ndarray]:
-    """Question ("q") or answer ("a") tower on (batch, d) rows: its trace,
-    and the side's head term, h2 times its half of w3."""
-    m1, m2 = _half(masks, side)
-    a1 = _act(x @ getattr(net, "w1" + side).T + getattr(net, "b1" + side), net.activation)
-    h1 = a1 * m1 if m1 is not None else a1
-    a2 = _act(h1 @ getattr(net, "w2" + side).T + getattr(net, "b2" + side), net.activation)
-    h2 = a2 * m2 if m2 is not None else a2
-    return TowerTrace(x, a1, h1, a2, h2), h2 @ _half(net.w3, side)
+def _towers(stacked, x: np.ndarray, activation: Activation, masks=None) -> tuple:
+    """The towers that `stacked` (a network's `stacked`, or its slice) holds
+    on stacked (towers, batch, d) rows: per layer the activation and the
+    output after the stacked `masks`, then the head terms (towers,
+    batch, 1), h2 times the tower's half of w3."""
+    W1, B1, W2, B2, W3 = stacked
+    # out of place on purpose: written in place, the freed temporaries of a
+    # 5,000-answer index stayed resident under glibc malloc (+2.5 MB peak RSS)
+    a1 = _act(np.matmul(x, W1.transpose(0, 2, 1)) + B1, activation)
+    h1 = a1 * masks[0] if masks is not None else a1
+    a2 = _act(np.matmul(h1, W2.transpose(0, 2, 1)) + B2, activation)
+    h2 = a2 * masks[1] if masks is not None else a2
+    return a1, h1, a2, h2, np.matmul(h2, W3)
 
 
 def _as_rows(f: np.ndarray) -> np.ndarray:
@@ -170,7 +167,9 @@ def head_terms(net: SimilarityNetwork, f: np.ndarray, side: str) -> np.ndarray:
     The logit is question term + answer term + b3, so one side's terms can
     be computed once and paired with any row of the other side.
     """
-    return _tower(net, _as_rows(f), side)[1]
+    i = {"q": 0, "a": 1}[side]
+    tower = [view[i:i + 1] for view in net.stacked]
+    return _towers(tower, _as_rows(f)[None], net.activation)[-1][0, :, 0]
 
 
 def probabilities(net: SimilarityNetwork, q_terms: np.ndarray,
@@ -185,22 +184,22 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
 
     Inputs may be single d-vectors or (batch, d) arrays.  With dropout_p
     > 0, inverted dropout masks drawn from `seed` are applied to both
-    hidden layers of both towers; passing `masks` replays a previous
-    trace exactly.  Otherwise no masks and no rescaling are applied.
+    hidden layers of both towers; passing `masks`, a trace's or
+    `draw_dropout_masks`'s, replays that trace exactly.  Otherwise no
+    masks and no rescaling are applied.
     """
-    x_q = _as_rows(f_q)
-    x_a = _as_rows(f_a)
+    x_q, x_a = _as_rows(f_q), _as_rows(f_a)
     if x_q.shape != x_a.shape:
         raise ValueError(f"feature shapes differ: {x_q.shape} vs {x_a.shape}")
-
     if masks is None and dropout_p > 0.0:
         _, h1, h2 = net.layer_dims
-        masks = draw_dropout_masks((len(x_q), h1), (len(x_q), h2), dropout_p, seed)
-
-    q, q_term = _tower(net, x_q, "q", masks)
-    a, a_term = _tower(net, x_a, "a", masks)
-    u = q_term + a_term + net.b3[0]
-    return ForwardTrace(q=q, a=a, masks=masks, logit=u, y_prime=_sigmoid(u))
+        masks = _stacked_masks((len(x_q), h1), (len(x_q), h2), dropout_p, seed)
+    elif masks is not None and len(masks) == 4:
+        masks = np.stack(masks[0::2]), np.stack(masks[1::2])
+    x = np.stack((x_q, x_a))
+    a1, h1, a2, h2, terms = _towers(net.stacked, x, net.activation, masks)
+    u = terms[0, :, 0] + terms[1, :, 0] + net.flat[-1]
+    return ForwardTrace(x, a1, h1, a2, h2, masks, u, _sigmoid(u))
 
 
 def _forward_loss(net: SimilarityNetwork, f_q, f_a, y, lam: float, dropout_p: float,
@@ -228,40 +227,40 @@ def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray
     return _forward_loss(net, f_q, f_a, y, lam, dropout_p, seed, masks)[2]
 
 
-def _tower_grads(net: SimilarityNetwork, t: TowerTrace, g_u: np.ndarray, side: str,
-                 masks) -> dict[str, np.ndarray]:
-    """Gradients of one tower's four parameters from its trace and the
-    head residual g_u, reusing the activations the forward pass kept."""
-    m1, m2 = _half(masks, side)
-    dh2 = np.outer(g_u, _half(net.w3, side))
-    da2 = dh2 * m2 if m2 is not None else dh2
-    dz2 = da2 * _act_grad(t.a2, net.activation)
-    dh1 = dz2 @ getattr(net, "w2" + side)
-    da1 = dh1 * m1 if m1 is not None else dh1
-    dz1 = da1 * _act_grad(t.a1, net.activation)
-    return {"w1" + side: dz1.T @ t.x, "b1" + side: dz1.sum(axis=0),
-            "w2" + side: dz2.T @ t.h1, "b2" + side: dz2.sum(axis=0)}
-
-
 def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
               lam: float = 0.0, dropout_p: float = 0.0, seed: int = 0,
-              masks=None) -> tuple[dict[str, np.ndarray], float]:
+              masks=None) -> tuple[SimilarityNetwork, float]:
     """Exact analytic gradients of `loss` for every parameter.
 
-    Returns (gradient dict keyed like net.params(), pre-update loss).
-    The l2 regularizer contributes 2*lam*w3 to the head weights only.
-    Where the clamp saturates the predicted probability, the gradient of
-    the clamped loss is exactly zero, matching finite differences.
+    Returns (the gradients, a network over a new buffer whose every
+    parameter holds its own gradient; the pre-update loss).  The l2
+    regularizer contributes 2*lam*w3 to the head weights only.  Where the
+    clamp saturates the predicted probability, the gradient of the
+    clamped loss is exactly zero, matching finite differences.
     """
-    trace, y, value = _forward_loss(net, f_q, f_a, y, lam, dropout_p, seed, masks)
-    yp = trace.y_prime
+    t, y, value = _forward_loss(net, f_q, f_a, y, lam, dropout_p, seed, masks)
+    yp = t.y_prime
     clamped = (yp < EPS) | (yp > 1.0 - EPS)
     g_u = np.where(clamped, 0.0, yp - y) / len(yp)
 
-    grads = {**_tower_grads(net, trace.q, g_u, "q", trace.masks),
-             **_tower_grads(net, trace.a, g_u, "a", trace.masks)}
-    grads["w3"] = np.concatenate([trace.q.h2.T @ g_u, trace.a.h2.T @ g_u]) + 2.0 * lam * net.w3
-    grads["b3"] = np.array([g_u.sum()])
+    # both towers at once, reusing the activations the forward pass kept
+    W1, B1, W2, B2, W3 = net.stacked
+    grads = SimilarityNetwork._of(net.layer_dims, None, net.activation)
+    gW1, gB1, gW2, gB2, gW3 = grads.stacked
+    m1, m2 = t.masks or (1.0, 1.0)         # x * 1.0 is x
+    dz2 = g_u[:, None] * W3.transpose(0, 2, 1)
+    dz2 *= m2
+    dz2 *= _act_grad(t.a2, net.activation)
+    dz1 = np.matmul(dz2, W2)
+    dz1 *= m1
+    dz1 *= _act_grad(t.a1, net.activation)
+    np.matmul(dz1.transpose(0, 2, 1), t.x, out=gW1)
+    np.add.reduce(dz1, axis=1, keepdims=True, out=gB1)
+    np.matmul(dz2.transpose(0, 2, 1), t.h1, out=gW2)
+    np.add.reduce(dz2, axis=1, keepdims=True, out=gB2)
+    np.matmul(t.h2.transpose(0, 2, 1), g_u[:, None], out=gW3)
+    gW3 += 2.0 * lam * W3
+    grads.flat[-1] = g_u.sum()
     return grads, value
 
 
@@ -277,7 +276,7 @@ _ACT_FLAG = {Activation.TANH: 0, Activation.RELU: 1}
 def save_simnet(net: SimilarityNetwork, path) -> None:
     d, h1, h2 = net.layer_dims
     write_model(path, _SIM_HEADER, (_SIM_MAGIC, d, h1, h2, _ACT_FLAG[net.activation]),
-                net.params().values())
+                net.values())
 
 
 def load_simnet(path) -> SimilarityNetwork:

@@ -38,14 +38,17 @@ class SimTrainConfig:
 
     def __post_init__(self):
         self.activation = simnet.Activation(self.activation)
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0, 1)")
-        if not self.lr_floor < self.lr0:
-            raise ValueError("lr_floor must be below lr0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.early_stop_patience < 0:
-            raise ValueError("early_stop_patience must be >= 0")
+        for ok, rule in ((0.0 <= self.dropout_p < 1.0, "dropout_p must lie in [0, 1)"),
+                         (self.lr0 > self.lr_floor > 0, "need lr0 > lr_floor > 0"),
+                         (self.batch_size >= 1, "batch_size must be >= 1"),
+                         (self.max_epochs >= 1, "max_epochs must be >= 1"),
+                         (self.early_stop_patience >= 0, "early_stop_patience must be >= 0"),
+                         (self.lam >= 0, "lam must be >= 0"),
+                         (self.init_std > 0, "init_std must be > 0"),
+                         (0 < self.decay <= 1, "decay must lie in (0, 1]"),
+                         (self.decay_start_epoch >= 0, "decay_start_epoch must be >= 0")):
+            if not ok:
+                raise ValueError(rule)
 
 
 @dataclass
@@ -149,16 +152,12 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
     (q_rows, q_of_pair), (a_rows, a_of_pair), y = train
     fq, fa = q_rows[q_of_pair], a_rows[a_of_pair]
 
-    d = fq.shape[1]
     rng = np.random.default_rng(config.seed)
-    net = simnet.init_network(d, std=config.init_std, bias_const=config.bias_const,
+    net = simnet.init_network(fq.shape[1], std=config.init_std, bias_const=config.bias_const,
                               seed=config.seed, activation=config.activation)
     report = TrainReport(planned_epochs=config.max_epochs)
-
-    best_net = net.copy()
-    best_val = -1.0
-    bad_epochs = 0
-    n = len(train_pairs)
+    # max_epochs >= 1, and the first epoch always sets the best network
+    best_net, best_val, bad_epochs, n = None, -1.0, 0, len(train_pairs)
 
     for epoch in range(config.max_epochs):
         lr = lr_at_epoch(config, epoch)
@@ -172,8 +171,7 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
                 dropout_p=config.dropout_p, seed=batch_seed)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}")
-            for name, param in net.params().items():
-                param -= lr * grads[name]
+            net.flat -= lr * grads.flat
             batch_losses.append(batch_loss)
 
         val_acc = _pair_accuracy(net, *val)

@@ -5,15 +5,18 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qasim import corpus, embedding, simnet, training
+from qasim import cli, corpus, embedding, simnet, training
 from qasim.cli import build_parser, main
 from qasim.datasets import planted_qa_records
 
@@ -234,6 +237,52 @@ class TestDeterminism:
         assert (ws["root"] / "net2.simnet.report.jsonl").read_bytes() == \
             (ws["root"] / "net.simnet.report.jsonl").read_bytes()
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Batches of 100 rows of 64 features are large enough for OpenBLAS
+        # to split the simnet GEMMs over threads.
+        qa = tmp_path / "qa.jsonl"
+        write_qa(qa, planted_qa_records(n_questions=40, n_gold=20, n_filler=20,
+                                        pool_size=5, seed=4))
+        d2v = ["--dim", "64", "--window", "2", "--epochs", "1", "--seed", "1"]
+        steps = [
+            ["build-vocab", "--qa-file", str(qa), "--side", "question", "--min-count", "1",
+             "--out", "q.vocab"],
+            ["build-vocab", "--qa-file", str(qa), "--side", "answer", "--min-count", "1",
+             "--out", "a.vocab"],
+            ["train-doc2vec", "--qa-file", str(qa), "--side", "question", "--vocab", "q.vocab",
+             *d2v, "--out", "q.d2v"],
+            ["train-doc2vec", "--qa-file", str(qa), "--side", "answer", "--vocab", "a.vocab",
+             *d2v, "--out", "a.d2v"],
+            ["sample-pairs", "--qa-file", str(qa), "--n-pairs", "400", "--seed", "2",
+             "--out", "pairs.jsonl"],
+            ["train-simnet", "--pairs", "pairs.jsonl", "--q-model", "q.d2v", "--a-model", "a.d2v",
+             "--batch-size", "100", "--max-epochs", "2", "--patience", "2", "--lr0", "0.05",
+             "--seed", "3", "--out", "net.simnet"],
+        ]
+        script = ("import contextlib, hashlib, io, json, os, sys\n"
+                  "from qasim import cli\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert cli.main(argv) == 0, argv\n"
+                  "print(json.dumps({f: hashlib.sha256(open(f, 'rb').read()).hexdigest()\n"
+                  "                  for f in sorted(os.listdir('.'))}))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        digests = []
+        for threads in (1, min(2, os.cpu_count())):
+            work = tmp_path / f"threads{threads}"
+            work.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "OMP_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = subprocess.run([sys.executable, "-c", script, json.dumps(steps)], cwd=work,
+                                 env=env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            digests.append(json.loads(out.stdout))
+        assert {"q.d2v", "a.d2v", "pairs.jsonl", "net.simnet", "net.simnet.report.jsonl",
+                "net.simnet.report.csv"} <= set(digests[0])
+        assert digests[0] == digests[1]
+
     def test_different_seed_changes_pairs(self, ws):
         other = ws["root"] / "pairs_seed9.jsonl"
         argv = [a for a in ws["argv"]["pairs"]]
@@ -325,6 +374,11 @@ class TestSeedResolution:
         assert json.loads(lines[0])["resolved"]["seed"] == 0
 
 
+# Similarity-training settings that SimTrainConfig rejects, each once.
+BAD_SIMNET = [{"max_epochs": 0}, {"lr0": -1, "lr_floor": -2}, {"lr_floor": 0}, {"lam": -0.5},
+              {"init_std": 0}, {"decay": 0}, {"decay": 1.5}, {"decay_start_epoch": -1}]
+
+
 class TestExitCodes:
     def test_missing_required_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -361,6 +415,27 @@ class TestExitCodes:
                    "--a-model", str(ws["a_model"]), "--out", str(tmp_path / "n")])
         assert rc == 2
         assert "invalid config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", BAD_SIMNET, ids=lambda bad: ",".join(bad))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_simnet_setting_exits_two_before_any_work(self, tmp_path, capsys, bad, source):
+        # the pair file does not exist: the setting must be rejected first
+        argv = ["train-simnet", "--pairs", str(tmp_path / "missing.jsonl"),
+                "--q-model", str(tmp_path / "q.d2v"), "--a-model", str(tmp_path / "a.d2v"),
+                "--out", str(tmp_path / "n")]
+        if source == "flag":
+            for field, value in bad.items():
+                argv += [FLAG_NAMES.get(field, "--" + field.replace("_", "-")), str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"simnet": bad}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("qasim: error: invalid config field: "), err
+        assert not (tmp_path / "n").exists()
 
     def test_malformed_config_json(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -104,7 +104,9 @@ class TestNegativeSamplingStep:
     def test_zero_matrices_loss(self):
         model = zero_model(4, 3)
         rows, repeats = step_rows(1, [2])
-        assert not embedding._word_step(model, 0, rows, 0.0, repeats).any()
+        scores = model.output_matrix[rows] @ model.input_matrix[0]
+        embedding._word_step(model, 0, rows, 0.0, repeats)
+        assert not scores.any()
         assert nss_loss_oracle(model, 0, 1, [2]) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_loss_decreases_after_step(self):
@@ -117,9 +119,11 @@ class TestNegativeSamplingStep:
         before = nss_loss_oracle(model, 1, 2, [3, 4])
         rows, repeats = step_rows(2, [3, 4])
         expected = model.output_matrix[rows] @ model.input_matrix[1]
-        returned = embedding._word_step(model, 1, rows, 0.1, repeats)
+        # the scores at the parameters before the step, as the step computes
+        # them: negated, from the negated hidden vector
+        returned = -(model.output_matrix[rows] @ np.negative(model.input_matrix[1]))
+        embedding._word_step(model, 1, rows, 0.1, repeats)
         after = nss_loss_oracle(model, 1, 2, [3, 4])
-        # the scores at the parameters before the step
         np.testing.assert_allclose(returned, expected, rtol=1e-12)
         assert after < before
 
@@ -242,7 +246,10 @@ class TestDmStep:
         model, doc_vec = self.fresh(combine)
         before = (doc_vec.copy(), model.word_matrix.copy(), model.output_matrix.copy())
         position = embedding._dm_position(model, context, n_missing)
-        scores = embedding._dm_update(model, doc_vec, position, rows, 1.0, repeats)
+        # the scores at the parameters before the step, from the step's negated hidden vector
+        scores = model.output_matrix[rows] @ -embedding._dm_hidden(
+            model, doc_vec, model.word_matrix[position[0]], position[2])
+        embedding._dm_update(model, doc_vec, position, rows, 1.0, repeats)
         grads = [b - a for b, a in zip(before, (doc_vec, model.word_matrix,
                                                  model.output_matrix))]
 
@@ -279,7 +286,7 @@ class TestDmStep:
                   model.output_matrix.copy())
         h = embedding._dm_hidden(model, doc_vec, model.word_matrix[context], position[2])
         scratch = embedding._frozen_scratch(1, len(rows) - 1, len(h), model.dim)
-        embedding._dm_frozen_update(model.output_matrix[rows][None], -h[None, :, None],
+        embedding._dm_frozen_update(model.output_matrix[rows][None], h[None, :, None],
                                     doc_vec[None], np.ones((1, 1, len(rows))), np.array([[0.5]]),
                                     embedding._dm_scale(model, len(context)), scratch)
         assert np.array_equal(model.word_matrix, before[0])

@@ -2,12 +2,14 @@
 loss recomputation, finite-difference gradient verification, dropout
 semantics, and the binary model format."""
 
+import copy
 import math
 import struct
 
 import numpy as np
 import pytest
 
+import simnet_reference as reference
 from qasim import simnet
 from qasim.simnet import (
     Activation,
@@ -112,8 +114,8 @@ class TestInitNetwork:
     def test_deterministic(self):
         a = init_network(6, seed=3)
         b = init_network(6, seed=3)
-        for name in a.params():
-            assert np.array_equal(a.params()[name], b.params()[name])
+        for name in a:
+            assert np.array_equal(a[name], b[name])
 
     def test_towers_draw_independent_weights(self):
         net = init_network(6, seed=3)
@@ -133,7 +135,7 @@ class TestInitNetwork:
             assert np.array_equal(getattr(net, name), expected), name
         for name, size in (("b1q", 3), ("b2q", 2), ("b1a", 3), ("b2a", 2), ("b3", 1)):
             assert np.array_equal(getattr(net, name), np.full(size, 0.3)), name
-        assert list(net.params()) == ["w1q", "b1q", "w2q", "b2q", "w1a", "b1a",
+        assert list(net) == ["w1q", "b1q", "w2q", "b2q", "w1a", "b1a",
                                       "w2a", "b2a", "w3", "b3"]
 
 
@@ -186,7 +188,7 @@ class TestForward:
         h1q = np.maximum(z1q, 0.0)
         z2q = net.w2q @ h1q + net.b2q
         h2q = np.maximum(z2q, 0.0)
-        assert np.allclose(trace.q.h2[0], h2q)
+        assert np.allclose(trace.h2[0, 0], h2q)  # question tower, first row
 
 
 class TestDropoutMasks:
@@ -308,7 +310,7 @@ class TestGradients:
         # only through h2a and the shared residual
         g1, _ = gradients(net1, fq, fa, y, lam=0.0)
         g2, _ = gradients(net2, fq, fa, y, lam=0.0)
-        if np.allclose(trace1.a.h2, trace2.a.h2):
+        if np.allclose(trace1.h2[1], trace2.h2[1]):  # the answer towers' h2
             assert np.allclose(g1["w1q"], g2["w1q"])
 
     def test_regularizer_only_touches_head_weights(self):
@@ -369,6 +371,97 @@ class TestScore:
         batch = forward(net, fq, fa).y_prime
         for i in range(7):
             assert batch[i] == pytest.approx(forward(net, fq[i], fa[i]).y_prime[0], rel=1e-15)
+
+
+class TestStackedLayout:
+    """One parameter buffer, both towers in one stacked pass, one mask
+    draw: the same bits as the two-pass reference, one tower at a time."""
+
+    @staticmethod
+    def arrays(net):
+        return {name: view.copy() for name, view in net.items()}
+
+    def test_one_draw_equals_four_draws(self):
+        for shapes in (((4, 6), (4, 3)), ((1, 5), (1, 2)), ((7, 1), (7, 4))):
+            drawn = draw_dropout_masks(*shapes, 0.3, seed=17)
+            expected = reference.masks(*shapes, 0.3, seed=17)
+            assert [m.shape for m in drawn] == [m.shape for m in expected]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, expected))
+
+    def test_every_view_shares_the_one_buffer(self):
+        net = init_network(5, seed=1, hidden1=4, hidden2=3)
+        assert net.flat.size == sum(view.size for view in net.values())
+        for view in (*net.values(), *net.stacked):
+            assert np.shares_memory(view, net.flat)
+        assert np.array_equal(net.stacked[0][1], net.w1a)
+        assert np.array_equal(net.stacked[4].ravel(), net.w3)
+
+    def test_writing_a_named_field_changes_the_loss(self):
+        net = init_network(4, std=0.3, seed=2)
+        rng = np.random.default_rng(3)
+        fq, fa, y = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), np.array([1.0, 0.0, 1.0])
+        before = loss(net, fq, fa, y, lam=0.01)
+        getattr(net, "w1q")[0, 0] += 0.5
+        after_view = loss(net, fq, fa, y, lam=0.01)
+        assert after_view != before
+        net.w3 = net.w3 * 2.0                      # assignment copies into the buffer
+        assert np.shares_memory(net.w3, net.flat)
+        assert loss(net, fq, fa, y, lam=0.01) != after_view
+
+    def test_copy_shares_no_memory(self):
+        net = init_network(4, seed=5)
+        twin = net.copy()
+        assert not np.shares_memory(twin.flat, net.flat)
+        for a, b in zip(twin.values(), net.values()):
+            assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+        twin.b3[0] = 7.0
+        assert net.b3[0] != 7.0
+        assert copy.deepcopy(net).flat.tobytes() == net.flat.tobytes()
+
+    def test_ten_arrays_are_copied_in_and_forward_matches_reference(self):
+        arrays = {name: view.copy() for name, view in toy_network().items()}
+        net = SimilarityNetwork(**arrays)
+        arrays["w1q"][0, 0] = 100.0                # the network holds its own copy
+        assert net.w1q[0, 0] == 0.5
+        arrays["w1q"][0, 0] = 0.5
+        fq, fa = np.array([[0.6, -0.3], [0.1, 0.2]]), np.array([[-0.2, 0.5], [0.3, -0.4]])
+        assert forward(net, fq, fa).y_prime.tobytes() == \
+            reference.forward(arrays, fq, fa, net.activation)[2].tobytes()
+        with pytest.raises(TypeError):
+            SimilarityNetwork(**{name: a for name, a in arrays.items() if name != "b3"})
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.4])
+    @pytest.mark.parametrize("batch, d, h1, h2", [(1, 3, 2, 2), (5, 7, 6, 3), (50, 100, 50, 20)])
+    def test_gradients_match_two_pass_reference(self, activation, dropout_p, batch, d, h1, h2):
+        net = init_network(d, std=0.4, seed=batch, hidden1=h1, hidden2=h2, activation=activation)
+        rng = np.random.default_rng(d)
+        fq, fa = rng.normal(size=(batch, d)), rng.normal(size=(batch, d))
+        y = rng.integers(0, 2, size=batch).astype(np.float64)
+        masks = reference.masks((batch, h1), (batch, h2), dropout_p, 9) if dropout_p else None
+        grads, value = gradients(net, fq, fa, y, lam=0.01, dropout_p=dropout_p, seed=9)
+        expected, expected_value = reference.gradients(self.arrays(net), fq, fa, y, activation,
+                                                       lam=0.01, tower_masks=masks)
+        assert value == expected_value
+        assert list(grads) == list(expected)
+        for name in expected:
+            assert grads[name].tobytes() == expected[name].tobytes(), name
+        # explicit masks, in draw_dropout_masks' form, replay the same step
+        if masks is not None:
+            replayed, _ = gradients(net, fq, fa, y, lam=0.01, masks=masks)
+            assert replayed.flat.tobytes() == grads.flat.tobytes()
+
+    def test_head_terms_match_reference_towers(self):
+        net = init_network(6, std=0.5, seed=4, activation=Activation.RELU)
+        rows = np.random.default_rng(5).normal(size=(11, 6))
+        for side in "qa":
+            expected = reference.tower(self.arrays(net), rows, side, net.activation)[1]
+            assert simnet.head_terms(net, rows, side).tobytes() == expected.tobytes()
+
+    def test_sigmoid_matches_two_branch_form(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [0.0, -0.0, 1e-300, -1e-300,
+                                                                np.inf, -np.inf]])
+        assert simnet._sigmoid(x).tobytes() == reference._sigmoid(x).tobytes()
 
 
 class TestModelFile:

@@ -3,10 +3,12 @@ early stopping semantics, regularization direction, determinism, and
 report serialization."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import simnet_reference as reference
 from qasim import simnet, training
 from qasim.corpus import QAPair
 from qasim.simnet import Activation
@@ -79,12 +81,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimTrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"max_epochs": 0}, {"max_epochs": -3},
+        {"lr0": -1.0, "lr_floor": -2.0},            # gradient ascent
+        {"lr_floor": 0.0}, {"lr_floor": -1e-5},
+        {"lam": -0.0005},
+        {"init_std": 0.0}, {"init_std": -0.03},
+        {"decay": 0.0}, {"decay": -0.5}, {"decay": 1.5},
+        {"decay_start_epoch": -1},
+    ])
+    def test_bad_setting_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SimTrainConfig(**bad)
+
+    def test_boundary_settings_accepted(self):
+        SimTrainConfig(max_epochs=1, lam=0.0, decay=1.0, decay_start_epoch=0)
+
 
 class TestEvaluatePairAccuracy:
     def test_zero_network_predicts_positive_on_ties(self):
         d = 4
         net = simnet.init_network(d, bias_const=0.0, seed=0)
-        for param in net.params().values():
+        for param in net.values():
             param[...] = 0.0
         rng = np.random.default_rng(1)
         pairs = [QAPair(i, i, 1 if i < 3 else 0) for i in range(10)]
@@ -155,8 +173,8 @@ class TestTrainSimnet:
         cfg = self.overfit_config(max_epochs=10, early_stop_patience=10)
         net1, report1 = train_simnet(pairs, pairs, feats, cfg)
         net2, report2 = train_simnet(pairs, pairs, feats, cfg)
-        for name in net1.params():
-            assert np.array_equal(net1.params()[name], net2.params()[name])
+        for name in net1:
+            assert np.array_equal(net1[name], net2[name])
         assert report1.epochs == report2.epochs
         assert report1.best_epoch == report2.best_epoch
 
@@ -247,6 +265,29 @@ class TestTrainSimnet:
         net, report = train_simnet(pairs, pairs, feats, cfg)
         assert net.activation is Activation.RELU
         assert max(e.train_acc for e in report.epochs) >= 0.9
+
+
+class TestShortBatches:
+    """The stacked step on a short last batch, and on one batch shorter than
+    batch_size: the same network and report bytes as the two-pass reference."""
+
+    @pytest.mark.parametrize("n, batch_size, activation", [
+        (50, 20, Activation.TANH),      # 20, 20, 10
+        (30, 64, Activation.TANH),      # one batch of 30
+        (23, 8, Activation.RELU),       # 8, 8, 7
+    ])
+    def test_matches_two_pass_reference(self, n, batch_size, activation):
+        pairs, feats = separable_fixture(n=n)
+        cfg = SimTrainConfig(batch_size=batch_size, max_epochs=4, dropout_p=0.5, lam=0.001,
+                             lr0=0.05, init_std=0.1, early_stop_patience=4,
+                             activation=activation, seed=3)
+        net, report = train_simnet(pairs, pairs[: n // 2], feats, cfg)
+        expected, expected_report = reference.train(pairs, pairs[: n // 2], feats, cfg)
+        for name, view in net.items():
+            assert view.tobytes() == expected[name].tobytes(), name
+        assert [asdict(e) for e in report.epochs] == [asdict(e) for e in expected_report.epochs]
+        assert (report.best_epoch, report.stopping_reason) == \
+            (expected_report.best_epoch, expected_report.stopping_reason)
 
 
 class TestReportSerialization:
