@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import enum
 import json
+import math
 import os
 import sys
 
@@ -27,6 +28,9 @@ _SECTIONS = {"embedding": embedding.EmbedTrainConfig, "simnet": training.SimTrai
 # default.  Each is also the flag `--key-name` of the commands that use it.
 _TOP_FIELDS = {"seed": (int, 0), "min_count": (int, 5), "threshold": (float, 0.7),
                "positive_fraction": (float, 0.5), "n_pairs": (int, None)}
+# The closed range of each top-level setting that has one; the threshold's
+# open range is checked by retrieval.check_threshold.
+_TOP_RANGES = {"min_count": (1, math.inf), "n_pairs": (0, math.inf), "positive_fraction": (0, 1)}
 # Config fields whose command-line flag has another name; every other
 # field `foo_bar` is set by `--foo-bar`.
 _FLAG_OF_FIELD = {"learning_rate": "lr", "min_learning_rate": "min_lr",
@@ -35,6 +39,20 @@ _FLAG_OF_FIELD = {"learning_rate": "lr", "min_learning_rate": "min_lr",
 
 class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 2."""
+
+
+def _require(ok: bool, name: str, bound: str, value) -> None:
+    """Exit 2 with `<name> must <bound>, got <value>` unless `ok`."""
+    if not ok:
+        raise UsageError(f"{name} must {bound}, got {value}")
+
+
+def _parse_list(text: str, kind, name: str, items: str) -> list:
+    """A comma-separated flag value as a list of `kind`."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{name} must be comma-separated {items}, got {text!r}") from None
 
 
 def _require_file(path, what: str) -> str:
@@ -96,8 +114,14 @@ def _resolve(args, key: str, default, *configs: dict):
 
 
 def _setting(args, config: dict, key: str):
-    """A top-level setting: its flag, else the config file, else its default."""
-    return _resolve(args, key, _TOP_FIELDS[key][1], config)
+    """A top-level setting: its flag, else the config file, else its
+    default; checked against its range, if it has one."""
+    value = _resolve(args, key, _TOP_FIELDS[key][1], config)
+    if key in _TOP_RANGES and value is not None:
+        low, high = _TOP_RANGES[key]
+        _require(low <= value <= high, key,
+                 f"be >= {low}" if high == math.inf else f"lie in [{low}, {high}]", value)
+    return value
 
 
 def _threshold(args, config: dict) -> float:
@@ -161,42 +185,31 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def cmd_train_word2vec(args) -> int:
+def cmd_train_embedding(args) -> int:
+    """train-word2vec or train-doc2vec, as `args.kind` says.  The trainer
+    and the saver are looked up on `embedding` at each call, so a wrapper
+    set there runs."""
     config = _load_config(args.config)
     vocab = corpus.load_vocabulary(_require_file(args.vocab, "vocabulary file"))
     docs = corpus.encode_corpus(_load_raw_docs(args), vocab)
     cfg = _section_config(args, config, "embedding")
-    mode = embedding.Word2VecMode(args.mode)
-    _echo("train-word2vec", {**dataclasses.asdict(cfg), "mode": mode.value, "out": args.out})
-    model = embedding.train_word2vec(docs, cfg, mode=mode, vocab_size=len(vocab))
-    embedding.save_word2vec(model, args.out)
+    mode = getattr(args, args.mode_flag)  # the trainer turns the value into its enum
+    _echo(args.subcommand, {**dataclasses.asdict(cfg), args.mode_flag: mode, "out": args.out})
+    model = getattr(embedding, "train_" + args.kind)(docs, cfg, mode, vocab_size=len(vocab))
+    getattr(embedding, "save_" + args.kind)(model, args.out)
     if args.export_text:
-        embedding.export_text(model.input_matrix, vocab, args.export_text)
-    return 0
-
-
-def cmd_train_doc2vec(args) -> int:
-    config = _load_config(args.config)
-    vocab = corpus.load_vocabulary(_require_file(args.vocab, "vocabulary file"))
-    docs = corpus.encode_corpus(_load_raw_docs(args), vocab)
-    cfg = _section_config(args, config, "embedding")
-    combine = embedding.CombineMode(args.combine)
-    _echo("train-doc2vec", {**dataclasses.asdict(cfg), "combine": combine.value, "out": args.out})
-    model = embedding.train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
-    embedding.save_doc2vec(model, args.out)
-    if args.export_text:
-        embedding.export_text(model.word_matrix, vocab, args.export_text)
+        embedding.export_text(getattr(model, args.export_matrix), vocab, args.export_text)
     return 0
 
 
 def cmd_sample_pairs(args) -> int:
     config = _load_config(args.config)
-    _, _, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
     n_pairs = _setting(args, config, "n_pairs")
     if n_pairs is None:
         raise UsageError("missing required n_pairs (flag --n-pairs or config)")
     fraction = _setting(args, config, "positive_fraction")
     seed = _seed(args, config)
+    _, _, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
     pairs = corpus.sample_pairs(pools, n_pairs, positive_fraction=fraction, seed=seed)
     corpus.save_pairs(pairs, args.out)
     _echo("sample-pairs", {"n_pairs": n_pairs, "positive_fraction": fraction,
@@ -204,27 +217,43 @@ def cmd_sample_pairs(args) -> int:
     return 0
 
 
-def _load_doc2vec(path, what: str, infer: bool):
-    """The doc2vec model at `path` with only the matrices that one use
-    reads: inference (`infer`) needs no doc matrix, and a lookup of the
-    trained doc vectors needs nothing else."""
+def _load_side(args, side: str, infer: bool):
+    """Side "q" or "a": its doc2vec model with only the matrices that one
+    use reads (inference needs no doc matrix, and a lookup of the trained
+    doc vectors needs nothing else) and, when `infer`, its vocabulary,
+    checked against the model; else None for the vocabulary."""
+    what = {"q": "question", "a": "answer"}[side]
     skip = ("doc_matrix",) if infer else ("word_matrix", "output_matrix", "noise_probs")
-    return embedding.load_doc2vec(_require_file(path, what), skip=skip)
+    model = embedding.load_doc2vec(
+        _require_file(getattr(args, side + "_model"), f"{what} doc2vec model"), skip=skip)
+    if not infer:
+        return model, None
+    vocab = corpus.load_vocabulary(_require_file(getattr(args, side + "_vocab"),
+                                                 f"{what} vocabulary"))
+    if len(vocab) != model.vocab_size:
+        raise UsageError(f"{what} vocabulary holds {len(vocab)} tokens but its doc2vec "
+                         f"model has {model.vocab_size}")
+    return model, vocab
 
 
-def _check_infer_steps(args) -> None:
-    if args.infer_steps < 1:
-        raise UsageError(f"--infer-steps must be >= 1, got {args.infer_steps}")
+def _check_dims(q_model, a_model, net=None) -> None:
+    """Both sides' doc vectors have one size, which the network, if given,
+    takes as its input."""
+    if q_model.dim != a_model.dim:
+        raise UsageError(f"doc2vec dimensions differ: {q_model.dim} vs {a_model.dim}")
+    if net is not None and net.layer_dims[0] != q_model.dim:
+        raise UsageError(f"doc2vec vectors have {q_model.dim} dimensions but the similarity "
+                         f"network takes {net.layer_dims[0]}")
 
 
 def cmd_train_simnet(args) -> int:
+    _require(0 < args.val_fraction < 1, "--val-fraction", "lie in (0, 1)", args.val_fraction)
     config = _load_config(args.config)
     cfg = _section_config(args, config, "simnet")
     pairs = corpus.load_pairs(_require_file(args.pairs, "pair file"))
-    q_model = _load_doc2vec(args.q_model, "question doc2vec model", infer=False)
-    a_model = _load_doc2vec(args.a_model, "answer doc2vec model", infer=False)
-    if q_model.dim != a_model.dim:
-        raise UsageError(f"doc2vec dimensions differ: {q_model.dim} vs {a_model.dim}")
+    q_model, _ = _load_side(args, "q", infer=False)
+    a_model, _ = _load_side(args, "a", infer=False)
+    _check_dims(q_model, a_model)
 
     if args.val_pairs:
         val_pairs = corpus.load_pairs(_require_file(args.val_pairs, "validation pair file"))
@@ -252,12 +281,6 @@ def cmd_train_simnet(args) -> int:
                       "best_val_acc": report.epochs[report.best_epoch].val_acc},
                      sort_keys=True))
     return 0
-
-
-def _check_vocab(vocab, model, what: str) -> None:
-    if len(vocab) != model.vocab_size:
-        raise UsageError(f"{what} vocabulary holds {len(vocab)} tokens but its doc2vec "
-                         f"model has {model.vocab_size}")
 
 
 def _doc_vectors(texts, model, vocab, args, seed: int, what: str) -> np.ndarray:
@@ -297,20 +320,15 @@ def _bow_cosine_top1(q_texts, a_texts, pools, min_count: int):
 
 def cmd_eval(args) -> int:
     if args.infer_vectors:
-        _check_infer_steps(args)
+        _require(args.infer_steps >= 1, "--infer-steps", "be >= 1", args.infer_steps)
     config = _load_config(args.config)
     threshold = _threshold(args, config)
+    min_count = _setting(args, config, "min_count") if args.bow_baseline else None
     q_texts, a_texts, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
-    q_model = _load_doc2vec(args.q_model, "question doc2vec model", args.infer_vectors)
-    a_model = _load_doc2vec(args.a_model, "answer doc2vec model", args.infer_vectors)
+    q_model, q_vocab = _load_side(args, "q", args.infer_vectors)
+    a_model, a_vocab = _load_side(args, "a", args.infer_vectors)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
-
-    q_vocab = a_vocab = None
-    if args.infer_vectors:
-        q_vocab = corpus.load_vocabulary(_require_file(args.q_vocab, "question vocabulary"))
-        a_vocab = corpus.load_vocabulary(_require_file(args.a_vocab, "answer vocabulary"))
-        _check_vocab(q_vocab, q_model, "question")
-        _check_vocab(a_vocab, a_model, "answer")
+    _check_dims(q_model, a_model, net)
     seed = _seed(args, config)
     q_vectors = _doc_vectors(q_texts, q_model, q_vocab, args, seed, "questions")
     a_vectors = _doc_vectors(a_texts, a_model, a_vocab, args, seed, "answers")
@@ -323,7 +341,6 @@ def cmd_eval(args) -> int:
     else:
         report["pair_accuracy"] = None
     if args.bow_baseline:
-        min_count = _setting(args, config, "min_count")
         report["bow_cosine_top1"] = _bow_cosine_top1(q_texts, a_texts, pools, min_count)
 
     _echo("eval", {"threshold": threshold, "infer_vectors": bool(args.infer_vectors)})
@@ -336,17 +353,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    ratios = _parse_list(args.ratios, float, "--ratios", "numbers")
+    seeds = _parse_list(args.seeds, int, "--seeds", "integers")
+    _require(all(0 < r < 1 for r in ratios), "--ratios", "lie in (0, 1)", args.ratios)
+    _require(args.clf_epochs >= 1, "--clf-epochs", "be >= 1", args.clf_epochs)
+    _require(args.clf_lr > 0, "--clf-lr", "be > 0", args.clf_lr)
+    _require(args.clf_reg >= 0, "--clf-reg", "be >= 0", args.clf_reg)
     config = _load_config(args.config)
-    texts, labels01 = evaluation.load_labeled_texts(_require_file(args.data, "labeled data file"))
     min_count = _setting(args, config, "min_count")
+    cfg = _section_config(args, config, "embedding")
+    texts, labels01 = evaluation.load_labeled_texts(_require_file(args.data, "labeled data file"))
     docs = [corpus.tokenize(t) for t in texts]
     vocab = corpus.build_vocabulary(docs, min_count=min_count)
     encoded = corpus.encode_corpus(docs, vocab)
     labels = np.array(labels01, dtype=np.float64) * 2.0 - 1.0
-
-    cfg = _section_config(args, config, "embedding")
-    ratios = [float(r) for r in args.ratios.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
     _echo("classify", {**dataclasses.asdict(cfg), "ratios": ratios, "seeds": seeds,
                        "min_count": min_count})
 
@@ -367,15 +387,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ask(args) -> int:
-    _check_infer_steps(args)
+    _require(args.infer_steps >= 1, "--infer-steps", "be >= 1", args.infer_steps)
     config = _load_config(args.config)
     threshold = _threshold(args, config)
-    q_vocab = corpus.load_vocabulary(_require_file(args.q_vocab, "question vocabulary"))
     # a question is inferred, never looked up; an answer is only looked up
-    q_model = _load_doc2vec(args.q_model, "question doc2vec model", infer=True)
-    _check_vocab(q_vocab, q_model, "question")
-    a_model = _load_doc2vec(args.a_model, "answer doc2vec model", infer=False)
+    q_model, q_vocab = _load_side(args, "q", infer=True)
+    a_model, _ = _load_side(args, "a", infer=False)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
+    _check_dims(q_model, a_model, net)
     with open(_require_file(args.answers, "answers file"), encoding="utf-8") as fh:
         answer_texts = fh.read().splitlines()
     if len(answer_texts) != a_model.n_docs:
@@ -446,25 +465,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("train-word2vec", help="train word vectors")
-    common(p)
-    _add_corpus_source(p)
-    _add_section_flags(p, "embedding")
-    p.add_argument("--export-text", help="also write a text-format embedding table")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--mode", choices=["cbow", "skipgram"], default="cbow")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_word2vec)
-
-    p = sub.add_parser("train-doc2vec", help="train paragraph vectors")
-    common(p)
-    _add_corpus_source(p)
-    _add_section_flags(p, "embedding")
-    p.add_argument("--export-text", help="also write a text-format embedding table")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--combine", choices=["average", "concatenate"], default="average")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_doc2vec)
+    # the two embedding trainers differ only in what they train, the mode
+    # flag and its default, and the matrix that --export-text writes
+    for kind, what, flag, default, export_matrix in (
+            ("word2vec", "word vectors", "mode", embedding.Word2VecMode.CBOW, "input_matrix"),
+            ("doc2vec", "paragraph vectors", "combine", embedding.CombineMode.AVERAGE,
+             "word_matrix")):
+        p = sub.add_parser("train-" + kind, help="train " + what)
+        common(p)
+        _add_corpus_source(p)
+        _add_section_flags(p, "embedding")
+        p.add_argument("--export-text", help="also write a text-format embedding table")
+        p.add_argument("--vocab", required=True)
+        p.add_argument("--" + flag, choices=[m.value for m in type(default)],
+                       default=default.value)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_train_embedding, kind=kind, mode_flag=flag,
+                       export_matrix=export_matrix)
 
     p = sub.add_parser("sample-pairs", help="sample labeled pairs from candidate pools")
     common(p)
@@ -536,10 +553,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:

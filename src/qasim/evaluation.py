@@ -73,12 +73,6 @@ def train_linear(features: np.ndarray, labels: np.ndarray, epochs: int = 20,
     return LinearClassifier(weights=w, bias=float(b))
 
 
-def hinge_loss(clf: LinearClassifier, x: np.ndarray, y: float, reg: float) -> float:
-    """Single-example objective value, used by the gradient tests."""
-    margin = y * (float(np.dot(x, clf.weights)) + clf.bias)
-    return max(0.0, 1.0 - margin) + reg * float(np.dot(clf.weights, clf.weights))
-
-
 def _stratified_split(labels: np.ndarray, ratio: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Seeded per-class split so small training ratios keep both classes."""
     train_idx = []

@@ -86,6 +86,20 @@ def ws(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def wide_models(ws):
+    """Question and answer doc2vec models of 16 dimensions, where the
+    workspace's models and network have 8."""
+    paths = {}
+    for side in ("question", "answer"):
+        paths[side] = ws["root"] / f"{side}16.d2v"
+        rc, _ = run(["train-doc2vec", "--qa-file", str(ws["qa"]), "--side", side,
+                     "--vocab", str(ws[side[0] + "_vocab"]), "--dim", "16", "--window", "2",
+                     "--epochs", "1", "--seed", "1", "--out", str(paths[side])])
+        assert rc == 0
+    return paths
+
+
 class TestPipeline:
     def test_build_vocab_counters(self, ws):
         stats = last_json(ws["out"]["build_q"])
@@ -578,6 +592,25 @@ class TestExitCodes:
                      "--max-epochs", "1", "--out", str(tmp_path / "n")])
         assert rc == 2
 
+    @pytest.mark.parametrize("infer", [False, True], ids=["lookup", "infer"])
+    def test_eval_models_wider_than_network_exit_two_before_inference(
+            self, ws, wide_models, monkeypatch, capsys, infer):
+        inferred = []
+        monkeypatch.setattr(embedding, "infer_doc_vectors",
+                            lambda *args, **kwargs: inferred.append(args))
+        argv = ["eval", "--qa-file", str(ws["qa"]), "--q-model", str(wide_models["question"]),
+                "--a-model", str(wide_models["answer"]), "--simnet", str(ws["net"])]
+        if infer:
+            argv += ["--infer-vectors", "--q-vocab", str(ws["q_vocab"]),
+                     "--a-vocab", str(ws["a_vocab"])]
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "qasim: error: doc2vec vectors have 16 dimensions but the similarity network "
+            "takes 8"]
+        assert captured.out == ""
+        assert inferred == []
 
     def test_config_section_not_an_object(self, ws, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -700,6 +733,19 @@ TOP_WRONG_TYPE = {"seed": ("3", "sample-pairs"), "min_count": ("2", "build-vocab
                   "n_pairs": (2.5, "sample-pairs")}
 
 
+# Out-of-range top-level settings, each with a command that resolves it
+# and the message it must exit with.
+BAD_TOP_SETTINGS = [
+    ("build-vocab", "min_count", 0, "min_count must be >= 1, got 0"),
+    ("eval", "min_count", -3, "min_count must be >= 1, got -3"),
+    ("classify", "min_count", 0, "min_count must be >= 1, got 0"),
+    ("sample-pairs", "n_pairs", -1, "n_pairs must be >= 0, got -1"),
+    ("sample-pairs", "positive_fraction", 2.0, "positive_fraction must lie in [0, 1], got 2.0"),
+    ("sample-pairs", "positive_fraction", -0.5,
+     "positive_fraction must lie in [0, 1], got -0.5"),
+]
+
+
 def command_argv(ws, tmp_path, command):
     """Inputs and output of `command` from the pipeline workspace."""
     return {
@@ -747,6 +793,63 @@ class TestTopLevelConfig:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "qasim: error: missing required n_pairs (flag --n-pairs or config)"]
+
+    @pytest.mark.parametrize("command, key, value, message", BAD_TOP_SETTINGS,
+                             ids=[f"{c}-{k}={v}" for c, k, v, _ in BAD_TOP_SETTINGS])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_exits_two_before_any_input(self, tmp_path, capsys, command, key,
+                                                      value, message, source):
+        # every input file named is missing: the setting must be rejected first
+        missing = str(tmp_path / "missing")
+        argv = {"build-vocab": ["build-vocab", "--qa-file", missing, "--out", missing],
+                "sample-pairs": ["sample-pairs", "--qa-file", missing, "--out", missing],
+                "eval": ["eval", "--qa-file", missing, "--q-model", missing,
+                         "--a-model", missing, "--simnet", missing, "--bow-baseline"],
+                "classify": ["classify", "--data", missing, "--out", missing]}[command]
+        # sample-pairs needs n_pairs before it resolves the fraction
+        settings = {"n_pairs": 4, key: value} if command == "sample-pairs" else {key: value}
+        if source == "flag":
+            for name, setting in settings.items():
+                argv += ["--" + name.replace("_", "-"), str(setting)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(settings), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"qasim: error: {message}"]
+        assert not os.path.exists(missing)
+
+
+# A bad value of a command's own flag and the message it must exit with.
+BAD_COMMAND_FLAGS = [
+    ("train-simnet", "--val-fraction", "0", "--val-fraction must lie in (0, 1), got 0.0"),
+    ("train-simnet", "--val-fraction", "-0.5", "--val-fraction must lie in (0, 1), got -0.5"),
+    ("train-simnet", "--val-fraction", "nan", "--val-fraction must lie in (0, 1), got nan"),
+    ("classify", "--ratios", "0.2,abc",
+     "--ratios must be comma-separated numbers, got '0.2,abc'"),
+    ("classify", "--ratios", "1.5", "--ratios must lie in (0, 1), got 1.5"),
+    ("classify", "--seeds", "x", "--seeds must be comma-separated integers, got 'x'"),
+    ("classify", "--clf-epochs", "-1", "--clf-epochs must be >= 1, got -1"),
+    ("classify", "--clf-lr", "-1", "--clf-lr must be > 0, got -1.0"),
+    ("classify", "--clf-reg", "-0.1", "--clf-reg must be >= 0, got -0.1"),
+]
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("command, flag, value, message", BAD_COMMAND_FLAGS,
+                             ids=[f"{f}={v}" for _, f, v, _ in BAD_COMMAND_FLAGS])
+    def test_bad_flag_exits_two_before_any_input(self, tmp_path, capsys, command, flag, value,
+                                                 message):
+        # every input file named is missing: the flag must be rejected first
+        missing = str(tmp_path / "missing")
+        argv = {"train-simnet": ["train-simnet", "--pairs", missing, "--q-model", missing,
+                                 "--a-model", missing, "--out", missing],
+                "classify": ["classify", "--data", missing, "--out", missing]}[command]
+        rc = main(argv + [flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"qasim: error: {message}"]
+        assert not os.path.exists(missing)
 
 
 # Every subcommand's options besides -h/--help.  A config field added
@@ -807,6 +910,30 @@ class TestExportText:
         first = lines[0].split(" ")
         assert first[0] == vocab.id_to_token[0]
         assert len(first) == 1 + 4
+
+
+class TestEmbeddingTrainers:
+    def test_trainer_and_saver_are_looked_up_at_call_time(self, ws, monkeypatch, tmp_path):
+        # perfbench's tracer wraps these module attributes; the handler must
+        # call whatever `embedding.<name>` holds when the command runs
+        calls = []
+
+        def recording(name):
+            real = getattr(embedding, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("train_word2vec", "train_doc2vec", "save_word2vec", "save_doc2vec"):
+            monkeypatch.setattr(embedding, name, recording(name))
+        for kind in ("word2vec", "doc2vec"):
+            rc, _ = run([f"train-{kind}", "--qa-file", str(ws["qa"]),
+                         "--vocab", str(ws["q_vocab"]), "--dim", "4", "--epochs", "1",
+                         "--out", str(tmp_path / kind)])
+            assert rc == 0
+        assert calls == ["train_word2vec", "save_word2vec", "train_doc2vec", "save_doc2vec"]
 
 
 class TestClassify:
@@ -931,6 +1058,19 @@ class TestAsk:
             f"qasim: error: non-finite values in doc2vec model file: {bad}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("side", ["question", "answer"])
+    def test_one_side_wider_exits_two_before_ready(self, ws, wide_models, answers_file,
+                                                   monkeypatch, capsys, side):
+        argv = self.ask_argv(ws, "0.5")
+        argv[argv.index(f"--{side[0]}-model") + 1] = str(wide_models[side])
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        dims = "16 vs 8" if side == "question" else "8 vs 16"
+        assert captured.err.splitlines() == [f"qasim: error: doc2vec dimensions differ: {dims}"]
+        assert captured.out == ""
+
     def test_infer_steps_below_one_exits_two_before_ready(self, ws, answers_file, monkeypatch,
                                                           capsys):
         argv = self.ask_argv(ws, "0.5")
@@ -942,7 +1082,7 @@ class TestAsk:
         assert captured.err.splitlines() == ["qasim: error: --infer-steps must be >= 1, got 0"]
         assert captured.out == ""
 
-    @pytest.mark.parametrize("threshold", ["1.5", "0", "1", "-0.2"])
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "1", "-0.2", "nan"])
     def test_threshold_out_of_range_exits_two_before_ready(self, ws, answers_file, monkeypatch,
                                                            capsys, threshold):
         monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))

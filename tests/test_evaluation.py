@@ -14,12 +14,17 @@ from qasim.evaluation import (
     LinearClassifier,
     _stratified_split,
     bow_matrix,
-    hinge_loss,
     learning_curve,
     load_labeled_texts,
     save_learning_curves,
     train_linear,
 )
+
+
+def hinge_loss(clf: LinearClassifier, x: np.ndarray, y: float, reg: float) -> float:
+    """The single-example objective that `train_linear` descends."""
+    margin = y * (float(np.dot(x, clf.weights)) + clf.bias)
+    return max(0.0, 1.0 - margin) + reg * float(np.dot(clf.weights, clf.weights))
 
 
 def doc(tokens):
