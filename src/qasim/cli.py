@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import functools
 import json
 import math
 import os
@@ -357,7 +358,10 @@ def cmd_classify(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds", "integers")
     _require(all(0 < r < 1 for r in ratios), "--ratios", "lie in (0, 1)", args.ratios)
     _require(args.clf_epochs >= 1, "--clf-epochs", "be >= 1", args.clf_epochs)
+    # an infinite rate or penalty would turn the weights to NaN, not an error
+    _require(math.isfinite(args.clf_lr), "--clf-lr", "be finite", args.clf_lr)
     _require(args.clf_lr > 0, "--clf-lr", "be > 0", args.clf_lr)
+    _require(math.isfinite(args.clf_reg), "--clf-reg", "be finite", args.clf_reg)
     _require(args.clf_reg >= 0, "--clf-reg", "be >= 0", args.clf_reg)
     config = _load_config(args.config)
     min_count = _setting(args, config, "min_count")
@@ -450,7 +454,9 @@ def _add_top_flags(p: argparse.ArgumentParser, *keys: str) -> None:
         p.add_argument("--" + key.replace("_", "-"), type=_TOP_FIELDS[key][0])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qasim` parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

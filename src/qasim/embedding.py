@@ -371,20 +371,22 @@ def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, position: tuple,
         _add_rows(model.word_matrix, context, words, step, context_repeats)
 
 
-def _dm_frozen_update(out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray, keep: np.ndarray,
-                      lr: np.ndarray, scale: float, scratch: tuple) -> None:
-    """One inference step for B documents at once, word and output
-    matrices frozen: the gathered output rows `out` (B, 1+m, D), target
-    first, the negated hidden vectors as columns `h` (B, D, 1), `keep`
-    (B, 1, 1+m) 1.0 or 0.0 (a draw that hit its target gets no
-    gradient), `lr` (B, 1).  Updates `doc_vecs` (B, d) in place and
-    overwrites `scratch`, a `_frozen_scratch` of B documents.  Each
-    document's rows have the same fixed width whatever the batch, so its
-    arithmetic does not depend on the batch."""
+def _dm_frozen_update(product, out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray,
+                      keep: np.ndarray, lr: np.ndarray, scale: float, scratch: tuple) -> None:
+    """One inference step for `a` documents at once, word and output
+    matrices frozen: the gathered output rows `out` (a, 1+m, D), target
+    first, the negated hidden vectors as columns `h` (a, D, 1), `keep`
+    (a, 1, 1+m) 1.0 or 0.0 (a draw that hit its target gets no
+    gradient), `lr` (a, 1).  Updates `doc_vecs` (a, d) in place and
+    overwrites `scratch`, a `_frozen_scratch` of `a` documents.  `product`
+    is np.matmul; a lone document passes every array without its batch
+    axis and np.dot, the same BLAS gemv per document at less overhead per
+    call.  Each document's rows have the same fixed width whatever the
+    batch, so its arithmetic does not depend on the batch."""
     scores, g, label, grad_h, grad_doc, step = scratch
-    np.matmul(out, h, out=scores)          # the negated scores
-    _ns_grad(g, keep, label, out=g)        # g: the scores' memory, as (B, 1, 1+m)
-    np.matmul(g, out, out=grad_h)
+    product(out, h, out=scores)            # the negated scores
+    _ns_grad(g, keep, label, out=g)        # g: the scores' memory, as (a, 1, 1+m)
+    product(g, out, out=grad_h)
     np.multiply(lr, grad_doc, out=step)
     if scale != 1.0:                       # x * 1.0 is x
         step *= scale
@@ -393,9 +395,10 @@ def _dm_frozen_update(out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray, keep
 
 def _frozen_scratch(B: int, m: int, D: int, d: int) -> tuple:
     """The `scratch` that `_dm_frozen_update` writes for B documents, each
-    entry's [:a] that of the first a: the scores (B, 1+m, 1) and the same
-    memory as (B, 1, 1+m), the label, the gradient with respect to h
-    (B, 1, D) and its doc part, and the doc step (B, d)."""
+    entry's [:a] that of the first a and its [0] that of a lone document:
+    the scores (B, 1+m, 1) and the same memory as (B, 1, 1+m), the label,
+    the gradient with respect to h (B, 1, D) and its doc part, and the doc
+    step (B, d)."""
     scores, grad_h = np.empty((B, 1 + m, 1)), np.empty((B, 1, D))
     return (scores, scores.reshape(B, 1, 1 + m), np.broadcast_to(_label(1 + m), (B, 1, 1 + m)),
             grad_h, grad_h[:, 0, :d], np.empty((B, d)))
@@ -511,13 +514,17 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     hidden = np.empty((B, D, 1))           # the negated hidden vectors, as columns
     scratch = _frozen_scratch(B, m, D, d)
     active = valid.sum(axis=0).tolist()    # the documents at each position
-    # What every position of the first `a` documents shares: their
-    # vectors, where the negated hidden vector is written (the doc slot in
-    # concatenate mode), the context slots, the hidden columns and the
-    # step's scratch.
-    shared = {a: (vecs[:a], hidden[:a, :, 0] if average else hidden[:a, :d, 0],
-                  hidden[:a, d:, 0], hidden[:a], tuple(x[:a] for x in scratch))
-              for a in set(active)}
+    # A position's documents are the first `a`: index [:a], or [0] for a
+    # lone document, whose views drop the batch axis so that its products
+    # run through np.dot.  What every position of the same `a` shares: the
+    # index, the product, their vectors, where the negated hidden vector is
+    # written (the doc slot in concatenate mode), the context slots, the
+    # hidden columns and the step's scratch.
+    shared = {}
+    for a in set(active):
+        ix, product = (0, np.dot) if a == 1 else (slice(a), np.matmul)
+        shared[a] = (ix, product, vecs[ix], hidden[ix, :, 0] if average else hidden[ix, :d, 0],
+                     hidden[ix, d:, 0], hidden[ix], tuple(x[ix] for x in scratch))
     # Per gather window: its rows and buffer, then per position (whose
     # documents are the first `a`) what each pass refills or reads: the
     # vectors, the frozen context, where the negated hidden vector goes,
@@ -527,14 +534,14 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     for i0 in range(0, n_max, wide):
         at = []
         for i in range(i0, min(i0 + wide, n_max)):
-            a, c = active[i], min(i, k)
-            vec, hv, ctx_slots, h, step_scratch = shared[a]
+            c = min(i, k)
+            ix, product, vec, hv, ctx_slots, h, step_scratch = shared[active[i]]
             if average:
-                frozen, slot = ctx[:a, i], -(1.0 + c)
+                frozen, slot = ctx[ix, i], -(1.0 + c)
             else:
-                frozen, slot = ctx[:a, i: i + k].reshape(a, k * d), ctx_slots
-            at.append((vec, frozen, hv, slot, (buf[i - i0, :a], h, vec, keep[i, :a, None],
-                                               lrs[i, :a], _dm_scale(model, c), step_scratch)))
+                frozen, slot = ctx[ix, i: i + k].reshape(ctx_slots.shape), ctx_slots
+            at.append((vec, frozen, hv, slot, (product, buf[i - i0, ix], h, vec, keep[i, ix, None],
+                                               lrs[i, ix], _dm_scale(model, c), step_scratch)))
         windows.append((rows[i0: i0 + wide], buf[:len(at)], at))
     for e0 in range(0, steps, chunk):
         passes = min(chunk, steps - e0)

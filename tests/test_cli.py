@@ -253,8 +253,9 @@ class TestDeterminism:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
     def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # Batches of 100 rows of 64 features are large enough for OpenBLAS
-        # to split the simnet GEMMs over threads.
+        # The pipeline's commands: both embedding trainers, the simnet, and
+        # eval on inferred vectors.  Batches of 100 rows of 64 features are
+        # large enough for OpenBLAS to split the simnet GEMMs over threads.
         qa = tmp_path / "qa.jsonl"
         write_qa(qa, planted_qa_records(n_questions=40, n_gold=20, n_filler=20,
                                         pool_size=5, seed=4))
@@ -270,9 +271,14 @@ class TestDeterminism:
              *d2v, "--out", "a.d2v"],
             ["sample-pairs", "--qa-file", str(qa), "--n-pairs", "400", "--seed", "2",
              "--out", "pairs.jsonl"],
+            ["train-word2vec", "--qa-file", str(qa), "--side", "question", "--vocab", "q.vocab",
+             *d2v, "--mode", "skipgram", "--out", "q.w2v"],
             ["train-simnet", "--pairs", "pairs.jsonl", "--q-model", "q.d2v", "--a-model", "a.d2v",
              "--batch-size", "100", "--max-epochs", "2", "--patience", "2", "--lr0", "0.05",
              "--seed", "3", "--out", "net.simnet"],
+            ["eval", "--qa-file", str(qa), "--q-model", "q.d2v", "--a-model", "a.d2v",
+             "--simnet", "net.simnet", "--infer-vectors", "--q-vocab", "q.vocab",
+             "--a-vocab", "a.vocab", "--infer-steps", "5", "--seed", "4", "--out", "eval.json"],
         ]
         script = ("import contextlib, hashlib, io, json, os, sys\n"
                   "from qasim import cli\n"
@@ -293,8 +299,8 @@ class TestDeterminism:
                                  env=env, capture_output=True, text=True, timeout=120)
             assert out.returncode == 0, out.stderr
             digests.append(json.loads(out.stdout))
-        assert {"q.d2v", "a.d2v", "pairs.jsonl", "net.simnet", "net.simnet.report.jsonl",
-                "net.simnet.report.csv"} <= set(digests[0])
+        assert {"q.d2v", "a.d2v", "q.w2v", "pairs.jsonl", "net.simnet", "net.simnet.report.jsonl",
+                "net.simnet.report.csv", "eval.json"} <= set(digests[0])
         assert digests[0] == digests[1]
 
     def test_different_seed_changes_pairs(self, ws):
@@ -833,6 +839,9 @@ BAD_COMMAND_FLAGS = [
     ("classify", "--clf-epochs", "-1", "--clf-epochs must be >= 1, got -1"),
     ("classify", "--clf-lr", "-1", "--clf-lr must be > 0, got -1.0"),
     ("classify", "--clf-reg", "-0.1", "--clf-reg must be >= 0, got -0.1"),
+    ("classify", "--clf-lr", "inf", "--clf-lr must be finite, got inf"),
+    ("classify", "--clf-reg", "inf", "--clf-reg must be finite, got inf"),
+    ("classify", "--clf-reg", "nan", "--clf-reg must be finite, got nan"),
 ]
 
 

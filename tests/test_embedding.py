@@ -274,7 +274,11 @@ class TestDmStep:
                 assert abs(fd - grad[idx]) / denom < 1e-5, (idx, fd, grad[idx])
 
     @pytest.mark.parametrize("case", CASES)
-    def test_frozen_words_update_only_the_doc_vector(self, case):
+    @pytest.mark.parametrize("lone", [True, False], ids=["dot", "matmul"])
+    def test_frozen_words_update_only_the_doc_vector(self, case, lone):
+        # in both of inference's plan shapes: a lone document, every array
+        # without its batch axis and np.dot, or the second of a batch of
+        # three and np.matmul; the other two take steps of their own
         combine, context, target, negatives = case
         n_missing = self.WINDOW - len(context)
         rows, repeats = step_rows(target, negatives)
@@ -285,16 +289,23 @@ class TestDmStep:
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
         h = embedding._dm_hidden(model, doc_vec, model.word_matrix[context], position[2])
-        scratch = embedding._frozen_scratch(1, len(rows) - 1, len(h), model.dim)
-        embedding._dm_frozen_update(model.output_matrix[rows][None], h[None, :, None],
-                                    doc_vec[None], np.ones((1, 1, len(rows))), np.array([[0.5]]),
-                                    embedding._dm_scale(model, len(context)), scratch)
-        assert np.array_equal(model.word_matrix, before[0])
-        assert np.array_equal(model.output_matrix, before[2])
-        assert np.array_equal(model.doc_matrix[0], before[1][0])
+        B, b, ix, product = (1, 0, 0, np.dot) if lone else (3, 1, slice(3), np.matmul)
+        r = np.random.default_rng(3)
+        out = r.normal(scale=0.4, size=(B, len(rows), len(h)))
+        hs = r.normal(scale=0.4, size=(B, len(h), 1))
+        vecs = r.normal(scale=0.4, size=(B, model.dim))
+        out[b], hs[b, :, 0], vecs[b] = model.output_matrix[rows], h, doc_vec
+        scratch = embedding._frozen_scratch(B, len(rows) - 1, len(h), model.dim)
+        embedding._dm_frozen_update(product, out[ix], hs[ix], vecs[ix],
+                                    np.ones((B, 1, len(rows)))[ix], np.full((B, 1), 0.5)[ix],
+                                    embedding._dm_scale(model, len(context)),
+                                    tuple(x[ix] for x in scratch))
+        for matrix, copy_before in zip((model.word_matrix, model.doc_matrix,
+                                        model.output_matrix), before):
+            assert np.array_equal(matrix, copy_before)
         # the doc vector takes the same step as in training
-        assert np.array_equal(doc_vec, trained_vec)
-        assert not np.array_equal(doc_vec, before[1][1])
+        assert np.array_equal(vecs[b], trained_vec)
+        assert not np.array_equal(vecs[b], doc_vec)
 
 
 def test_step_rows_match_one_draw_per_step():
@@ -610,14 +621,19 @@ class TestInferDocVectors:
     """Lockstep inference: every row is the document's own vector, whatever
     else is in the batch."""
 
+    @pytest.mark.parametrize("dim", [7, 100])
     @pytest.mark.parametrize("combine", list(CombineMode))
-    def test_rows_equal_single_inference(self, combine):
+    def test_rows_equal_single_inference(self, combine, dim):
+        # A lone document, and the batch's last position (one document of
+        # 20 tokens), step on 2-D views through np.dot; the batch's other
+        # positions through np.matmul.  At dim 100 (400 output columns in
+        # concatenate mode) BLAS blocks the products as the benchmark does.
         docs, vocab = cluster_corpus(12)
-        cfg = EmbedTrainConfig(dim=7, window=3, negatives=4, epochs=3, seed=5)
+        cfg = EmbedTrainConfig(dim=dim, window=3, negatives=4, epochs=3, seed=5)
         model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
         batch = mixed_length_docs(docs, 20)
         vecs = embedding.infer_doc_vectors(model, batch, steps=6, lr=0.05, seed=3)
-        assert vecs.shape == (len(batch), 7)
+        assert vecs.shape == (len(batch), dim)
         for doc, row in zip(batch, vecs):
             assert np.array_equal(row, infer_doc_vector(model, doc, steps=6, lr=0.05, seed=3))
 
