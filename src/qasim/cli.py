@@ -399,8 +399,7 @@ def cmd_ask(args) -> int:
     a_model, _ = _load_side(args, "a", infer=False)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
     _check_dims(q_model, a_model, net)
-    with open(_require_file(args.answers, "answers file"), encoding="utf-8") as fh:
-        answer_texts = fh.read().splitlines()
+    answer_texts = corpus.read_lines(_require_file(args.answers, "answers file"))
     if len(answer_texts) != a_model.n_docs:
         raise UsageError(f"answers file holds {len(answer_texts)} lines but the model "
                          f"has {a_model.n_docs} doc vectors")

@@ -4,7 +4,8 @@ Raw text goes through three stages: tokenize (strings), build a
 Vocabulary with frequency thresholding and two reserved symbols, then
 encode every document into dense integer ids.  Question/answer datasets
 are loaded into candidate pools from which labeled training pairs are
-sampled.
+sampled.  Every text file is read by one of two readers: read_lines for
+plain text and read_jsonl for JSONL records.
 """
 
 from __future__ import annotations
@@ -54,14 +55,21 @@ class Vocabulary:
     frequency order (ties lexicographic).  The two reserved symbols take
     the two highest ids: lf_id = V-2, num_id = V-1.  Frequencies of the
     reserved ids count the tokens that were mapped onto them during the
-    build.
+    build.  token_to_id, lf_id and num_id are derived from id_to_token.
     """
 
-    token_to_id: dict[str, int]
     id_to_token: list[str]
     frequency: list[int]
-    lf_id: int
-    num_id: int
+    token_to_id: dict[str, int] = field(init=False)
+    lf_id: int = field(init=False)
+    num_id: int = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.id_to_token)
+        regular = {t: i for i, t in enumerate(self.id_to_token[:-2])}
+        object.__setattr__(self, "token_to_id", regular)
+        object.__setattr__(self, "lf_id", n - 2)
+        object.__setattr__(self, "num_id", n - 1)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -151,16 +159,8 @@ def build_vocabulary(docs: list[list[str]], min_count: int = 5) -> Vocabulary:
     )
     lf_freq = sum(c for t, c in counts.items() if c < min_count)
 
-    id_to_token = retained + [LF_TOKEN, NUM_TOKEN]
-    token_to_id = {t: i for i, t in enumerate(retained)}
-    frequency = [counts[t] for t in retained] + [lf_freq, num_freq]
-    return Vocabulary(
-        token_to_id=token_to_id,
-        id_to_token=id_to_token,
-        frequency=frequency,
-        lf_id=len(retained),
-        num_id=len(retained) + 1,
-    )
+    return Vocabulary(retained + [LF_TOKEN, NUM_TOKEN],
+                      [counts[t] for t in retained] + [lf_freq, num_freq])
 
 
 def encode(doc: list[str], vocab: Vocabulary, doc_id: int = 0) -> TokenizedDocument:
@@ -232,10 +232,38 @@ def sample_pairs(
 # File formats
 # ---------------------------------------------------------------------------
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file without their line ends.  Lines end
+    at "\n", "\r\n" or "\r" only, as in file iteration: a form feed,
+    U+0085 or U+2028 stays inside its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return [line.removesuffix("\n") for line in fh]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def read_jsonl(path, what: str, parse) -> list:
+    """`parse(record)` for the JSON record on each non-blank line of a
+    JSONL file.  A line that is not JSON (nested too deep for the parser
+    among them), or whose record `parse` rejects with KeyError, TypeError
+    or ValueError, raises a ValueError naming the path, the line number
+    and `what`."""
+    parsed = []
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            parsed.append(parse(json.loads(line)))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}:{line_no}: malformed {what} record: {exc}") from exc
+    return parsed
+
+
 def load_corpus_file(path) -> list[list[str]]:
     """Read a plain-text corpus, one document per line, tokenized."""
-    with open(path, encoding="utf-8") as fh:
-        return [tokenize(line) for line in fh.read().splitlines()]
+    return [tokenize(line) for line in read_lines(path)]
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -247,29 +275,43 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     """Read a vocabulary file written by save_vocabulary."""
-    id_to_token: list[str] = []
+    ids: dict[str, int] = {}
     frequency: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), start=1):
-            try:
-                token, idx, freq = line.split("\t")
-                idx, freq = int(idx), int(freq)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: malformed vocabulary line: {line!r}") from None
-            if idx != len(id_to_token):
-                raise ValueError(f"non-dense id {idx} in vocabulary file {path}")
-            id_to_token.append(token)
-            frequency.append(freq)
+    for line_no, line in enumerate(read_lines(path), start=1):
+        try:
+            token, idx, freq = line.split("\t")
+            idx, freq = int(idx), int(freq)
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: malformed vocabulary line: {line!r}") from None
+        if idx != len(frequency):
+            raise ValueError(f"non-dense id {idx} in vocabulary file {path}")
+        if ids.setdefault(token, idx) != idx:
+            raise ValueError(f"{path}:{line_no}: duplicate vocabulary token {token!r}")
+        frequency.append(freq)
+    id_to_token = list(ids)
     if id_to_token[-2:] != [LF_TOKEN, NUM_TOKEN]:
         raise ValueError(f"vocabulary file {path} lacks the reserved symbols")
-    token_to_id = {t: i for i, t in enumerate(id_to_token[:-2])}
-    return Vocabulary(
-        token_to_id=token_to_id,
-        id_to_token=id_to_token,
-        frequency=frequency,
-        lf_id=len(id_to_token) - 2,
-        num_id=len(id_to_token) - 1,
-    )
+    return Vocabulary(id_to_token, frequency)
+
+
+def _qa_record(record) -> tuple[str, list[str], list[int]]:
+    """A QA record's question, its distinct candidate texts in order of
+    first appearance, and the positions of its correct ones among them."""
+    question, candidates = record["question"], record["candidates"]
+    correct = record.get("correct", [])
+    if not isinstance(question, str):
+        raise TypeError(f"question must be a string, got {question!r}")
+    if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
+        raise TypeError(f"candidates must be a list of strings, got {candidates!r}")
+    if not isinstance(correct, list) or any(
+            isinstance(i, bool) or not isinstance(i, int) for i in correct):
+        raise TypeError(f"correct must be a list of integers, got {correct!r}")
+    bad = [i for i in correct if not 0 <= i < len(candidates)]
+    if bad:
+        raise ValueError(f"correct indices out of range: {bad}")
+    # a candidate text repeated within one pool is one candidate
+    distinct = list(dict.fromkeys(candidates))
+    return question, distinct, [distinct.index(candidates[i]) for i in correct]
 
 
 def load_qa_dataset(path) -> tuple[list[str], list[str], list[CandidatePool]]:
@@ -280,53 +322,14 @@ def load_qa_dataset(path) -> tuple[list[str], list[str], list[CandidatePool]]:
     deduplicated across pools and pools reference doc ids into the two
     text lists.
     """
-    question_texts: list[str] = []
-    answer_texts: list[str] = []
-    answer_ids: dict[str, int] = {}
-    pools: list[CandidatePool] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                question = record["question"]
-                candidates = record["candidates"]
-                correct = record.get("correct", [])
-                if not isinstance(question, str):
-                    raise TypeError(f"question must be a string, got {question!r}")
-                if not isinstance(candidates, list) or not all(
-                        isinstance(c, str) for c in candidates):
-                    raise TypeError(f"candidates must be a list of strings, got {candidates!r}")
-                if not isinstance(correct, list) or any(
-                        isinstance(i, bool) or not isinstance(i, int) for i in correct):
-                    raise TypeError(f"correct must be a list of integers, got {correct!r}")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed QA record: {exc}") from exc
-            q_id = len(question_texts)
-            question_texts.append(question)
-            cand_ids = []
-            for text in candidates:
-                if text not in answer_ids:
-                    answer_ids[text] = len(answer_texts)
-                    answer_texts.append(text)
-                cand_ids.append(answer_ids[text])
-            # duplicate candidate text within one pool would collide after dedup
-            position = {}
-            deduped = []
-            for cid in cand_ids:
-                if cid not in position:
-                    position[cid] = len(deduped)
-                    deduped.append(cid)
-            bad = [i for i in correct if not 0 <= i < len(cand_ids)]
-            if bad:
-                raise ValueError(f"{path}:{line_no}: correct indices out of range: {bad}")
-            correct_idx = frozenset(position[cand_ids[i]] for i in correct)
-            pools.append(CandidatePool(q_id, deduped, correct_idx))
-    if not pools:
+    records = read_jsonl(path, "QA", _qa_record)
+    if not records:
         raise ValueError(f"no QA records found in {path}")
-    return question_texts, answer_texts, pools
+    answer_ids: dict[str, int] = {}
+    pools = [CandidatePool(q_id, [answer_ids.setdefault(t, len(answer_ids)) for t in texts],
+                           correct)
+             for q_id, (_, texts, correct) in enumerate(records)]
+    return [question for question, _, _ in records], list(answer_ids), pools
 
 
 def save_pairs(pairs: list[QAPair], path) -> None:
@@ -340,14 +343,5 @@ def save_pairs(pairs: list[QAPair], path) -> None:
 
 def load_pairs(path) -> list[QAPair]:
     """Read a JSONL pair file written by save_pairs."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                pairs.append(QAPair(record["question_doc"], record["answer_doc"], record["label"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed pair record: {exc}") from exc
-    return pairs
+    return read_jsonl(path, "pair", lambda record: QAPair(
+        record["question_doc"], record["answer_doc"], record["label"]))

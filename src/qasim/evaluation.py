@@ -8,12 +8,11 @@ data (CSV) for the comparison.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenizedDocument, Vocabulary, check_label
+from .corpus import TokenizedDocument, Vocabulary, check_label, read_jsonl
 
 
 @dataclass
@@ -126,25 +125,17 @@ def save_learning_curves(rows: dict[str, list[tuple[float, float, float]]], path
                 writer.writerow([repr(ratio), kind, repr(mean_acc), repr(std)])
 
 
+def _labeled_record(record) -> tuple[str, int]:
+    text, label = record["text"], record["label"]
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, got {text!r}")
+    check_label(label)
+    return text, label
+
+
 def load_labeled_texts(path) -> tuple[list[str], list[int]]:
     """Read JSONL {"text": str, "label": 0|1} classification data."""
-    texts: list[str] = []
-    labels: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                text, label = record["text"], record["label"]
-                if not isinstance(text, str):
-                    raise TypeError(f"text must be a string, got {text!r}")
-                check_label(label)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed labeled record: {exc}") from exc
-            texts.append(text)
-            labels.append(label)
-    if not texts:
+    records = read_jsonl(path, "labeled", _labeled_record)
+    if not records:
         raise ValueError(f"no labeled records found in {path}")
-    return texts, labels
+    return [text for text, _ in records], [label for _, label in records]

@@ -10,15 +10,17 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasim import cli, corpus, embedding, simnet, training
 from qasim.cli import build_parser, main
-from qasim.datasets import planted_qa_records
+from qasim.datasets import planted_qa_records, two_topic_docs
 
 
 def run(argv):
@@ -221,6 +223,16 @@ def grown_vocab(ws, tmp_path, extra=("zzfoo", "zzbar")):
     return path, len(lines)
 
 
+def duplicated_vocab(ws, tmp_path):
+    """The question vocabulary with its third token replaced by its first,
+    so it keeps the model's size; returns its path and that token."""
+    rows = [line.split("\t") for line in ws["q_vocab"].read_text(encoding="utf-8").splitlines()]
+    rows[2][0] = rows[0][0]
+    path = tmp_path / "dup.vocab"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    return path, rows[0][0]
+
+
 def vocab_mismatch_line(n_vocab, n_model):
     return (f"qasim: error: question vocabulary holds {n_vocab} tokens but its doc2vec "
             f"model has {n_model}")
@@ -253,12 +265,16 @@ class TestDeterminism:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
     def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # The pipeline's commands: both embedding trainers, the simnet, and
-        # eval on inferred vectors.  Batches of 100 rows of 64 features are
-        # large enough for OpenBLAS to split the simnet GEMMs over threads.
+        # The pipeline's commands: both embedding trainers, the simnet,
+        # eval on inferred vectors and classify.  Batches of 100 rows of 64
+        # features are large enough for OpenBLAS to split the simnet GEMMs
+        # over threads.
         qa = tmp_path / "qa.jsonl"
         write_qa(qa, planted_qa_records(n_questions=40, n_gold=20, n_filler=20,
                                         pool_size=5, seed=4))
+        labeled = tmp_path / "labeled.jsonl"
+        docs, labels = two_topic_docs(60, seed=5)
+        write_qa(labeled, [{"text": " ".join(d), "label": y} for d, y in zip(docs, labels)])
         d2v = ["--dim", "64", "--window", "2", "--epochs", "1", "--seed", "1"]
         steps = [
             ["build-vocab", "--qa-file", str(qa), "--side", "question", "--min-count", "1",
@@ -279,14 +295,18 @@ class TestDeterminism:
             ["eval", "--qa-file", str(qa), "--q-model", "q.d2v", "--a-model", "a.d2v",
              "--simnet", "net.simnet", "--infer-vectors", "--q-vocab", "q.vocab",
              "--a-vocab", "a.vocab", "--infer-steps", "5", "--seed", "4", "--out", "eval.json"],
+            ["classify", "--data", str(labeled), "--min-count", "1", *d2v, "--ratios", "0.2,0.5",
+             "--seeds", "0,1", "--clf-epochs", "5", "--out", "curves.csv"],
         ]
         script = ("import contextlib, hashlib, io, json, os, sys\n"
                   "from qasim import cli\n"
+                  "stdout = []\n"
                   "for argv in json.loads(sys.argv[1]):\n"
-                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
                   "        assert cli.main(argv) == 0, argv\n"
-                  "print(json.dumps({f: hashlib.sha256(open(f, 'rb').read()).hexdigest()\n"
-                  "                  for f in sorted(os.listdir('.'))}))\n")
+                  "    stdout.append(out.getvalue())\n"
+                  "print(json.dumps([stdout, {f: hashlib.sha256(open(f, 'rb').read()).hexdigest()\n"
+                  "                           for f in sorted(os.listdir('.'))}]))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         digests = []
         for threads in (1, min(2, os.cpu_count())):
@@ -300,7 +320,7 @@ class TestDeterminism:
             assert out.returncode == 0, out.stderr
             digests.append(json.loads(out.stdout))
         assert {"q.d2v", "a.d2v", "q.w2v", "pairs.jsonl", "net.simnet", "net.simnet.report.jsonl",
-                "net.simnet.report.csv", "eval.json"} <= set(digests[0])
+                "net.simnet.report.csv", "eval.json", "curves.csv"} <= set(digests[0][1])
         assert digests[0] == digests[1]
 
     def test_different_seed_changes_pairs(self, ws):
@@ -527,6 +547,15 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"qasim: error: {vocab}:{line_no}: malformed vocabulary line: {bad_line!r}"]
+
+    def test_duplicate_vocabulary_token_exits_one(self, ws, tmp_path, capsys):
+        vocab, token = duplicated_vocab(ws, tmp_path)
+        rc = main(["train-doc2vec", "--qa-file", str(ws["qa"]), "--vocab", str(vocab),
+                   "--dim", "4", "--epochs", "1", "--out", str(tmp_path / "m")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"qasim: error: {vocab}:3: duplicate vocabulary token {token!r}"]
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("model", ["q_model", "net"])
     @pytest.mark.parametrize("damage", ["trailing", "truncated", "huge_header"])
@@ -1101,6 +1130,35 @@ class TestAsk:
         assert captured.err.splitlines() == ["qasim: error: threshold must lie in (0, 1)"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0c"])
+    def test_answer_holding_a_line_separator_character(self, ws, answers_file, monkeypatch,
+                                                       tmp_path, capsys, char):
+        # legal inside a QA record's JSON string, and not a line end
+        lines = answers_file.read_text(encoding="utf-8").split("\n")
+        lines[0] = lines[0].replace(" ", char, 1)
+        answers = tmp_path / "answers.txt"
+        answers.write_text("\n".join(lines), encoding="utf-8")
+        argv = self.ask_argv(ws, "0.001")
+        argv[argv.index("--answers") + 1] = str(answers)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        rc = main(argv)
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("answer (")
+
+    def test_duplicate_vocabulary_token_exits_one_before_ready(self, ws, answers_file,
+                                                               monkeypatch, tmp_path, capsys):
+        vocab, token = duplicated_vocab(ws, tmp_path)
+        argv = self.ask_argv(ws, "0.5")
+        argv[argv.index("--q-vocab") + 1] = str(vocab)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        rc = main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: {vocab}:3: duplicate vocabulary token {token!r}"]
+        assert captured.out == ""
+
     def test_wrong_answer_count_exits_two(self, ws, answers_file, monkeypatch, tmp_path):
         short = tmp_path / "answers.txt"
         short.write_text("only one line\n", encoding="utf-8")
@@ -1109,3 +1167,74 @@ class TestAsk:
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         rc, _ = run(argv)
         assert rc == 2
+
+
+def mutate(data: bytes, kind: str, where: int, byte: int) -> bytes:
+    """`data` truncated at a byte, with a line dropped or duplicated, or
+    with one byte overwritten by `byte`; `where` picks the place."""
+    if kind == "truncate":
+        return data[:where % (len(data) + 1)]
+    if kind == "overwrite":
+        i = where % len(data)
+        return data[:i] + bytes([byte]) + data[i + 1:]
+    lines = data.splitlines(keepends=True)
+    i = where % len(lines)
+    return b"".join(lines[:i] + lines[i + 1:] if kind == "drop" else lines[:i + 1] + lines[i:])
+
+
+@pytest.fixture(scope="module")
+def text_inputs(ws):
+    """A valid file of each text format, and the commands that read it:
+    `argv(path)` for each of them, on the pipeline workspace."""
+    root = ws["root"] / "inject"
+    root.mkdir()
+    answers = root / "answers.txt"
+    answers.write_text("\n".join(corpus.load_qa_dataset(ws["qa"])[1]) + "\n", encoding="utf-8")
+    labeled = root / "labeled.jsonl"
+    docs, labels = two_topic_docs(12, tokens_per_topic=4, doc_len=5, seed=0)
+    write_qa(labeled, [{"text": " ".join(d), "label": y} for d, y in zip(docs, labels)])
+    out = str(root / "out")
+    models = ["--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+              "--simnet", str(ws["net"])]
+    return {
+        "qa": (ws["qa"], [
+            lambda p: ["build-vocab", "--qa-file", p, "--min-count", "1", "--out", out],
+            lambda p: ["sample-pairs", "--qa-file", p, "--n-pairs", "10", "--out", out]]),
+        "pairs": (ws["pairs"], [
+            lambda p: ["eval", "--qa-file", str(ws["qa"]), "--pairs", p, *models]]),
+        "vocabulary": (ws["q_vocab"], [
+            lambda p: ["train-doc2vec", "--qa-file", str(ws["qa"]), "--vocab", p,
+                       "--dim", "4", "--epochs", "0", "--out", out]]),
+        "labeled": (labeled, [
+            lambda p: ["classify", "--data", p, "--min-count", "1", "--dim", "4", "--epochs", "1",
+                       "--ratios", "0.5", "--seeds", "0", "--clf-epochs", "1", "--out", out]]),
+        "answers": (answers, [
+            lambda p: ["ask", "--answers", p, "--q-vocab", str(ws["q_vocab"]), *models,
+                       "--infer-steps", "2"]]),
+    }
+
+
+class TestFailureInjection:
+    """Damaged text inputs end in exit 0, 1 or 2, and a failure in exactly
+    one stderr line; no exception escapes main."""
+
+    @pytest.mark.parametrize("fmt", ["qa", "pairs", "vocabulary", "labeled", "answers"])
+    @given(kind=st.sampled_from(["truncate", "drop", "duplicate", "overwrite"]),
+           where=st.integers(0, 2**20), byte=st.one_of(st.just(0xFF), st.integers(0, 255)))
+    @settings(max_examples=30, deadline=None)
+    def test_damaged_file_fails_in_one_line(self, ws, text_inputs, fmt, kind, where, byte):
+        valid, commands = text_inputs[fmt]
+        damaged = ws["root"] / "inject" / ("damaged" + valid.suffix)
+        damaged.write_bytes(mutate(valid.read_bytes(), kind, where, byte))
+        for argv in commands:
+            err = io.StringIO()
+            stdin, sys.stdin = sys.stdin, io.StringIO("where is my thing\n")
+            try:
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    rc = main(argv(str(damaged)))
+            finally:
+                sys.stdin = stdin
+            assert rc in (0, 1, 2)
+            if rc:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("qasim: error: "), lines

@@ -249,12 +249,83 @@ class TestSamplePairs:
             assert key in (eligible_pos if p.label else eligible_neg)
 
 
+def parent_load_qa_dataset(path):
+    """The QA loader as it was before the record readers were shared,
+    kept as the reference that load_qa_dataset must agree with."""
+    question_texts, answer_texts, answer_ids, pools = [], [], {}, []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            question, candidates = record["question"], record["candidates"]
+            correct = record.get("correct", [])
+            q_id = len(question_texts)
+            question_texts.append(question)
+            cand_ids = []
+            for text in candidates:
+                if text not in answer_ids:
+                    answer_ids[text] = len(answer_texts)
+                    answer_texts.append(text)
+                cand_ids.append(answer_ids[text])
+            position = {}
+            deduped = []
+            for cid in cand_ids:
+                if cid not in position:
+                    position[cid] = len(deduped)
+                    deduped.append(cid)
+            correct_idx = frozenset(position[cand_ids[i]] for i in correct)
+            pools.append(CandidatePool(q_id, deduped, correct_idx))
+    return question_texts, answer_texts, pools
+
+
+# Texts of any UTF-8 characters, U+0085 and U+2028 among them
+texts = st.text(st.characters(codec="utf-8"), max_size=5)
+
+
+@st.composite
+def qa_file_lines(draw):
+    """JSONL lines of QA records whose candidates repeat within and across
+    pools, some without `correct`, with blank lines between them."""
+    shared = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        candidates = draw(st.lists(st.sampled_from(shared), max_size=6))
+        record = {"question": draw(texts), "candidates": candidates}
+        if draw(st.booleans()):
+            index = st.integers(0, max(len(candidates) - 1, 0))
+            record["correct"] = draw(st.lists(index, max_size=3)) if candidates else []
+        lines.append(json.dumps(record, ensure_ascii=draw(st.booleans())))
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2))
+    return lines
+
+
 class TestFileFormats:
     def test_corpus_file_roundtrip(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("When was Mozart born?\nI paid $30.50 today\n", encoding="utf-8")
         docs = corpus.load_corpus_file(path)
         assert docs == [["when", "was", "mozart", "born"], ["i", "paid", "$30.50", "today"]]
+
+    def test_lines_end_at_newlines_only(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("a\x0cb\nc\u0085d\r\ne\u2028f\rg\x1dh\n\nlast".encode("utf-8"))
+        assert corpus.read_lines(path) == ["a\x0cb", "c\u0085d", "e\u2028f", "g\x1dh", "",
+                                           "last"]
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"ok\n\xffbad\n")
+        with pytest.raises(ValueError) as exc:
+            corpus.read_lines(path)
+        assert str(exc.value) == f"{path} is not UTF-8 text: invalid start byte"
+
+    def test_corpus_line_with_next_line_character_is_one_document(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("first\u0085half\nsecond doc\n", encoding="utf-8")
+        # U+0085 is whitespace inside the line, so it separates tokens there
+        assert corpus.load_corpus_file(path) == [["first", "half"], ["second", "doc"]]
 
     def test_vocabulary_roundtrip(self, tmp_path):
         vocab = build_vocabulary([["b", "b", "a", "a", "a", "zz"]], min_count=2)
@@ -279,6 +350,22 @@ class TestFileFormats:
         with pytest.raises(ValueError) as exc:
             corpus.load_vocabulary(path)
         assert str(exc.value) == f"{path}:2: malformed vocabulary line: {bad_line!r}"
+
+    @pytest.mark.parametrize("rows, line_no, token", [
+        (["a", "b", "a", LF_TOKEN, NUM_TOKEN], 3, "a"),
+        ([LF_TOKEN, "a", LF_TOKEN, NUM_TOKEN], 3, LF_TOKEN),
+    ])
+    def test_duplicate_vocabulary_token_rejected(self, tmp_path, rows, line_no, token):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(f"{t}\t{i}\t1\n" for i, t in enumerate(rows)), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            corpus.load_vocabulary(path)
+        assert str(exc.value) == f"{path}:{line_no}: duplicate vocabulary token {token!r}"
+
+    def test_vocabulary_derives_ids_from_tokens(self):
+        vocab = corpus.Vocabulary(["b", "a", LF_TOKEN, NUM_TOKEN], [3, 2, 1, 0])
+        assert vocab.token_to_id == {"b": 0, "a": 1}
+        assert (vocab.lf_id, vocab.num_id, len(vocab)) == (2, 3, 4)
 
     def test_vocabulary_missing_reserved_symbols(self, tmp_path):
         path = tmp_path / "vocab.tsv"
@@ -324,6 +411,13 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="out of range"):
             corpus.load_qa_dataset(path)
 
+    @given(qa_file_lines())
+    @settings(max_examples=100, deadline=None)
+    def test_qa_dataset_matches_reference_loader(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("qa") / "qa.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert corpus.load_qa_dataset(path) == parent_load_qa_dataset(path)
+
     @pytest.mark.parametrize("record", [
         '{"question": "q", "candidates": ["a", "b"], "correct": ["x"]}',
         '{"question": "q", "candidates": ["a", "b"], "correct": [0.5]}',
@@ -356,6 +450,13 @@ class TestFileFormats:
         path.write_text('{"question_doc": 0, "answer_doc": 1, "label": 1}\n' + record + "\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match=r":2: malformed pair record"):
+            corpus.load_pairs(path)
+
+    def test_record_nested_too_deep_reports_line_number(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"question_doc": 0, "answer_doc": 1, "label": 1}\n'
+                        + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":2: malformed pair record: maximum recursion"):
             corpus.load_pairs(path)
 
     def test_pairs_roundtrip(self, tmp_path):
