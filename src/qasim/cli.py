@@ -71,7 +71,7 @@ def _load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
@@ -303,20 +303,10 @@ def _bow_cosine_top1(q_texts, a_texts, pools, min_count: int):
     vocab = corpus.build_vocabulary(docs, min_count=min_count)
     encoded = corpus.encode_corpus(docs, vocab)
     X = evaluation.bow_matrix(encoded, vocab)
-    norms = np.linalg.norm(X, axis=1)
-    norms[norms == 0] = 1.0
-    X = X / norms[:, None]
-    n_q = len(q_texts)
-    hits = 0
-    scored = 0
-    for pool in pools:
-        if not pool.correct:
-            continue
-        scored += 1
-        sims = X[[n_q + c for c in pool.candidates]] @ X[pool.question_doc]
-        if int(np.argmax(sims)) in pool.correct:
-            hits += 1
-    return hits / scored if scored else None
+    X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)  # a count row: 0 or >= 1
+    answers = X[len(q_texts):]
+    picks = [int(np.argmax(answers[pool.candidates] @ X[pool.question_doc])) for pool in pools]
+    return retrieval.pool_top1(pools, picks)
 
 
 def cmd_eval(args) -> int:
@@ -561,8 +551,9 @@ def main(argv=None) -> int:
     except (UsageError, FileNotFoundError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # an allocation that cannot be satisfied may carry no message
+        print(f"{PROG}: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

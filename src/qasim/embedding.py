@@ -31,6 +31,7 @@ class CombineMode(str, Enum):
 
 @dataclass
 class EmbedTrainConfig:
+    MAX_NEGATIVES = 100  # inference buffers grow with it; C word2vec users pick 5-25
     dim: int = 100
     window: int = 5
     negatives: int = 5
@@ -44,8 +45,8 @@ class EmbedTrainConfig:
             raise ValueError("dim must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
+        if not 1 <= self.negatives <= self.MAX_NEGATIVES:
+            raise ValueError(f"negatives must lie in [1, {self.MAX_NEGATIVES}]")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.learning_rate > self.min_learning_rate > 0:
@@ -652,11 +653,14 @@ def save_word2vec(model: WordEmbeddingModel, path) -> None:
                 (model.input_matrix, model.output_matrix))
 
 
+def _w2v_shapes(V: int, dim: int, window: int, negatives: int, mode: Word2VecMode) -> dict:
+    EmbedTrainConfig(dim=dim, window=window, negatives=negatives)  # settings training accepts
+    return {"input_matrix": (V, dim), "output_matrix": (V, dim)}
+
+
 def load_word2vec(path) -> WordEmbeddingModel:
     (_, dim, window, negatives, mode), arrays = read_model(
-        path, _W2V_HEADER, _W2V_MAGIC, "word2vec model",
-        lambda V, dim, *_: {"input_matrix": (V, dim), "output_matrix": (V, dim)},
-        ("mode", _WORD_MODE_FLAG))
+        path, _W2V_HEADER, _W2V_MAGIC, "word2vec model", _w2v_shapes, ("mode", _WORD_MODE_FLAG))
     return WordEmbeddingModel(**arrays, mode=mode, window=window, negatives=negatives, dim=dim)
 
 
@@ -668,6 +672,7 @@ def save_doc2vec(model: DocEmbeddingModel, path) -> None:
 
 def _d2v_shapes(V: int, N: int, dim: int, window: int, negatives: int,
                 combine: CombineMode) -> dict:
+    EmbedTrainConfig(dim=dim, window=window, negatives=negatives)  # settings training accepts
     ctx_dim = dim * (1 + window) if combine is CombineMode.CONCATENATE else dim
     return {"word_matrix": (V, dim), "output_matrix": (V, ctx_dim), "doc_matrix": (N, dim),
             "noise_probs": (V,)}

@@ -31,11 +31,11 @@ def read_model(path, header_fmt: str, magic: bytes, what: str,
                shapes: Callable[..., dict[str, tuple[int, ...]]],
                flag: tuple[str, dict], skip=()) -> tuple[tuple, dict]:
     """The header fields after the magic, and the float64 arrays of the
-    {name: shape} that `shapes(*fields)` gives, in that order; a NaN or
-    infinity in any of them is a ValueError.  `flag` is the last field's
-    (name, {value: flag}) table, and that field is given as its value.
-    The arrays named in `skip` are seeked past, unread and unchecked, and
-    given as None; their bytes still count in the size check."""
+    {name: shape} that `shapes(*fields)` gives, in that order; a field that
+    `shapes` refuses, or a NaN or infinity, is a ValueError naming the file.
+    `flag` is the last field's (name, {value: flag}) table, and that field
+    is given as its value.  The arrays named in `skip` are seeked past,
+    unread, unchecked and given as None; their bytes count in the size check."""
     header_size = struct.calcsize(header_fmt)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -50,7 +50,10 @@ def read_model(path, header_fmt: str, magic: bytes, what: str,
         if value is None:
             raise ValueError(f"unknown {field} flag {fields[-1]} in {what} file: {path}")
         fields[-1] = value
-        dims = shapes(*fields)
+        try:
+            dims = shapes(*fields)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {what} file: {path}") from None
         expected = header_size + 4 * sum(math.prod(shape) for shape in dims.values())
         if size != expected:
             kind = "truncated" if size < expected else "trailing bytes in"

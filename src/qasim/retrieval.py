@@ -88,6 +88,13 @@ def route(score: float, threshold: float, answer_doc: int | None = None) -> Rout
     return RoutingDecision(RoutingOutcome.ESCALATE, confidence=score)
 
 
+def pool_top1(pools: list[CandidatePool], picks) -> float | None:
+    """Top-1 accuracy of `picks`, each pool's chosen candidate position:
+    hits over the pools that have a gold answer, or None when none has."""
+    hits = [pick in pool.correct for pool, pick in zip(pools, picks) if pool.correct]
+    return sum(hits) / len(hits) if hits else None
+
+
 def evaluate_pool_accuracy(net: SimilarityNetwork, pools: list[CandidatePool],
                            features) -> float:
     """Top-1 accuracy over pools that have a gold answer.
@@ -113,20 +120,13 @@ def pool_report(net: SimilarityNetwork, pools: list[CandidatePool], features,
     q_features, a_features = features
     index = AnswerIndex(net, a_features)
     q_rows = feature_rows(q_features, [pool.question_doc for pool in pools])
-    hits = 0
-    scored = 0
-    answered = 0
-    for pool, q_vector in zip(pools, q_rows):
-        best, best_score = index.select(q_vector, pool.candidates)
-        decision = route(best_score, threshold, answer_doc=pool.candidates[best])
-        if decision.outcome is RoutingOutcome.ANSWER:
-            answered += 1
-        if pool.correct:
-            scored += 1
-            if best in pool.correct:
-                hits += 1
+    # (position, probability) of each pool's winner
+    picks = [index.select(q_vector, pool.candidates) for pool, q_vector in zip(pools, q_rows)]
+    scored = sum(1 for pool in pools if pool.correct)
+    answered = sum(route(score, threshold, answer_doc=pool.candidates[best]).outcome
+                   is RoutingOutcome.ANSWER for pool, (best, score) in zip(pools, picks))
     return {
-        "pool_top1": hits / scored if scored else None,
+        "pool_top1": pool_top1(pools, [best for best, _ in picks]),
         "pools_scored": scored,
         "pools_without_gold": len(pools) - scored,
         "threshold": threshold,

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -15,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qasim import cli, corpus, embedding, simnet, training
+from qasim.embedding import EmbedTrainConfig
 from qasim.cli import build_parser, main
 from qasim.datasets import planted_qa_records, two_topic_docs
 
@@ -174,6 +176,32 @@ class TestPipeline:
         assert rc == 0
         assert 0.0 <= last_json(lines)["pool_top1"] <= 1.0
 
+    @pytest.mark.parametrize("records, want", [
+        # the second pool's gold shares no word with its question and its
+        # other candidate shares all three, so cosine picks wrong there; the
+        # third pool has no gold and stays out of the denominator
+        ([{"question": "red apple pie", "candidates": ["red apple pie recipe", "blue sky"],
+           "correct": [0]},
+          {"question": "green tea cup", "candidates": ["green tea cup here", "hot coffee mug"],
+           "correct": [1]},
+          {"question": "old stone wall", "candidates": ["new glass door", "old stone wall"]}],
+         0.5),
+        ([{"question": "red apple pie", "candidates": ["red apple pie recipe", "blue sky"]},
+          {"question": "green tea cup", "candidates": ["hot coffee mug"]}], None),
+    ], ids=["one_miss", "no_gold"])
+    def test_eval_bow_baseline_counts_gold_pools_only(self, ws, tmp_path, records, want):
+        qa = tmp_path / "qa.jsonl"
+        write_qa(qa, records)
+        rc, lines = run(["eval", "--qa-file", str(qa),
+                         "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                         "--simnet", str(ws["net"]), "--infer-vectors", "--infer-steps", "1",
+                         "--q-vocab", str(ws["q_vocab"]), "--a-vocab", str(ws["a_vocab"]),
+                         "--bow-baseline", "--min-count", "1"])
+        assert rc == 0
+        report = last_json(lines)
+        assert report["bow_cosine_top1"] == want
+        assert report["pools_scored"] == sum(1 for r in records if r.get("correct"))
+
     def test_infer_vectors_vocab_model_mismatch_exits_two(self, ws, tmp_path, capsys):
         grown, n_vocab = grown_vocab(ws, tmp_path)
         rc = main(["eval", "--qa-file", str(ws["qa"]),
@@ -207,6 +235,23 @@ def with_nan(path, tmp_path, offset):
     offset %= len(data)
     data[offset: offset + 4] = struct.pack("<f", float("nan"))
     bad = tmp_path / ("nan" + path.suffix)
+    bad.write_bytes(bytes(data))
+    return bad
+
+
+def header_offset(header_fmt: str, field: int) -> int:
+    """Byte offset of header field `field` (0 is the magic) in a model
+    file whose header has the struct format `header_fmt`."""
+    return struct.calcsize(header_fmt[0] + "".join(re.findall(r"\d*\w", header_fmt[1:])[:field]))
+
+
+def with_field(path, tmp_path, header_fmt: str, field: int, value: int):
+    """A copy of the model file at `path` whose header field `field` (a
+    uint32; 0 is the magic) holds `value`."""
+    data = bytearray(path.read_bytes())
+    at = header_offset(header_fmt, field)
+    data[at: at + 4] = struct.pack("<I", value)
+    bad = tmp_path / ("field" + path.suffix)
     bad.write_bytes(bytes(data))
     return bad
 
@@ -483,6 +528,90 @@ class TestExitCodes:
         rc, _ = run(["build-vocab", "--qa-file", str(ws["qa"]), "--config", str(cfg),
                      "--out", str(tmp_path / "v")])
         assert rc == 2
+
+    @pytest.mark.parametrize("damage", [b'{"seed": "\xff"}', b"[" * 100_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    @pytest.mark.parametrize("command", ["sample-pairs", "build-vocab"])
+    def test_damaged_config_file_exits_two_naming_it(self, ws, tmp_path, capsys, damage,
+                                                     command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(damage)
+        argv = {"sample-pairs": ["sample-pairs", "--n-pairs", "3"],
+                "build-vocab": ["build-vocab", "--min-count", "1"]}[command]
+        out = tmp_path / "out"
+        rc = main([*argv, "--qa-file", str(ws["qa"]), "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"qasim: error: config file {cfg} is not valid JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("negatives", ["0", "101", "2147483647"])
+    @pytest.mark.parametrize("command", ["train-doc2vec", "train-word2vec"])
+    def test_negatives_out_of_bound_exits_two(self, ws, tmp_path, capsys, negatives, command):
+        out = tmp_path / "m"
+        rc = main([command, "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                   "--dim", "4", "--epochs", "0", "--negatives", negatives, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: invalid config field: negatives must lie in [1, 100]"]
+        assert not out.exists()
+
+    def test_negatives_at_bound_accepted(self, ws, tmp_path):
+        assert EmbedTrainConfig.MAX_NEGATIVES == 100
+        rc, _ = run(["train-doc2vec", "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                     "--dim", "4", "--epochs", "0", "--negatives", "100",
+                     "--out", str(tmp_path / "m")])
+        assert rc == 0
+        assert embedding.load_doc2vec(tmp_path / "m").negatives == 100
+
+    @pytest.mark.parametrize("negatives", [0, 101, 2**31 - 1, 2**32 - 1])
+    def test_doc2vec_header_negatives_out_of_bound_exits_one_before_ready(
+            self, ws, text_inputs, tmp_path, monkeypatch, capsys, negatives):
+        # field 5 of the doc2vec header: magic, V, N, dim, window, negatives
+        bad = with_field(ws["q_model"], tmp_path, embedding._D2V_HEADER, 5, negatives)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        tracemalloc.start()
+        try:
+            rc = main(["ask", "--answers", str(text_inputs["answers"][0]),
+                       "--q-vocab", str(ws["q_vocab"]), "--q-model", str(bad),
+                       "--a-model", str(ws["a_model"]), "--simnet", str(ws["net"]),
+                       "--infer-steps", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        captured = capsys.readouterr()
+        # the one stderr line means no "ready" line either
+        assert captured.err.splitlines() == [
+            f"qasim: error: negatives must lie in [1, 100] in doc2vec model file: {bad}"]
+        assert captured.out == ""
+        assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("negatives", [0, 101, 2**32 - 1])
+    def test_word2vec_header_negatives_out_of_bound_rejected(self, word2vec_file, tmp_path,
+                                                             negatives):
+        # field 4 of the word2vec header: magic, V, dim, window, negatives
+        bad = with_field(word2vec_file, tmp_path, embedding._W2V_HEADER, 4, negatives)
+        with pytest.raises(ValueError) as exc:
+            embedding.load_word2vec(bad)
+        assert str(exc.value) == (
+            f"negatives must lie in [1, 100] in word2vec model file: {bad}")
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.50 TiB for an array"),
+                                       MemoryError()], ids=["message", "bare"])
+    def test_unsatisfiable_allocation_exits_one_in_one_line(self, ws, tmp_path, monkeypatch,
+                                                            capsys, error):
+        def train(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(embedding, "train_doc2vec", train)
+        out = tmp_path / "m"
+        rc = main(["train-doc2vec", "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                   "--dim", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"qasim: error: {str(error) or 'MemoryError'}"]
+        assert not out.exists()
 
     def test_corrupt_model_file_exits_one(self, ws, tmp_path):
         bad = tmp_path / "bad.d2v"
@@ -1184,8 +1313,9 @@ def mutate(data: bytes, kind: str, where: int, byte: int) -> bytes:
 
 @pytest.fixture(scope="module")
 def text_inputs(ws):
-    """A valid file of each text format, and the commands that read it:
-    `argv(path)` for each of them, on the pipeline workspace."""
+    """A valid file of each text format, the config file included, and the
+    commands that read it: `argv(path)` for each of them, on the pipeline
+    workspace."""
     root = ws["root"] / "inject"
     root.mkdir()
     answers = root / "answers.txt"
@@ -1193,6 +1323,10 @@ def text_inputs(ws):
     labeled = root / "labeled.jsonl"
     docs, labels = two_topic_docs(12, tokens_per_topic=4, doc_len=5, seed=0)
     write_qa(labeled, [{"text": " ".join(d), "label": y} for d, y in zip(docs, labels)])
+    config = root / "config.json"
+    config.write_text(json.dumps({"seed": 3, "min_count": 1, "n_pairs": 10,
+                                  "embedding": {"dim": 4, "epochs": 0, "negatives": 3}},
+                                 indent=1) + "\n", encoding="utf-8")
     out = str(root / "out")
     models = ["--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
               "--simnet", str(ws["net"])]
@@ -1211,14 +1345,107 @@ def text_inputs(ws):
         "answers": (answers, [
             lambda p: ["ask", "--answers", p, "--q-vocab", str(ws["q_vocab"]), *models,
                        "--infer-steps", "2"]]),
+        "config": (config, [
+            lambda p: ["sample-pairs", "--qa-file", str(ws["qa"]), "--config", p, "--out", out],
+            lambda p: ["train-doc2vec", "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                       "--config", p, "--out", out]]),
     }
 
 
-class TestFailureInjection:
-    """Damaged text inputs end in exit 0, 1 or 2, and a failure in exactly
-    one stderr line; no exception escapes main."""
+@pytest.fixture(scope="module")
+def word2vec_file(ws):
+    path = ws["root"] / "a.w2v"
+    rc, _ = run(["train-word2vec", "--qa-file", str(ws["qa"]), "--side", "answer",
+                 "--vocab", str(ws["a_vocab"]), "--dim", "4", "--window", "2", "--epochs", "1",
+                 "--out", str(path)])
+    assert rc == 0
+    return path
 
-    @pytest.mark.parametrize("fmt", ["qa", "pairs", "vocabulary", "labeled", "answers"])
+
+@pytest.fixture(scope="module")
+def model_inputs(ws, text_inputs):
+    """Each model file of the pipeline workspace, its header format, and
+    the commands that read it: `argv(path)` for each of them."""
+    out = str(ws["root"] / "inject" / "out")
+
+    def reader(command, model):
+        """`argv(path)` of `command`, reading `path` in place of `ws[model]`."""
+        def argv(path):
+            paths = {key: str(ws[key]) for key in ("q_model", "a_model", "net")}
+            paths[model] = path
+            models = ["--q-model", paths["q_model"], "--a-model", paths["a_model"]]
+            return {
+                "eval": ["eval", "--qa-file", str(ws["qa"]), *models, "--simnet", paths["net"],
+                         "--infer-vectors", "--infer-steps", "2",
+                         "--q-vocab", str(ws["q_vocab"]), "--a-vocab", str(ws["a_vocab"])],
+                "ask": ["ask", "--answers", str(text_inputs["answers"][0]),
+                        "--q-vocab", str(ws["q_vocab"]), *models, "--simnet", paths["net"],
+                        "--infer-steps", "2"],
+                "train-simnet": ["train-simnet", "--pairs", str(ws["pairs"]), *models,
+                                 "--max-epochs", "1", "--batch-size", "10", "--out", out],
+            }[command]
+        return argv
+    every = ("eval", "ask", "train-simnet")
+    return {
+        "q_doc2vec": (ws["q_model"], embedding._D2V_HEADER, [reader(c, "q_model") for c in every]),
+        "a_doc2vec": (ws["a_model"], embedding._D2V_HEADER, [reader(c, "a_model") for c in every]),
+        # train-simnet reads no network file
+        "simnet": (ws["net"], simnet._SIM_HEADER, [reader(c, "net") for c in every[:2]]),
+    }
+
+
+def damage_model(data: bytes, header_fmt: str, kind: str, where: int, value: int) -> bytes:
+    """`data`, a model file, with one uint32 header field (picked by
+    `where`) set to `value`, its mode flag set to `value` % 256, truncated
+    or grown, or with a NaN or infinity written over a float32."""
+    data = bytearray(data)
+    header_size = struct.calcsize(header_fmt)
+    if kind == "field":  # fields 1 .. n - 2: every one between the magic and the flag
+        n_fields = len(re.findall(r"\d*\w", header_fmt[1:]))
+        at = header_offset(header_fmt, 1 + where % (n_fields - 2))
+        data[at: at + 4] = struct.pack("<I", value)
+    elif kind == "flag":
+        data[header_size - 1] = value % 256
+    elif kind == "truncate":
+        del data[where % (len(data) + 1):]
+    elif kind == "append":
+        data += bytes(1 + value % 16)
+    else:  # "nonfinite"
+        at = header_size + 4 * (where % ((len(data) - header_size) // 4))
+        data[at: at + 4] = struct.pack("<f", (float("nan"), float("inf"), -float("inf"))[value % 3])
+    return bytes(data)
+
+
+def fails_in_one_line(argv) -> None:
+    """Run `argv` with one question on stdin: it exits 0, 1 or 2, and a
+    failure prints exactly one `qasim: error:` line."""
+    err = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO("where is my thing\n")
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = stdin
+    assert rc in (0, 1, 2)
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qasim: error: "), lines
+
+
+# A header value: any uint32, one that a memory-sizing field could be
+# granted and fill (2**16 negatives took 0.7 GB of inference buffers in
+# `eval` before the bound), or an edge.
+HEADER_VALUES = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**16),
+                          st.sampled_from([0, 1, 2**31 - 1, 2**32 - 1]))
+MODEL_DAMAGE = st.sampled_from(["field", "flag", "truncate", "append", "nonfinite"])
+
+
+class TestFailureInjection:
+    """Damaged text inputs and model files end in exit 0, 1 or 2, and a
+    failure in exactly one stderr line; no exception escapes main."""
+
+    @pytest.mark.parametrize("fmt", ["qa", "pairs", "vocabulary", "labeled", "answers",
+                                     "config"])
     @given(kind=st.sampled_from(["truncate", "drop", "duplicate", "overwrite"]),
            where=st.integers(0, 2**20), byte=st.one_of(st.just(0xFF), st.integers(0, 255)))
     @settings(max_examples=30, deadline=None)
@@ -1227,14 +1454,44 @@ class TestFailureInjection:
         damaged = ws["root"] / "inject" / ("damaged" + valid.suffix)
         damaged.write_bytes(mutate(valid.read_bytes(), kind, where, byte))
         for argv in commands:
-            err = io.StringIO()
-            stdin, sys.stdin = sys.stdin, io.StringIO("where is my thing\n")
+            fails_in_one_line(argv(str(damaged)))
+
+    # Each case runs in-process under a peak bound, so a header field that
+    # sizes memory and is still unchecked fails here instead of filling the
+    # host.  The examples set the doc2vec negatives and window fields.
+    @pytest.mark.parametrize("fmt", ["q_doc2vec", "a_doc2vec", "simnet"])
+    @given(kind=MODEL_DAMAGE, where=st.integers(0, 2**20), value=HEADER_VALUES)
+    @example(kind="field", where=4, value=2**16)
+    @example(kind="field", where=4, value=2**31 - 1)
+    @example(kind="field", where=3, value=2**32 - 1)
+    @settings(max_examples=30, deadline=None)
+    def test_damaged_model_fails_in_one_line(self, ws, model_inputs, fmt, kind, where, value):
+        valid, header_fmt, commands = model_inputs[fmt]
+        damaged = ws["root"] / "inject" / ("damaged" + valid.suffix)
+        damaged.write_bytes(damage_model(valid.read_bytes(), header_fmt, kind, where, value))
+        for argv in commands:
+            tracemalloc.start()
             try:
-                with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                    rc = main(argv(str(damaged)))
+                fails_in_one_line(argv(str(damaged)))
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
-                sys.stdin = stdin
-            assert rc in (0, 1, 2)
-            if rc:
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("qasim: error: "), lines
+                tracemalloc.stop()
+            assert peak < 50 * 2**20, (argv(str(damaged))[0], peak)
+
+    @given(kind=MODEL_DAMAGE, where=st.integers(0, 2**20), value=HEADER_VALUES)
+    @example(kind="field", where=3, value=2**31 - 1)
+    @settings(max_examples=30, deadline=None)
+    def test_damaged_word2vec_loads_or_fails_naming_it(self, ws, word2vec_file, kind, where,
+                                                       value):
+        damaged = ws["root"] / "inject" / "damaged.w2v"
+        damaged.write_bytes(damage_model(word2vec_file.read_bytes(), embedding._W2V_HEADER,
+                                         kind, where, value))
+        tracemalloc.start()
+        try:
+            embedding.load_word2vec(damaged)
+        except ValueError as exc:
+            assert str(damaged) in str(exc) and "\n" not in str(exc)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 50 * 2**20

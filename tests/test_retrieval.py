@@ -4,6 +4,8 @@ bookkeeping, and the paper head's known ranking limit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qasim import simnet
 from qasim.corpus import CandidatePool
@@ -14,6 +16,7 @@ from qasim.retrieval import (
     evaluate_pool_accuracy,
     feature_rows,
     pool_report,
+    pool_top1,
     route,
 )
 
@@ -307,3 +310,74 @@ class TestPoolReport:
         pools = [CandidatePool(question_doc=len(features[0]), candidates=(1, 2))]
         with pytest.raises(ValueError, match=f"doc id {len(features[0])}"):
             pool_report(net, pools, features)
+
+
+def counter_loop_pool_report(net, pools, features, threshold=0.7):
+    """`pool_report` as one loop with hit, scored and answered counters,
+    kept as the reference for the report built from per-pool picks."""
+    if not pools:
+        raise ValueError("pools must be non-empty")
+    q_features, a_features = features
+    index = AnswerIndex(net, a_features)
+    q_rows = feature_rows(q_features, [pool.question_doc for pool in pools])
+    hits = 0
+    scored = 0
+    answered = 0
+    for pool, q_vector in zip(pools, q_rows):
+        best, best_score = index.select(q_vector, pool.candidates)
+        decision = route(best_score, threshold, answer_doc=pool.candidates[best])
+        if decision.outcome is RoutingOutcome.ANSWER:
+            answered += 1
+        if pool.correct:
+            scored += 1
+            if best in pool.correct:
+                hits += 1
+    return {
+        "pool_top1": hits / scored if scored else None,
+        "pools_scored": scored,
+        "pools_without_gold": len(pools) - scored,
+        "threshold": threshold,
+        "answer_rate": answered / len(pools),
+    }
+
+
+@st.composite
+def pool_sets(draw):
+    """A random network, feature rows and pools.  Answer rows repeat, so
+    candidates tie exactly; a head bias of 60 saturates every probability
+    to 1.0, so every candidate ties; some pools have no gold."""
+    d, h1, h2 = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    net = simnet.init_network(d, std=draw(st.sampled_from([0.03, 0.5, 3.0])), seed=seed,
+                              hidden1=h1, hidden2=h2)
+    net.b3[0] = draw(st.sampled_from([0.1, 0.0, 60.0, -60.0]))
+    rng = np.random.default_rng(seed)
+    n_q, n_a = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    distinct = rng.normal(size=(draw(st.integers(1, n_a)), d))
+    features = rng.normal(size=(n_q, d)), distinct[rng.integers(0, len(distinct), n_a)]
+    pools = []
+    for _ in range(draw(st.integers(1, 8))):
+        candidates = draw(st.lists(st.integers(0, n_a - 1), min_size=1, max_size=6, unique=True))
+        correct = draw(st.sets(st.integers(0, len(candidates) - 1), max_size=len(candidates)))
+        pools.append(CandidatePool(draw(st.integers(0, n_q - 1)), candidates, frozenset(correct)))
+    threshold = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return net, pools, features, threshold
+
+
+class TestPoolTop1:
+    def test_gold_less_pools_stay_out_of_the_denominator(self):
+        pools = [CandidatePool(0, [0, 1], frozenset({0})), CandidatePool(1, [0, 1]),
+                 CandidatePool(2, [1, 2], frozenset({0, 1})), CandidatePool(3, [2, 3])]
+        # one hit of two gold pools, whatever the gold-less pools picked
+        assert pool_top1(pools, [1, 0, 0, 1]) == 0.5
+        assert pool_top1(pools, [0, 1, 1, 0]) == 1.0
+
+    def test_none_without_gold(self):
+        assert pool_top1([CandidatePool(0, [0, 1]), CandidatePool(1, [1])], [0, 0]) is None
+
+    @given(case=pool_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_pool_report_matches_counter_loop(self, case):
+        net, pools, features, threshold = case
+        assert (pool_report(net, pools, features, threshold)
+                == counter_loop_pool_report(net, pools, features, threshold))
