@@ -32,6 +32,8 @@ class CombineMode(str, Enum):
 @dataclass
 class EmbedTrainConfig:
     MAX_NEGATIVES = 100  # inference buffers grow with it; C word2vec users pick 5-25
+    MAX_DIM = 10_000     # matrices grow with these; paragraph vectors use 100-400
+    MAX_WINDOW = 100     # dimensions and windows of 5-10
     dim: int = 100
     window: int = 5
     negatives: int = 5
@@ -41,12 +43,10 @@ class EmbedTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 1 <= self.negatives <= self.MAX_NEGATIVES:
-            raise ValueError(f"negatives must lie in [1, {self.MAX_NEGATIVES}]")
+        for name, bound in (("dim", self.MAX_DIM), ("window", self.MAX_WINDOW),
+                            ("negatives", self.MAX_NEGATIVES)):
+            if not 1 <= getattr(self, name) <= bound:
+                raise ValueError(f"{name} must lie in [1, {bound}]")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not self.learning_rate > self.min_learning_rate > 0:
@@ -169,25 +169,49 @@ def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows, lr: float,
     return grad_h
 
 
-def _context(ids: list[int]) -> tuple[np.ndarray, tuple | None]:
-    """A context's word ids as an index array, and their `_repeats`."""
-    return np.array(ids, dtype=np.intp), _repeats(ids)
+def _inputs(ids: list[int], start: int | None = None) -> tuple:
+    """A plan entry of `_input_step`, built once per run: the input ids as
+    an index array, their `_repeats`, `start`, and d h / d row."""
+    scale = 1.0 if start is not None else 1.0 / len(ids)
+    return np.array(ids, dtype=np.intp), _repeats(ids), start, scale
 
 
-def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float, repeats) -> None:
-    """One word2vec update: `inputs` is one input id (skip-gram: the hidden
-    vector is that row) or a `_context` (CBOW: the mean of its rows)."""
-    X = model.input_matrix
+def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs, rows, lr: float,
+                repeats) -> None:
+    """One training update of every model here, at the current parameters.
+    `inputs` is one input id (skip-gram: the hidden vector is that row,
+    updated in place) or an `_inputs` entry.  Its hidden vector is the mean
+    of the rows `ids` of X (CBOW, and DM in average mode with the doc row
+    last), or with a `start` (DM in concatenate mode) the doc row `ids[0]`
+    in slot 0, zero padding, and the context rows in the slots from
+    `start` on.  The output rows are updated by `_ns_update`, the input
+    rows by one `_add_rows`."""
     if isinstance(inputs, int):
         h = X[inputs]
-        h -= lr * _ns_update(model.output_matrix, np.negative(h), rows, lr, repeats)
-    else:
-        ids, ids_repeats = inputs
-        words = X.take(ids, axis=0)
+        h -= lr * _ns_update(output_matrix, np.negative(h), rows, lr, repeats)
+        return
+    ids, ids_repeats, start, scale = inputs
+    gathered = X.take(ids, axis=0)
+    if start is None:
         # the negated mean: np.mean is this sum over the count
-        grad_h = _ns_update(model.output_matrix, np.add.reduce(words, axis=0) / -len(ids),
-                            rows, lr, repeats)
-        _add_rows(X, ids, words, -lr * grad_h / len(ids), ids_repeats)
+        nh = np.add.reduce(gathered, axis=0) / -len(ids)
+    else:
+        d = X.shape[1]
+        nh = np.zeros((output_matrix.shape[1] // d, d))   # the 1 + window slots
+        nh[0] = gathered[0]
+        nh[start:] = gathered[1:]
+        nh = np.negative(nh, out=nh).ravel()
+    step = _ns_update(output_matrix, nh, rows, lr, repeats)
+    # -(lr * grad_h * scale) to the bit: a product rounds the same either sign
+    step *= -lr
+    step *= scale
+    if start is not None:
+        # slot by slot; the doc row's step moves to the slot before the
+        # context's (padding, or its own), so the steps of `ids` are adjacent
+        step = step.reshape(-1, d)
+        step[start - 1] = step[0]
+        step = step[start - 1:]
+    _add_rows(X, ids, gathered, step, ids_repeats)
 
 
 def _unigram_noise(corpus: list[TokenizedDocument], vocab_size: int) -> np.ndarray:
@@ -263,9 +287,17 @@ def _schedule(plan: list, targets: np.ndarray, position: np.ndarray, epochs: int
     return itertools.chain.from_iterable(map(chunk, range(0, epochs * n, TRAIN_CHUNK)))
 
 
-def _check_finite(*matrices: np.ndarray) -> None:
-    # the training loops run with overflow warnings off; divergence shows here
-    if not all(np.isfinite(m).all() for m in matrices):
+def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, targets: list,
+           position: np.ndarray, config: EmbedTrainConfig, rng, cdf: np.ndarray) -> None:
+    """SGD over `config.epochs` passes of `plan`, one `_input_step` per
+    entry (see `_schedule`), updating X and the output matrix in place."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for inputs, (rows, repeats), lr in _schedule(
+                plan, np.array(targets), position, config.epochs, rng, cdf, config.negatives,
+                config.learning_rate, config.min_learning_rate):
+            _input_step(X, output_matrix, inputs, rows, lr, repeats)
+    # overflow warnings were off; divergence shows here
+    if not (np.isfinite(X).all() and np.isfinite(output_matrix).all()):
         raise RuntimeError("embedding training diverged to non-finite values; "
                            "lower the learning rate")
 
@@ -303,7 +335,7 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     windows = [tokens[max(0, i - k): i] + tokens[i + 1: i + k + 1]
                for tokens in docs for i in range(len(tokens))]
     if mode is Word2VecMode.CBOW:
-        plan = [_context(window) for window in windows]
+        plan = [_inputs(window) for window in windows]
         targets = [t for tokens in docs for t in tokens]
         position = np.arange(len(plan))
     else:
@@ -312,64 +344,18 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         plan = [center for center, window in zip(centers, windows) for _ in window]
         targets = [o for window in windows for o in window]
         position = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for inputs, (rows, repeats), lr in _schedule(
-                plan, np.array(targets), position, config.epochs, rng, cdf, config.negatives,
-                config.learning_rate, config.min_learning_rate):
-            _word_step(model, inputs, rows, lr, repeats)
-    _check_finite(model.input_matrix, model.output_matrix)
+    _train(model.input_matrix, model.output_matrix, plan, targets, position, config, rng, cdf)
     return model
 
 
-def _dm_position(model: DocEmbeddingModel, context, n_missing: int) -> tuple:
-    """One position's plan, built once per run: its `_context`, where the
-    context starts in the hidden vector (concatenate mode: `n_missing`
-    leading slots are padding) and d h / d doc_vec."""
-    return (*_context(context), model.dim * (1 + n_missing), _dm_scale(model, len(context)))
-
-
-def _dm_hidden(model: DocEmbeddingModel, doc_vec: np.ndarray, words: np.ndarray,
-               start: int) -> np.ndarray:
-    """The negated combination of doc vector and the context's word rows
-    `words` per the model's mode.  In concatenate mode the context
-    occupies `window` fixed slots (oldest first); the words fill them from
-    `start` on, and positions before the document start stay zero."""
-    if model.combine is CombineMode.AVERAGE:
-        if len(words):
-            # words.sum(axis=0), without the method's Python wrapper
-            return (doc_vec + np.add.reduce(words, axis=0)) / -(1 + len(words))
-        return np.negative(doc_vec)
-    h = np.zeros(model.dim * (1 + model.window))
-    h[:model.dim] = doc_vec
-    h[start:] = words.ravel()
-    return np.negative(h, out=h)
-
-
-def _dm_scale(model: DocEmbeddingModel, n_context: int) -> float:
-    # d h / d doc_vec: the mean's weight in average mode, 1 in concatenate mode
-    return 1.0 / (1 + n_context) if model.combine is CombineMode.AVERAGE else 1.0
-
-
-def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, position: tuple,
-               rows, lr: float, repeats) -> None:
-    """One negative-sampling update of the distributed-memory model in
-    training at a `_dm_position`: gradients at the current parameters,
-    applied to the doc vector (in place), the output rows and the context
-    word rows."""
-    context, context_repeats, start, scale = position
-    words = model.word_matrix.take(context, axis=0)
-    step = _ns_update(model.output_matrix, _dm_hidden(model, doc_vec, words, start),
-                      rows, lr, repeats)
-    # -(lr * grad_h * scale) to the bit: a product rounds the same either sign
-    step *= -lr
-    step *= scale
-    if model.combine is CombineMode.AVERAGE:
-        doc_vec += step
-    else:
-        doc_vec += step[:model.dim]
-        step = step[start:].reshape(words.shape)
-    if len(context):
-        _add_rows(model.word_matrix, context, words, step, context_repeats)
+def _dm_inputs(doc: int, context: list[int], window: int, average: bool) -> tuple:
+    """The `_inputs` of input row `doc` at a position whose preceding words
+    are `context`.  In average mode the doc row goes last, so the hidden
+    sum is (sum of words) + doc; in concatenate mode it goes first, and
+    the context fills the last of the `window` slots after it."""
+    if average:
+        return _inputs(context + [doc])
+    return _inputs([doc] + context, 1 + window - len(context))
 
 
 def _dm_frozen_update(product, out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray,
@@ -405,20 +391,6 @@ def _frozen_scratch(B: int, m: int, D: int, d: int) -> tuple:
             grad_h, grad_h[:, 0, :d], np.empty((B, d)))
 
 
-def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
-              lr0: float, lr_min: float, rng) -> None:
-    """Distributed-memory SGD over `docs` (doc r is row r of the doc
-    matrix), updating the doc, word and output matrices in place."""
-    k = model.window
-    plan = [(model.doc_matrix[row], _dm_position(model, tokens[max(0, i - k): i], k - min(i, k)))
-            for row, tokens in enumerate(docs) for i in range(len(tokens))]
-    targets = np.array([t for tokens in docs for t in tokens])
-    for (doc_vec, position), (rows, repeats), lr in _schedule(
-            plan, targets, np.arange(len(plan)), epochs, rng, _noise_cdf(model.noise_probs),
-            model.negatives, lr0, lr_min):
-        _dm_update(model, doc_vec, position, rows, lr, repeats)
-
-
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
                   combine: CombineMode = CombineMode.AVERAGE, *,
                   vocab_size: int) -> DocEmbeddingModel:
@@ -434,26 +406,28 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     combine = CombineMode(combine)
     if any(not doc.tokens for doc in corpus):
         raise ValueError("corpus contains an empty document")
-    N = len(corpus)
-    d = config.dim
-    k = config.window
-    ctx_dim = d if combine is CombineMode.AVERAGE else d * (1 + k)
+    V, d, k = vocab_size, config.dim, config.window
+    average = combine is CombineMode.AVERAGE
 
     rng = np.random.default_rng(config.seed)
+    # doc r is input row V + r, after the word rows
+    X = (rng.random((V + len(corpus), d)) - 0.5) / d
     model = DocEmbeddingModel(
-        word_matrix=(rng.random((vocab_size, d)) - 0.5) / d,
-        doc_matrix=(rng.random((N, d)) - 0.5) / d,
-        output_matrix=np.zeros((vocab_size, ctx_dim)),
+        word_matrix=X[:V],
+        doc_matrix=X[V:],
+        output_matrix=np.zeros((V, d if average else d * (1 + k))),
         combine=combine,
         window=k,
         negatives=config.negatives,
         dim=d,
         noise_probs=_unigram_noise(corpus, vocab_size),
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        _dm_train(model, [doc.tokens for doc in corpus], config.epochs,
-                  config.learning_rate, config.min_learning_rate, rng)
-    _check_finite(model.word_matrix, model.doc_matrix, model.output_matrix)
+    docs = [doc.tokens for doc in corpus]
+    plan = [_dm_inputs(V + r, tokens[max(0, i - k): i], k, average)
+            for r, tokens in enumerate(docs) for i in range(len(tokens))]
+    targets = [t for tokens in docs for t in tokens]
+    _train(X, model.output_matrix, plan, targets, np.arange(len(plan)), config, rng,
+           _noise_cdf(model.noise_probs))
     return model
 
 
@@ -537,12 +511,13 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
         for i in range(i0, min(i0 + wide, n_max)):
             c = min(i, k)
             ix, product, vec, hv, ctx_slots, h, step_scratch = shared[active[i]]
+            # d h / d doc_vec: the mean's weight in average mode, 1 in concatenate mode
             if average:
-                frozen, slot = ctx[ix, i], -(1.0 + c)
+                frozen, slot, scale = ctx[ix, i], -(1.0 + c), 1.0 / (1 + c)
             else:
-                frozen, slot = ctx[ix, i: i + k].reshape(ctx_slots.shape), ctx_slots
+                frozen, slot, scale = ctx[ix, i: i + k].reshape(ctx_slots.shape), ctx_slots, 1.0
             at.append((vec, frozen, hv, slot, (product, buf[i - i0, ix], h, vec, keep[i, ix, None],
-                                               lrs[i, ix], _dm_scale(model, c), step_scratch)))
+                                               lrs[i, ix], scale, step_scratch)))
         windows.append((rows[i0: i0 + wide], buf[:len(at)], at))
     for e0 in range(0, steps, chunk):
         passes = min(chunk, steps - e0)

@@ -310,8 +310,9 @@ class TestDeterminism:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
     def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # The pipeline's commands: both embedding trainers, the simnet,
-        # eval on inferred vectors and classify.  Batches of 100 rows of 64
+        # The pipeline's commands: both embedding trainers (word2vec in both
+        # modes, doc2vec in both combine modes), the simnet, eval on
+        # inferred vectors and classify.  Batches of 100 rows of 64
         # features are large enough for OpenBLAS to split the simnet GEMMs
         # over threads.
         qa = tmp_path / "qa.jsonl"
@@ -334,6 +335,10 @@ class TestDeterminism:
              "--out", "pairs.jsonl"],
             ["train-word2vec", "--qa-file", str(qa), "--side", "question", "--vocab", "q.vocab",
              *d2v, "--mode", "skipgram", "--out", "q.w2v"],
+            ["train-word2vec", "--qa-file", str(qa), "--side", "question", "--vocab", "q.vocab",
+             *d2v, "--mode", "cbow", "--out", "q_cbow.w2v"],
+            ["train-doc2vec", "--qa-file", str(qa), "--side", "question", "--vocab", "q.vocab",
+             *d2v, "--combine", "concatenate", "--out", "q_concat.d2v"],
             ["train-simnet", "--pairs", "pairs.jsonl", "--q-model", "q.d2v", "--a-model", "a.d2v",
              "--batch-size", "100", "--max-epochs", "2", "--patience", "2", "--lr0", "0.05",
              "--seed", "3", "--out", "net.simnet"],
@@ -364,8 +369,9 @@ class TestDeterminism:
                                  env=env, capture_output=True, text=True, timeout=120)
             assert out.returncode == 0, out.stderr
             digests.append(json.loads(out.stdout))
-        assert {"q.d2v", "a.d2v", "q.w2v", "pairs.jsonl", "net.simnet", "net.simnet.report.jsonl",
-                "net.simnet.report.csv", "eval.json", "curves.csv"} <= set(digests[0][1])
+        assert {"q.d2v", "a.d2v", "q.w2v", "q_cbow.w2v", "q_concat.d2v", "pairs.jsonl",
+                "net.simnet", "net.simnet.report.jsonl", "net.simnet.report.csv", "eval.json",
+                "curves.csv"} <= set(digests[0][1])
         assert digests[0] == digests[1]
 
     def test_different_seed_changes_pairs(self, ws):
@@ -564,6 +570,66 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m")])
         assert rc == 0
         assert embedding.load_doc2vec(tmp_path / "m").negatives == 100
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--dim", "10001", "dim must lie in [1, 10000]"),
+        ("--dim", "2147483647", "dim must lie in [1, 10000]"),
+        ("--window", "101", "window must lie in [1, 100]"),
+        ("--window", "2147483647", "window must lie in [1, 100]"),
+    ])
+    @pytest.mark.parametrize("command", ["train-doc2vec", "train-word2vec"])
+    def test_size_out_of_bound_exits_two(self, ws, tmp_path, capsys, flag, value, rule, command):
+        out = tmp_path / "m"
+        combine = ["--combine", "concatenate"] if command == "train-doc2vec" else []
+        rc = main([command, "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                   "--dim", "4", "--epochs", "0", *combine, flag, value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"qasim: error: invalid config field: {rule}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, sizes", [
+        # the dim bound in average mode at --epochs 0, so little is allocated
+        ("train-doc2vec", ["--dim", "10000"], (10_000, 5)),
+        ("train-doc2vec", ["--dim", "4", "--window", "100", "--combine", "concatenate"],
+         (4, 100)),
+        ("train-word2vec", ["--dim", "10000"], (10_000, 5)),
+        ("train-word2vec", ["--dim", "4", "--window", "100"], (4, 100)),
+    ])
+    def test_size_at_bound_accepted(self, ws, tmp_path, command, flags, sizes):
+        assert (EmbedTrainConfig.MAX_DIM, EmbedTrainConfig.MAX_WINDOW) == (10_000, 100)
+        out = tmp_path / "m"
+        rc, _ = run([command, "--qa-file", str(ws["qa"]), "--vocab", str(ws["q_vocab"]),
+                     "--epochs", "0", *flags, "--out", str(out)])
+        assert rc == 0
+        load = embedding.load_doc2vec if command == "train-doc2vec" else embedding.load_word2vec
+        model = load(out)
+        assert (model.dim, model.window) == sizes
+
+    @pytest.mark.parametrize("field, value, rule", [
+        (3, 10_001, "dim must lie in [1, 10000]"),
+        (4, 101, "window must lie in [1, 100]"),
+    ])
+    def test_doc2vec_header_size_out_of_bound_exits_one_before_ready(
+            self, ws, text_inputs, tmp_path, monkeypatch, capsys, field, value, rule):
+        # fields 3 and 4 of the doc2vec header: magic, V, N, dim, window
+        bad = with_field(ws["q_model"], tmp_path, embedding._D2V_HEADER, field, value)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        tracemalloc.start()
+        try:
+            rc = main(["ask", "--answers", str(text_inputs["answers"][0]),
+                       "--q-vocab", str(ws["q_vocab"]), "--q-model", str(bad),
+                       "--a-model", str(ws["a_model"]), "--simnet", str(ws["net"]),
+                       "--infer-steps", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: {rule} in doc2vec model file: {bad}"]
+        assert captured.out == ""
+        assert peak < 50 * 2**20
 
     @pytest.mark.parametrize("negatives", [0, 101, 2**31 - 1, 2**32 - 1])
     def test_doc2vec_header_negatives_out_of_bound_exits_one_before_ready(

@@ -1,6 +1,7 @@
 """Word2vec / doc2vec tests: finite-difference gradients for the
-negative-sampling steps that training and inference run, cluster-structure
-checks, the analogy operation, and binary model round-trips."""
+negative-sampling steps that training and inference run, the one training
+step against the separate reference steps, cluster-structure checks, the
+analogy operation, and binary model round-trips."""
 
 import collections
 import copy
@@ -12,8 +13,11 @@ import subprocess
 import sys
 import tracemalloc
 
+import embedding_reference as reference
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qasim import corpus, datasets, embedding
 from qasim.corpus import TokenizedDocument
@@ -98,14 +102,45 @@ def step_rows(target, negatives):
     return np.array(rows), repeats_of(rows)
 
 
+def word_step(model, inputs, rows, lr, repeats):
+    """The step that word2vec training runs: `inputs` is a skip-gram center
+    id or a CBOW context list."""
+    if not isinstance(inputs, int):
+        inputs = embedding._inputs(list(inputs))
+    embedding._input_step(model.input_matrix, model.output_matrix, inputs, rows, lr, repeats)
+
+
+def dm_step(model, doc_vec, context, rows, lr, repeats):
+    """The step that doc2vec training runs for `doc_vec` at a position
+    whose preceding words are `context`: the doc vector is input row V
+    after the word rows.  Updates the model and `doc_vec` in place."""
+    X = np.vstack((model.word_matrix, doc_vec))
+    inputs = embedding._dm_inputs(len(X) - 1, list(context), model.window,
+                                  model.combine is CombineMode.AVERAGE)
+    embedding._input_step(X, model.output_matrix, inputs, rows, lr, repeats)
+    model.word_matrix[...], doc_vec[...] = X[:-1], X[-1]
+
+
+@pytest.fixture
+def hidden_vectors(monkeypatch):
+    """The negated hidden vectors that the training steps pass to
+    `_ns_update`, in order."""
+    seen, update = [], embedding._ns_update
+    def record(output_matrix, nh, *args):
+        seen.append(nh.copy())
+        return update(output_matrix, nh, *args)
+    monkeypatch.setattr(embedding, "_ns_update", record)
+    return seen
+
+
 class TestNegativeSamplingStep:
-    """`_word_step`, the word2vec step that training runs."""
+    """`_input_step` as word2vec training runs it."""
 
     def test_zero_matrices_loss(self):
         model = zero_model(4, 3)
         rows, repeats = step_rows(1, [2])
         scores = model.output_matrix[rows] @ model.input_matrix[0]
-        embedding._word_step(model, 0, rows, 0.0, repeats)
+        word_step(model, 0, rows, 0.0, repeats)
         assert not scores.any()
         assert nss_loss_oracle(model, 0, 1, [2]) == pytest.approx(2 * math.log(2), abs=1e-12)
 
@@ -122,7 +157,7 @@ class TestNegativeSamplingStep:
         # the scores at the parameters before the step, as the step computes
         # them: negated, from the negated hidden vector
         returned = -(model.output_matrix[rows] @ np.negative(model.input_matrix[1]))
-        embedding._word_step(model, 1, rows, 0.1, repeats)
+        word_step(model, 1, rows, 0.1, repeats)
         after = nss_loss_oracle(model, 1, 2, [3, 4])
         np.testing.assert_allclose(returned, expected, rtol=1e-12)
         assert after < before
@@ -149,8 +184,7 @@ class TestNegativeSamplingStep:
         before_in = model.input_matrix.copy()
         before_out = model.output_matrix.copy()
         rows, repeats = step_rows(target, negatives)
-        inputs = arg if isinstance(arg, int) else embedding._context(arg)
-        embedding._word_step(model, inputs, rows, 1.0, repeats)
+        word_step(model, arg, rows, 1.0, repeats)
         grad_in = before_in - model.input_matrix
         grad_out = before_out - model.output_matrix
 
@@ -181,7 +215,7 @@ class TestNegativeSamplingStep:
         before_in = model.input_matrix.copy()
         before_out = model.output_matrix.copy()
         rows, repeats = step_rows(2, [3])
-        embedding._word_step(model, 1, rows, 0.5, repeats)
+        word_step(model, 1, rows, 0.5, repeats)
         touched_in, touched_out = {1}, {2, 3}
         for row in range(8):
             if row not in touched_in:
@@ -211,8 +245,8 @@ def dm_loss_oracle(model, doc_vec, context, n_missing, target, negatives):
 
 
 class TestDmStep:
-    """`_dm_update`, the step that doc2vec training runs, and
-    `_dm_frozen_update`, the step that inference runs."""
+    """`_input_step` as doc2vec training runs it, and `_dm_frozen_update`,
+    the step that inference runs."""
 
     WINDOW = 3
     CASES = [
@@ -237,7 +271,7 @@ class TestDmStep:
         return model, model.doc_matrix[1]
 
     @pytest.mark.parametrize("case", CASES)
-    def test_gradients_match_finite_differences(self, case):
+    def test_gradients_match_finite_differences(self, case, hidden_vectors):
         # [2, 2, 5], [3, 3, 1] and [0, 0] take the repeated-row update
         combine, context, target, negatives = case
         n_missing = self.WINDOW - len(context)
@@ -245,11 +279,10 @@ class TestDmStep:
         # analytic gradient, extracted exactly from one unit-lr update
         model, doc_vec = self.fresh(combine)
         before = (doc_vec.copy(), model.word_matrix.copy(), model.output_matrix.copy())
-        position = embedding._dm_position(model, context, n_missing)
+        out_before = model.output_matrix[rows]
+        dm_step(model, doc_vec, context, rows, 1.0, repeats)
         # the scores at the parameters before the step, from the step's negated hidden vector
-        scores = model.output_matrix[rows] @ -embedding._dm_hidden(
-            model, doc_vec, model.word_matrix[position[0]], position[2])
-        embedding._dm_update(model, doc_vec, position, rows, 1.0, repeats)
+        scores = out_before @ -hidden_vectors[0]
         grads = [b - a for b, a in zip(before, (doc_vec, model.word_matrix,
                                                  model.output_matrix))]
 
@@ -275,20 +308,22 @@ class TestDmStep:
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("lone", [True, False], ids=["dot", "matmul"])
-    def test_frozen_words_update_only_the_doc_vector(self, case, lone):
+    def test_frozen_words_update_only_the_doc_vector(self, case, lone, hidden_vectors):
         # in both of inference's plan shapes: a lone document, every array
         # without its batch axis and np.dot, or the second of a batch of
         # three and np.matmul; the other two take steps of their own
         combine, context, target, negatives = case
-        n_missing = self.WINDOW - len(context)
         rows, repeats = step_rows(target, negatives)
         trained, trained_vec = self.fresh(combine)
-        position = embedding._dm_position(trained, context, n_missing)
-        embedding._dm_update(trained, trained_vec, position, rows, 0.5, repeats)
+        dm_step(trained, trained_vec, context, rows, 0.5, repeats)
         model, doc_vec = self.fresh(combine)
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
-        h = embedding._dm_hidden(model, doc_vec, model.word_matrix[context], position[2])
+        # training's negated hidden vector, at the same parameters, and the
+        # weight of the doc row in training's plan
+        h = hidden_vectors[0]
+        scale = embedding._dm_inputs(model.vocab_size, context, self.WINDOW,
+                                     combine is CombineMode.AVERAGE)[3]
         B, b, ix, product = (1, 0, 0, np.dot) if lone else (3, 1, slice(3), np.matmul)
         r = np.random.default_rng(3)
         out = r.normal(scale=0.4, size=(B, len(rows), len(h)))
@@ -298,7 +333,7 @@ class TestDmStep:
         scratch = embedding._frozen_scratch(B, len(rows) - 1, len(h), model.dim)
         embedding._dm_frozen_update(product, out[ix], hs[ix], vecs[ix],
                                     np.ones((B, 1, len(rows)))[ix], np.full((B, 1), 0.5)[ix],
-                                    embedding._dm_scale(model, len(context)),
+                                    scale,
                                     tuple(x[ix] for x in scratch))
         for matrix, copy_before in zip((model.word_matrix, model.doc_matrix,
                                         model.output_matrix), before):
@@ -364,9 +399,10 @@ class TestRepeatedRows:
                                    mode=Word2VecMode.CBOW, window=2, negatives=3, dim=4)
         X, O = model.input_matrix.copy(), model.output_matrix.copy()
         grad_h = self.add_at_step(O, X[context].mean(axis=0), [1, *negatives], 0.3)
-        np.add.at(X, context, -0.3 * grad_h / len(context))
+        # the step's rounding: the rate's product, then the mean's weight
+        np.add.at(X, context, -0.3 * grad_h * (1.0 / len(context)))
         rows, repeats = step_rows(1, negatives)
-        embedding._word_step(model, embedding._context(context), rows, 0.3, repeats)
+        word_step(model, context, rows, 0.3, repeats)
         assert np.array_equal(model.input_matrix, X)
         assert np.array_equal(model.output_matrix, O)
 
@@ -391,11 +427,106 @@ class TestRepeatedRows:
             step[d * (1 + n_missing):].reshape(len(context), d))
         np.add.at(W, context, -words)
         rows, repeats = step_rows(2, negatives)
-        embedding._dm_update(model, doc_vec, embedding._dm_position(model, context, n_missing),
-                             rows, 0.3, repeats)
+        dm_step(model, doc_vec, context, rows, 0.3, repeats)
         assert np.array_equal(doc_vec, vec)
         assert np.array_equal(model.word_matrix, W)
         assert np.array_equal(model.output_matrix, O)
+
+
+class TestAgainstReference:
+    """The one input step against the separate word2vec and
+    distributed-memory steps it replaced (`embedding_reference`): bit for
+    bit for skip-gram and for DM in both combine modes.  CBOW agrees to
+    rounding only: its step is the rate's product times the mean's weight,
+    where the reference divided by the count."""
+
+    V = 7
+
+    @classmethod
+    def matrices(cls, seed, rows, d, out_dim):
+        r = np.random.default_rng(seed)
+        return r.normal(scale=0.4, size=(rows, d)), r.normal(scale=0.4, size=(cls.V, out_dim))
+
+    @staticmethod
+    def last(context, window):
+        # a position's preceding words: at most `window`
+        return context[max(0, len(context) - window):]
+
+    STEP = dict(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), window=st.integers(1, 4),
+                context=st.lists(st.integers(0, 6), max_size=5), target=st.integers(0, 6),
+                negatives=st.lists(st.integers(0, 6), min_size=1, max_size=6),
+                lr=st.floats(1e-3, 1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(combine=st.sampled_from(list(CombineMode)), **STEP)
+    @example(combine=CombineMode.AVERAGE, seed=1, d=3, window=3, context=[], target=2,
+             negatives=[2, 2], lr=0.5)
+    @example(combine=CombineMode.AVERAGE, seed=2, d=4, window=4, context=[5, 1, 5, 3], target=1,
+             negatives=[0, 1, 0], lr=0.3)
+    @example(combine=CombineMode.CONCATENATE, seed=3, d=2, window=4, context=[4, 4], target=4,
+             negatives=[4, 6, 6], lr=0.3)
+    def test_dm_step_matches_reference(self, combine, seed, d, window, context, target,
+                                       negatives, lr):
+        V, average = self.V, combine is CombineMode.AVERAGE
+        context = self.last(context, window)
+        X, O = self.matrices(seed, V + 3, d, d if average else d * (1 + window))
+        rows, repeats = step_rows(target, negatives)
+        # the reference holds the three doc rows apart from the word rows
+        model = DocEmbeddingModel(word_matrix=X[:V].copy(), doc_matrix=X[V:].copy(),
+                                  output_matrix=O.copy(), combine=combine, window=window,
+                                  negatives=len(negatives), dim=d)
+        position = reference._dm_position(model, context, window - len(context))
+        reference._dm_update(model, model.doc_matrix[1], position, rows, lr, repeats)
+        embedding._input_step(X, O, embedding._dm_inputs(V + 1, context, window, average),
+                              rows, lr, repeats)
+        assert np.array_equal(X[:V], model.word_matrix)
+        assert np.array_equal(X[V:], model.doc_matrix)
+        assert np.array_equal(O, model.output_matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(list(Word2VecMode)), center=st.integers(0, 6), **STEP)
+    @example(mode=Word2VecMode.SKIPGRAM, center=3, seed=1, d=3, window=2, context=[],
+             target=3, negatives=[3, 3], lr=0.5)
+    @example(mode=Word2VecMode.CBOW, center=0, seed=2, d=4, window=3, context=[2, 2, 5],
+             target=2, negatives=[0, 2, 0], lr=0.3)
+    def test_word_step_matches_reference(self, mode, center, seed, d, window, context, target,
+                                         negatives, lr):
+        # a CBOW context holds up to `window` words on each side of the center
+        context = self.last(context, 2 * window) or [center]
+        X, O = self.matrices(seed, self.V, d, d)
+        rows, repeats = step_rows(target, negatives)
+        model = WordEmbeddingModel(input_matrix=X.copy(), output_matrix=O.copy(), mode=mode,
+                                   window=window, negatives=len(negatives), dim=d)
+        inputs = center if mode is Word2VecMode.SKIPGRAM else context
+        reference._word_step(model, inputs if isinstance(inputs, int)
+                             else reference._context(inputs), rows, lr, repeats)
+        embedding._input_step(X, O, inputs if isinstance(inputs, int)
+                              else embedding._inputs(inputs), rows, lr, repeats)
+        # the output rows see the same hidden vector and gradient either way
+        assert np.array_equal(O, model.output_matrix)
+        if mode is Word2VecMode.SKIPGRAM:
+            assert np.array_equal(X, model.input_matrix)
+        else:
+            np.testing.assert_allclose(X, model.input_matrix, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_doc2vec_training_matches_reference(self, combine):
+        # whole runs: the doc rows drawn after the word rows in one call,
+        # the plan of every position, and the schedule
+        docs, vocab = cluster_corpus(6)
+        cfg = EmbedTrainConfig(dim=5, window=3, negatives=4, epochs=2, seed=3)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        rng = np.random.default_rng(cfg.seed)
+        V, d = len(vocab), cfg.dim
+        ref = DocEmbeddingModel(word_matrix=(rng.random((V, d)) - 0.5) / d,
+                                doc_matrix=(rng.random((len(docs), d)) - 0.5) / d,
+                                output_matrix=np.zeros_like(model.output_matrix),
+                                combine=combine, window=cfg.window, negatives=cfg.negatives,
+                                dim=d, noise_probs=model.noise_probs)
+        reference._dm_train(ref, [doc.tokens for doc in docs], cfg.epochs, cfg.learning_rate,
+                            cfg.min_learning_rate, rng)
+        for name in ("word_matrix", "doc_matrix", "output_matrix"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
 
 
 class TestTrainChunk:
@@ -672,9 +803,8 @@ class TestInferDocVectors:
             skipped += m - len(negatives)
             context = tokens[max(0, i - k): i]
             lr = lr0 - (lr0 - lr_min) * step / (steps * len(tokens))
-            position = embedding._dm_position(model, context, k - len(context))
             rows, repeats = step_rows(tokens[i], negatives)
-            embedding._dm_update(copy.deepcopy(model), vec, position, rows, lr, repeats)
+            dm_step(copy.deepcopy(model), vec, context, rows, lr, repeats)
         assert skipped > 0
         inferred = infer_doc_vector(model, docs[0], steps=steps, lr=lr0, min_lr=lr_min, seed=8)
         np.testing.assert_allclose(inferred, vec, rtol=0, atol=1e-12)

@@ -1,0 +1,30 @@
+"""`tools/output_digests.py`, the byte check between two trees: one JSON
+object of digests over every run of the benchmark's workloads."""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_output_digests_cover_every_run(tmp_path):
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digests.py"),
+                          "--src", str(ROOT / "src"), "--scale", "smoke"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    digests = json.loads(out.stdout)
+    exits = [v for k, v in digests.items() if k.endswith(" exit")]
+    assert exits and set(exits) == {0}
+    for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3"):
+        for name in ("q.d2v", "a.d2v", "a.w2v", "net.simnet", "report.json",
+                     "infer_report.json"):
+            assert f"{run} file {name}" in digests
+    # `ask` read the questions and answered them
+    empty = hashlib.sha256(b"").hexdigest()
+    assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
+    assert "ask_large_collection 1 file q.d2v" in digests
+    # the runs leave nothing behind
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,86 @@
+"""SHA-256 digests of every file and every output of the benchmark's runs.
+
+    python3 tools/output_digests.py --src SRC [--scale full|smoke] > digests.json
+
+Builds the inputs of `train_pipeline` for seeds 1-3 and of
+`ask_large_collection` for seed 1 with `perfbench/prep.py`'s `prepare`,
+then runs their commands through `qasim.cli.main` of the package under
+SRC, at one BLAS thread, each seed in a fresh temporary directory.
+`ask` answers the first 200 of the workload's questions.  Prints one JSON
+object, one key a line: the digest of every file a run leaves, and each
+command's exit code and the digests of its stdout and stderr.  Run it on
+two trees and diff the output to see whether a change moved any byte.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+RUNS = [("train_pipeline", 1), ("train_pipeline", 2), ("train_pipeline", 3),
+        ("ask_large_collection", 1)]
+ASK_QUESTIONS = 200
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(workload: str, seed: int, scale: str) -> dict:
+    """The digests of one workload seed, run in the current directory."""
+    from prep import prepare
+    from qasim import cli
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        manifest = prepare(workload, seed, scale)
+    stdin = "".join(q + "\n" for q in manifest.get("questions", [])[:ASK_QUESTIONS])
+    digests = {}
+    for n, argv in enumerate(manifest["commands"]):
+        out, err = io.StringIO(), io.StringIO()
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+        finally:
+            sys.stdin = saved
+        key = f"command {n:02d} {argv[0]}"
+        digests[f"{key} exit"] = rc
+        digests[f"{key} stdout"] = sha(out.getvalue().encode())
+        digests[f"{key} stderr"] = sha(err.getvalue().encode())
+    for name in sorted(os.listdir(".")):
+        with open(name, "rb") as fh:
+            digests[f"file {name}"] = sha(fh.read())
+    return digests
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the qasim package")
+    parser.add_argument("--scale", choices=("full", "smoke"), default="full")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    os.pardir, "perfbench"))
+    home, result = os.getcwd(), {}
+    for workload, seed in RUNS:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                for key, value in run(workload, seed, args.scale).items():
+                    result[f"{workload} {seed} {key}"] = value
+            finally:
+                os.chdir(home)
+    print(json.dumps(result, indent=0, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
