@@ -358,39 +358,6 @@ def _dm_inputs(doc: int, context: list[int], window: int, average: bool) -> tupl
     return _inputs([doc] + context, 1 + window - len(context))
 
 
-def _dm_frozen_update(product, out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray,
-                      keep: np.ndarray, lr: np.ndarray, scale: float, scratch: tuple) -> None:
-    """One inference step for `a` documents at once, word and output
-    matrices frozen: the gathered output rows `out` (a, 1+m, D), target
-    first, the negated hidden vectors as columns `h` (a, D, 1), `keep`
-    (a, 1, 1+m) 1.0 or 0.0 (a draw that hit its target gets no
-    gradient), `lr` (a, 1).  Updates `doc_vecs` (a, d) in place and
-    overwrites `scratch`, a `_frozen_scratch` of `a` documents.  `product`
-    is np.matmul; a lone document passes every array without its batch
-    axis and np.dot, the same BLAS gemv per document at less overhead per
-    call.  Each document's rows have the same fixed width whatever the
-    batch, so its arithmetic does not depend on the batch."""
-    scores, g, label, grad_h, grad_doc, step = scratch
-    product(out, h, out=scores)            # the negated scores
-    _ns_grad(g, keep, label, out=g)        # g: the scores' memory, as (a, 1, 1+m)
-    product(g, out, out=grad_h)
-    np.multiply(lr, grad_doc, out=step)
-    if scale != 1.0:                       # x * 1.0 is x
-        step *= scale
-    doc_vecs -= step
-
-
-def _frozen_scratch(B: int, m: int, D: int, d: int) -> tuple:
-    """The `scratch` that `_dm_frozen_update` writes for B documents, each
-    entry's [:a] that of the first a and its [0] that of a lone document:
-    the scores (B, 1+m, 1) and the same memory as (B, 1, 1+m), the label,
-    the gradient with respect to h (B, 1, D) and its doc part, and the doc
-    step (B, d)."""
-    scores, grad_h = np.empty((B, 1 + m, 1)), np.empty((B, 1, D))
-    return (scores, scores.reshape(B, 1, 1 + m), np.broadcast_to(_label(1 + m), (B, 1, 1 + m)),
-            grad_h, grad_h[:, 0, :d], np.empty((B, d)))
-
-
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
                   combine: CombineMode = CombineMode.AVERAGE, *,
                   vocab_size: int) -> DocEmbeddingModel:
@@ -440,111 +407,165 @@ INFER_BLOCK = 128
 # one pass at a time; a short question draws all its passes at once.
 INFER_CHUNK = 4096
 
+# Document-position-steps whose output rows one gather window takes: a
+# window of a short block covers several whole passes, so that a pass of
+# a short question does not pay for the window's calls alone.  Larger
+# windows cost more planning, and in large blocks more cache misses, than
+# they save.
+INFER_WINDOW = 32
 
-def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]], n_max: int) -> np.ndarray:
-    """The frozen-word part of every position's hidden vector, (B, n_max,
-    d) in average mode: row i of doc b is the sum of its context rows.  In
-    concatenate mode, (B, window + n_max, d), negated: the doc's word rows
-    after `window` zero rows, so rows i..i+window are position i's slots."""
-    W, k = model.word_matrix, model.window
+
+def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]],
+                    n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """What stays fixed at each position of the block.  alpha (n_max, 1,
+    1, 1), the doc vector's factor in the negated hidden vector: -1/(1 +
+    c) in average mode, with c context words, and -1 in concatenate mode.
+    And a view (n_max, B, K, 1): what the output rows' context columns
+    multiply to give the frozen words' part of the negated scores.  In
+    average mode (K = d) that is the sum of the context rows times alpha;
+    in concatenate mode (K = window * d) the negated context slots, rows
+    i..i+window of the document's word rows after `window` zero rows."""
+    W, k, d = model.word_matrix, model.window, model.dim
     if model.combine is CombineMode.AVERAGE:
-        ctx = np.zeros((len(docs), n_max, model.dim))
+        alpha = -1.0 / (1 + np.minimum(np.arange(n_max), k))
+        ctx = np.zeros((len(docs), n_max, d))
         for b, tokens in enumerate(docs):
             for i in range(1, len(tokens)):
                 ctx[b, i] = W[tokens[max(0, i - k): i]].sum(axis=0)
+        ctx *= alpha[:, None]
+        K = d
     else:
-        ctx = np.zeros((len(docs), k + n_max, model.dim))
+        alpha = -np.ones(n_max)
+        ctx = np.zeros((len(docs), k + n_max, d))
         for b, tokens in enumerate(docs):
-            ctx[b, k: k + len(tokens)] = W[tokens]
+            np.take(W, tokens, axis=0, out=ctx[b, k: k + len(tokens)])
         np.negative(ctx, out=ctx)
-    return ctx
+        K = k * d
+    s_b, s_i, s_e = ctx.strides
+    context = np.lib.stride_tricks.as_strided(ctx, (n_max, len(docs), K, 1), (s_i, s_b, s_e, s_e),
+                                              writeable=False)
+    return alpha[:, None, None, None], context
+
+
+def _block_buffers(wide: int, B: int, m: int, D: int, d: int) -> tuple:
+    """What inference of B documents in gather windows of `wide`
+    position-steps writes: the window's output rows G (wide, B, 1+m, D),
+    A, those rows folded (wide, B, 1+m, d+1), keep and the label times
+    -lr (wide, B, 2, 1+m), the doc vectors as columns with a 1
+    appended (B, d+1, 1), the negated scores (B, 1+m, 1) and the doc
+    steps (B, 1, d+1)."""
+    return (np.empty((wide, B, 1 + m, D)), np.empty((wide, B, 1 + m, d + 1)),
+            np.zeros((wide, B, 2, 1 + m)), np.ones((B, d + 1, 1)), np.empty((B, 1 + m, 1)),
+            np.empty((B, 1, d + 1)))
+
+
+def _step_args(buffers: tuple, j: int, a: int) -> tuple:
+    """The `_frozen_window` step of a `_block_buffers` at window offset j,
+    whose documents are the first `a`: index [:a], or [0] for a lone
+    document, whose views drop the batch axis so that its products run
+    through np.dot, the same BLAS gemv per document at less overhead per
+    call.  Each document's rows have the same fixed width whatever the
+    batch, so its arithmetic does not depend on the batch."""
+    _, A, KL, columns, scores, step = buffers
+    ix, product = (0, np.dot) if a == 1 else (slice(a), np.matmul)
+    g = scores.reshape(len(scores), 1, -1)         # the scores' memory, as rows
+    return (product, A[j, ix], columns[ix], scores[ix], g[ix], KL[j, ix, :1], KL[j, ix, 1:],
+            step[ix], step[ix, ..., :-1], columns[ix, None, :-1, 0])
+
+
+def _frozen_window(G: np.ndarray, alpha: np.ndarray, context: np.ndarray, A: np.ndarray,
+                   steps: list) -> None:
+    """The inference steps of one gather window, word and output matrices
+    frozen.  The window's output rows G (passes, positions, B, 1+m, D),
+    target first, are folded into A = [alpha * G[..., :d], beta] (...,
+    1+m, d+1), where beta is G's context columns times the window's
+    `_frozen_context`, so that A @ [vec; 1] is a position's negated
+    scores.  Then each position's step in order, from its `_step_args`:
+    with keep and the label times -lr, `_ns_grad` gives -lr * dL/ds, and
+    that times A's doc columns is the doc step, lr * dL/ds * d s / d vec
+    (alpha holds d h / d vec).  7 NumPy calls a position."""
+    d = A.shape[-1] - 1
+    np.multiply(G[..., :d], alpha, out=A[..., :d])
+    np.matmul(G[..., G.shape[-1] - context.shape[-2]:], context, out=A[..., d:])
+    for product, rows, column, scores, g, keep, label, step, doc_step, vec in steps:
+        product(rows, column, out=scores)       # the negated scores
+        _ns_grad(g, keep, label, out=g)
+        product(g, rows, out=step)              # then g @ beta, unused
+        vec -= doc_step
 
 
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
                  lr0: float, lr_min: float, seed: int) -> np.ndarray:
     """Doc vectors of `docs`, longest first, inferred in lockstep.  The
     negatives of INFER_CHUNK // (B * n_max) passes (at least one) are
-    drawn at once, and with `wide` = INFER_BLOCK // B (at least 1) each
-    pass gathers the output rows of `wide` positions at once, so no
-    buffer grows with the number of passes."""
-    B, d, k, m = len(docs), model.dim, model.window, model.negatives
-    D = model.output_matrix.shape[1]
+    drawn at once.  A gather window takes the output rows of `span` =
+    INFER_WINDOW // B (at least 1) positions of one pass or, when that is
+    the whole pass, of INFER_WINDOW // (B * n_max) passes (at least 1).
+    The steps' buffers and plan cover one gather window and every window
+    reuses them, so only the frozen context and the drawn rows grow with
+    the number of positions, and nothing with the number of passes."""
+    B, d, m = len(docs), model.dim, model.negatives
     lengths = np.array([len(tokens) for tokens in docs])
     n_max = lengths[0]
-    wide = max(1, INFER_BLOCK // B)
+    span = min(n_max, max(1, INFER_WINDOW // B))
+    # passes run in order: a window of several passes holds whole passes
+    per_window = max(1, INFER_WINDOW // (B * n_max)) if span == n_max else 1
     chunk = min(steps, max(1, INFER_CHUNK // (B * n_max)))
     valid = np.arange(n_max) < lengths[:, None]               # (B, n_max)
-    average = model.combine is CombineMode.AVERAGE
     cdf = _noise_cdf(model.noise_probs)
     rngs = [np.random.default_rng(seed) for _ in docs]
-    vecs = np.stack([(rng.random(d) - 0.5) / d for rng in rngs])
-    ctx = _frozen_context(model, docs, n_max)
-    # Position-major: rows[i0:i1] is one contiguous gather window.
-    rows = np.zeros((n_max, B, 1 + m), dtype=np.intp)
-    rows[:, :, 0].T[valid] = np.concatenate(docs)
-    keep = np.ones((n_max, B, 1 + m))
-    lrs = np.zeros((n_max, B, 1))
+    buffers = G, A, KL, columns, _, _ = _block_buffers(
+        per_window * span, B, m, model.output_matrix.shape[1], d)
+    vecs = columns[:, :d, 0]
+    vecs[...] = [(rng.random(d) - 0.5) / d for rng in rngs]
+    alpha, context = _frozen_context(model, docs, n_max)
+    targets = np.zeros((n_max, B), dtype=np.intp)
+    targets.T[valid] = np.concatenate(docs)
+    # Pass- then position-major: rows[p0:p1, i0:i1] is one gather window.
+    rows = np.empty((chunk, n_max, B, 1 + m), dtype=np.intp)
+    rows[..., 0] = targets
     uniform = np.zeros((chunk, n_max, B, m))
-    buf = np.empty((min(wide, n_max), B, 1 + m, D))
-    hidden = np.empty((B, D, 1))           # the negated hidden vectors, as columns
-    scratch = _frozen_scratch(B, m, D, d)
     active = valid.sum(axis=0).tolist()    # the documents at each position
-    # A position's documents are the first `a`: index [:a], or [0] for a
-    # lone document, whose views drop the batch axis so that its products
-    # run through np.dot.  What every position of the same `a` shares: the
-    # index, the product, their vectors, where the negated hidden vector is
-    # written (the doc slot in concatenate mode), the context slots, the
-    # hidden columns and the step's scratch.
-    shared = {}
-    for a in set(active):
-        ix, product = (0, np.dot) if a == 1 else (slice(a), np.matmul)
-        shared[a] = (ix, product, vecs[ix], hidden[ix, :, 0] if average else hidden[ix, :d, 0],
-                     hidden[ix, d:, 0], hidden[ix], tuple(x[ix] for x in scratch))
-    # Per gather window: its rows and buffer, then per position (whose
-    # documents are the first `a`) what each pass refills or reads: the
-    # vectors, the frozen context, where the negated hidden vector goes,
-    # -(1 + c) in average mode or the context slots in concatenate mode,
-    # and the step's arguments.
-    windows = []
-    for i0 in range(0, n_max, wide):
-        at = []
-        for i in range(i0, min(i0 + wide, n_max)):
-            c = min(i, k)
-            ix, product, vec, hv, ctx_slots, h, step_scratch = shared[active[i]]
-            # d h / d doc_vec: the mean's weight in average mode, 1 in concatenate mode
-            if average:
-                frozen, slot, scale = ctx[ix, i], -(1.0 + c), 1.0 / (1 + c)
-            else:
-                frozen, slot, scale = ctx[ix, i: i + k].reshape(ctx_slots.shape), ctx_slots, 1.0
-            at.append((vec, frozen, hv, slot, (product, buf[i - i0, ix], h, vec, keep[i, ix, None],
-                                               lrs[i, ix], scale, step_scratch)))
-        windows.append((rows[i0: i0 + wide], buf[:len(at)], at))
+    # the gather windows of q passes, keyed by q, and their steps, keyed
+    # by q and the documents at each position
+    windows, plans = {}, {}
+
+    def windows_of(q: int) -> list:
+        """Per window of q passes over the positions `at`: the buffers'
+        parts it fills and its steps, in order."""
+        if q not in windows:
+            windows[q] = []
+            for i0 in range(0, n_max, span):
+                at = slice(i0, i0 + span)
+                key = (q, tuple(active[at]))
+                n = len(key[1])
+                if key not in plans:
+                    plans[key] = [_step_args(buffers, p * n + j, a)
+                                  for p in range(q) for j, a in enumerate(key[1])]
+                G_w, KL_w, A_w = (x[:q * n].reshape(q, n, *x.shape[1:]) for x in (G, KL, A))
+                windows[q].append((at, G_w, KL_w, alpha[at], context[at], A_w, plans[key]))
+        return windows[q]
+
     for e0 in range(0, steps, chunk):
         passes = min(chunk, steps - e0)
         # each document's own stream: one call per chunk, the same stream
         # as one call of n*m draws per pass
         for b, (rng, n) in enumerate(zip(rngs, lengths.tolist())):
             uniform[:passes, :n, b] = rng.random((passes, n, m))
-        draws = np.searchsorted(cdf, uniform[:passes], side="right")
-        kept = draws != rows[:, :, :1]
+        draws = rows[:passes, ..., 1:]
+        draws[...] = np.searchsorted(cdf, uniform[:passes], side="right")
         step = (e0 + np.arange(passes))[:, None, None] * lengths + np.arange(n_max)[:, None]
-        rates = _learning_rate(lr0, lr_min, step, steps * lengths)
-        for p in range(passes):
-            rows[:, :, 1:] = draws[p]
-            keep[:, :, 1:] = kept[p]
-            lrs[:, :, 0] = rates[p]
-            for window_rows, out, at in windows:
+        lr = -_learning_rate(lr0, lr_min, step, steps * lengths)[..., None]
+        kept = draws != targets[..., None]    # a draw that hit its target gets no gradient
+        for p0 in range(0, passes, per_window):
+            ps = slice(p0, min(p0 + per_window, passes))
+            for at, out, kl, *window in windows_of(ps.stop - p0):
                 # ids are checked in infer_doc_vectors; "raise" would buffer `out`
-                np.take(model.output_matrix, window_rows, axis=0, out=out, mode="wrap")
-                for vec, frozen, hv, slot, args in at:
-                    # the negated hidden vector: IEEE rounding is sign-symmetric
-                    if average:
-                        np.add(vec, frozen, out=hv)
-                        np.divide(hv, slot, out=hv)
-                    else:
-                        np.negative(vec, out=hv)
-                        np.copyto(slot, frozen)
-                    _dm_frozen_update(*args)
+                np.take(model.output_matrix, rows[ps, at], axis=0, out=out, mode="wrap")
+                # keep, then the label, times -lr: the target's entries, then the draws'
+                kl[..., 0] = lr[ps, at]
+                np.multiply(kept[ps, at], lr[ps, at], out=kl[..., 0, 1:])
+                _frozen_window(out, *window)
     return vecs
 
 

@@ -178,6 +178,22 @@ def probabilities(net: SimilarityNetwork, q_terms: np.ndarray,
     return _sigmoid(q_terms + a_terms + net.b3[0])
 
 
+def _stack_rows(f_q: np.ndarray, f_a: np.ndarray, of_pair=None) -> np.ndarray:
+    """Both sides' feature rows, checked, stacked question first: (2,
+    batch, d).  With `of_pair`, (question rows, answer rows) as index
+    arrays, the batch is those rows of each side, gathered straight into
+    the stack."""
+    x_q, x_a = _as_rows(f_q), _as_rows(f_a)
+    if x_q.shape[1:] != x_a.shape[1:] or of_pair is None and len(x_q) != len(x_a):
+        raise ValueError(f"feature shapes differ: {x_q.shape} vs {x_a.shape}")
+    if of_pair is None:
+        return np.stack((x_q, x_a))
+    x = np.empty((2, len(of_pair[0]), x_q.shape[1]))
+    for side, rows, of in zip(x, (x_q, x_a), of_pair):
+        np.take(rows, of, axis=0, out=side)
+    return x
+
+
 def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
             dropout_p: float = 0.0, seed: int = 0, masks=None) -> ForwardTrace:
     """Run both towers and the head; records everything for backprop.
@@ -188,27 +204,30 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
     `draw_dropout_masks`'s, replays that trace exactly.  Otherwise no
     masks and no rescaling are applied.
     """
-    x_q, x_a = _as_rows(f_q), _as_rows(f_a)
-    if x_q.shape != x_a.shape:
-        raise ValueError(f"feature shapes differ: {x_q.shape} vs {x_a.shape}")
+    return _forward(net, _stack_rows(f_q, f_a), dropout_p, seed, masks)
+
+
+def _forward(net: SimilarityNetwork, x: np.ndarray, dropout_p: float, seed,
+             masks) -> ForwardTrace:
+    """`forward` on `_stack_rows` rows x."""
     if masks is None and dropout_p > 0.0:
         _, h1, h2 = net.layer_dims
-        masks = _stacked_masks((len(x_q), h1), (len(x_q), h2), dropout_p, seed)
+        masks = _stacked_masks((x.shape[1], h1), (x.shape[1], h2), dropout_p, seed)
     elif masks is not None and len(masks) == 4:
         masks = np.stack(masks[0::2]), np.stack(masks[1::2])
-    x = np.stack((x_q, x_a))
     a1, h1, a2, h2, terms = _towers(net.stacked, x, net.activation, masks)
     u = terms[0, :, 0] + terms[1, :, 0] + net.flat[-1]
     return ForwardTrace(x, a1, h1, a2, h2, masks, u, _sigmoid(u))
 
 
-def _forward_loss(net: SimilarityNetwork, f_q, f_a, y, lam: float, dropout_p: float,
+def _forward_loss(net: SimilarityNetwork, x: np.ndarray, y, lam: float, dropout_p: float,
                   seed, masks) -> tuple[ForwardTrace, np.ndarray, float]:
-    """The trace, the labels as a float array, and the loss of one batch."""
+    """The trace, the labels as a float array, and the loss of one batch
+    of `_stack_rows` rows x."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.size == 0:
         raise ValueError("batch must be non-empty")
-    trace = forward(net, f_q, f_a, dropout_p, seed, masks)
+    trace = _forward(net, x, dropout_p, seed, masks)
     yc = np.clip(trace.y_prime, EPS, 1.0 - EPS)
     bce = -(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc))
     # diverged weights overflow to inf here; callers check the loss is finite
@@ -224,7 +243,7 @@ def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray
     dropout; the masks depend only on (seed, shapes), never on parameter
     values, so the loss stays differentiable in the parameters.
     """
-    return _forward_loss(net, f_q, f_a, y, lam, dropout_p, seed, masks)[2]
+    return _forward_loss(net, _stack_rows(f_q, f_a), y, lam, dropout_p, seed, masks)[2]
 
 
 def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
@@ -238,7 +257,13 @@ def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.nd
     clamp saturates the predicted probability, the gradient of the
     clamped loss is exactly zero, matching finite differences.
     """
-    t, y, value = _forward_loss(net, f_q, f_a, y, lam, dropout_p, seed, masks)
+    return _gradients(net, _stack_rows(f_q, f_a), y, lam, dropout_p, seed, masks)
+
+
+def _gradients(net: SimilarityNetwork, x: np.ndarray, y, lam: float, dropout_p: float, seed,
+               masks) -> tuple[SimilarityNetwork, float]:
+    """`gradients` of a batch of `_stack_rows` rows x."""
+    t, y, value = _forward_loss(net, x, y, lam, dropout_p, seed, masks)
     yp = t.y_prime
     clamped = (yp < EPS) | (yp > 1.0 - EPS)
     g_u = np.where(clamped, 0.0, yp - y) / len(yp)

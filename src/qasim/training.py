@@ -150,10 +150,11 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
     train = _pair_rows(train_pairs, features)
     val = _pair_rows(val_pairs, features)
     (q_rows, q_of_pair), (a_rows, a_of_pair), y = train
-    fq, fa = q_rows[q_of_pair], a_rows[a_of_pair]
+    # every pair's rows, checked and stacked once; a batch takes its columns
+    x = simnet._stack_rows(q_rows, a_rows, (q_of_pair, a_of_pair))
 
     rng = np.random.default_rng(config.seed)
-    net = simnet.init_network(fq.shape[1], std=config.init_std, bias_const=config.bias_const,
+    net = simnet.init_network(x.shape[2], std=config.init_std, bias_const=config.bias_const,
                               seed=config.seed, activation=config.activation)
     report = TrainReport(planned_epochs=config.max_epochs)
     # max_epochs >= 1, and the first epoch always sets the best network
@@ -166,9 +167,8 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             batch_seed = int(rng.integers(0, 2**63 - 1))
-            grads, batch_loss = simnet.gradients(
-                net, fq[idx], fa[idx], y[idx], lam=config.lam,
-                dropout_p=config.dropout_p, seed=batch_seed)
+            grads, batch_loss = simnet._gradients(
+                net, x.take(idx, axis=1), y[idx], config.lam, config.dropout_p, batch_seed, None)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}")
             net.flat -= lr * grads.flat

@@ -1,7 +1,8 @@
 """Word2vec / doc2vec tests: finite-difference gradients for the
 negative-sampling steps that training and inference run, the one training
-step against the separate reference steps, cluster-structure checks, the
-analogy operation, and binary model round-trips."""
+step against the separate reference steps, folded inference against the
+unfolded step, cluster-structure checks, the analogy operation, and
+binary model round-trips."""
 
 import collections
 import copy
@@ -12,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import embedding_reference as reference
 import numpy as np
@@ -245,8 +247,8 @@ def dm_loss_oracle(model, doc_vec, context, n_missing, target, negatives):
 
 
 class TestDmStep:
-    """`_input_step` as doc2vec training runs it, and `_dm_frozen_update`,
-    the step that inference runs."""
+    """`_input_step` as doc2vec training runs it, and `_frozen_window`, the
+    steps that inference runs."""
 
     WINDOW = 3
     CASES = [
@@ -308,7 +310,7 @@ class TestDmStep:
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("lone", [True, False], ids=["dot", "matmul"])
-    def test_frozen_words_update_only_the_doc_vector(self, case, lone, hidden_vectors):
+    def test_frozen_words_update_only_the_doc_vector(self, case, lone):
         # in both of inference's plan shapes: a lone document, every array
         # without its batch axis and np.dot, or the second of a batch of
         # three and np.matmul; the other two take steps of their own
@@ -319,28 +321,30 @@ class TestDmStep:
         model, doc_vec = self.fresh(combine)
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
-        # training's negated hidden vector, at the same parameters, and the
-        # weight of the doc row in training's plan
-        h = hidden_vectors[0]
+        # the weight of the doc row in training's plan
         scale = embedding._dm_inputs(model.vocab_size, context, self.WINDOW,
                                      combine is CombineMode.AVERAGE)[3]
-        B, b, ix, product = (1, 0, 0, np.dot) if lone else (3, 1, slice(3), np.matmul)
+        B, b = (1, 0) if lone else (3, 1)
+        buffers = G, A, KL, columns, _, _ = embedding._block_buffers(
+            1, B, len(rows) - 1, model.output_matrix.shape[1], model.dim)
         r = np.random.default_rng(3)
-        out = r.normal(scale=0.4, size=(B, len(rows), len(h)))
-        hs = r.normal(scale=0.4, size=(B, len(h), 1))
-        vecs = r.normal(scale=0.4, size=(B, model.dim))
-        out[b], hs[b, :, 0], vecs[b] = model.output_matrix[rows], h, doc_vec
-        scratch = embedding._frozen_scratch(B, len(rows) - 1, len(h), model.dim)
-        embedding._dm_frozen_update(product, out[ix], hs[ix], vecs[ix],
-                                    np.ones((B, 1, len(rows)))[ix], np.full((B, 1), 0.5)[ix],
-                                    scale,
-                                    tuple(x[ix] for x in scratch))
+        G[...] = r.normal(scale=0.4, size=G.shape)
+        vecs = columns[:, :-1, 0]
+        vecs[...] = r.normal(scale=0.4, size=vecs.shape)
+        G[0, b], vecs[b] = model.output_matrix[rows], doc_vec
+        # the last position of documents that are the context and the target
+        i = len(context)
+        alpha, frozen = embedding._frozen_context(model, [[*context, target]] * B, i + 1)
+        assert alpha[i, 0, 0, 0] == -scale
+        # keep and the label times -lr
+        KL[0] = -0.5 * np.stack((np.ones(len(rows)), embedding._label(len(rows))))
+        embedding._frozen_window(G, alpha[i:], frozen[i:], A, [embedding._step_args(buffers, 0, B)])
         for matrix, copy_before in zip((model.word_matrix, model.doc_matrix,
                                         model.output_matrix), before):
             assert np.array_equal(matrix, copy_before)
-        # the doc vector takes the same step as in training
-        assert np.array_equal(vecs[b], trained_vec)
-        assert not np.array_equal(vecs[b], doc_vec)
+        # the doc vector takes training's step, but for rounding
+        assert np.abs(vecs[b] - trained_vec).max() <= 1e-12 * np.abs(trained_vec).max()
+        assert np.abs(vecs[b] - doc_vec).max() > 1e-6
 
 
 def test_step_rows_match_one_draw_per_step():
@@ -821,18 +825,19 @@ class TestInferDocVectors:
     @pytest.mark.parametrize("combine", list(CombineMode))
     def test_blocks_do_not_change_vectors(self, monkeypatch, combine, block):
         # Seven documents of 4..10 tokens.  A block of B documents draws
-        # INFER_BLOCK // B passes at once and gathers as many positions at
-        # once: the last block (B = 1, 4 tokens) has gather windows of
-        # `block` positions, so a window ends inside the document, and at
-        # blocks 2 and 3, 5 steps are not a multiple of its pass chunk.  The
-        # default block holds all seven, with a chunk of 18 passes, more
-        # than 5.
+        # INFER_BLOCK // B passes at once and, with INFER_WINDOW as small,
+        # gathers as many positions at once: the last block (B = 1, 4
+        # tokens) has gather windows of `block` positions, so a window ends
+        # inside the document, and at blocks 2 and 3, 5 steps are not a
+        # multiple of its pass chunk.  The default block holds all seven,
+        # with a chunk of 18 passes, more than 5.
         docs, vocab = cluster_corpus(12)
         cfg = EmbedTrainConfig(dim=7, window=3, negatives=4, epochs=3, seed=5)
         model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
         batch = mixed_length_docs(docs, 10, shortest=4)
         whole = embedding.infer_doc_vectors(model, batch, steps=5, seed=4)
         monkeypatch.setattr(embedding, "INFER_BLOCK", block)
+        monkeypatch.setattr(embedding, "INFER_WINDOW", block)
         assert np.array_equal(embedding.infer_doc_vectors(model, batch, steps=5, seed=4), whole)
 
     @pytest.mark.parametrize("cap", [1, 140, 280])
@@ -853,9 +858,8 @@ class TestInferDocVectors:
     def test_memory_bounded_by_positions_not_passes(self):
         # One document of 1,500 tokens, 20 passes, 12 negatives.  Drawing
         # the negatives of all 20 passes at once peaked at about 8.5 MB.  In
-        # chunks of INFER_CHUNK position-steps it peaks at about 2.5 MB,
-        # most of which is the per-position plan, which grows with the
-        # positions only.
+        # chunks of INFER_CHUNK position-steps it peaks at about 2 MB, most
+        # of which is the chunk's draws, which grow with the positions only.
         docs, vocab = cluster_corpus(12)
         cfg = EmbedTrainConfig(dim=4, window=3, negatives=12, epochs=1, seed=5)
         model = train_doc2vec(docs, cfg, vocab_size=len(vocab))
@@ -869,6 +873,27 @@ class TestInferDocVectors:
             tracemalloc.stop()
         assert np.all(np.isfinite(vec))
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_plan_bounded_by_the_gather_window(self, combine):
+        # One document of 4,000 tokens, 2 negatives, one pass a chunk.  A
+        # plan of views for every position peaked at about 3 MB; planned
+        # for one gather window and reused, the steps peak at about 1.1 MB,
+        # of which the drawn rows, their hit masks and their rates grow with
+        # the positions.
+        docs, vocab = cluster_corpus(12)
+        cfg = EmbedTrainConfig(dim=4, window=3, negatives=2, epochs=1, seed=5)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        tokens = [t for doc in docs for t in doc.tokens] * 20
+        long = TokenizedDocument(0, tokens[:4000])
+        tracemalloc.start()
+        try:
+            vec = embedding.infer_doc_vectors(model, [long], steps=4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vec))
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("lr, min_lr", [(-0.5, 1e-4), (0.01, 0.02), (0.025, 0.0)])
     def test_bad_learning_rates_rejected(self, trained_doc_model, lr, min_lr):
@@ -938,6 +963,58 @@ class TestInferDocVectors:
     def test_no_documents(self, trained_doc_model):
         _, model = trained_doc_model
         assert embedding.infer_doc_vectors(model, [], steps=5).shape == (0, model.dim)
+
+
+def random_doc_model(combine, vocab, dim, window, negatives, seed):
+    """A doc2vec model of random matrices and noise, ready for inference."""
+    r = np.random.default_rng(seed)
+    weights = r.random(vocab) + 0.05
+    return DocEmbeddingModel(
+        word_matrix=r.normal(scale=0.5, size=(vocab, dim)), doc_matrix=np.zeros((0, dim)),
+        output_matrix=r.normal(scale=0.5, size=(
+            vocab, dim if combine is CombineMode.AVERAGE else dim * (1 + window))),
+        combine=combine, window=window, negatives=negatives, dim=dim,
+        noise_probs=weights / weights.sum())
+
+
+class TestInferenceAgainstReference:
+    """`infer_doc_vectors` against the unfolded step that it replaced
+    (`embedding_reference.infer_doc_vectors`): the same vectors, but for
+    rounding, in both combine modes, for lone documents and mixed-length
+    batches, at any gather window, of part of a pass or of several
+    passes, and any pass chunk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(combine=st.sampled_from(list(CombineMode)), dim=st.integers(3, 100),
+           window=st.integers(1, 5), negatives=st.integers(1, 8), vocab=st.integers(2, 12),
+           lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           steps=st.integers(1, 6), block=st.sampled_from([1, 2, 3, 5, 128]),
+           gather=st.sampled_from([1, 7, 32]), chunk=st.sampled_from([1, 7, 30, 4096]),
+           seed=st.integers(0, 2**16))
+    # a lone document shorter than the window, in windows of 2 passes and 1
+    @example(CombineMode.AVERAGE, 100, 5, 5, 12, [3], 5, 128, 7, 4096, 1)
+    @example(CombineMode.CONCATENATE, 100, 5, 5, 12, [3], 5, 128, 7, 4096, 1)
+    # mixed lengths over gather windows that end inside a document, and
+    # chunks of one pass
+    @example(CombineMode.AVERAGE, 7, 3, 4, 12, [9, 4, 1, 12], 4, 5, 32, 30, 2)
+    @example(CombineMode.CONCATENATE, 7, 3, 4, 12, [9, 4, 1, 12], 4, 5, 32, 30, 2)
+    # two words: targets drawn as negatives, and repeated negatives, everywhere
+    @example(CombineMode.AVERAGE, 5, 2, 8, 2, [6, 6, 2], 3, 2, 32, 7, 3)
+    @example(CombineMode.CONCATENATE, 5, 2, 8, 2, [6, 6, 2], 3, 2, 32, 7, 3)
+    def test_matches_unfolded_reference(self, combine, dim, window, negatives, vocab, lengths,
+                                        steps, block, gather, chunk, seed):
+        model = random_doc_model(combine, vocab, dim, window, negatives, seed)
+        r = np.random.default_rng(seed + 1)
+        docs = [TokenizedDocument(j, r.integers(0, vocab, n).tolist())
+                for j, n in enumerate(lengths)]
+        with mock.patch.multiple(reference, INFER_BLOCK=block, INFER_CHUNK=chunk):
+            ref = reference.infer_doc_vectors(model, docs, steps=steps, seed=seed)
+        with mock.patch.multiple(embedding, INFER_BLOCK=block, INFER_CHUNK=chunk,
+                                 INFER_WINDOW=gather):
+            new = embedding.infer_doc_vectors(model, docs, steps=steps, seed=seed)
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+        # nor do the gather windows and chunks change a bit
+        assert np.array_equal(new, embedding.infer_doc_vectors(model, docs, steps=steps, seed=seed))
 
 
 class TestAnalogy:

@@ -24,6 +24,10 @@ def test_output_digests_cover_every_run(tmp_path):
             assert f"{run} file {name}" in digests
     # `ask` read the questions and answered them
     empty = hashlib.sha256(b"").hexdigest()
+    # `eval --infer-vectors` and `ask` inferred vectors
+    for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
+                "ask_large_collection 1"):
+        assert digests[f"{run} inferred vectors"] != empty
     assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
     assert "ask_large_collection 1 file q.d2v" in digests
     # the runs leave nothing behind

@@ -211,18 +211,33 @@ class TestTrainSimnet:
     def test_every_pair_used_once_per_epoch(self, monkeypatch):
         pairs, feats = separable_fixture(n=50)
         seen = []
-        real = simnet.gradients
+        real = simnet._gradients
 
-        def recording(net, fq, fa, y, **kwargs):
+        def recording(net, x, y, *args):
             seen.append(len(y))
-            return real(net, fq, fa, y, **kwargs)
+            assert x.shape == (2, len(y), feats[0].shape[1])
+            return real(net, x, y, *args)
 
-        monkeypatch.setattr(training.simnet, "gradients", recording)
+        monkeypatch.setattr(training.simnet, "_gradients", recording)
         cfg = self.overfit_config(batch_size=20, max_epochs=3,
                                   early_stop_patience=3)
         train_simnet(pairs, pairs, feats, cfg)
         # 3 epochs x ceil(50/20) batches; each epoch covers all 50 pairs
         assert seen == [20, 20, 10] * 3
+
+    def test_features_checked_once_before_any_batch(self, monkeypatch):
+        # the pairs' rows are checked and stacked once per run, so bad
+        # features stop training before its first gradient
+        pairs, (qf, af) = separable_fixture(n=20)
+        batches = []
+        monkeypatch.setattr(training.simnet, "_gradients", lambda *args: batches.append(args))
+        bad = qf.copy()
+        bad[5, 0] = np.nan
+        with pytest.raises(ValueError, match="input features must be finite"):
+            train_simnet(pairs, pairs, (bad, af), self.overfit_config())
+        with pytest.raises(ValueError, match=r"feature shapes differ: \(20, 7\) vs \(20, 8\)"):
+            train_simnet(pairs, pairs, (qf[:, :7], af), self.overfit_config())
+        assert batches == []
 
     def test_non_finite_loss_raises(self):
         pairs, feats = separable_fixture(n=20)

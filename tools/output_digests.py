@@ -7,9 +7,12 @@ Builds the inputs of `train_pipeline` for seeds 1-3 and of
 then runs their commands through `qasim.cli.main` of the package under
 SRC, at one BLAS thread, each seed in a fresh temporary directory.
 `ask` answers the first 200 of the workload's questions.  Prints one JSON
-object, one key a line: the digest of every file a run leaves, and each
-command's exit code and the digests of its stdout and stderr.  Run it on
-two trees and diff the output to see whether a change moved any byte.
+object, one key a line: the digest of every file a run leaves, each
+command's exit code and the digests of its stdout and stderr, and one
+digest of every array that `qasim.embedding.infer_doc_vectors` returned
+in the run, in call order (wrapped from outside, as `perfbench/tracer.py`
+wraps functions), which no report shows to the last bit.  Run it on two
+trees and diff the output to see whether a change moved any byte.
 """
 
 import os
@@ -37,24 +40,36 @@ def sha(data: bytes) -> str:
 def run(workload: str, seed: int, scale: str) -> dict:
     """The digests of one workload seed, run in the current directory."""
     from prep import prepare
-    from qasim import cli
+    from qasim import cli, embedding
 
     with contextlib.redirect_stderr(io.StringIO()):
         manifest = prepare(workload, seed, scale)
     stdin = "".join(q + "\n" for q in manifest.get("questions", [])[:ASK_QUESTIONS])
-    digests = {}
-    for n, argv in enumerate(manifest["commands"]):
-        out, err = io.StringIO(), io.StringIO()
-        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = cli.main(argv)
-        finally:
-            sys.stdin = saved
-        key = f"command {n:02d} {argv[0]}"
-        digests[f"{key} exit"] = rc
-        digests[f"{key} stdout"] = sha(out.getvalue().encode())
-        digests[f"{key} stderr"] = sha(err.getvalue().encode())
+    digests, inferred = {}, hashlib.sha256()
+    infer = embedding.infer_doc_vectors
+
+    def recording(*args, **kwargs):
+        vecs = infer(*args, **kwargs)
+        inferred.update(vecs.tobytes())
+        return vecs
+
+    embedding.infer_doc_vectors = recording
+    try:
+        for n, argv in enumerate(manifest["commands"]):
+            out, err = io.StringIO(), io.StringIO()
+            saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(argv)
+            finally:
+                sys.stdin = saved
+            key = f"command {n:02d} {argv[0]}"
+            digests[f"{key} exit"] = rc
+            digests[f"{key} stdout"] = sha(out.getvalue().encode())
+            digests[f"{key} stderr"] = sha(err.getvalue().encode())
+    finally:
+        embedding.infer_doc_vectors = infer
+    digests["inferred vectors"] = inferred.hexdigest()
     for name in sorted(os.listdir(".")):
         with open(name, "rb") as fh:
             digests[f"file {name}"] = sha(fh.read())
