@@ -132,17 +132,24 @@ def _threshold(args, config: dict) -> float:
         raise UsageError(str(exc)) from None
 
 
-def _seed(args, config: dict, section: dict | None = None) -> int:
-    """Flag, else the config section, else the config file, else
-    QASIM_SEED, else the default."""
-    seed = _resolve(args, "seed", None, section or {}, config)
-    env = os.environ.get(SEED_ENV_VAR)
-    if seed is None and env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"invalid {SEED_ENV_VAR}: {env!r} is not an integer") from None
-    return _TOP_FIELDS["seed"][1] if seed is None else seed
+def _seed(args, config: dict, section: str | None = None) -> int:
+    """Flag, else the config section named `section`, else the config
+    file, else QASIM_SEED, else the default.  A negative seed exits 2,
+    naming where it was set."""
+    for source, seed in (("--seed", args.seed),
+                         (f"config field {section}.seed", config.get(section, {}).get("seed")),
+                         ("config field seed", config.get("seed")),
+                         (SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR))):
+        if seed is None:
+            continue
+        if source == SEED_ENV_VAR:
+            try:
+                seed = int(seed)
+            except ValueError:
+                raise UsageError(f"invalid {SEED_ENV_VAR}: {seed!r} is not an integer") from None
+        _require(seed >= 0, source, "be >= 0", seed)
+        return seed
+    return _TOP_FIELDS["seed"][1]
 
 
 def _section_config(args, config: dict, section_name: str):
@@ -153,7 +160,7 @@ def _section_config(args, config: dict, section_name: str):
     values = {f.name: _resolve(args, f.name, f.default, section)
               for f in dataclasses.fields(cls) if f.name != "seed"}
     try:
-        return cls(**values, seed=_seed(args, config, section))
+        return cls(**values, seed=_seed(args, config, section_name))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid config field: {exc}") from exc
 
@@ -191,9 +198,9 @@ def cmd_train_embedding(args) -> int:
     and the saver are looked up on `embedding` at each call, so a wrapper
     set there runs."""
     config = _load_config(args.config)
+    cfg = _section_config(args, config, "embedding")
     vocab = corpus.load_vocabulary(_require_file(args.vocab, "vocabulary file"))
     docs = corpus.encode_corpus(_load_raw_docs(args), vocab)
-    cfg = _section_config(args, config, "embedding")
     mode = getattr(args, args.mode_flag)  # the trainer turns the value into its enum
     _echo(args.subcommand, {**dataclasses.asdict(cfg), args.mode_flag: mode, "out": args.out})
     model = getattr(embedding, "train_" + args.kind)(docs, cfg, mode, vocab_size=len(vocab))
@@ -315,12 +322,12 @@ def cmd_eval(args) -> int:
     config = _load_config(args.config)
     threshold = _threshold(args, config)
     min_count = _setting(args, config, "min_count") if args.bow_baseline else None
+    seed = _seed(args, config)
     q_texts, a_texts, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
     q_model, q_vocab = _load_side(args, "q", args.infer_vectors)
     a_model, a_vocab = _load_side(args, "a", args.infer_vectors)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
     _check_dims(q_model, a_model, net)
-    seed = _seed(args, config)
     q_vectors = _doc_vectors(q_texts, q_model, q_vocab, args, seed, "questions")
     a_vectors = _doc_vectors(a_texts, a_model, a_vocab, args, seed, "answers")
 
@@ -384,6 +391,7 @@ def cmd_ask(args) -> int:
     _require(args.infer_steps >= 1, "--infer-steps", "be >= 1", args.infer_steps)
     config = _load_config(args.config)
     threshold = _threshold(args, config)
+    seed = _seed(args, config)
     # a question is inferred, never looked up; an answer is only looked up
     q_model, q_vocab = _load_side(args, "q", infer=True)
     a_model, _ = _load_side(args, "a", infer=False)
@@ -393,7 +401,6 @@ def cmd_ask(args) -> int:
     if len(answer_texts) != a_model.n_docs:
         raise UsageError(f"answers file holds {len(answer_texts)} lines but the model "
                          f"has {a_model.n_docs} doc vectors")
-    seed = _seed(args, config)
     index = retrieval.AnswerIndex(net, a_model.doc_matrix)
     candidates = np.arange(len(answer_texts))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,6 +44,9 @@ class EmbedTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name, bound in (("dim", self.MAX_DIM), ("window", self.MAX_WINDOW),
                             ("negatives", self.MAX_NEGATIVES)):
             if not 1 <= getattr(self, name) <= bound:

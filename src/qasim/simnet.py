@@ -125,18 +125,16 @@ def _act_grad(a: np.ndarray, activation: Activation) -> np.ndarray:
     return 1.0 - a * a if activation is Activation.TANH else (a > 0).astype(np.float64)
 
 
-def _stacked_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed):
-    """The h1 and h2 masks, stacked question first, from `draw_dropout_masks`'s stream."""
+def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed):
+    """Inverted-dropout masks (h1, h2), each stacked question tower first:
+    (2, *shape_h1) and (2, *shape_h2).  One draw gives h1q, h2q, h1a, h2a
+    in that order; dropout_p must lie in [0, 1)."""
+    if not 0.0 <= dropout_p < 1.0:
+        raise ValueError(f"dropout_p must lie in [0, 1), got {dropout_p}")
     s1 = math.prod(shape_h1)
     masks = ((np.random.default_rng(seed).random((2, s1 + math.prod(shape_h2))) >= dropout_p)
              / (1.0 - dropout_p))
     return masks[:, :s1].reshape(2, *shape_h1), masks[:, s1:].reshape(2, *shape_h2)
-
-
-def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed):
-    """Inverted-dropout masks for (h1q, h2q, h1a, h2a), drawn in that order."""
-    m1, m2 = _stacked_masks(shape_h1, shape_h2, dropout_p, seed)
-    return m1[0], m2[0], m1[1], m2[1]
 
 
 def _towers(stacked, x: np.ndarray, activation: Activation, masks=None) -> tuple:
@@ -178,20 +176,12 @@ def probabilities(net: SimilarityNetwork, q_terms: np.ndarray,
     return _sigmoid(q_terms + a_terms + net.b3[0])
 
 
-def _stack_rows(f_q: np.ndarray, f_a: np.ndarray, of_pair=None) -> np.ndarray:
-    """Both sides' feature rows, checked, stacked question first: (2,
-    batch, d).  With `of_pair`, (question rows, answer rows) as index
-    arrays, the batch is those rows of each side, gathered straight into
-    the stack."""
+def _stack_rows(f_q: np.ndarray, f_a: np.ndarray) -> np.ndarray:
+    """Both sides' feature rows, checked, stacked question first: (2, batch, d)."""
     x_q, x_a = _as_rows(f_q), _as_rows(f_a)
-    if x_q.shape[1:] != x_a.shape[1:] or of_pair is None and len(x_q) != len(x_a):
+    if x_q.shape != x_a.shape:
         raise ValueError(f"feature shapes differ: {x_q.shape} vs {x_a.shape}")
-    if of_pair is None:
-        return np.stack((x_q, x_a))
-    x = np.empty((2, len(of_pair[0]), x_q.shape[1]))
-    for side, rows, of in zip(x, (x_q, x_a), of_pair):
-        np.take(rows, of, axis=0, out=side)
-    return x
+    return np.stack((x_q, x_a))
 
 
 def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
@@ -204,35 +194,26 @@ def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
     `draw_dropout_masks`'s, replays that trace exactly.  Otherwise no
     masks and no rescaling are applied.
     """
-    return _forward(net, _stack_rows(f_q, f_a), dropout_p, seed, masks)
-
-
-def _forward(net: SimilarityNetwork, x: np.ndarray, dropout_p: float, seed,
-             masks) -> ForwardTrace:
-    """`forward` on `_stack_rows` rows x."""
-    if masks is None and dropout_p > 0.0:
+    x = _stack_rows(f_q, f_a)
+    if masks is None and dropout_p:          # a dropout_p outside [0, 1) raises in the draw
         _, h1, h2 = net.layer_dims
-        masks = _stacked_masks((x.shape[1], h1), (x.shape[1], h2), dropout_p, seed)
-    elif masks is not None and len(masks) == 4:
-        masks = np.stack(masks[0::2]), np.stack(masks[1::2])
+        masks = draw_dropout_masks((x.shape[1], h1), (x.shape[1], h2), dropout_p, seed)
     a1, h1, a2, h2, terms = _towers(net.stacked, x, net.activation, masks)
     u = terms[0, :, 0] + terms[1, :, 0] + net.flat[-1]
     return ForwardTrace(x, a1, h1, a2, h2, masks, u, _sigmoid(u))
 
 
-def _forward_loss(net: SimilarityNetwork, x: np.ndarray, y, lam: float, dropout_p: float,
-                  seed, masks) -> tuple[ForwardTrace, np.ndarray, float]:
-    """The trace, the labels as a float array, and the loss of one batch
-    of `_stack_rows` rows x."""
+def _trace_loss(net: SimilarityNetwork, trace: ForwardTrace, y,
+                lam: float) -> tuple[np.ndarray, float]:
+    """The labels as a float array, and `loss` of the batch that `trace` ran."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.size == 0:
         raise ValueError("batch must be non-empty")
-    trace = _forward(net, x, dropout_p, seed, masks)
     yc = np.clip(trace.y_prime, EPS, 1.0 - EPS)
     bce = -(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc))
     # diverged weights overflow to inf here; callers check the loss is finite
     with np.errstate(over="ignore"):
-        return trace, y, float(bce.mean() + lam * np.dot(net.w3, net.w3))
+        return y, float(bce.mean() + lam * np.dot(net.w3, net.w3))
 
 
 def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
@@ -243,7 +224,7 @@ def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray
     dropout; the masks depend only on (seed, shapes), never on parameter
     values, so the loss stays differentiable in the parameters.
     """
-    return _forward_loss(net, _stack_rows(f_q, f_a), y, lam, dropout_p, seed, masks)[2]
+    return _trace_loss(net, forward(net, f_q, f_a, dropout_p, seed, masks), y, lam)[1]
 
 
 def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
@@ -257,13 +238,8 @@ def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.nd
     clamp saturates the predicted probability, the gradient of the
     clamped loss is exactly zero, matching finite differences.
     """
-    return _gradients(net, _stack_rows(f_q, f_a), y, lam, dropout_p, seed, masks)
-
-
-def _gradients(net: SimilarityNetwork, x: np.ndarray, y, lam: float, dropout_p: float, seed,
-               masks) -> tuple[SimilarityNetwork, float]:
-    """`gradients` of a batch of `_stack_rows` rows x."""
-    t, y, value = _forward_loss(net, x, y, lam, dropout_p, seed, masks)
+    t = forward(net, f_q, f_a, dropout_p, seed, masks)
+    y, value = _trace_loss(net, t, y, lam)
     yp = t.y_prime
     clamped = (yp < EPS) | (yp > 1.0 - EPS)
     g_u = np.where(clamped, 0.0, yp - y) / len(yp)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -38,6 +39,9 @@ class SimTrainConfig:
 
     def __post_init__(self):
         self.activation = simnet.Activation(self.activation)
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for ok, rule in ((0.0 <= self.dropout_p < 1.0, "dropout_p must lie in [0, 1)"),
                          (self.lr0 > self.lr_floor > 0, "need lr0 > lr_floor > 0"),
                          (self.batch_size >= 1, "batch_size must be >= 1"),
@@ -108,11 +112,12 @@ def lr_at_epoch(config: SimTrainConfig, epoch: int) -> float:
 
 
 def _pair_rows(pairs: list[QAPair], features):
-    """((unique question rows, each pair's row in them), (same for answers), labels)."""
+    """((unique question rows, each pair's row in them), (same for answers),
+    labels).  A non-finite row raises here, before any batch uses it."""
     q_docs, q_of_pair = np.unique([p.question_doc for p in pairs], return_inverse=True)
     a_docs, a_of_pair = np.unique([p.answer_doc for p in pairs], return_inverse=True)
-    return ((feature_rows(features[0], q_docs), q_of_pair),
-            (feature_rows(features[1], a_docs), a_of_pair),
+    return ((simnet._as_rows(feature_rows(features[0], q_docs)), q_of_pair),
+            (simnet._as_rows(feature_rows(features[1], a_docs)), a_of_pair),
             np.array([p.label for p in pairs], dtype=np.float64))
 
 
@@ -150,11 +155,9 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
     train = _pair_rows(train_pairs, features)
     val = _pair_rows(val_pairs, features)
     (q_rows, q_of_pair), (a_rows, a_of_pair), y = train
-    # every pair's rows, checked and stacked once; a batch takes its columns
-    x = simnet._stack_rows(q_rows, a_rows, (q_of_pair, a_of_pair))
 
     rng = np.random.default_rng(config.seed)
-    net = simnet.init_network(x.shape[2], std=config.init_std, bias_const=config.bias_const,
+    net = simnet.init_network(q_rows.shape[1], std=config.init_std, bias_const=config.bias_const,
                               seed=config.seed, activation=config.activation)
     report = TrainReport(planned_epochs=config.max_epochs)
     # max_epochs >= 1, and the first epoch always sets the best network
@@ -167,8 +170,9 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             batch_seed = int(rng.integers(0, 2**63 - 1))
-            grads, batch_loss = simnet._gradients(
-                net, x.take(idx, axis=1), y[idx], config.lam, config.dropout_p, batch_seed, None)
+            grads, batch_loss = simnet.gradients(
+                net, q_rows.take(q_of_pair[idx], axis=0), a_rows.take(a_of_pair[idx], axis=0),
+                y[idx], config.lam, config.dropout_p, batch_seed)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}")
             net.flat -= lr * grads.flat

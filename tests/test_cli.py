@@ -5,6 +5,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -457,6 +458,38 @@ class TestSeedResolution:
         assert capsys.readouterr().err.splitlines() == [
             "qasim: error: invalid QASIM_SEED: 'abc' is not an integer"]
 
+    @pytest.mark.parametrize("command, source", [
+        (command, source) for command in ("sample-pairs", "train-simnet", "train-doc2vec")
+        for source in ("flag", "config", "section", "env")
+        if (command, source) != ("sample-pairs", "section")])
+    def test_negative_seed_exits_two_naming_its_source(self, tmp_path, monkeypatch, capsys,
+                                                       command, source):
+        # every input file named is missing: the seed must be rejected first
+        missing = str(tmp_path / "missing")
+        argv = {"sample-pairs": ["sample-pairs", "--qa-file", missing, "--n-pairs", "4"],
+                "train-simnet": ["train-simnet", "--pairs", missing, "--q-model", missing,
+                                 "--a-model", missing],
+                "train-doc2vec": ["train-doc2vec", "--corpus", missing, "--vocab", missing]}[
+            command] + ["--out", missing]
+        section = {"train-simnet": "simnet", "train-doc2vec": "embedding"}.get(command)
+        monkeypatch.delenv("QASIM_SEED", raising=False)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+            message = "--seed must be >= 0, got -1"
+        elif source == "env":
+            monkeypatch.setenv("QASIM_SEED", "-3")
+            message = "QASIM_SEED must be >= 0, got -3"
+        else:
+            config = {"seed": -2} if source == "config" else {section: {"seed": -2}}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+            name = "seed" if source == "config" else f"{section}.seed"
+            message = f"config field {name} must be >= 0, got -2"
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"qasim: error: {message}"]
+        assert not os.path.exists(missing)
+
     def test_default_seed_zero(self, ws, monkeypatch, tmp_path):
         monkeypatch.delenv("QASIM_SEED", raising=False)
         rc, lines = run(["sample-pairs", "--qa-file", str(ws["qa"]),
@@ -467,7 +500,9 @@ class TestSeedResolution:
 
 # Similarity-training settings that SimTrainConfig rejects, each once.
 BAD_SIMNET = [{"max_epochs": 0}, {"lr0": -1, "lr_floor": -2}, {"lr_floor": 0}, {"lam": -0.5},
-              {"init_std": 0}, {"decay": 0}, {"decay": 1.5}, {"decay_start_epoch": -1}]
+              {"init_std": 0}, {"decay": 0}, {"decay": 1.5}, {"decay_start_epoch": -1},
+              {"bias_const": math.nan}, {"init_std": math.inf}, {"lr0": math.inf},
+              {"lam": math.inf}]
 
 
 class TestExitCodes:
@@ -527,6 +562,25 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("qasim: error: invalid config field: "), err
         assert not (tmp_path / "n").exists()
+
+    @pytest.mark.parametrize("field, value", [("learning_rate", math.inf),
+                                              ("learning_rate", math.nan),
+                                              ("min_learning_rate", math.nan)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_embedding_setting_exits_two_before_any_input(self, tmp_path, capsys,
+                                                                     field, value, source):
+        missing = str(tmp_path / "missing")
+        argv = ["train-doc2vec", "--corpus", missing, "--vocab", missing, "--out", missing]
+        if source == "flag":
+            argv += [FLAG_NAMES[field], str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"embedding": {field: value}}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"qasim: error: invalid config field: {field} must be finite, got {value}"]
+        assert not os.path.exists(missing)
 
     def test_malformed_config_json(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"

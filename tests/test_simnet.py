@@ -200,9 +200,22 @@ class TestDropoutMasks:
 
     def test_keep_fraction_close_to_probability(self):
         masks = draw_dropout_masks((500, 50), (500, 20), 0.3, seed=4)
-        m1q = masks[0]
+        m1q = masks[0][0]
         kept = float(np.mean(m1q > 0))
         assert abs(kept - 0.7) < 0.02
+
+    @pytest.mark.parametrize("dropout_p", [-0.5, 1.0, 1.5, math.nan, math.inf])
+    def test_probability_outside_unit_interval_rejected(self, dropout_p):
+        with pytest.raises(ValueError, match=r"dropout_p must lie in \[0, 1\)"):
+            draw_dropout_masks((4, 5), (4, 3), dropout_p, seed=8)
+        net = init_network(3, seed=0)
+        fq, fa, y = np.zeros((2, 3)), np.ones((2, 3)), np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match=r"dropout_p must lie in \[0, 1\)"):
+            forward(net, fq, fa, dropout_p=dropout_p)
+        with pytest.raises(ValueError, match=r"dropout_p must lie in \[0, 1\)"):
+            loss(net, fq, fa, y, dropout_p=dropout_p)
+        with pytest.raises(ValueError, match=r"dropout_p must lie in \[0, 1\)"):
+            gradients(net, fq, fa, y, dropout_p=dropout_p)
 
     def test_deterministic(self):
         a = draw_dropout_masks((4, 5), (4, 3), 0.5, seed=8)
@@ -381,10 +394,15 @@ class TestStackedLayout:
     def arrays(net):
         return {name: view.copy() for name, view in net.items()}
 
+    @staticmethod
+    def stacked(tower_masks):
+        """The reference's (h1q, h2q, h1a, h2a) as the stacked (h1, h2) pair."""
+        return np.stack(tower_masks[0::2]), np.stack(tower_masks[1::2])
+
     def test_one_draw_equals_four_draws(self):
         for shapes in (((4, 6), (4, 3)), ((1, 5), (1, 2)), ((7, 1), (7, 4))):
             drawn = draw_dropout_masks(*shapes, 0.3, seed=17)
-            expected = reference.masks(*shapes, 0.3, seed=17)
+            expected = self.stacked(reference.masks(*shapes, 0.3, seed=17))
             assert [m.shape for m in drawn] == [m.shape for m in expected]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, expected))
 
@@ -448,7 +466,7 @@ class TestStackedLayout:
             assert grads[name].tobytes() == expected[name].tobytes(), name
         # explicit masks, in draw_dropout_masks' form, replay the same step
         if masks is not None:
-            replayed, _ = gradients(net, fq, fa, y, lam=0.01, masks=masks)
+            replayed, _ = gradients(net, fq, fa, y, lam=0.01, masks=self.stacked(masks))
             assert replayed.flat.tobytes() == grads.flat.tobytes()
 
     def test_head_terms_match_reference_towers(self):

@@ -3,6 +3,7 @@ early stopping semantics, regularization direction, determinism, and
 report serialization."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -211,14 +212,14 @@ class TestTrainSimnet:
     def test_every_pair_used_once_per_epoch(self, monkeypatch):
         pairs, feats = separable_fixture(n=50)
         seen = []
-        real = simnet._gradients
+        real = simnet.gradients
 
-        def recording(net, x, y, *args):
+        def recording(net, f_q, f_a, y, *args):
             seen.append(len(y))
-            assert x.shape == (2, len(y), feats[0].shape[1])
-            return real(net, x, y, *args)
+            assert f_q.shape == f_a.shape == (len(y), feats[0].shape[1])
+            return real(net, f_q, f_a, y, *args)
 
-        monkeypatch.setattr(training.simnet, "_gradients", recording)
+        monkeypatch.setattr(training.simnet, "gradients", recording)
         cfg = self.overfit_config(batch_size=20, max_epochs=3,
                                   early_stop_patience=3)
         train_simnet(pairs, pairs, feats, cfg)
@@ -226,18 +227,41 @@ class TestTrainSimnet:
         assert seen == [20, 20, 10] * 3
 
     def test_features_checked_once_before_any_batch(self, monkeypatch):
-        # the pairs' rows are checked and stacked once per run, so bad
-        # features stop training before its first gradient
+        # a non-finite row stops training before its first gradient, even
+        # when a later batch holds it; a width mismatch, in the first batch
         pairs, (qf, af) = separable_fixture(n=20)
-        batches = []
-        monkeypatch.setattr(training.simnet, "_gradients", lambda *args: batches.append(args))
+        updates = []
+        real = simnet.gradients
+
+        def recording(net, f_q, f_a, y, *args):
+            result = real(net, f_q, f_a, y, *args)
+            updates.append(len(y))
+            return result
+
+        monkeypatch.setattr(training.simnet, "gradients", recording)
+        cfg = self.overfit_config(batch_size=4)    # pair 5 is in the fourth batch
         bad = qf.copy()
         bad[5, 0] = np.nan
         with pytest.raises(ValueError, match="input features must be finite"):
-            train_simnet(pairs, pairs, (bad, af), self.overfit_config())
-        with pytest.raises(ValueError, match=r"feature shapes differ: \(20, 7\) vs \(20, 8\)"):
-            train_simnet(pairs, pairs, (qf[:, :7], af), self.overfit_config())
-        assert batches == []
+            train_simnet(pairs, pairs, (bad, af), cfg)
+        with pytest.raises(ValueError, match=r"feature shapes differ: \(4, 7\) vs \(4, 8\)"):
+            train_simnet(pairs, pairs, (qf[:, :7], af), cfg)
+        assert updates == []
+
+    def test_peak_memory_follows_unique_docs_not_pairs(self):
+        # 20,000 pairs over 40 docs a side at d 50: one per-pair copy of
+        # both sides' rows would be 2 x 20,000 x 50 x 8 B = 16 MB
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(40, 50)), rng.normal(size=(40, 50))
+        docs = rng.integers(0, 40, size=(20_000, 2))
+        pairs = [QAPair(int(q), int(a), i % 2) for i, (q, a) in enumerate(docs)]
+        tracemalloc.start()
+        try:
+            train_simnet(pairs, pairs[:100], feats, SimTrainConfig(max_epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"peak {peak / 1e6:.1f} MB"
 
     def test_non_finite_loss_raises(self):
         pairs, feats = separable_fixture(n=20)
