@@ -104,16 +104,13 @@ class DocEmbeddingModel:
         return self._sizes[1] if self._sizes else self.doc_matrix.shape[0]
 
 
-def _ns_grad(s: np.ndarray, keep, label: np.ndarray, out=None) -> np.ndarray:
-    """dL/ds = keep * sigma(s) - label over the last axis of the scores,
-    from the negated scores `s`, so exp(s) needs no negation: `keep` is
-    1.0, or per score 1.0 or 0.0 (a draw that hit its target gets no
-    gradient), and `label` is 1.0 at the target, 0.0 elsewhere.  Any
-    leading axes are a batch.  Written to `out` when given (it may be
-    `s`)."""
+def _ns_grad(s: np.ndarray, label: np.ndarray, out=None) -> np.ndarray:
+    """dL/ds = sigma(s) - label over the scores, from the negated scores
+    `s`, so exp(s) needs no negation: `label` is 1.0 at the target, 0.0
+    elsewhere.  Written to `out` when given (it may be `s`)."""
     g = np.exp(s, out=out)
     g += 1.0
-    np.divide(keep, g, out=g)      # keep / (1 + exp(-score)); 0 / x is 0 exactly
+    np.divide(1.0, g, out=g)       # 1 / (1 + exp(-score))
     np.subtract(g, label, out=g)   # one ufunc: cheaper than indexing the target
     return g
 
@@ -165,7 +162,7 @@ def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows, lr: float,
     out = output_matrix.take(rows, axis=0)
     # np.dot: the BLAS call of `@`, at less overhead per call
     g = np.dot(out, nh)                        # the negated scores
-    _ns_grad(g, 1.0, _label(len(g)), out=g)
+    _ns_grad(g, _label(len(g)), out=g)
     grad_h = np.dot(g, out)
     g *= lr
     # out - lr * g * h, row by row, in place
@@ -406,9 +403,10 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 # whatever the number of documents.
 INFER_BLOCK = 128
 
-# Position-steps whose negatives one draw covers: bounds the drawn
-# arrays' memory, whatever the document length.  A block draws at least
-# one pass at a time; a short question draws all its passes at once.
+# Position-steps whose negatives one draw covers, and document-positions
+# whose context words one gather covers: bounds those arrays' memory,
+# whatever the document length.  A block draws at least one pass at a
+# time; a short question draws all its passes at once.
 INFER_CHUNK = 4096
 
 # Document-position-steps whose output rows one gather window takes: a
@@ -419,34 +417,47 @@ INFER_CHUNK = 4096
 INFER_WINDOW = 32
 
 
-def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]],
-                    n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """What stays fixed at each position of the block.  alpha (n_max, 1,
-    1, 1), the doc vector's factor in the negated hidden vector: -1/(1 +
-    c) in average mode, with c context words, and -1 in concatenate mode.
-    And a view (n_max, B, K, 1): what the output rows' context columns
-    multiply to give the frozen words' part of the negated scores.  In
-    average mode (K = d) that is the sum of the context rows times alpha;
-    in concatenate mode (K = window * d) the negated context slots, rows
-    i..i+window of the document's word rows after `window` zero rows."""
+def _frozen_context(model: DocEmbeddingModel, tokens: np.ndarray,
+                    valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What stays fixed at each position of a block whose (B, n_max)
+    `tokens` are padded with word 0 where `valid` is False, past each
+    document's end; the padding reaches only those positions.  alpha
+    (n_max, 1, 1, 1), the doc vector's factor in the negated hidden
+    vector: -1/(1 + c) in average mode, with c context words, and -1 in
+    concatenate mode.  And a view (n_max, B, K, 1): what the output
+    rows' context columns multiply to give the frozen words' part of the
+    negated scores.  In average mode (K = d) that is the sum of the
+    context rows times alpha; in concatenate mode (K = window * d) the
+    negated context slots, rows i..i+window of the document's word rows
+    after `window` zero rows."""
     W, k, d = model.word_matrix, model.window, model.dim
+    B, n_max = tokens.shape
     if model.combine is CombineMode.AVERAGE:
         alpha = -1.0 / (1 + np.minimum(np.arange(n_max), k))
-        ctx = np.zeros((len(docs), n_max, d))
-        for b, tokens in enumerate(docs):
-            for i in range(1, len(tokens)):
-                ctx[b, i] = W[tokens[max(0, i - k): i]].sum(axis=0)
+        ctx = np.zeros((B, n_max, d))
+        # The words of INFER_CHUNK // B positions (and the window before
+        # them) at a time, added from 0.0 and the farthest word first: the
+        # order in which np.sum adds a position's context rows, so every
+        # sum keeps its bits.
+        span = max(1, INFER_CHUNK // B)
+        for i0 in range(0, n_max, span):
+            lo, i1 = max(0, i0 - k), min(i0 + span, n_max)
+            words = W.take(tokens[:, lo:i1], axis=0)
+            for j in range(min(k, i1 - 1), 0, -1):
+                a = max(i0, j)                 # the slab's first position with a word j back
+                ctx[:, a:i1] += words[:, a - j - lo:i1 - j - lo]
+        ctx[~valid] = 0.0
         ctx *= alpha[:, None]
         K = d
     else:
         alpha = -np.ones(n_max)
-        ctx = np.zeros((len(docs), k + n_max, d))
-        for b, tokens in enumerate(docs):
-            np.take(W, tokens, axis=0, out=ctx[b, k: k + len(tokens)])
+        ctx = np.zeros((B, k + n_max, d))
+        for b, n in enumerate(valid.sum(axis=1).tolist()):
+            np.take(W, tokens[b, :n], axis=0, out=ctx[b, k: k + n])
         np.negative(ctx, out=ctx)
         K = k * d
     s_b, s_i, s_e = ctx.strides
-    context = np.lib.stride_tricks.as_strided(ctx, (n_max, len(docs), K, 1), (s_i, s_b, s_e, s_e),
+    context = np.lib.stride_tricks.as_strided(ctx, (n_max, B, K, 1), (s_i, s_b, s_e, s_e),
                                               writeable=False)
     return alpha[:, None, None, None], context
 
@@ -454,48 +465,65 @@ def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]],
 def _block_buffers(wide: int, B: int, m: int, D: int, d: int) -> tuple:
     """What inference of B documents in gather windows of `wide`
     position-steps writes: the window's output rows G (wide, B, 1+m, D),
-    A, those rows folded (wide, B, 1+m, d+1), keep and the label times
-    -lr (wide, B, 2, 1+m), the doc vectors as columns with a 1
-    appended (B, d+1, 1), the negated scores (B, 1+m, 1) and the doc
-    steps (B, 1, d+1)."""
+    A, those rows folded (wide, B, 1+m, d+1), keep times -lr (wide, B,
+    1, 1+m), the doc vectors as columns with a 1 appended (B, d+1, 1),
+    the scores (B, 1+m, 1) and the doc steps (B, 1, d+1)."""
     return (np.empty((wide, B, 1 + m, D)), np.empty((wide, B, 1 + m, d + 1)),
-            np.zeros((wide, B, 2, 1 + m)), np.ones((B, d + 1, 1)), np.empty((B, 1 + m, 1)),
+            np.empty((wide, B, 1, 1 + m)), np.ones((B, d + 1, 1)), np.empty((B, 1 + m, 1)),
             np.empty((B, 1, d + 1)))
 
 
-def _step_args(buffers: tuple, j: int, a: int) -> tuple:
-    """The `_frozen_window` step of a `_block_buffers` at window offset j,
-    whose documents are the first `a`: index [:a], or [0] for a lone
+def _step_groups(buffers: tuple, active: list[int]) -> list[tuple]:
+    """The `_frozen_window` plan of the first len(active) position-steps
+    of a `_block_buffers`, step s running the first active[s] documents:
+    per run of steps with the same number a of documents, in order, the
+    product, the steps' folded rows and keep, and the views that every
+    step of the run writes.  The index is [:a], or [0] for a lone
     document, whose views drop the batch axis so that its products run
-    through np.dot, the same BLAS gemv per document at less overhead per
-    call.  Each document's rows have the same fixed width whatever the
+    through ndarray.dot, the same BLAS gemv per document at less overhead
+    per call.  Each document's rows have the same fixed width whatever the
     batch, so its arithmetic does not depend on the batch."""
-    _, A, KL, columns, scores, step = buffers
-    ix, product = (0, np.dot) if a == 1 else (slice(a), np.matmul)
+    _, A, K, columns, scores, step = buffers
     g = scores.reshape(len(scores), 1, -1)         # the scores' memory, as rows
-    return (product, A[j, ix], columns[ix], scores[ix], g[ix], KL[j, ix, :1], KL[j, ix, 1:],
-            step[ix], step[ix, ..., :-1], columns[ix, None, :-1, 0])
+    groups, s0 = [], 0
+    for a, run in itertools.groupby(active):
+        s1 = s0 + len(list(run))
+        ix, product = (0, np.ndarray.dot) if a == 1 else (slice(a), np.matmul)
+        # the steps' rows and keep as lists of views, made once: iterating
+        # the arrays would make two views a step
+        groups.append((product, list(A[s0:s1, ix]), list(K[s0:s1, ix]), columns[ix],
+                       scores[ix], g[ix], step[ix], step[ix, ..., :-1], columns[ix, None, :-1, 0]))
+        s0 = s1
+    return groups
 
 
 def _frozen_window(G: np.ndarray, alpha: np.ndarray, context: np.ndarray, A: np.ndarray,
-                   steps: list) -> None:
+                   groups: list) -> None:
     """The inference steps of one gather window, word and output matrices
     frozen.  The window's output rows G (passes, positions, B, 1+m, D),
     target first, are folded into A = [alpha * G[..., :d], beta] (...,
     1+m, d+1), where beta is G's context columns times the window's
     `_frozen_context`, so that A @ [vec; 1] is a position's negated
-    scores.  Then each position's step in order, from its `_step_args`:
-    with keep and the label times -lr, `_ns_grad` gives -lr * dL/ds, and
-    that times A's doc columns is the doc step, lr * dL/ds * d s / d vec
-    (alpha holds d h / d vec).  7 NumPy calls a position."""
-    d = A.shape[-1] - 1
+    scores; the target's row is then negated, so that its entry is the
+    score itself.  Then each step in order, from its `_step_groups`: with
+    keep times -lr, keep / (1 + exp(s)) is -lr * dL/ds for the draws and
+    its negation for the target, and that times A's doc columns is the
+    doc step, lr * dL/ds * d s / d vec (alpha holds d h / d vec).  6 NumPy
+    calls a position."""
+    d, one = A.shape[-1] - 1, np.array(1.0)   # 0-d: no Python float to convert per call
     np.multiply(G[..., :d], alpha, out=A[..., :d])
     np.matmul(G[..., G.shape[-1] - context.shape[-2]:], context, out=A[..., d:])
-    for product, rows, column, scores, g, keep, label, step, doc_step, vec in steps:
-        product(rows, column, out=scores)       # the negated scores
-        _ns_grad(g, keep, label, out=g)
-        product(g, rows, out=step)              # then g @ beta, unused
-        vec -= doc_step
+    target = A[..., 0, :]
+    np.negative(target, out=target)
+    exp, add, divide, subtract = np.exp, np.add, np.divide, np.subtract   # no lookups per step
+    for product, steps, keeps, column, scores, g, step, doc_step, vec in groups:
+        for rows, keep in zip(steps, keeps):
+            product(rows, column, scores)
+            exp(g, g)
+            add(g, one, g)
+            divide(keep, g, g)                   # 0 / x is 0 exactly
+            product(g, rows, step)               # then g @ beta, unused
+            subtract(vec, doc_step, vec)
 
 
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
@@ -516,38 +544,38 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     per_window = max(1, INFER_WINDOW // (B * n_max)) if span == n_max else 1
     chunk = min(steps, max(1, INFER_CHUNK // (B * n_max)))
     valid = np.arange(n_max) < lengths[:, None]               # (B, n_max)
+    tokens = np.zeros(valid.shape, dtype=np.intp)             # padded with word 0
+    tokens[valid] = np.concatenate(docs)
     cdf = _noise_cdf(model.noise_probs)
     rngs = [np.random.default_rng(seed) for _ in docs]
-    buffers = G, A, KL, columns, _, _ = _block_buffers(
+    buffers = G, A, K, columns, _, _ = _block_buffers(
         per_window * span, B, m, model.output_matrix.shape[1], d)
     vecs = columns[:, :d, 0]
     vecs[...] = [(rng.random(d) - 0.5) / d for rng in rngs]
-    alpha, context = _frozen_context(model, docs, n_max)
-    targets = np.zeros((n_max, B), dtype=np.intp)
-    targets.T[valid] = np.concatenate(docs)
+    alpha, context = _frozen_context(model, tokens, valid)
+    targets = tokens.T
     # Pass- then position-major: rows[p0:p1, i0:i1] is one gather window.
     rows = np.empty((chunk, n_max, B, 1 + m), dtype=np.intp)
     rows[..., 0] = targets
     uniform = np.zeros((chunk, n_max, B, m))
     active = valid.sum(axis=0).tolist()    # the documents at each position
-    # the gather windows of q passes, keyed by q, and their steps, keyed
-    # by q and the documents at each position
+    # the gather windows of q passes, keyed by q, and their step groups,
+    # keyed by the documents at each of their steps
     windows, plans = {}, {}
 
     def windows_of(q: int) -> list:
         """Per window of q passes over the positions `at`: the buffers'
-        parts it fills and its steps, in order."""
+        parts it fills and its step groups, in order."""
         if q not in windows:
             windows[q] = []
             for i0 in range(0, n_max, span):
                 at = slice(i0, i0 + span)
-                key = (q, tuple(active[at]))
-                n = len(key[1])
+                key = tuple(active[at]) * q
                 if key not in plans:
-                    plans[key] = [_step_args(buffers, p * n + j, a)
-                                  for p in range(q) for j, a in enumerate(key[1])]
-                G_w, KL_w, A_w = (x[:q * n].reshape(q, n, *x.shape[1:]) for x in (G, KL, A))
-                windows[q].append((at, G_w, KL_w, alpha[at], context[at], A_w, plans[key]))
+                    plans[key] = _step_groups(buffers, key)
+                n = len(key) // q
+                G_w, K_w, A_w = (x[:q * n].reshape(q, n, *x.shape[1:]) for x in (G, K, A))
+                windows[q].append((at, G_w, K_w, alpha[at], context[at], A_w, plans[key]))
         return windows[q]
 
     for e0 in range(0, steps, chunk):
@@ -563,12 +591,12 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
         kept = draws != targets[..., None]    # a draw that hit its target gets no gradient
         for p0 in range(0, passes, per_window):
             ps = slice(p0, min(p0 + per_window, passes))
-            for at, out, kl, *window in windows_of(ps.stop - p0):
+            for at, out, keep, *window in windows_of(ps.stop - p0):
                 # ids are checked in infer_doc_vectors; "raise" would buffer `out`
                 np.take(model.output_matrix, rows[ps, at], axis=0, out=out, mode="wrap")
-                # keep, then the label, times -lr: the target's entries, then the draws'
-                kl[..., 0] = lr[ps, at]
-                np.multiply(kept[ps, at], lr[ps, at], out=kl[..., 0, 1:])
+                # keep times -lr: the target's entry, then the draws'
+                keep[..., 0, :1] = lr[ps, at]
+                np.multiply(kept[ps, at], lr[ps, at], out=keep[..., 0, 1:])
                 _frozen_window(out, *window)
     return vecs
 

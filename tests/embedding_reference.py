@@ -1,9 +1,11 @@
 """Reference embedding steps: the separate word2vec and distributed-memory
-steps, with the doc vector held apart from the word rows, and the
-unfolded frozen inference step.  The one input step in `qasim.embedding`
-must match the training steps bit for bit, apart from CBOW's rounding;
+steps, with the doc vector held apart from the word rows, the unfolded
+frozen inference step, and the per-position loop that built the folded
+step's frozen context.  The one input step in `qasim.embedding` must
+match the training steps bit for bit, apart from CBOW's rounding;
 inference must match `infer_doc_vectors` here to 1e-12 of the largest
-entry (see `tests/test_embedding.py`)."""
+entry, and `qasim.embedding._frozen_context` must match
+`folded_frozen_context` bit for bit (see `tests/test_embedding.py`)."""
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from qasim.embedding import (
     _label,
     _learning_rate,
     _noise_cdf,
-    _ns_grad,
     _ns_update,
     _repeats,
     _schedule,
@@ -112,7 +113,21 @@ def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
 
 
 # The frozen inference step and block loop that the folded step replaced,
-# verbatim.
+# verbatim, with the gradient they called.
+
+def _ns_grad(s: np.ndarray, keep, label: np.ndarray, out=None) -> np.ndarray:
+    """dL/ds = keep * sigma(s) - label over the last axis of the scores,
+    from the negated scores `s`, so exp(s) needs no negation: `keep` is
+    1.0, or per score 1.0 or 0.0 (a draw that hit its target gets no
+    gradient), and `label` is 1.0 at the target, 0.0 elsewhere.  Any
+    leading axes are a batch.  Written to `out` when given (it may be
+    `s`)."""
+    g = np.exp(s, out=out)
+    g += 1.0
+    np.divide(keep, g, out=g)      # keep / (1 + exp(-score)); 0 / x is 0 exactly
+    np.subtract(g, label, out=g)   # one ufunc: cheaper than indexing the target
+    return g
+
 
 def _dm_frozen_update(product, out: np.ndarray, h: np.ndarray, doc_vecs: np.ndarray,
                       keep: np.ndarray, lr: np.ndarray, scale: float, scratch: tuple) -> None:
@@ -252,6 +267,34 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
                         np.copyto(slot, frozen)
                     _dm_frozen_update(*args)
     return vecs
+
+
+def folded_frozen_context(model: DocEmbeddingModel, docs: list[list[int]],
+                          n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The folded step's frozen context as a loop over positions (average
+    mode) or documents (concatenate mode), verbatim: alpha (n_max, 1, 1,
+    1) and a view (n_max, B, K, 1), as `qasim.embedding._frozen_context`
+    returns them."""
+    W, k, d = model.word_matrix, model.window, model.dim
+    if model.combine is CombineMode.AVERAGE:
+        alpha = -1.0 / (1 + np.minimum(np.arange(n_max), k))
+        ctx = np.zeros((len(docs), n_max, d))
+        for b, tokens in enumerate(docs):
+            for i in range(1, len(tokens)):
+                ctx[b, i] = W[tokens[max(0, i - k): i]].sum(axis=0)
+        ctx *= alpha[:, None]
+        K = d
+    else:
+        alpha = -np.ones(n_max)
+        ctx = np.zeros((len(docs), k + n_max, d))
+        for b, tokens in enumerate(docs):
+            np.take(W, tokens, axis=0, out=ctx[b, k: k + len(tokens)])
+        np.negative(ctx, out=ctx)
+        K = k * d
+    s_b, s_i, s_e = ctx.strides
+    context = np.lib.stride_tricks.as_strided(ctx, (n_max, len(docs), K, 1), (s_i, s_b, s_e, s_e),
+                                              writeable=False)
+    return alpha[:, None, None, None], context
 
 
 def infer_doc_vectors(model: DocEmbeddingModel, docs: list[TokenizedDocument],

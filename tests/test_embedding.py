@@ -312,8 +312,8 @@ class TestDmStep:
     @pytest.mark.parametrize("lone", [True, False], ids=["dot", "matmul"])
     def test_frozen_words_update_only_the_doc_vector(self, case, lone):
         # in both of inference's plan shapes: a lone document, every array
-        # without its batch axis and np.dot, or the second of a batch of
-        # three and np.matmul; the other two take steps of their own
+        # without its batch axis and ndarray.dot, or the second of a batch
+        # of three and np.matmul; the other two take steps of their own
         combine, context, target, negatives = case
         rows, repeats = step_rows(target, negatives)
         trained, trained_vec = self.fresh(combine)
@@ -325,7 +325,7 @@ class TestDmStep:
         scale = embedding._dm_inputs(model.vocab_size, context, self.WINDOW,
                                      combine is CombineMode.AVERAGE)[3]
         B, b = (1, 0) if lone else (3, 1)
-        buffers = G, A, KL, columns, _, _ = embedding._block_buffers(
+        buffers = G, A, K, columns, _, _ = embedding._block_buffers(
             1, B, len(rows) - 1, model.output_matrix.shape[1], model.dim)
         r = np.random.default_rng(3)
         G[...] = r.normal(scale=0.4, size=G.shape)
@@ -334,11 +334,14 @@ class TestDmStep:
         G[0, b], vecs[b] = model.output_matrix[rows], doc_vec
         # the last position of documents that are the context and the target
         i = len(context)
-        alpha, frozen = embedding._frozen_context(model, [[*context, target]] * B, i + 1)
+        alpha, frozen = embedding._frozen_context(
+            model, np.array([[*context, target]] * B), np.ones((B, i + 1), dtype=bool))
         assert alpha[i, 0, 0, 0] == -scale
-        # keep and the label times -lr
-        KL[0] = -0.5 * np.stack((np.ones(len(rows)), embedding._label(len(rows))))
-        embedding._frozen_window(G, alpha[i:], frozen[i:], A, [embedding._step_args(buffers, 0, B)])
+        # keep times -lr, in one step group of B documents
+        K[0] = -0.5
+        groups = embedding._step_groups(buffers, [B])
+        assert len(groups) == 1 and groups[0][0] is (np.ndarray.dot if lone else np.matmul)
+        embedding._frozen_window(G[None], alpha[i:], frozen[i:], A[None], groups)
         for matrix, copy_before in zip((model.word_matrix, model.doc_matrix,
                                         model.output_matrix), before):
             assert np.array_equal(matrix, copy_before)
@@ -760,7 +763,7 @@ class TestInferDocVectors:
     @pytest.mark.parametrize("combine", list(CombineMode))
     def test_rows_equal_single_inference(self, combine, dim):
         # A lone document, and the batch's last position (one document of
-        # 20 tokens), step on 2-D views through np.dot; the batch's other
+        # 20 tokens), step on 2-D views through ndarray.dot; the batch's other
         # positions through np.matmul.  At dim 100 (400 output columns in
         # concatenate mode) BLAS blocks the products as the benchmark does.
         docs, vocab = cluster_corpus(12)
@@ -1015,6 +1018,39 @@ class TestInferenceAgainstReference:
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
         # nor do the gather windows and chunks change a bit
         assert np.array_equal(new, embedding.infer_doc_vectors(model, docs, steps=steps, seed=seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(combine=st.sampled_from(list(CombineMode)), dim=st.integers(1, 9),
+           window=st.integers(1, 6), vocab=st.integers(1, 12),
+           lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           chunk=st.sampled_from([1, 2, 5, 4096]), seed=st.integers(0, 2**16))
+    # 1-token documents, alone and in a block
+    @example(CombineMode.AVERAGE, 4, 3, 5, [1], 4096, 0)
+    @example(CombineMode.AVERAGE, 4, 3, 5, [7, 1, 1], 4096, 1)
+    @example(CombineMode.CONCATENATE, 4, 3, 5, [7, 1, 1], 4096, 1)
+    # documents shorter than the window beside one longer, in slabs of
+    # one position and of two
+    @example(CombineMode.AVERAGE, 3, 5, 6, [12, 4, 2], 3, 2)
+    @example(CombineMode.AVERAGE, 3, 5, 6, [12, 4, 2], 6, 2)
+    @example(CombineMode.CONCATENATE, 3, 5, 6, [12, 4, 2], 3, 2)
+    def test_frozen_context_matches_position_loop(self, combine, dim, window, vocab, lengths,
+                                                  chunk, seed):
+        # the frozen context that the folded step multiplies, gathered in
+        # slabs of INFER_CHUNK // B positions, against the per-position
+        # loop that built it: same bits
+        model = random_doc_model(combine, vocab, dim, window, 1, seed)
+        model.word_matrix[:, 0] = -0.0     # np.sum starts from 0.0: their sums are 0.0
+        r = np.random.default_rng(seed + 1)
+        docs = [r.integers(0, vocab, n).tolist() for n in sorted(lengths, reverse=True)]
+        valid = np.arange(len(docs[0])) < np.array([len(t) for t in docs])[:, None]
+        # padded with the last word: no position may read the padding
+        tokens = np.full(valid.shape, vocab - 1)
+        tokens[valid] = np.concatenate(docs)
+        with mock.patch.object(embedding, "INFER_CHUNK", chunk):
+            folded = embedding._frozen_context(model, tokens, valid)
+        for new, ref in zip(folded, reference.folded_frozen_context(model, docs, len(docs[0]))):
+            assert np.array_equal(new, ref)
+            assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
 
 
 class TestAnalogy:

@@ -7,13 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_output_digests_cover_every_run(tmp_path):
+    work, saved = tmp_path / "work", tmp_path / "inferred"
+    work.mkdir()
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digests.py"),
-                          "--src", str(ROOT / "src"), "--scale", "smoke"],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+                          "--src", str(ROOT / "src"), "--scale", "smoke",
+                          "--save-inferred", str(saved)],
+                         cwd=work, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     digests = json.loads(out.stdout)
     exits = [v for k, v in digests.items() if k.endswith(" exit")]
@@ -30,5 +35,14 @@ def test_output_digests_cover_every_run(tmp_path):
         assert digests[f"{run} inferred vectors"] != empty
     assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
     assert "ask_large_collection 1 file q.d2v" in digests
+    # the saved arrays, in call order, are what each run's digest covers
+    for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
+                "ask_large_collection 1"):
+        files = sorted(saved.glob(run.replace(" ", "-") + "-*.npy"))
+        assert files
+        inferred = hashlib.sha256()
+        for path in files:
+            inferred.update(np.load(path).tobytes())
+        assert inferred.hexdigest() == digests[f"{run} inferred vectors"]
     # the runs leave nothing behind
-    assert list(tmp_path.iterdir()) == []
+    assert list(work.iterdir()) == []

@@ -1,6 +1,6 @@
 """SHA-256 digests of every file and every output of the benchmark's runs.
 
-    python3 tools/output_digests.py --src SRC [--scale full|smoke] > digests.json
+    python3 tools/output_digests.py --src SRC [--scale full|smoke] [--save-inferred DIR] > digests.json
 
 Builds the inputs of `train_pipeline` for seeds 1-3 and of
 `ask_large_collection` for seed 1 with `perfbench/prep.py`'s `prepare`,
@@ -12,7 +12,10 @@ command's exit code and the digests of its stdout and stderr, and one
 digest of every array that `qasim.embedding.infer_doc_vectors` returned
 in the run, in call order (wrapped from outside, as `perfbench/tracer.py`
 wraps functions), which no report shows to the last bit.  Run it on two
-trees and diff the output to see whether a change moved any byte.
+trees and diff the output to see whether a change moved any byte.  With
+--save-inferred, each of those arrays is also written to DIR as
+`<workload>-<seed>-<call>.npy`, so that two trees whose inferred vectors
+differ can be compared by size: max |a - b| / max |a|.
 """
 
 import os
@@ -37,20 +40,26 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(workload: str, seed: int, scale: str) -> dict:
-    """The digests of one workload seed, run in the current directory."""
+def run(workload: str, seed: int, scale: str, save: str | None = None) -> dict:
+    """The digests of one workload seed, run in the current directory;
+    the inferred arrays are saved to the directory `save` when given."""
+    import numpy as np
     from prep import prepare
     from qasim import cli, embedding
 
     with contextlib.redirect_stderr(io.StringIO()):
         manifest = prepare(workload, seed, scale)
     stdin = "".join(q + "\n" for q in manifest.get("questions", [])[:ASK_QUESTIONS])
-    digests, inferred = {}, hashlib.sha256()
+    digests, inferred, calls = {}, hashlib.sha256(), 0
     infer = embedding.infer_doc_vectors
 
     def recording(*args, **kwargs):
+        nonlocal calls
         vecs = infer(*args, **kwargs)
         inferred.update(vecs.tobytes())
+        if save is not None:
+            np.save(os.path.join(save, f"{workload}-{seed}-{calls:04d}.npy"), vecs)
+        calls += 1
         return vecs
 
     embedding.infer_doc_vectors = recording
@@ -80,7 +89,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the qasim package")
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
+    parser.add_argument("--save-inferred", metavar="DIR",
+                        help="write every inferred array to DIR as .npy, in call order")
     args = parser.parse_args()
+    save = None
+    if args.save_inferred is not None:
+        save = os.path.abspath(args.save_inferred)
+        os.makedirs(save, exist_ok=True)
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                     os.pardir, "perfbench"))
@@ -89,7 +104,7 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
-                for key, value in run(workload, seed, args.scale).items():
+                for key, value in run(workload, seed, args.scale, save).items():
                     result[f"{workload} {seed} {key}"] = value
             finally:
                 os.chdir(home)
