@@ -402,6 +402,7 @@ def cmd_ask(args) -> int:
         raise UsageError(f"answers file holds {len(answer_texts)} lines but the model "
                          f"has {a_model.n_docs} doc vectors")
     index = retrieval.AnswerIndex(net, a_model.doc_matrix)
+    del a_model      # the session reads only the index's head terms
     candidates = np.arange(len(answer_texts))
 
     print("ready (one question per line, EOF to quit)", file=sys.stderr)

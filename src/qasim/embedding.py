@@ -104,115 +104,104 @@ class DocEmbeddingModel:
         return self._sizes[1] if self._sizes else self.doc_matrix.shape[0]
 
 
-def _ns_grad(s: np.ndarray, label: np.ndarray, out=None) -> np.ndarray:
-    """dL/ds = sigma(s) - label over the scores, from the negated scores
-    `s`, so exp(s) needs no negation: `label` is 1.0 at the target, 0.0
-    elsewhere.  Written to `out` when given (it may be `s`)."""
-    g = np.exp(s, out=out)
-    g += 1.0
-    np.divide(1.0, g, out=g)       # 1 / (1 + exp(-score))
-    np.subtract(g, label, out=g)   # one ufunc: cheaper than indexing the target
-    return g
-
-
 @functools.lru_cache(maxsize=None)
 def _label(n: int) -> np.ndarray:
-    """The one-hot label of n output rows, target first."""
-    label = np.zeros(n)
+    """The one-hot label of n output rows, target first, as a column."""
+    label = np.zeros((n, 1))
     label[0] = 1.0
     label.flags.writeable = False          # one array, shared by every caller
     return label
 
 
-def _repeats(ids: list[int]) -> tuple[list[tuple[int, int]], np.ndarray] | None:
-    """None when no id in `ids` repeats.  Otherwise (j, p) for every entry
-    j that repeats the id of an earlier entry p (the nearest), in order,
-    and the index array of each id's last entry."""
-    last, chain = {}, []
-    for j, i in enumerate(ids):
-        if i in last:
-            chain.append((j, last[i]))
-        last[i] = j
-    return (chain, np.array(list(last.values()))) if chain else None
+@functools.lru_cache(maxsize=2)
+def _flat_index(shape: tuple[int, int]) -> np.ndarray:
+    """The flat index of every entry of a C-contiguous matrix of `shape`,
+    as large as the matrix; `_train` frees it when a run ends.  Gathering
+    its rows costs about a quarter of computing rows * d + arange(d) per
+    step, which made a `train_pipeline` unit 12% slower."""
+    index = np.arange(shape[0] * shape[1]).reshape(shape)
+    index.flags.writeable = False          # one array, shared by a run's steps
+    return index
 
 
-def _add_rows(matrix: np.ndarray, rows, gathered: np.ndarray, delta, repeats) -> None:
-    """matrix[rows] += delta, where `gathered` holds matrix[rows] as read
-    before the update (it is overwritten) and `repeats` is
-    `_repeats(rows)`.  A repeated row adds its entries' deltas in index
-    order, each to what the entry before it left, and is written once,
-    from its last entry: np.add.at's result, at a fraction of its cost."""
-    gathered += delta
-    if repeats is not None:
-        chain, last = repeats
-        for j, p in chain:
-            np.add(gathered[p], delta[j] if delta.ndim > 1 else delta, out=gathered[j])
-        rows, gathered = rows[last], gathered[last]
-    matrix[rows] = gathered
+def _scatter_add(matrix: np.ndarray, rows: np.ndarray, delta: np.ndarray) -> None:
+    """matrix[rows] += delta for a C-contiguous matrix, one row of `delta`
+    per entry of `rows`, in index order: a repeated row adds its deltas in
+    turn.  np.add.at takes its fast loop only on a 1-D operand and index,
+    so it runs on the matrix's flat view, at flat indices."""
+    index = _flat_index(matrix.shape).take(rows, axis=0)
+    np.add.at(matrix.reshape(-1), index.ravel(), delta.ravel())
 
 
-def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows, lr: float,
-               repeats) -> np.ndarray:
-    """The training kernel of every model here: the SGD step on the output
-    `rows` (target first; `repeats` is `_repeats(rows)`) from the negated
-    hidden vector `nh`, and the gradient with respect to the hidden vector
-    at the current parameters (the caller updates the rows it came from).
-    IEEE rounding is sign-symmetric, so the negation changes no bit."""
-    # a copy, (1+m, d); the take method costs a third of indexing's overhead
-    out = output_matrix.take(rows, axis=0)
-    # np.dot: the BLAS call of `@`, at less overhead per call
-    g = np.dot(out, nh)                        # the negated scores
-    _ns_grad(g, _label(len(g)), out=g)
-    grad_h = np.dot(g, out)
+def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows: np.ndarray,
+               keep: np.ndarray, lr: float) -> np.ndarray:
+    """The training kernel of every model here, for a block of a steps
+    that all read the parameters as they were before it: the SGD step on
+    each step's `rows` (a, 1+m) of the output matrix, target first, whose
+    `keep` (a, 1+m, 1) is 0.0 for a draw that hit its target, from the
+    negated hidden vectors `nh` (a, 1, D); and the gradients with respect
+    to the hidden vectors (a, 1, D).  IEEE rounding is sign-symmetric, so
+    the negation changes no bit."""
+    out = output_matrix.take(rows, axis=0)            # (a, 1+m, D), a copy
+    g = np.matmul(out, nh.transpose(0, 2, 1))         # the negated scores s, (a, 1+m, 1)
+    # dL/d score = keep * sigma(score) - label, where exp(s) needs no negation
+    np.exp(g, out=g)
+    g += 1.0
+    np.divide(keep, g, out=g)                 # 0 / x is 0 exactly: a hit gets no gradient
+    np.subtract(g, _label(g.shape[1]), out=g)   # one ufunc: cheaper than indexing the target
+    grad_h = np.matmul(g.transpose(0, 2, 1), out)
     g *= lr
-    # out - lr * g * h, row by row, in place
-    _add_rows(output_matrix, rows, out, g[:, None] * nh, repeats)
+    _scatter_add(output_matrix, rows, g * nh)         # out - lr * g * h, row by row
     return grad_h
 
 
-def _inputs(ids: list[int], start: int | None = None) -> tuple:
-    """A plan entry of `_input_step`, built once per run: the input ids as
-    an index array, their `_repeats`, `start`, and d h / d row."""
-    scale = 1.0 if start is not None else 1.0 / len(ids)
-    return np.array(ids, dtype=np.intp), _repeats(ids), start, scale
+def _inputs(ids, start: int | None = None) -> tuple:
+    """A plan entry of `_input_step`, built once per run: the input ids of
+    a block of steps, one row of ids a step, as an index array, `start`,
+    and d h / d row."""
+    ids = np.array(ids, dtype=np.intp, ndmin=2)
+    return ids, start, 1.0 if start is not None else 1.0 / ids.shape[1]
 
 
-def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs, rows, lr: float,
-                repeats) -> None:
-    """One training update of every model here, at the current parameters.
-    `inputs` is one input id (skip-gram: the hidden vector is that row,
-    updated in place) or an `_inputs` entry.  Its hidden vector is the mean
-    of the rows `ids` of X (CBOW, and DM in average mode with the doc row
-    last), or with a `start` (DM in concatenate mode) the doc row `ids[0]`
-    in slot 0, zero padding, and the context rows in the slots from
-    `start` on.  The output rows are updated by `_ns_update`, the input
-    rows by one `_add_rows`."""
+def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs, rows: np.ndarray,
+                keep: np.ndarray, lr: float) -> None:
+    """One training update of every model here, for a block of steps at
+    the current parameters (`_ns_update`), of the input matrix X and the
+    output matrix.  `inputs` is one input id (skip-gram: the hidden
+    vector is that row, updated in place) or an `_inputs` entry.  A
+    step's hidden vector is the mean of its rows `ids` of X (CBOW, and DM
+    in average mode with the doc row last), or with a `start` (DM in
+    concatenate mode) the doc row `ids[:, 0]` in slot 0, zero padding,
+    and the context rows in the slots from `start` on.  The input rows
+    take their steps in (step, slot) order."""
     if isinstance(inputs, int):
-        h = X[inputs]
-        h -= lr * _ns_update(output_matrix, np.negative(h), rows, lr, repeats)
+        h = X[inputs, None, None]
+        h -= lr * _ns_update(output_matrix, np.negative(h), rows, keep, lr)
         return
-    ids, ids_repeats, start, scale = inputs
-    gathered = X.take(ids, axis=0)
+    ids, start, scale = inputs
+    gathered = X.take(ids, axis=0)                   # (a, n, d)
+    a, d = ids.shape[0], X.shape[1]
     if start is None:
         # the negated mean: np.mean is this sum over the count
-        nh = np.add.reduce(gathered, axis=0) / -len(ids)
+        nh = np.add.reduce(gathered, axis=1, keepdims=True) / -ids.shape[1]
     else:
-        d = X.shape[1]
-        nh = np.zeros((output_matrix.shape[1] // d, d))   # the 1 + window slots
-        nh[0] = gathered[0]
-        nh[start:] = gathered[1:]
-        nh = np.negative(nh, out=nh).ravel()
-    step = _ns_update(output_matrix, nh, rows, lr, repeats)
+        nh = np.zeros((a, output_matrix.shape[1] // d, d))   # the 1 + window slots
+        nh[:, 0] = gathered[:, 0]
+        nh[:, start:] = gathered[:, 1:]
+        nh = np.negative(nh, out=nh).reshape(a, 1, -1)
+    step = _ns_update(output_matrix, nh, rows, keep, lr)
     # -(lr * grad_h * scale) to the bit: a product rounds the same either sign
     step *= -lr
-    step *= scale
-    if start is not None:
+    if start is None:
+        # every row of the mean takes its step
+        step = np.multiply(step, scale, out=gathered)
+    else:
         # slot by slot; the doc row's step moves to the slot before the
         # context's (padding, or its own), so the steps of `ids` are adjacent
-        step = step.reshape(-1, d)
-        step[start - 1] = step[0]
-        step = step[start - 1:]
-    _add_rows(X, ids, gathered, step, ids_repeats)
+        step = step.reshape(a, -1, d)
+        step[:, start - 1] = step[:, 0]
+        step = step[:, start - 1:]
+    _scatter_add(X, ids, step)
 
 
 def _unigram_noise(corpus: list[TokenizedDocument], vocab_size: int) -> np.ndarray:
@@ -236,24 +225,17 @@ def _noise_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> list[tuple]:
-    """Per training step, in order: the output rows, target first, and
-    their `_repeats`.  One rng call draws the m negatives of every target,
-    the same stream as one call of m per step; a draw that hits its target
-    is skipped (the C-word2vec convention)."""
+def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> tuple:
+    """The output rows of each training step, target first (n, 1+m), and
+    their keep (n, 1+m, 1): 0.0 for a draw that hits its target, which
+    gets no gradient (the C-word2vec convention skips it), else 1.0.  One
+    rng call draws the m negatives of every target, the same stream as
+    one call of m per step."""
     draws = np.searchsorted(cdf, rng.random(len(targets) * m), side="right")
-    draws = draws.reshape(len(targets), m)
-    rows, hit = np.column_stack((targets, draws)), draws == targets[:, None]
-    # a skipped draw becomes its own placeholder, so only real repeats count
-    negs = np.sort(np.where(hit, -1 - np.arange(m), draws), axis=1)
-    distinct = (negs[:, 1:] != negs[:, :-1]).all(axis=1)
-    keep = np.column_stack((np.ones(len(targets), dtype=bool), ~hit))
-    steps = [(r, None) for r in rows]
-    # only the steps with a hit or a repeat need more than a view of `rows`
-    for t in np.flatnonzero(hit.any(axis=1) | ~distinct).tolist():
-        r = rows[t][keep[t]]
-        steps[t] = (r, None if distinct[t] else _repeats(r.tolist()))
-    return steps
+    rows = np.column_stack((targets, draws.reshape(len(targets), m)))
+    keep = np.ones(rows.shape + (1,))
+    np.not_equal(rows[:, 1:], targets[:, None], out=keep[:, 1:, 0])
+    return rows, keep
 
 
 def _learning_rate(lr0: float, lr_min: float, step, total_steps):
@@ -262,43 +244,61 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
     return lr0 - (lr0 - lr_min) * step / total_steps
 
 
-# Training steps whose negatives one `_step_rows` call draws: bounds the
-# drawn rows' memory, whatever the corpus size.
+# Training steps whose negatives one `_step_rows` call draws (at least one
+# plan entry's): bounds the drawn rows' memory, whatever the corpus size.
 TRAIN_CHUNK = 1024
 
+# Documents that distributed-memory training advances in lockstep, one
+# position at a time: one `_input_step` takes a position of all of them.
+TRAIN_BLOCK = 8
 
-def _schedule(plan: list, targets: np.ndarray, position: np.ndarray, epochs: int, rng,
-              cdf: np.ndarray, m: int, lr0: float, lr_min: float):
-    """(plan entry, (output rows, their `_repeats`), learning rate) of every
-    step of `epochs` passes, in order.  A pass takes one step per entry of
-    `plan`, predicting that entry of `targets` at that `position` of the
-    pass (a skip-gram center's steps share one); the rate decays over all
-    positions of all epochs.  Negatives are drawn TRAIN_CHUNK steps at a
-    time, across documents and epochs: the stream of one call per step."""
-    n, n_positions = len(plan), int(position[-1]) + 1
+
+def _schedule(plan: list, sizes: np.ndarray, targets: np.ndarray, position: np.ndarray,
+              epochs: int, rng, cdf: np.ndarray, m: int, lr0: float, lr_min: float):
+    """(plan entry, output rows, keep, learning rate) of every entry of
+    `epochs` passes of `plan`, in order.  Entry j takes a block of
+    sizes[j] steps, which predict the next sizes[j] `targets` at the
+    positions of the pass from position[j] on (a skip-gram center's
+    entries share one), all at the rate of position[j]; the rate decays
+    over all positions of all epochs.  Negatives are drawn for at most
+    TRAIN_CHUNK steps at a time, across documents and epochs, in step
+    order: the stream of one call per step."""
+    n, n_positions = len(plan), int(position[-1] + sizes[-1])
+    per_chunk = max(1, TRAIN_CHUNK // int(sizes.max()))
+    ends = np.cumsum(sizes)
     passes = itertools.chain.from_iterable(itertools.repeat(plan, epochs))
 
     def chunk(start: int):
-        epoch, i = np.divmod(np.arange(start, min(start + TRAIN_CHUNK, epochs * n)), n)
-        rates = _learning_rate(lr0, lr_min, epoch * n_positions + position[i],
+        epoch, j = np.divmod(np.arange(start, min(start + per_chunk, epochs * n)), n)
+        rates = _learning_rate(lr0, lr_min, epoch * n_positions + position[j],
                                epochs * n_positions)
-        return zip(itertools.islice(passes, len(i)), _step_rows(rng, cdf, targets[i], m),
-                   rates.tolist())
-    # chained in C: no Python frame resumes per step
-    return itertools.chain.from_iterable(map(chunk, range(0, epochs * n, TRAIN_CHUNK)))
+        size = sizes[j]
+        cuts = np.cumsum(size)
+        # the entries' steps, as indices into the pass
+        rows, keep = _step_rows(rng, cdf, targets[np.arange(cuts[-1]) + np.repeat(
+            ends[j] - cuts, size)], m)
+        spans = list(map(slice, (cuts - size).tolist(), cuts.tolist()))
+        return zip(itertools.islice(passes, len(j)), map(rows.__getitem__, spans),
+                   map(keep.__getitem__, spans), rates.tolist())
+    # chained in C: no Python frame resumes per entry
+    return itertools.chain.from_iterable(map(chunk, range(0, epochs * n, per_chunk)))
 
 
-def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, targets: list,
-           position: np.ndarray, config: EmbedTrainConfig, rng, cdf: np.ndarray) -> None:
+def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, sizes, targets,
+           position, config: EmbedTrainConfig, rng, cdf: np.ndarray) -> None:
     """SGD over `config.epochs` passes of `plan`, one `_input_step` per
     entry (see `_schedule`), updating X and the output matrix in place."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for inputs, (rows, repeats), lr in _schedule(
-                plan, np.array(targets), position, config.epochs, rng, cdf, config.negatives,
-                config.learning_rate, config.min_learning_rate):
-            _input_step(X, output_matrix, inputs, rows, lr, repeats)
-    # overflow warnings were off; divergence shows here
-    if not (np.isfinite(X).all() and np.isfinite(output_matrix).all()):
+        for inputs, rows, keep, lr in _schedule(
+                plan, np.asarray(sizes), np.asarray(targets), np.asarray(position),
+                config.epochs, rng, cdf, config.negatives, config.learning_rate,
+                config.min_learning_rate):
+            _input_step(X, output_matrix, inputs, rows, keep, lr)
+    _flat_index.cache_clear()
+    # overflow warnings were off; divergence shows here, also as values
+    # past float32's range, which turn infinite in a model file
+    limit = np.finfo(np.float32).max
+    if not (np.abs(X).max() <= limit and np.abs(output_matrix).max() <= limit):
         raise RuntimeError("embedding training diverged to non-finite values; "
                            "lower the learning rate")
 
@@ -345,18 +345,22 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         plan = [center for center, window in zip(centers, windows) for _ in window]
         targets = [o for window in windows for o in window]
         position = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
-    _train(model.input_matrix, model.output_matrix, plan, targets, position, config, rng, cdf)
+    _train(model.input_matrix, model.output_matrix, plan, np.ones(len(plan), dtype=np.intp),
+           targets, position, config, rng, cdf)
     return model
 
 
-def _dm_inputs(doc: int, context: list[int], window: int, average: bool) -> tuple:
-    """The `_inputs` of input row `doc` at a position whose preceding words
-    are `context`.  In average mode the doc row goes last, so the hidden
-    sum is (sum of words) + doc; in concatenate mode it goes first, and
-    the context fills the last of the `window` slots after it."""
+def _dm_inputs(docs, context, window: int, average: bool) -> tuple:
+    """The `_inputs` of the input rows `docs` (a,) at a position whose
+    preceding words are the rows of `context` (a, c).  In average mode the
+    doc row goes last, so the hidden sum is (sum of words) + doc; in
+    concatenate mode it goes first, and the context fills the last of the
+    `window` slots after it."""
+    docs = np.reshape(docs, (-1, 1))
+    context = np.array(context, dtype=np.intp, ndmin=2)
     if average:
-        return _inputs(context + [doc])
-    return _inputs([doc] + context, 1 + window - len(context))
+        return _inputs(np.hstack((context, docs)))
+    return _inputs(np.hstack((docs, context)), 1 + window - context.shape[1])
 
 
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
@@ -366,8 +370,12 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 
     At every position the document vector and the preceding `window`
     word vectors predict the current word through negative sampling;
-    both the word matrix and the doc matrix are updated.  Raises
-    RuntimeError when training diverges to non-finite parameters.
+    both the word matrix and the doc matrix are updated.  Blocks of
+    TRAIN_BLOCK documents, in corpus order, advance in lockstep: each
+    position of a block is one step of its documents that have not
+    ended, from the parameters as the block's previous position left
+    them.  Raises RuntimeError when training diverges to non-finite
+    parameters.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -391,11 +399,21 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         noise_probs=_unigram_noise(corpus, vocab_size),
     )
     docs = [doc.tokens for doc in corpus]
-    plan = [_dm_inputs(V + r, tokens[max(0, i - k): i], k, average)
-            for r, tokens in enumerate(docs) for i in range(len(tokens))]
-    targets = [t for tokens in docs for t in tokens]
-    _train(X, model.output_matrix, plan, targets, np.arange(len(plan)), config, rng,
-           _noise_cdf(model.noise_probs))
+    plan, targets = [], []
+    for b0 in range(0, len(docs), TRAIN_BLOCK):
+        block = docs[b0: b0 + TRAIN_BLOCK]
+        lengths = np.array([len(tokens) for tokens in block])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        tokens = np.zeros(valid.shape, dtype=np.intp)
+        tokens[valid] = np.concatenate(block)
+        rows = V + b0 + np.arange(len(block))
+        for i, active in enumerate(valid.T):
+            plan.append(_dm_inputs(rows[active], tokens[active, max(0, i - k): i], k, average))
+            targets.append(tokens[active, i])
+    sizes = np.array([len(t) for t in targets])
+    # a position's rate is that of its first document-position in the pass
+    _train(X, model.output_matrix, plan, sizes, np.concatenate(targets), np.cumsum(sizes) - sizes,
+           config, rng, _noise_cdf(model.noise_probs))
     return model
 
 

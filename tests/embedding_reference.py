@@ -1,11 +1,17 @@
-"""Reference embedding steps: the separate word2vec and distributed-memory
-steps, with the doc vector held apart from the word rows, the unfolded
-frozen inference step, and the per-position loop that built the folded
-step's frozen context.  The one input step in `qasim.embedding` must
-match the training steps bit for bit, apart from CBOW's rounding;
-inference must match `infer_doc_vectors` here to 1e-12 of the largest
-entry, and `qasim.embedding._frozen_context` must match
-`folded_frozen_context` bit for bit (see `tests/test_embedding.py`)."""
+"""Reference embedding steps: the sequential kernel and schedule, the
+separate word2vec and distributed-memory steps, with the doc vector held
+apart from the word rows, a lockstep loop of distributed-memory blocks,
+the unfolded frozen inference step, and the per-position loop that built
+the folded step's frozen context.  The one input step in
+`qasim.embedding` must match the training steps bit for bit, apart from
+CBOW's rounding; whole training runs at a block of one must match the
+sequential steps to rounding (bit for bit where no hit moves a BLAS
+sum), and at other blocks `_dm_block_train` bit for bit; inference must
+match `infer_doc_vectors` here to 1e-12 of the largest entry, and
+`qasim.embedding._frozen_context` must match `folded_frozen_context` bit
+for bit (see `tests/test_embedding.py`)."""
+
+import functools
 
 import numpy as np
 
@@ -13,17 +19,102 @@ from qasim.corpus import TokenizedDocument
 from qasim.embedding import (
     INFER_BLOCK,
     INFER_CHUNK,
+    TRAIN_CHUNK,
     CombineMode,
     DocEmbeddingModel,
     WordEmbeddingModel,
-    _add_rows,
-    _label,
     _learning_rate,
     _noise_cdf,
-    _ns_update,
-    _repeats,
-    _schedule,
 )
+
+
+# The sequential training kernel and schedule that block training
+# replaced, with their arithmetic: each step reads the rows that the step
+# before it left, a draw that hits its target is dropped from the step's
+# rows, and a repeated row adds its entries' deltas in index order.
+
+@functools.lru_cache(maxsize=None)
+def _label(n: int) -> np.ndarray:
+    """The one-hot label of n output rows, target first."""
+    label = np.zeros(n)
+    label[0] = 1.0
+    label.flags.writeable = False          # one array, shared by every caller
+    return label
+
+
+def _repeats(ids: list[int]) -> tuple[list[tuple[int, int]], np.ndarray] | None:
+    """None when no id in `ids` repeats.  Otherwise (j, p) for every entry
+    j that repeats the id of an earlier entry p (the nearest), in order,
+    and the index array of each id's last entry."""
+    last, chain = {}, []
+    for j, i in enumerate(ids):
+        if i in last:
+            chain.append((j, last[i]))
+        last[i] = j
+    return (chain, np.array(list(last.values()))) if chain else None
+
+
+def _add_rows(matrix: np.ndarray, rows, gathered: np.ndarray, delta, repeats) -> None:
+    """matrix[rows] += delta, where `gathered` holds matrix[rows] as read
+    before the update (it is overwritten) and `repeats` is
+    `_repeats(rows)`.  A repeated row adds its entries' deltas in index
+    order, each to what the entry before it left, and is written once,
+    from its last entry: np.add.at's result, at a fraction of its cost."""
+    gathered += delta
+    if repeats is not None:
+        chain, last = repeats
+        for j, p in chain:
+            np.add(gathered[p], delta[j] if delta.ndim > 1 else delta, out=gathered[j])
+        rows, gathered = rows[last], gathered[last]
+    matrix[rows] = gathered
+
+
+def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows, lr: float,
+               repeats) -> np.ndarray:
+    """The SGD step on the output `rows` (target first; `repeats` is
+    `_repeats(rows)`) from the negated hidden vector `nh`, and the
+    gradient with respect to the hidden vector at the current parameters."""
+    out = output_matrix.take(rows, axis=0)
+    g = np.dot(out, nh)                        # the negated scores
+    g = np.exp(g, out=g)
+    g += 1.0
+    np.divide(1.0, g, out=g)                   # 1 / (1 + exp(-score))
+    np.subtract(g, _label(len(g)), out=g)
+    grad_h = np.dot(g, out)
+    g *= lr
+    _add_rows(output_matrix, rows, out, g[:, None] * nh, repeats)
+    return grad_h
+
+
+def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> list[tuple]:
+    """Per training step, in order: the output rows, target first, and
+    their `_repeats`.  One rng call draws the m negatives of every target,
+    the same stream as one call of m per step; a draw that hits its target
+    is skipped (the C-word2vec convention)."""
+    draws = np.searchsorted(cdf, rng.random(len(targets) * m), side="right")
+    draws = draws.reshape(len(targets), m)
+    rows, hit = np.column_stack((targets, draws)), draws == targets[:, None]
+    steps = []
+    for t in range(len(targets)):
+        r = rows[t][np.r_[True, ~hit[t]]]
+        steps.append((r, _repeats(r.tolist())))
+    return steps
+
+
+def _schedule(plan: list, targets: np.ndarray, position: np.ndarray, epochs: int, rng,
+              cdf: np.ndarray, m: int, lr0: float, lr_min: float):
+    """(plan entry, (output rows, their `_repeats`), learning rate) of every
+    step of `epochs` passes, in order: one step per entry of `plan`,
+    predicting that entry of `targets` at that `position` of the pass; the
+    rate decays over all positions of all epochs.  Negatives are drawn
+    TRAIN_CHUNK steps at a time: the stream of one call per step."""
+    n, n_positions = len(plan), int(position[-1]) + 1
+    for start in range(0, epochs * n, TRAIN_CHUNK):
+        epoch, i = np.divmod(np.arange(start, min(start + TRAIN_CHUNK, epochs * n)), n)
+        rates = _learning_rate(lr0, lr_min, epoch * n_positions + position[i],
+                               epochs * n_positions)
+        yield from zip([plan[j] for j in i], _step_rows(rng, cdf, targets[i], m),
+                       rates.tolist())
 
 
 def _context(ids: list[int]) -> tuple[np.ndarray, tuple | None]:
@@ -110,6 +201,57 @@ def _dm_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
             plan, targets, np.arange(len(plan)), epochs, rng, _noise_cdf(model.noise_probs),
             model.negatives, lr0, lr_min):
         _dm_update(model, doc_vec, position, rows, lr, repeats)
+
+
+def _dm_block_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int,
+                   lr0: float, lr_min: float, rng, block: int) -> None:
+    """Distributed-memory SGD in lockstep, one document-position at a
+    time: blocks of `block` documents advance one position at a time.  At
+    a block's position, every document that has not ended computes its
+    step from the parameters as the position before left them, with all
+    m draws among its output rows (one that hit its target gets no
+    gradient), at the rate of the position's first document-position.
+    Then the steps add, document by document and row by row: the output
+    rows, the doc vector and the context rows."""
+    k, m, d = model.window, model.negatives, model.dim
+    W, D, O = model.word_matrix, model.doc_matrix, model.output_matrix
+    cdf = _noise_cdf(model.noise_probs)
+    positions = [[(r, i) for r in range(b0, min(b0 + block, len(docs))) if len(docs[r]) > i]
+                 for b0 in range(0, len(docs), block)
+                 for i in range(max(len(tokens) for tokens in docs[b0: b0 + block]))]
+    n_positions = sum(map(len, docs))
+    label = _label(1 + m)
+    for epoch in range(epochs):
+        done = 0
+        for position in positions:
+            lr = _learning_rate(lr0, lr_min, epoch * n_positions + done, epochs * n_positions)
+            done += len(position)
+            steps = []
+            for r, i in position:
+                target = docs[r][i]
+                draws = np.searchsorted(cdf, rng.random(m), side="right")
+                rows = np.r_[target, draws]
+                keep = np.r_[True, draws != target]
+                context = docs[r][max(0, i - k): i]
+                start = d * (1 + k - len(context))
+                nh = _dm_hidden(model, D[r], W[context], start)
+                out = O[rows]
+                g = 1.0 / (1.0 + np.exp(np.dot(out, nh)))
+                g[~keep] = 0.0
+                g -= label
+                step = np.dot(g, out) * -lr * _dm_scale(model, len(context))
+                steps.append((rows, (g * lr)[:, None] * nh, r, context, step, start))
+            for rows, deltas, r, context, step, start in steps:
+                for row, delta in zip(rows, deltas):
+                    O[row] += delta
+                if model.combine is CombineMode.AVERAGE:
+                    D[r] += step
+                    for word in context:
+                        W[word] += step
+                else:
+                    D[r] += step[:d]
+                    for word, slot in zip(context, step[start:].reshape(-1, d)):
+                        W[word] += slot
 
 
 # The frozen inference step and block loop that the folded step replaced,

@@ -3,6 +3,7 @@ determinism, the full pipeline end to end, and the interactive loop."""
 
 import argparse
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qasim import cli, corpus, embedding, simnet, training
+from qasim import cli, corpus, embedding, retrieval, simnet, training
 from qasim.embedding import EmbedTrainConfig
 from qasim.cli import build_parser, main
 from qasim.datasets import planted_qa_records, two_topic_docs
@@ -1277,6 +1279,27 @@ class TestAsk:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("escalate (")
         assert "below threshold 0.999" in out[0]
+
+    def test_answer_doc_matrix_freed_before_the_first_question(self, ws, answers_file,
+                                                                monkeypatch, capsys):
+        # after start-up the session reads only the index's head terms, so
+        # the answer model's doc matrix is gone when a question is inferred
+        matrices, infer, index = [], embedding.infer_doc_vectors, retrieval.AnswerIndex
+
+        def indexing(net, a_features):
+            matrices.append(weakref.ref(a_features))
+            return index(net, a_features)
+
+        def inferring(*args, **kwargs):
+            gc.collect()
+            assert [ref() for ref in matrices] == [None]
+            return infer(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "AnswerIndex", indexing)
+        monkeypatch.setattr(embedding, "infer_doc_vectors", inferring)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\nand this\n"))
+        assert main(self.ask_argv(ws, "0.5")) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_line_does_not_depend_on_earlier_questions(self, ws, answers_file, monkeypatch,
                                                        capsys):

@@ -104,32 +104,40 @@ def step_rows(target, negatives):
     return np.array(rows), repeats_of(rows)
 
 
-def word_step(model, inputs, rows, lr, repeats):
+def one_step(rows):
+    """A step's output rows as a block of one step, and its keep: every
+    row kept, so a negative equal to the target counts as one."""
+    rows = np.asarray(rows)
+    return rows[None], np.ones((1, len(rows), 1))
+
+
+def word_step(model, inputs, rows, lr, repeats=None):
     """The step that word2vec training runs: `inputs` is a skip-gram center
-    id or a CBOW context list."""
+    id or a CBOW context list.  (`repeats` is what the reference steps
+    take.)"""
     if not isinstance(inputs, int):
         inputs = embedding._inputs(list(inputs))
-    embedding._input_step(model.input_matrix, model.output_matrix, inputs, rows, lr, repeats)
+    embedding._input_step(model.input_matrix, model.output_matrix, inputs, *one_step(rows), lr)
 
 
-def dm_step(model, doc_vec, context, rows, lr, repeats):
+def dm_step(model, doc_vec, context, rows, lr, repeats=None):
     """The step that doc2vec training runs for `doc_vec` at a position
     whose preceding words are `context`: the doc vector is input row V
     after the word rows.  Updates the model and `doc_vec` in place."""
     X = np.vstack((model.word_matrix, doc_vec))
-    inputs = embedding._dm_inputs(len(X) - 1, list(context), model.window,
+    inputs = embedding._dm_inputs([len(X) - 1], [list(context)], model.window,
                                   model.combine is CombineMode.AVERAGE)
-    embedding._input_step(X, model.output_matrix, inputs, rows, lr, repeats)
+    embedding._input_step(X, model.output_matrix, inputs, *one_step(rows), lr)
     model.word_matrix[...], doc_vec[...] = X[:-1], X[-1]
 
 
 @pytest.fixture
 def hidden_vectors(monkeypatch):
     """The negated hidden vectors that the training steps pass to
-    `_ns_update`, in order."""
+    `_ns_update`, in order, one a step."""
     seen, update = [], embedding._ns_update
     def record(output_matrix, nh, *args):
-        seen.append(nh.copy())
+        seen.extend(nh[:, 0].copy())
         return update(output_matrix, nh, *args)
     monkeypatch.setattr(embedding, "_ns_update", record)
     return seen
@@ -322,8 +330,8 @@ class TestDmStep:
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
         # the weight of the doc row in training's plan
-        scale = embedding._dm_inputs(model.vocab_size, context, self.WINDOW,
-                                     combine is CombineMode.AVERAGE)[3]
+        scale = embedding._dm_inputs([model.vocab_size], [context], self.WINDOW,
+                                     combine is CombineMode.AVERAGE)[2]
         B, b = (1, 0) if lone else (3, 1)
         buffers = G, A, K, columns, _, _ = embedding._block_buffers(
             1, B, len(rows) - 1, model.output_matrix.shape[1], model.dim)
@@ -352,41 +360,45 @@ class TestDmStep:
 
 def test_step_rows_match_one_draw_per_step():
     # a pass's rows, drawn in one call, against m draws per step from the
-    # same stream: target first, hits skipped, repeats exact
+    # same stream: target first, then every draw, a hit kept at 0.0
     cdf = np.cumsum([0.3, 0.3, 0.2, 0.2])
     targets = np.array([0, 1, 2, 3, 1, 0, 2, 2] * 5)
-    steps = embedding._step_rows(np.random.default_rng(4), cdf, targets, 5)
+    rows, keep = embedding._step_rows(np.random.default_rng(4), cdf, targets, 5)
+    assert rows.shape == (len(targets), 6) and keep.shape == (len(targets), 6, 1)
     rng = np.random.default_rng(4)
-    repeats = 0
-    for target, (rows, step_repeats) in zip(targets, steps):
+    hits = 0
+    for target, step, step_keep in zip(targets, rows, keep[..., 0]):
         draws = np.searchsorted(cdf, rng.random(5), side="right")
-        expected = [target] + [j for j in draws if j != target]
-        assert rows.tolist() == expected
-        want = repeats_of(expected)
-        if want is None:
-            assert step_repeats is None
-        else:
-            assert step_repeats[0] == want[0]
-            assert sorted(step_repeats[1].tolist()) == want[1]
-        repeats += want is not None
-    assert 0 < repeats < len(targets)
+        assert step.tolist() == [target, *draws]
+        assert step_keep.tolist() == [1.0] + [float(j != target) for j in draws]
+        hits += (draws == target).any()
+    assert 0 < hits < len(targets)
 
 
 class TestRepeatedRows:
     """A row that repeats, among the output rows or in a context, takes its
     updates in index order: the same bytes as np.add.at."""
 
-    @pytest.mark.parametrize("rows", [[1, 4, 4, 2], [1, 4, 4, 4, 2], [3, 0, 3, 0, 3]])
-    @pytest.mark.parametrize("rowwise", [True, False])
-    def test_add_rows_matches_add_at(self, rows, rowwise):
+    @pytest.mark.parametrize("rows", [[1, 4, 4, 2], [1, 4, 4, 4, 2], [3, 0, 3, 0, 3],
+                                      [[1, 4, 2], [4, 2, 4]], [[5], [5], [5]]])
+    def test_scatter_add_matches_add_at_and_the_row_chain(self, rows):
+        # np.add.at on flat indices: one row of delta per entry, the entries
+        # of a block of steps in (step, row) order; one step's rows give the
+        # bytes of the sequential steps' row chain
         rng = np.random.default_rng(7)
         matrix = rng.normal(size=(6, 5))
-        delta = rng.normal(size=(len(rows), 5) if rowwise else 5)
+        rows = np.array(rows)
+        delta = rng.normal(size=rows.shape + (5,))
         expected = matrix.copy()
         np.add.at(expected, rows, delta)
-        rows = np.array(rows)
-        embedding._add_rows(matrix, rows, matrix[rows], delta, embedding._repeats(rows.tolist()))
+        chained = matrix.copy()
+        width = rows.shape[-1]
+        for step, step_delta in zip(rows.reshape(-1, width), delta.reshape(-1, width, 5)):
+            reference._add_rows(chained, step, chained[step], step_delta,
+                                reference._repeats(step.tolist()))
+        embedding._scatter_add(matrix, rows, delta)
         assert np.array_equal(matrix, expected)
+        assert np.array_equal(matrix, chained)
 
     @staticmethod
     def add_at_step(output_matrix, h, rows, lr):
@@ -484,8 +496,8 @@ class TestAgainstReference:
                                   negatives=len(negatives), dim=d)
         position = reference._dm_position(model, context, window - len(context))
         reference._dm_update(model, model.doc_matrix[1], position, rows, lr, repeats)
-        embedding._input_step(X, O, embedding._dm_inputs(V + 1, context, window, average),
-                              rows, lr, repeats)
+        embedding._input_step(X, O, embedding._dm_inputs([V + 1], [context], window, average),
+                              *one_step(rows), lr)
         assert np.array_equal(X[:V], model.word_matrix)
         assert np.array_equal(X[V:], model.doc_matrix)
         assert np.array_equal(O, model.output_matrix)
@@ -508,7 +520,7 @@ class TestAgainstReference:
         reference._word_step(model, inputs if isinstance(inputs, int)
                              else reference._context(inputs), rows, lr, repeats)
         embedding._input_step(X, O, inputs if isinstance(inputs, int)
-                              else embedding._inputs(inputs), rows, lr, repeats)
+                              else embedding._inputs(inputs), *one_step(rows), lr)
         # the output rows see the same hidden vector and gradient either way
         assert np.array_equal(O, model.output_matrix)
         if mode is Word2VecMode.SKIPGRAM:
@@ -517,23 +529,99 @@ class TestAgainstReference:
             np.testing.assert_allclose(X, model.input_matrix, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("combine", list(CombineMode))
-    def test_doc2vec_training_matches_reference(self, combine):
-        # whole runs: the doc rows drawn after the word rows in one call,
-        # the plan of every position, and the schedule
+    def test_doc2vec_training_matches_reference(self, monkeypatch, combine):
+        # whole runs at a block of one document: the doc rows drawn after
+        # the word rows in one call, the plan of every position, and the
+        # schedule
         docs, vocab = cluster_corpus(6)
         cfg = EmbedTrainConfig(dim=5, window=3, negatives=4, epochs=2, seed=3)
+        monkeypatch.setattr(embedding, "TRAIN_BLOCK", 1)
         model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
-        rng = np.random.default_rng(cfg.seed)
-        V, d = len(vocab), cfg.dim
-        ref = DocEmbeddingModel(word_matrix=(rng.random((V, d)) - 0.5) / d,
-                                doc_matrix=(rng.random((len(docs), d)) - 0.5) / d,
-                                output_matrix=np.zeros_like(model.output_matrix),
-                                combine=combine, window=cfg.window, negatives=cfg.negatives,
-                                dim=d, noise_probs=model.noise_probs)
+        ref, rng = reference_start(model, len(docs), cfg)
         reference._dm_train(ref, [doc.tokens for doc in docs], cfg.epochs, cfg.learning_rate,
                             cfg.min_learning_rate, rng)
         for name in ("word_matrix", "doc_matrix", "output_matrix"):
             assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_hits_round_like_the_sequential_steps(self, monkeypatch, combine):
+        # At a block of one document a draw that hits its target stays
+        # among the output rows with no gradient, where the sequential
+        # steps dropped it; BLAS then sums the gradient over one more
+        # (zero) term, which may move the last bit at wider dimensions.
+        docs, vocab = cluster_corpus(6)
+        cfg = EmbedTrainConfig(dim=100, window=3, negatives=5, epochs=2, seed=3)
+        monkeypatch.setattr(embedding, "TRAIN_BLOCK", 1)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
+        ref, rng = reference_start(model, len(docs), cfg)
+        reference._dm_train(ref, [doc.tokens for doc in docs], cfg.epochs, cfg.learning_rate,
+                            cfg.min_learning_rate, rng)
+        for name in ("word_matrix", "doc_matrix", "output_matrix"):
+            a, b = getattr(model, name), getattr(ref, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def reference_start(model, n_docs, cfg):
+    """A reference model at the initialization of `model`'s training run,
+    and the generator in the state that training drew from next."""
+    rng = np.random.default_rng(cfg.seed)
+    V, d = model.vocab_size, cfg.dim
+    ref = DocEmbeddingModel(word_matrix=(rng.random((V, d)) - 0.5) / d,
+                            doc_matrix=(rng.random((n_docs, d)) - 0.5) / d,
+                            output_matrix=np.zeros_like(model.output_matrix),
+                            combine=model.combine, window=cfg.window, negatives=cfg.negatives,
+                            dim=d, noise_probs=model.noise_probs)
+    return ref, rng
+
+
+class TestBlockTraining:
+    """Distributed-memory training advances blocks of TRAIN_BLOCK documents
+    in lockstep: against `embedding_reference._dm_block_train`, one
+    document-position at a time, bit for bit."""
+
+    @staticmethod
+    def corpus(lengths, vocab_size, seed):
+        r = np.random.default_rng(seed)
+        return [TokenizedDocument(j, r.integers(0, vocab_size, n).tolist())
+                for j, n in enumerate(lengths)]
+
+    CASES = {
+        # documents that end at different positions, in two blocks
+        "ragged": ([5, 1, 9, 3, 7, 2, 8, 4, 6, 12, 1], 12),
+        # two words: rows repeat across the block and within one step, and
+        # draws hit their targets
+        "two-words": ([6, 4, 7, 5, 6, 3, 7, 2, 5], 2),
+        # every position of a block is its last
+        "one-token": ([1] * 11, 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_matches_lockstep_reference(self, monkeypatch, case, combine, block):
+        if block is not None:
+            monkeypatch.setattr(embedding, "TRAIN_BLOCK", block)
+        lengths, V = self.CASES[case]
+        docs = self.corpus(lengths, V, seed=len(case))
+        cfg = EmbedTrainConfig(dim=7, window=2, negatives=4, epochs=3, learning_rate=0.2,
+                               seed=11)
+        model = train_doc2vec(docs, cfg, combine=combine, vocab_size=V)
+        ref, rng = reference_start(model, len(docs), cfg)
+        reference._dm_block_train(ref, [doc.tokens for doc in docs], cfg.epochs,
+                                  cfg.learning_rate, cfg.min_learning_rate, rng,
+                                  embedding.TRAIN_BLOCK)
+        for name in ("word_matrix", "doc_matrix", "output_matrix"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    def test_block_changes_the_result(self):
+        # the blocks are not the sequential steps in another guise
+        docs = self.corpus(self.CASES["ragged"][0], 12, seed=1)
+        cfg = EmbedTrainConfig(dim=7, window=2, negatives=4, epochs=3, seed=11)
+        model = train_doc2vec(docs, cfg, vocab_size=12)
+        with mock.patch.object(embedding, "TRAIN_BLOCK", 1):
+            sequential = train_doc2vec(docs, cfg, vocab_size=12)
+        assert embedding.TRAIN_BLOCK > 1
+        assert not np.array_equal(model.doc_matrix, sequential.doc_matrix)
 
 
 class TestTrainChunk:
@@ -546,11 +634,15 @@ class TestTrainChunk:
         (train_doc2vec, CombineMode.AVERAGE),
         (train_doc2vec, CombineMode.CONCATENATE),
     ])
-    def test_chunk_size_changes_nothing(self, monkeypatch, train, mode):
+    @pytest.mark.parametrize("block", [1, None])
+    def test_chunk_size_changes_nothing(self, monkeypatch, train, mode, block):
         # Six documents of 20 tokens, two epochs.  A chunk of 1 draws per
-        # step; 7 is less than a document, and its chunks end inside
-        # documents and straddle the epoch boundary; 10**6 holds every step
-        # of both epochs in one draw.
+        # step (or per block position); 7 is less than a document, and its
+        # chunks end inside documents and straddle the epoch boundary;
+        # 10**6 holds every step of both epochs in one draw.  Word2vec has
+        # no blocks.
+        if block is not None:
+            monkeypatch.setattr(embedding, "TRAIN_BLOCK", block)
         docs, vocab = cluster_corpus(6)
         cfg = EmbedTrainConfig(dim=6, window=3, negatives=4, epochs=2, seed=3)
         fields = ("input_matrix", "output_matrix", "word_matrix", "doc_matrix")
@@ -562,6 +654,16 @@ class TestTrainChunk:
         for other in results[1:]:
             for a, b in zip(results[0], other):
                 assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("train, mode", [(train_word2vec, Word2VecMode.SKIPGRAM),
+                                         (train_doc2vec, CombineMode.CONCATENATE)])
+def test_flat_index_tables_freed_after_training(train, mode):
+    # the tables are as large as the matrices: a finished run keeps none
+    docs, vocab = cluster_corpus(6)
+    cfg = EmbedTrainConfig(dim=6, window=3, negatives=4, epochs=1, seed=3)
+    train(docs, cfg, mode, vocab_size=len(vocab))
+    assert embedding._flat_index.cache_info().currsize == 0
 
 
 class TestUnigramNoise:
@@ -906,37 +1008,43 @@ class TestInferDocVectors:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
     def test_vectors_do_not_depend_on_blas_threads(self, tmp_path):
-        # both combine modes, one document and twenty, in two processes
-        # that differ only in their BLAS thread count
+        # in two processes that differ only in their BLAS thread count: the
+        # trained model's bytes in both combine modes, in blocks of
+        # TRAIN_BLOCK documents, and the vectors of one document and twenty
+        # inferred with it
         docs, vocab = cluster_corpus(12)
-        paths = []
-        for combine in CombineMode:
-            cfg = EmbedTrainConfig(dim=64, window=3, negatives=5, epochs=2, seed=5)
-            paths.append(str(tmp_path / f"{combine.value}.d2v"))
-            embedding.save_doc2vec(
-                train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab)), paths[-1])
-        batch = tmp_path / "batch.json"
+        corpus_file, batch = tmp_path / "corpus.json", tmp_path / "batch.json"
+        corpus_file.write_text(json.dumps([doc.tokens for doc in docs]))
         batch.write_text(json.dumps([doc.tokens for doc in mixed_length_docs(docs, 20)]))
         script = (
             "import json, sys\n"
             "from qasim import embedding\n"
             "from qasim.corpus import TokenizedDocument\n"
-            "docs = [TokenizedDocument(j, t) for j, t in enumerate(json.load(open(sys.argv[1])))]\n"
-            "for path in sys.argv[2:]:\n"
+            "def load(path):\n"
+            "    return [TokenizedDocument(j, t) for j, t in enumerate(json.load(open(path)))]\n"
+            "corpus, docs = load(sys.argv[1]), load(sys.argv[2])\n"
+            "cfg = embedding.EmbedTrainConfig(dim=64, window=3, negatives=5, epochs=2, seed=5)\n"
+            "for combine in embedding.CombineMode:\n"
+            "    model = embedding.train_doc2vec(corpus, cfg, combine=combine,\n"
+            "                                    vocab_size=int(sys.argv[3]))\n"
+            "    path = sys.argv[4] + combine.value\n"
+            "    embedding.save_doc2vec(model, path)\n"
+            "    print(open(path, 'rb').read().hex())\n"
             "    model = embedding.load_doc2vec(path)\n"
             "    for batch in (docs[:1], docs):\n"
             "        vecs = embedding.infer_doc_vectors(model, batch, steps=5, seed=3)\n"
             "        print(vecs.tobytes().hex())\n")
         src = os.path.dirname(os.path.dirname(embedding.__file__))
 
-        def infer(threads):
+        def run(threads):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
-            return subprocess.run([sys.executable, "-c", script, str(batch), *paths], env=env,
+            return subprocess.run([sys.executable, "-c", script, str(corpus_file), str(batch),
+                                   str(len(vocab)), str(tmp_path / f"{threads}.")], env=env,
                                   capture_output=True, text=True, check=True).stdout
 
-        one = infer(1)
-        assert len(one.splitlines()) == 4
-        assert infer(min(2, os.cpu_count())) == one
+        one = run(1)
+        assert len(one.splitlines()) == 6
+        assert run(min(2, os.cpu_count())) == one
 
     def test_model_never_modified(self, trained_doc_model):
         docs, model = trained_doc_model

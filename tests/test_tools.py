@@ -46,3 +46,28 @@ def test_output_digests_cover_every_run(tmp_path):
         assert inferred.hexdigest() == digests[f"{run} inferred vectors"]
     # the runs leave nothing behind
     assert list(work.iterdir()) == []
+
+
+def test_criteria_sweep_reports_every_offset_and_block(tmp_path):
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "criteria_sweep.py"),
+                          "--scale", "smoke", "--offsets", "2"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    sweep = json.loads(out.stdout)
+    assert sweep["offsets"] == [0, 1] and sweep["scale"] == "smoke"
+    assert set(sweep["blocks"]) == {"1", "8"}
+    for block in sweep["blocks"].values():
+        assert set(block) == {"criterion 4", "criterion 5", "criterion 8"}
+        for criterion in block.values():
+            assert len(criterion["values"]) == 2
+            assert 0 <= criterion["passes"] <= 2
+        assert all(0.0 <= v <= 1.0 for v in block["criterion 4"]["values"])
+        assert all(set(v) == {"cbow", "skipgram", "doc"} for v in block["criterion 5"]["values"])
+        assert all(len(v["doc2vec"]) == len(v["bow"]) == 4
+                   for v in block["criterion 8"]["values"])
+    # word2vec has no blocks; the doc vectors do
+    assert ([v["cbow"] for v in sweep["blocks"]["1"]["criterion 5"]["values"]]
+            == [v["cbow"] for v in sweep["blocks"]["8"]["criterion 5"]["values"]])
+    assert (sweep["blocks"]["1"]["criterion 8"]["values"]
+            != sweep["blocks"]["8"]["criterion 8"]["values"])
+    assert list(tmp_path.iterdir()) == []
