@@ -179,8 +179,7 @@ def _load_raw_docs(args) -> list[list[str]]:
     return corpus.load_corpus_file(_require_file(args.corpus, "corpus file"))
 
 
-def cmd_build_vocab(args) -> int:
-    config = _load_config(args.config)
+def cmd_build_vocab(args, config: dict) -> int:
     min_count = _setting(args, config, "min_count")
     docs = _load_raw_docs(args)
     vocab = corpus.build_vocabulary(docs, min_count=min_count)
@@ -193,11 +192,10 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def cmd_train_embedding(args) -> int:
+def cmd_train_embedding(args, config: dict) -> int:
     """train-word2vec or train-doc2vec, as `args.kind` says.  The trainer
     and the saver are looked up on `embedding` at each call, so a wrapper
     set there runs."""
-    config = _load_config(args.config)
     cfg = _section_config(args, config, "embedding")
     vocab = corpus.load_vocabulary(_require_file(args.vocab, "vocabulary file"))
     docs = corpus.encode_corpus(_load_raw_docs(args), vocab)
@@ -210,8 +208,7 @@ def cmd_train_embedding(args) -> int:
     return 0
 
 
-def cmd_sample_pairs(args) -> int:
-    config = _load_config(args.config)
+def cmd_sample_pairs(args, config: dict) -> int:
     n_pairs = _setting(args, config, "n_pairs")
     if n_pairs is None:
         raise UsageError("missing required n_pairs (flag --n-pairs or config)")
@@ -225,43 +222,40 @@ def cmd_sample_pairs(args) -> int:
     return 0
 
 
-def _load_side(args, side: str, infer: bool):
-    """Side "q" or "a": its doc2vec model with only the matrices that one
-    use reads (inference needs no doc matrix, and a lookup of the trained
-    doc vectors needs nothing else) and, when `infer`, its vocabulary,
-    checked against the model; else None for the vocabulary."""
-    what = {"q": "question", "a": "answer"}[side]
-    skip = ("doc_matrix",) if infer else ("word_matrix", "output_matrix", "noise_probs")
-    model = embedding.load_doc2vec(
-        _require_file(getattr(args, side + "_model"), f"{what} doc2vec model"), skip=skip)
-    if not infer:
-        return model, None
-    vocab = corpus.load_vocabulary(_require_file(getattr(args, side + "_vocab"),
-                                                 f"{what} vocabulary"))
-    if len(vocab) != model.vocab_size:
-        raise UsageError(f"{what} vocabulary holds {len(vocab)} tokens but its doc2vec "
-                         f"model has {model.vocab_size}")
-    return model, vocab
-
-
-def _check_dims(q_model, a_model, net=None) -> None:
-    """Both sides' doc vectors have one size, which the network, if given,
-    takes as its input."""
+def _load_sides(args, infer: tuple, net=None) -> list:
+    """[(q_model, q_vocab), (a_model, a_vocab)]: each side's doc2vec model
+    with only the matrices that its use reads (inference needs no doc
+    matrix, and a lookup of the trained doc vectors needs nothing else)
+    and, for an inferred side, its vocabulary, checked against the model;
+    else None for the vocabulary.  Both sides' doc vectors must have one
+    size, which `net`, if given, takes as its input."""
+    sides = []
+    for side, what, inferred in zip("qa", ("question", "answer"), infer):
+        skip = ("doc_matrix",) if inferred else ("word_matrix", "output_matrix", "noise_probs")
+        model = embedding.load_doc2vec(
+            _require_file(getattr(args, side + "_model"), f"{what} doc2vec model"), skip=skip)
+        vocab = None
+        if inferred:
+            vocab = corpus.load_vocabulary(_require_file(getattr(args, side + "_vocab"),
+                                                         f"{what} vocabulary"))
+            if len(vocab) != model.vocab_size:
+                raise UsageError(f"{what} vocabulary holds {len(vocab)} tokens but its doc2vec "
+                                 f"model has {model.vocab_size}")
+        sides.append((model, vocab))
+    (q_model, _), (a_model, _) = sides
     if q_model.dim != a_model.dim:
         raise UsageError(f"doc2vec dimensions differ: {q_model.dim} vs {a_model.dim}")
     if net is not None and net.layer_dims[0] != q_model.dim:
         raise UsageError(f"doc2vec vectors have {q_model.dim} dimensions but the similarity "
                          f"network takes {net.layer_dims[0]}")
+    return sides
 
 
-def cmd_train_simnet(args) -> int:
+def cmd_train_simnet(args, config: dict) -> int:
     _require(0 < args.val_fraction < 1, "--val-fraction", "lie in (0, 1)", args.val_fraction)
-    config = _load_config(args.config)
     cfg = _section_config(args, config, "simnet")
     pairs = corpus.load_pairs(_require_file(args.pairs, "pair file"))
-    q_model, _ = _load_side(args, "q", infer=False)
-    a_model, _ = _load_side(args, "a", infer=False)
-    _check_dims(q_model, a_model)
+    (q_model, _), (a_model, _) = _load_sides(args, (False, False))
 
     if args.val_pairs:
         val_pairs = corpus.load_pairs(_require_file(args.val_pairs, "validation pair file"))
@@ -316,18 +310,15 @@ def _bow_cosine_top1(q_texts, a_texts, pools, min_count: int):
     return retrieval.pool_top1(pools, picks)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, config: dict) -> int:
     if args.infer_vectors:
         _require(args.infer_steps >= 1, "--infer-steps", "be >= 1", args.infer_steps)
-    config = _load_config(args.config)
     threshold = _threshold(args, config)
     min_count = _setting(args, config, "min_count") if args.bow_baseline else None
     seed = _seed(args, config)
     q_texts, a_texts, pools = corpus.load_qa_dataset(_require_file(args.qa_file, "QA dataset file"))
-    q_model, q_vocab = _load_side(args, "q", args.infer_vectors)
-    a_model, a_vocab = _load_side(args, "a", args.infer_vectors)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
-    _check_dims(q_model, a_model, net)
+    (q_model, q_vocab), (a_model, a_vocab) = _load_sides(args, (args.infer_vectors,) * 2, net)
     q_vectors = _doc_vectors(q_texts, q_model, q_vocab, args, seed, "questions")
     a_vectors = _doc_vectors(a_texts, a_model, a_vocab, args, seed, "answers")
 
@@ -350,17 +341,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, config: dict) -> int:
     ratios = _parse_list(args.ratios, float, "--ratios", "numbers")
     seeds = _parse_list(args.seeds, int, "--seeds", "integers")
     _require(all(0 < r < 1 for r in ratios), "--ratios", "lie in (0, 1)", args.ratios)
     _require(args.clf_epochs >= 1, "--clf-epochs", "be >= 1", args.clf_epochs)
-    # an infinite rate or penalty would turn the weights to NaN, not an error
+    # an infinite rate or penalty exits 2; a finite rate that diverges raises in training
     _require(math.isfinite(args.clf_lr), "--clf-lr", "be finite", args.clf_lr)
     _require(args.clf_lr > 0, "--clf-lr", "be > 0", args.clf_lr)
     _require(math.isfinite(args.clf_reg), "--clf-reg", "be finite", args.clf_reg)
     _require(args.clf_reg >= 0, "--clf-reg", "be >= 0", args.clf_reg)
-    config = _load_config(args.config)
     min_count = _setting(args, config, "min_count")
     cfg = _section_config(args, config, "embedding")
     texts, labels01 = evaluation.load_labeled_texts(_require_file(args.data, "labeled data file"))
@@ -387,16 +377,13 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_ask(args) -> int:
+def cmd_ask(args, config: dict) -> int:
     _require(args.infer_steps >= 1, "--infer-steps", "be >= 1", args.infer_steps)
-    config = _load_config(args.config)
     threshold = _threshold(args, config)
     seed = _seed(args, config)
-    # a question is inferred, never looked up; an answer is only looked up
-    q_model, q_vocab = _load_side(args, "q", infer=True)
-    a_model, _ = _load_side(args, "a", infer=False)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))
-    _check_dims(q_model, a_model, net)
+    # a question is inferred, never looked up; an answer is only looked up
+    (q_model, q_vocab), (a_model, _) = _load_sides(args, (True, False), net)
     answer_texts = corpus.read_lines(_require_file(args.answers, "answers file"))
     if len(answer_texts) != a_model.n_docs:
         raise UsageError(f"answers file holds {len(answer_texts)} lines but the model "
@@ -555,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except (UsageError, FileNotFoundError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

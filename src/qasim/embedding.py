@@ -644,10 +644,12 @@ def infer_doc_vectors(model: DocEmbeddingModel, docs: list[TokenizedDocument],
         raise ValueError(f"token id {bad} is outside the model's vocabulary of {V} words")
     order = sorted(range(len(docs)), key=lambda j: -len(docs[j].tokens))
     vecs = np.empty((len(docs), model.dim))
-    for start in range(0, len(order), INFER_BLOCK):
-        block = order[start: start + INFER_BLOCK]
-        vecs[block] = _infer_block(model, [docs[j].tokens for j in block], steps,
-                                   lr, min_lr, seed)
+    # large output rows overflow exp in _frozen_window; keep / inf is 0, as it should be
+    with np.errstate(over="ignore"):
+        for start in range(0, len(order), INFER_BLOCK):
+            block = order[start: start + INFER_BLOCK]
+            vecs[block] = _infer_block(model, [docs[j].tokens for j in block], steps,
+                                       lr, min_lr, seed)
     return vecs
 
 

@@ -59,16 +59,21 @@ def train_linear(features: np.ndarray, labels: np.ndarray, epochs: int = 20,
     rng = np.random.default_rng(seed)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
-    for _ in range(epochs):
-        for i in rng.permutation(len(y)):
-            margin = y[i] * (X[i] @ w + b)
-            grad_w = 2.0 * reg * w
-            grad_b = 0.0
-            if margin < 1.0:
-                grad_w = grad_w - y[i] * X[i]
-                grad_b = -y[i]
-            w -= lr * grad_w
-            b -= lr * grad_b
+    # a rate too large overflows the weights, which the check below sees
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            for i in rng.permutation(len(y)):
+                margin = y[i] * (X[i] @ w + b)
+                grad_w = 2.0 * reg * w
+                grad_b = 0.0
+                if margin < 1.0:
+                    grad_w = grad_w - y[i] * X[i]
+                    grad_b = -y[i]
+                w -= lr * grad_w
+                b -= lr * grad_b
+    if not (np.isfinite(w).all() and np.isfinite(b)):
+        raise RuntimeError("classifier training diverged to non-finite weights; "
+                           "lower the learning rate")
     return LinearClassifier(weights=w, bias=float(b))
 
 

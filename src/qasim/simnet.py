@@ -211,8 +211,8 @@ def _trace_loss(net: SimilarityNetwork, trace: ForwardTrace, y,
         raise ValueError("batch must be non-empty")
     yc = np.clip(trace.y_prime, EPS, 1.0 - EPS)
     bce = -(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc))
-    # diverged weights overflow to inf here; callers check the loss is finite
-    with np.errstate(over="ignore"):
+    # diverged weights overflow to inf (and lam 0 * inf to NaN); callers check the loss
+    with np.errstate(over="ignore", invalid="ignore"):
         return y, float(bce.mean() + lam * np.dot(net.w3, net.w3))
 
 

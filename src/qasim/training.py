@@ -177,6 +177,10 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}")
             net.flat -= lr * grads.flat
             batch_losses.append(batch_loss)
+        # weights past float32's range turn infinite in a model file
+        if not np.abs(net.flat).max() <= np.finfo(np.float32).max:
+            raise RuntimeError(f"similarity-network training diverged at epoch {epoch}; "
+                               "lower the learning rate")
 
         val_acc = _pair_accuracy(net, *val)
         report.epochs.append(EpochStats(epoch=epoch, lr=lr,

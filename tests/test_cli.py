@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from qasim import cli, corpus, embedding, retrieval, simnet, training
 from qasim.embedding import EmbedTrainConfig
 from qasim.cli import build_parser, main
-from qasim.datasets import planted_qa_records, two_topic_docs
+from qasim.datasets import order_carried_docs, planted_qa_records, two_topic_docs
 
 
 def run(argv):
@@ -148,6 +148,17 @@ class TestPipeline:
         assert json.loads(jsonl[-1])["completed_epochs"] == 3
         csv_lines = open(base + ".csv", encoding="utf-8").read().splitlines()
         assert csv_lines[0] == "epoch,lr,train_loss,train_acc,val_acc"
+
+    def test_simnet_val_pairs_file_sets_n_val(self, ws, tmp_path):
+        val = tmp_path / "val.jsonl"
+        val.write_text("".join(ws["pairs"].read_text(encoding="utf-8").splitlines(True)[:7]),
+                       encoding="utf-8")
+        rc, lines = run(["train-simnet", "--pairs", str(ws["pairs"]), "--val-pairs", str(val),
+                         "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                         "--max-epochs", "1", "--out", str(tmp_path / "n")])
+        assert rc == 0
+        resolved = json.loads(lines[0])["resolved"]
+        assert (resolved["n_train"], resolved["n_val"]) == (40, 7)
 
     def test_eval_report(self, ws):
         report = last_json(ws["out"]["eval"])
@@ -917,6 +928,56 @@ class TestExitCodes:
         assert err[0].startswith("qasim: error: embedding training diverged")
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr0, message", [
+        ("1e42", "similarity-network training diverged at epoch 0; lower the learning rate"),
+        ("1e300", "non-finite training loss at epoch 0"),
+    ], ids=["weights_past_float32", "loss_overflow"])
+    def test_diverged_simnet_exits_one_without_files(self, ws, tmp_path, capsys, lr0,
+                                                      message):
+        # past float32's range the file would hold infinities; at 1e300
+        # the loss itself overflows, and lam 0 times inf is NaN
+        out = tmp_path / "n.simnet"
+        rc = main(["train-simnet", "--pairs", str(ws["pairs"]), "--q-model", str(ws["q_model"]),
+                   "--a-model", str(ws["a_model"]), "--batch-size", "10", "--max-epochs", "3",
+                   "--lr0", lr0, "--lam", "0", "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"qasim: error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_lookup_doc_count_mismatch_exits_two(self, ws, tmp_path, capsys):
+        qa = tmp_path / "qa.jsonl"
+        qa.write_text("".join(ws["qa"].read_text(encoding="utf-8").splitlines(True)[:5]),
+                      encoding="utf-8")
+        rc = main(["eval", "--qa-file", str(qa), "--q-model", str(ws["q_model"]),
+                   "--a-model", str(ws["a_model"]), "--simnet", str(ws["net"])])
+        assert rc == 2
+        n_docs = embedding.load_doc2vec(ws["q_model"]).n_docs
+        assert capsys.readouterr().err.splitlines() == [
+            f"qasim: error: questions: 5 documents but the model holds {n_docs} doc vectors; "
+            "pass --infer-vectors for unseen documents"]
+
+    def test_config_not_an_object_exits_two(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]", encoding="utf-8")
+        rc = main(["build-vocab", "--qa-file", str(ws["qa"]), "--config", str(cfg),
+                   "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: config file must hold a JSON object"]
+
+    def test_validation_split_without_training_pairs_exits_two(self, ws, tmp_path, capsys):
+        # one pair: the split holds out at least one, which leaves none
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(ws["pairs"].read_text(encoding="utf-8").splitlines(True)[0],
+                         encoding="utf-8")
+        out = tmp_path / "n"
+        rc = main(["train-simnet", "--pairs", str(pairs), "--q-model", str(ws["q_model"]),
+                   "--a-model", str(ws["a_model"]), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: validation split leaves no training pairs"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("record", [
         '{"label": 1}',
         '{"text": 7, "label": 1}',
@@ -1246,6 +1307,20 @@ class TestClassify:
         assert len(csv_lines) == 3  # one ratio x two feature kinds
         printed = last_json(lines)
         assert set(printed) == {"bow", "doc2vec"}
+
+
+    def test_diverged_classifier_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "labeled.jsonl"
+        texts, labels = order_carried_docs(20)
+        data.write_text("".join(json.dumps({"text": t, "label": y}) + "\n"
+                                for t, y in zip(texts, labels)), encoding="utf-8")
+        out = tmp_path / "curves.csv"
+        rc = main(["classify", "--data", str(data), "--clf-lr", "1e300", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "qasim: error: classifier training diverged to non-finite weights; "
+            "lower the learning rate"]
+        assert not out.exists()
 
 
 class TestAsk:

@@ -848,6 +848,14 @@ class TestInferDocVector:
         with pytest.raises(ValueError):
             infer_doc_vector(self.model, TokenizedDocument(0, []), steps=5)
 
+    def test_large_output_rows_infer_without_warning(self):
+        # exp overflows to inf in the step, whose sigmoid then saturates;
+        # the test config turns the RuntimeWarning that would print into an error
+        big = copy.copy(self.model)
+        big.output_matrix = self.model.output_matrix * 1e20
+        vecs = embedding.infer_doc_vectors(big, self.docs[:3], steps=5, seed=1)
+        assert np.isfinite(vecs).all()
+
 
 def mixed_length_docs(docs, n, shortest=1):
     """Prefixes of shortest..n tokens (at most the whole document) of the

@@ -152,6 +152,11 @@ class TestTrainLinear:
         assert np.allclose(clf.weights, want_w, atol=1e-8)
         assert abs(clf.bias - lr * (1.0 - 1.0)) < 1e-12
 
+    def test_divergence_raises(self):
+        X, y = self.separable()
+        with pytest.raises(RuntimeError, match="non-finite weights"):
+            train_linear(X, y, lr=1e300)
+
     def test_zero_epochs_returns_zero_model(self):
         X, y = self.separable(n=10)
         clf = train_linear(X, y, epochs=0)

@@ -273,6 +273,14 @@ class TestTrainSimnet:
         with pytest.raises(RuntimeError):
             train_simnet(pairs, pairs, (qf * 1e3, af * 1e3), cfg)
 
+    def test_weights_past_float32_range_raise(self):
+        # finite in float64 but infinite in a model file; lam 0 keeps the
+        # loss finite, so only the weights show the divergence
+        pairs, feats = separable_fixture(n=20)
+        cfg = self.overfit_config(lr0=1e42, lam=0.0, batch_size=5, max_epochs=3)
+        with pytest.raises(RuntimeError, match="diverged at epoch 0"):
+            train_simnet(pairs, pairs, feats, cfg)
+
     def test_regularization_monotonicity(self):
         pairs, feats = separable_fixture(n=80)
         small = self.overfit_config(lam=0.0005, max_epochs=150,
