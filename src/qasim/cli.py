@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import corpus, embedding, evaluation, retrieval, simnet, training
+from . import corpus, embedding, evaluation, modelfile, retrieval, simnet, training
 
 PROG = "qasim"
 SEED_ENV_VAR = "QASIM_SEED"
@@ -346,11 +346,14 @@ def cmd_classify(args, config: dict) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds", "integers")
     _require(all(0 < r < 1 for r in ratios), "--ratios", "lie in (0, 1)", args.ratios)
     _require(args.clf_epochs >= 1, "--clf-epochs", "be >= 1", args.clf_epochs)
-    # an infinite rate or penalty exits 2; a finite rate that diverges raises in training
+    # an infinite rate or a penalty past float32's range exits 2; a finite
+    # rate that diverges raises in training
     _require(math.isfinite(args.clf_lr), "--clf-lr", "be finite", args.clf_lr)
     _require(args.clf_lr > 0, "--clf-lr", "be > 0", args.clf_lr)
     _require(math.isfinite(args.clf_reg), "--clf-reg", "be finite", args.clf_reg)
     _require(args.clf_reg >= 0, "--clf-reg", "be >= 0", args.clf_reg)
+    _require(args.clf_reg <= modelfile.FLOAT32_MAX, "--clf-reg",
+             f"be <= {modelfile.FLOAT32_MAX:.4g}", args.clf_reg)
     min_count = _setting(args, config, "min_count")
     cfg = _section_config(args, config, "embedding")
     texts, labels01 = evaluation.load_labeled_texts(_require_file(args.data, "labeled data file"))

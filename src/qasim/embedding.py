@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import TokenizedDocument, Vocabulary
-from .modelfile import read_model, write_model
+from .modelfile import FLOAT32_MAX, read_model, write_model
 
 
 class Word2VecMode(str, Enum):
@@ -163,21 +163,16 @@ def _inputs(ids, start: int | None = None) -> tuple:
     return ids, start, 1.0 if start is not None else 1.0 / ids.shape[1]
 
 
-def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs, rows: np.ndarray,
+def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs: tuple, rows: np.ndarray,
                 keep: np.ndarray, lr: float) -> None:
     """One training update of every model here, for a block of steps at
     the current parameters (`_ns_update`), of the input matrix X and the
-    output matrix.  `inputs` is one input id (skip-gram: the hidden
-    vector is that row, updated in place) or an `_inputs` entry.  A
-    step's hidden vector is the mean of its rows `ids` of X (CBOW, and DM
-    in average mode with the doc row last), or with a `start` (DM in
-    concatenate mode) the doc row `ids[:, 0]` in slot 0, zero padding,
-    and the context rows in the slots from `start` on.  The input rows
-    take their steps in (step, slot) order."""
-    if isinstance(inputs, int):
-        h = X[inputs, None, None]
-        h -= lr * _ns_update(output_matrix, np.negative(h), rows, keep, lr)
-        return
+    output matrix, from an `_inputs` entry.  A step's hidden vector is the
+    mean of its rows `ids` of X (CBOW, skip-gram with its center as the
+    one row, and DM in average mode with the doc row last), or with a
+    `start` (DM in concatenate mode) the doc row `ids[:, 0]` in slot 0,
+    zero padding, and the context rows in the slots from `start` on.  The
+    input rows take their steps in (step, slot) order."""
     ids, start, scale = inputs
     gathered = X.take(ids, axis=0)                   # (a, n, d)
     a, d = ids.shape[0], X.shape[1]
@@ -248,31 +243,53 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
 # plan entry's): bounds the drawn rows' memory, whatever the corpus size.
 TRAIN_CHUNK = 1024
 
-# Documents that distributed-memory training advances in lockstep, one
-# position at a time: one `_input_step` takes a position of all of them.
+# Documents that training advances in lockstep, one position at a time:
+# one `_input_step` takes a position of all of them (CBOW: the windows of
+# one size at that position).
 TRAIN_BLOCK = 8
 
 
-def _schedule(plan: list, sizes: np.ndarray, targets: np.ndarray, position: np.ndarray,
-              epochs: int, rng, cdf: np.ndarray, m: int, lr0: float, lr_min: float):
+def _block_plan(docs: list, entries) -> tuple:
+    """The plan of `_train` for `docs`, each entry's number of steps, and
+    the targets of all steps in order.  Blocks of TRAIN_BLOCK documents,
+    in corpus order, advance one position at a time: `entries(rows,
+    tokens, valid, i)` gives the (`_inputs` entry, targets) pairs of
+    position i of a block, where `rows` are the indices of its documents
+    that have not ended and `tokens` their tokens, padded with word 0
+    where `valid` is False."""
+    plan, targets = [], []
+    for b0 in range(0, len(docs), TRAIN_BLOCK):
+        block = docs[b0: b0 + TRAIN_BLOCK]
+        lengths = np.array([len(tokens) for tokens in block])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        tokens = np.zeros(valid.shape, dtype=np.intp)
+        tokens[valid] = np.concatenate(block)
+        for i, active in enumerate(valid.T):
+            for entry, target in entries(b0 + np.flatnonzero(active), tokens[active],
+                                         valid[active], i):
+                plan.append(entry)
+                targets.append(target)
+    return plan, np.array([len(t) for t in targets]), np.concatenate(targets)
+
+
+def _schedule(plan: list, sizes: np.ndarray, targets: np.ndarray, epochs: int, rng,
+              cdf: np.ndarray, m: int, lr0: float, lr_min: float):
     """(plan entry, output rows, keep, learning rate) of every entry of
     `epochs` passes of `plan`, in order.  Entry j takes a block of
-    sizes[j] steps, which predict the next sizes[j] `targets` at the
-    positions of the pass from position[j] on (a skip-gram center's
-    entries share one), all at the rate of position[j]; the rate decays
-    over all positions of all epochs.  Negatives are drawn for at most
-    TRAIN_CHUNK steps at a time, across documents and epochs, in step
-    order: the stream of one call per step."""
-    n, n_positions = len(plan), int(position[-1] + sizes[-1])
+    sizes[j] steps, which predict the next sizes[j] `targets` of the
+    pass, all at the rate of the first of them; the rate decays over all
+    steps of all epochs.  Negatives are drawn for at most TRAIN_CHUNK
+    steps at a time, across documents and epochs, in step order: the
+    stream of one call per step."""
+    n, n_steps = len(plan), int(sizes.sum())
     per_chunk = max(1, TRAIN_CHUNK // int(sizes.max()))
     ends = np.cumsum(sizes)
     passes = itertools.chain.from_iterable(itertools.repeat(plan, epochs))
 
     def chunk(start: int):
         epoch, j = np.divmod(np.arange(start, min(start + per_chunk, epochs * n)), n)
-        rates = _learning_rate(lr0, lr_min, epoch * n_positions + position[j],
-                               epochs * n_positions)
         size = sizes[j]
+        rates = _learning_rate(lr0, lr_min, epoch * n_steps + ends[j] - size, epochs * n_steps)
         cuts = np.cumsum(size)
         # the entries' steps, as indices into the pass
         rows, keep = _step_rows(rng, cdf, targets[np.arange(cuts[-1]) + np.repeat(
@@ -284,21 +301,20 @@ def _schedule(plan: list, sizes: np.ndarray, targets: np.ndarray, position: np.n
     return itertools.chain.from_iterable(map(chunk, range(0, epochs * n, per_chunk)))
 
 
-def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, sizes, targets,
-           position, config: EmbedTrainConfig, rng, cdf: np.ndarray) -> None:
-    """SGD over `config.epochs` passes of `plan`, one `_input_step` per
-    entry (see `_schedule`), updating X and the output matrix in place."""
+def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, sizes: np.ndarray,
+           targets: np.ndarray, config: EmbedTrainConfig, rng, cdf: np.ndarray) -> None:
+    """SGD over `config.epochs` passes of a `_block_plan`, one
+    `_input_step` per entry (see `_schedule`), updating X and the output
+    matrix in place."""
     with np.errstate(over="ignore", invalid="ignore"):
         for inputs, rows, keep, lr in _schedule(
-                plan, np.asarray(sizes), np.asarray(targets), np.asarray(position),
-                config.epochs, rng, cdf, config.negatives, config.learning_rate,
-                config.min_learning_rate):
+                plan, sizes, targets, config.epochs, rng, cdf, config.negatives,
+                config.learning_rate, config.min_learning_rate):
             _input_step(X, output_matrix, inputs, rows, keep, lr)
     _flat_index.cache_clear()
     # overflow warnings were off; divergence shows here, also as values
     # past float32's range, which turn infinite in a model file
-    limit = np.finfo(np.float32).max
-    if not (np.abs(X).max() <= limit and np.abs(output_matrix).max() <= limit):
+    if not (np.abs(X).max() <= FLOAT32_MAX and np.abs(output_matrix).max() <= FLOAT32_MAX):
         raise RuntimeError("embedding training diverged to non-finite values; "
                            "lower the learning rate")
 
@@ -308,15 +324,23 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
                    vocab_size: int) -> WordEmbeddingModel:
     """Train a word2vec model with negative sampling.
 
-    Negatives come from the corpus unigram distribution raised to 0.75.
-    The learning rate decays linearly from learning_rate down to
-    min_learning_rate over all center positions of all epochs.  Raises
-    RuntimeError when training diverges to non-finite parameters.
+    Documents of fewer than 2 tokens are skipped; the rest advance in
+    lockstep blocks of TRAIN_BLOCK, one position at a time.  CBOW
+    predicts each document's word there from the mean of up to `window`
+    words on each side: one `_input_step` per window size, in increasing
+    size, as windows shrink at document ends.  Skip-gram predicts each of
+    those words from the center alone, one step a (center, output) pair:
+    one `_input_step` for all pairs of the position.  Negatives come from
+    the corpus unigram distribution raised to 0.75.  The learning rate
+    decays linearly from learning_rate down to min_learning_rate over all
+    steps of all epochs (positions for CBOW, pairs for skip-gram); an
+    input step takes the rate of its first.  Raises RuntimeError when
+    training diverges to non-finite parameters.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
     mode = Word2VecMode(mode)
-    d = config.dim
+    d, k = config.dim, config.window
 
     docs = [doc.tokens for doc in corpus if len(doc.tokens) >= 2]
     if not docs:
@@ -327,26 +351,22 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         input_matrix=(rng.random((vocab_size, d)) - 0.5) / d,
         output_matrix=np.zeros((vocab_size, d)),
         mode=mode,
-        window=config.window,
+        window=k,
         negatives=config.negatives,
         dim=d,
     )
-    cdf = _noise_cdf(_unigram_noise(corpus, vocab_size))
-    k = config.window
-    windows = [tokens[max(0, i - k): i] + tokens[i + 1: i + k + 1]
-               for tokens in docs for i in range(len(tokens))]
-    if mode is Word2VecMode.CBOW:
-        plan = [_inputs(window) for window in windows]
-        targets = [t for tokens in docs for t in tokens]
-        position = np.arange(len(plan))
-    else:
-        # one step per output word of a center's window
-        centers = [int(t) for tokens in docs for t in tokens]
-        plan = [center for center, window in zip(centers, windows) for _ in window]
-        targets = [o for window in windows for o in window]
-        position = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
-    _train(model.input_matrix, model.output_matrix, plan, np.ones(len(plan), dtype=np.intp),
-           targets, position, config, rng, cdf)
+
+    def windows(rows, tokens, valid, i):
+        # the words around position i, in order, and which of them each document has
+        around = [j for j in range(max(0, i - k), min(i + k + 1, tokens.shape[1])) if j != i]
+        words, has = tokens[:, around], valid[:, around]
+        counts = has.sum(axis=1)
+        if mode is Word2VecMode.SKIPGRAM:
+            return [(_inputs(np.repeat(tokens[:, i], counts)[:, None]), words[has])]
+        return [(_inputs(words[counts == n][has[counts == n]].reshape(-1, n)),
+                 tokens[counts == n, i]) for n in np.unique(counts).tolist()]
+    _train(model.input_matrix, model.output_matrix, *_block_plan(docs, windows), config, rng,
+           _noise_cdf(_unigram_noise(corpus, vocab_size)))
     return model
 
 
@@ -374,8 +394,8 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     TRAIN_BLOCK documents, in corpus order, advance in lockstep: each
     position of a block is one step of its documents that have not
     ended, from the parameters as the block's previous position left
-    them.  Raises RuntimeError when training diverges to non-finite
-    parameters.
+    them, at the rate of its first document-position.  Raises
+    RuntimeError when training diverges to non-finite parameters.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -398,21 +418,10 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         dim=d,
         noise_probs=_unigram_noise(corpus, vocab_size),
     )
-    docs = [doc.tokens for doc in corpus]
-    plan, targets = [], []
-    for b0 in range(0, len(docs), TRAIN_BLOCK):
-        block = docs[b0: b0 + TRAIN_BLOCK]
-        lengths = np.array([len(tokens) for tokens in block])
-        valid = np.arange(lengths.max()) < lengths[:, None]
-        tokens = np.zeros(valid.shape, dtype=np.intp)
-        tokens[valid] = np.concatenate(block)
-        rows = V + b0 + np.arange(len(block))
-        for i, active in enumerate(valid.T):
-            plan.append(_dm_inputs(rows[active], tokens[active, max(0, i - k): i], k, average))
-            targets.append(tokens[active, i])
-    sizes = np.array([len(t) for t in targets])
-    # a position's rate is that of its first document-position in the pass
-    _train(X, model.output_matrix, plan, sizes, np.concatenate(targets), np.cumsum(sizes) - sizes,
+
+    def position(rows, tokens, valid, i):
+        return [(_dm_inputs(V + rows, tokens[:, max(0, i - k): i], k, average), tokens[:, i])]
+    _train(X, model.output_matrix, *_block_plan([doc.tokens for doc in corpus], position),
            config, rng, _noise_cdf(model.noise_probs))
     return model
 

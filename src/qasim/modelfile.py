@@ -19,6 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+# The largest magnitude a model file holds: float32's largest value.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 def write_model(path, header_fmt: str, header: tuple, matrices) -> None:
     with open(path, "wb") as fh:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import simnet
 from .corpus import QAPair
+from .modelfile import FLOAT32_MAX
 from .retrieval import feature_rows
 from .simnet import SimilarityNetwork
 
@@ -49,6 +50,11 @@ class SimTrainConfig:
                          (self.early_stop_patience >= 0, "early_stop_patience must be >= 0"),
                          (self.lam >= 0, "lam must be >= 0"),
                          (self.init_std > 0, "init_std must be > 0"),
+                         # what a model file holds; a larger start diverges in epoch 0
+                         (self.init_std <= FLOAT32_MAX,
+                          f"init_std must be <= {FLOAT32_MAX:.4g}, got {self.init_std}"),
+                         (abs(self.bias_const) <= FLOAT32_MAX,
+                          f"|bias_const| must be <= {FLOAT32_MAX:.4g}, got {self.bias_const}"),
                          (0 < self.decay <= 1, "decay must lie in (0, 1]"),
                          (self.decay_start_epoch >= 0, "decay_start_epoch must be >= 0")):
             if not ok:
@@ -178,7 +184,7 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
             net.flat -= lr * grads.flat
             batch_losses.append(batch_loss)
         # weights past float32's range turn infinite in a model file
-        if not np.abs(net.flat).max() <= np.finfo(np.float32).max:
+        if not np.abs(net.flat).max() <= FLOAT32_MAX:
             raise RuntimeError(f"similarity-network training diverged at epoch {epoch}; "
                                "lower the learning rate")
 

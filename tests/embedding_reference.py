@@ -1,13 +1,14 @@
 """Reference embedding steps: the sequential kernel and schedule, the
 separate word2vec and distributed-memory steps, with the doc vector held
-apart from the word rows, a lockstep loop of distributed-memory blocks,
-the unfolded frozen inference step, and the per-position loop that built
-the folded step's frozen context.  The one input step in
-`qasim.embedding` must match the training steps bit for bit, apart from
-CBOW's rounding; whole training runs at a block of one must match the
-sequential steps to rounding (bit for bit where no hit moves a BLAS
-sum), and at other blocks `_dm_block_train` bit for bit; inference must
-match `infer_doc_vectors` here to 1e-12 of the largest entry, and
+apart from the word rows, lockstep loops of distributed-memory and of
+word2vec blocks, the unfolded frozen inference step, and the
+per-position loop that built the folded step's frozen context.  The one
+input step in `qasim.embedding` must match the training steps bit for
+bit, apart from CBOW's rounding; whole DM and CBOW runs at a block of
+one must match the sequential steps to rounding (DM bit for bit where no
+hit moves a BLAS sum), and runs at any block `_dm_block_train` and
+`_word_block_train` bit for bit; inference must match
+`infer_doc_vectors` here to 1e-12 of the largest entry, and
 `qasim.embedding._frozen_context` must match `folded_frozen_context` bit
 for bit (see `tests/test_embedding.py`)."""
 
@@ -22,6 +23,7 @@ from qasim.embedding import (
     TRAIN_CHUNK,
     CombineMode,
     DocEmbeddingModel,
+    Word2VecMode,
     WordEmbeddingModel,
     _learning_rate,
     _noise_cdf,
@@ -252,6 +254,66 @@ def _dm_block_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int
                     D[r] += step[:d]
                     for word, slot in zip(context, step[start:].reshape(-1, d)):
                         W[word] += slot
+
+
+def _word_block_train(model: WordEmbeddingModel, docs: list[list[int]], cdf: np.ndarray,
+                      epochs: int, lr0: float, lr_min: float, rng, block: int) -> None:
+    """Word2vec SGD in lockstep, one step at a time: blocks of `block`
+    documents of at least two tokens advance one position at a time.  A
+    step has input rows and a target: at a position, CBOW's inputs are
+    the up to `window` words on each side and its target the word there;
+    skip-gram takes one step per word of that window, the target, with
+    the center as its one input.  A group of steps computes from the
+    parameters as the group before left them: the steps of a block
+    position (skip-gram), or those of its windows of one size, in
+    increasing size (CBOW).  Each step has all m draws among its output
+    rows (one that hit its target gets no gradient), at the rate of its
+    group's first step; the rate decays over all steps.  Then the steps
+    add, step by step and row by row: the output rows, then the input
+    rows."""
+    k, m = model.window, model.negatives
+    X, O = model.input_matrix, model.output_matrix
+    docs = [tokens for tokens in docs if len(tokens) >= 2]
+    groups = []
+    for b0 in range(0, len(docs), block):
+        for i in range(max(len(tokens) for tokens in docs[b0: b0 + block])):
+            steps = []
+            for tokens in docs[b0: b0 + block]:
+                if i < len(tokens):
+                    window = tokens[max(0, i - k): i] + tokens[i + 1: i + k + 1]
+                    if model.mode is Word2VecMode.SKIPGRAM:
+                        steps += [([tokens[i]], word) for word in window]
+                    else:
+                        steps.append((window, tokens[i]))
+            if model.mode is Word2VecMode.SKIPGRAM:
+                groups.append(steps)
+            else:
+                groups += [[s for s in steps if len(s[0]) == n]
+                           for n in sorted({len(ids) for ids, _ in steps})]
+    n_steps = sum(map(len, groups))
+    label = _label(1 + m)
+    for epoch in range(epochs):
+        done = 0
+        for group in groups:
+            lr = _learning_rate(lr0, lr_min, epoch * n_steps + done, epochs * n_steps)
+            done += len(group)
+            updates = []
+            for ids, target in group:
+                draws = np.searchsorted(cdf, rng.random(m), side="right")
+                rows = np.r_[target, draws]
+                keep = np.r_[True, draws != target]
+                nh = np.add.reduce(X[ids], axis=0) / -len(ids)
+                out = O[rows]
+                g = 1.0 / (1.0 + np.exp(np.dot(out, nh)))
+                g[~keep] = 0.0
+                g -= label
+                step = np.dot(g, out) * -lr * (1.0 / len(ids))
+                updates.append((rows, (g * lr)[:, None] * nh, ids, step))
+            for rows, deltas, ids, step in updates:
+                for row, delta in zip(rows, deltas):
+                    O[row] += delta
+                for row in ids:
+                    X[row] += step
 
 
 # The frozen inference step and block loop that the folded step replaced,

@@ -515,7 +515,7 @@ class TestSeedResolution:
 BAD_SIMNET = [{"max_epochs": 0}, {"lr0": -1, "lr_floor": -2}, {"lr_floor": 0}, {"lam": -0.5},
               {"init_std": 0}, {"decay": 0}, {"decay": 1.5}, {"decay_start_epoch": -1},
               {"bias_const": math.nan}, {"init_std": math.inf}, {"lr0": math.inf},
-              {"lam": math.inf}]
+              {"lam": math.inf}, {"init_std": 1e300}, {"bias_const": 1e300}]
 
 
 class TestExitCodes:
@@ -1183,6 +1183,8 @@ BAD_COMMAND_FLAGS = [
     ("classify", "--clf-lr", "inf", "--clf-lr must be finite, got inf"),
     ("classify", "--clf-reg", "inf", "--clf-reg must be finite, got inf"),
     ("classify", "--clf-reg", "nan", "--clf-reg must be finite, got nan"),
+    # a penalty past float32's range would only show as divergence
+    ("classify", "--clf-reg", "1e300", "--clf-reg must be <= 3.403e+38, got 1e+300"),
 ]
 
 

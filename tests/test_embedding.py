@@ -113,11 +113,11 @@ def one_step(rows):
 
 def word_step(model, inputs, rows, lr, repeats=None):
     """The step that word2vec training runs: `inputs` is a skip-gram center
-    id or a CBOW context list.  (`repeats` is what the reference steps
-    take.)"""
-    if not isinstance(inputs, int):
-        inputs = embedding._inputs(list(inputs))
-    embedding._input_step(model.input_matrix, model.output_matrix, inputs, *one_step(rows), lr)
+    id, the step's one input row, or a CBOW context list.  (`repeats` is
+    what the reference steps take.)"""
+    inputs = [inputs] if isinstance(inputs, int) else list(inputs)
+    embedding._input_step(model.input_matrix, model.output_matrix, embedding._inputs(inputs),
+                          *one_step(rows), lr)
 
 
 def dm_step(model, doc_vec, context, rows, lr, repeats=None):
@@ -519,8 +519,8 @@ class TestAgainstReference:
         inputs = center if mode is Word2VecMode.SKIPGRAM else context
         reference._word_step(model, inputs if isinstance(inputs, int)
                              else reference._context(inputs), rows, lr, repeats)
-        embedding._input_step(X, O, inputs if isinstance(inputs, int)
-                              else embedding._inputs(inputs), *one_step(rows), lr)
+        embedding._input_step(X, O, embedding._inputs([center] if mode is Word2VecMode.SKIPGRAM
+                                                      else context), *one_step(rows), lr)
         # the output rows see the same hidden vector and gradient either way
         assert np.array_equal(O, model.output_matrix)
         if mode is Word2VecMode.SKIPGRAM:
@@ -560,6 +560,44 @@ class TestAgainstReference:
             a, b = getattr(model, name), getattr(ref, name)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
+    @pytest.mark.parametrize("d", [5, 100])
+    def test_cbow_training_rounds_like_the_sequential_steps(self, monkeypatch, d):
+        # At a block of one document every position is one step of one
+        # window: the sequential steps, apart from the rounding of CBOW's
+        # step and of a hit row.
+        docs, vocab = cluster_corpus(6)
+        cfg = EmbedTrainConfig(dim=d, window=3, negatives=5, epochs=2, seed=3)
+        monkeypatch.setattr(embedding, "TRAIN_BLOCK", 1)
+        model = train_word2vec(docs, cfg, Word2VecMode.CBOW, vocab_size=len(vocab))
+        ref, rng = word_reference_start(len(vocab), Word2VecMode.CBOW, cfg)
+        k, tokens = cfg.window, [doc.tokens for doc in docs]
+        plan = [reference._context(t[max(0, i - k): i] + t[i + 1: i + k + 1])
+                for t in tokens for i in range(len(t))]
+        for inputs, (rows, repeats), lr in reference._schedule(
+                plan, np.concatenate(tokens), np.arange(len(plan)), cfg.epochs, rng,
+                word_noise_cdf(docs, len(vocab)), cfg.negatives, cfg.learning_rate,
+                cfg.min_learning_rate):
+            reference._word_step(ref, inputs, rows, lr, repeats)
+        for name in ("input_matrix", "output_matrix"):
+            a, b = getattr(model, name), getattr(ref, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def word_reference_start(vocab_size, mode, cfg):
+    """A reference word2vec model at the initialization of a training run
+    of `cfg`, and the generator in the state that training drew from
+    next."""
+    rng = np.random.default_rng(cfg.seed)
+    d = cfg.dim
+    ref = WordEmbeddingModel(input_matrix=(rng.random((vocab_size, d)) - 0.5) / d,
+                             output_matrix=np.zeros((vocab_size, d)), mode=mode,
+                             window=cfg.window, negatives=cfg.negatives, dim=d)
+    return ref, rng
+
+
+def word_noise_cdf(docs, vocab_size):
+    return embedding._noise_cdf(embedding._unigram_noise(docs, vocab_size))
+
 
 def reference_start(model, n_docs, cfg):
     """A reference model at the initialization of `model`'s training run,
@@ -575,9 +613,10 @@ def reference_start(model, n_docs, cfg):
 
 
 class TestBlockTraining:
-    """Distributed-memory training advances blocks of TRAIN_BLOCK documents
-    in lockstep: against `embedding_reference._dm_block_train`, one
-    document-position at a time, bit for bit."""
+    """Training advances blocks of TRAIN_BLOCK documents in lockstep: DM
+    against `embedding_reference._dm_block_train`, one document-position
+    at a time, and CBOW and skip-gram against `_word_block_train`, one
+    step at a time, bit for bit."""
 
     @staticmethod
     def corpus(lengths, vocab_size, seed):
@@ -594,6 +633,9 @@ class TestBlockTraining:
         # every position of a block is its last
         "one-token": ([1] * 11, 5),
     }
+    # word2vec skips documents of one token: here they sit between documents
+    # of two, every window of which an end cuts
+    WORD_CASES = dict(CASES, **{"one-token": ([1, 2] * 6, 5)})
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("combine", list(CombineMode))
@@ -623,6 +665,34 @@ class TestBlockTraining:
         assert embedding.TRAIN_BLOCK > 1
         assert not np.array_equal(model.doc_matrix, sequential.doc_matrix)
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("mode", list(Word2VecMode))
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_word2vec_matches_lockstep_reference(self, monkeypatch, case, mode, block):
+        if block is not None:
+            monkeypatch.setattr(embedding, "TRAIN_BLOCK", block)
+        lengths, V = self.WORD_CASES[case]
+        docs = self.corpus(lengths, V, seed=len(case))
+        cfg = EmbedTrainConfig(dim=7, window=2, negatives=4, epochs=3, learning_rate=0.2,
+                               seed=11)
+        model = train_word2vec(docs, cfg, mode, vocab_size=V)
+        ref, rng = word_reference_start(V, mode, cfg)
+        reference._word_block_train(ref, [doc.tokens for doc in docs], word_noise_cdf(docs, V),
+                                    cfg.epochs, cfg.learning_rate, cfg.min_learning_rate, rng,
+                                    embedding.TRAIN_BLOCK)
+        for name in ("input_matrix", "output_matrix"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("mode", list(Word2VecMode))
+    def test_word2vec_block_changes_the_result(self, mode):
+        docs = self.corpus(self.CASES["ragged"][0], 12, seed=1)
+        cfg = EmbedTrainConfig(dim=7, window=2, negatives=4, epochs=3, seed=11)
+        model = train_word2vec(docs, cfg, mode, vocab_size=12)
+        with mock.patch.object(embedding, "TRAIN_BLOCK", 1):
+            sequential = train_word2vec(docs, cfg, mode, vocab_size=12)
+        assert embedding.TRAIN_BLOCK > 1
+        assert not np.array_equal(model.input_matrix, sequential.input_matrix)
+
 
 class TestTrainChunk:
     """Training draws its negatives TRAIN_CHUNK steps at a time, across
@@ -639,8 +709,9 @@ class TestTrainChunk:
         # Six documents of 20 tokens, two epochs.  A chunk of 1 draws per
         # step (or per block position); 7 is less than a document, and its
         # chunks end inside documents and straddle the epoch boundary;
-        # 10**6 holds every step of both epochs in one draw.  Word2vec has
-        # no blocks.
+        # 10**6 holds every step of both epochs in one draw.  The block
+        # governs all three models; at a block of 1, skip-gram still takes
+        # a center's window in one step.
         if block is not None:
             monkeypatch.setattr(embedding, "TRAIN_BLOCK", block)
         docs, vocab = cluster_corpus(6)

@@ -65,9 +65,10 @@ def test_criteria_sweep_reports_every_offset_and_block(tmp_path):
         assert all(set(v) == {"cbow", "skipgram", "doc"} for v in block["criterion 5"]["values"])
         assert all(len(v["doc2vec"]) == len(v["bow"]) == 4
                    for v in block["criterion 8"]["values"])
-    # word2vec has no blocks; the doc vectors do
-    assert ([v["cbow"] for v in sweep["blocks"]["1"]["criterion 5"]["values"]]
-            == [v["cbow"] for v in sweep["blocks"]["8"]["criterion 5"]["values"]])
+    # the block governs the word models as well as the doc vectors
+    for mode in ("cbow", "skipgram"):
+        assert ([v[mode] for v in sweep["blocks"]["1"]["criterion 5"]["values"]]
+                != [v[mode] for v in sweep["blocks"]["8"]["criterion 5"]["values"]])
     assert (sweep["blocks"]["1"]["criterion 8"]["values"]
             != sweep["blocks"]["8"]["criterion 8"]["values"])
     assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ early stopping semantics, regularization direction, determinism, and
 report serialization."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -12,6 +13,7 @@ import pytest
 import simnet_reference as reference
 from qasim import simnet, training
 from qasim.corpus import QAPair
+from qasim.modelfile import FLOAT32_MAX
 from qasim.simnet import Activation
 from qasim.training import (
     SimTrainConfig,
@@ -94,6 +96,15 @@ class TestConfigValidation:
     def test_bad_setting_rejected(self, bad):
         with pytest.raises(ValueError):
             SimTrainConfig(**bad)
+
+    @pytest.mark.parametrize("field, value", [("init_std", 1e300), ("bias_const", 1e300),
+                                              ("bias_const", -1e300)])
+    def test_setting_past_float32_range_rejected(self, field, value):
+        # a start past what a model file holds would diverge in epoch 0,
+        # with advice to lower the learning rate
+        with pytest.raises(ValueError, match=rf"^\|?{field}\|? must be <= 3.403e\+38, got"):
+            SimTrainConfig(**{field: value})
+        SimTrainConfig(**{field: math.copysign(FLOAT32_MAX, value)})
 
     def test_boundary_settings_accepted(self):
         SimTrainConfig(max_epochs=1, lam=0.0, decay=1.0, decay_start_epoch=0)

@@ -1,13 +1,16 @@
 """Criteria 4, 5 and 8 of `tests/test_acceptance.py` over many seeds, at
-each doc2vec training block.
+each embedding training block.
 
     python3 tools/criteria_sweep.py [--offsets N] [--scale full|smoke] > sweep.json
 
 For each seed offset o in 0..N-1, each criterion's fixture runs as the
 acceptance test runs it, with o added to every fixture, split and
 classifier seed that the test uses, once with
-`qasim.embedding.TRAIN_BLOCK` 1 (sequential training) and once with 8.
-The criteria and their thresholds are the test's:
+`qasim.embedding.TRAIN_BLOCK` 1 and once with 8.  The block governs
+CBOW, skip-gram and DM training alike.  At block 1, DM and CBOW train
+one step at a time (sequential training); skip-gram still takes each
+center's window in one step.  The criteria and their thresholds are the
+test's:
 
   4  pool top-1 of the planted QA fixture (doc2vec features) >= 0.9
   5  within-topic cosine above across-topic cosine for CBOW, skip-gram
@@ -21,7 +24,7 @@ offset in order and the number of offsets that pass.  Runs at one BLAS
 thread with the package in this checkout's `src`.
 `--scale smoke` shrinks every fixture and epoch count, to check that
 the tool runs; its values mean nothing.  A full run of 20 offsets at
-blocks 1 and 8 takes about 15 minutes on one core.
+blocks 1 and 8 takes about 10 minutes on one core.
 """
 
 import os
