@@ -345,6 +345,7 @@ def cmd_classify(args, config: dict) -> int:
     ratios = _parse_list(args.ratios, float, "--ratios", "numbers")
     seeds = _parse_list(args.seeds, int, "--seeds", "integers")
     _require(all(0 < r < 1 for r in ratios), "--ratios", "lie in (0, 1)", args.ratios)
+    _require(min(seeds) >= 0, "--seeds", "be >= 0", min(seeds))
     _require(args.clf_epochs >= 1, "--clf-epochs", "be >= 1", args.clf_epochs)
     # an infinite rate or a penalty past float32's range exits 2; a finite
     # rate that diverges raises in training

@@ -220,16 +220,18 @@ def _noise_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _step_rows(rng, cdf: np.ndarray, targets: np.ndarray, m: int) -> tuple:
-    """The output rows of each training step, target first (n, 1+m), and
-    their keep (n, 1+m, 1): 0.0 for a draw that hits its target, which
-    gets no gradient (the C-word2vec convention skips it), else 1.0.  One
-    rng call draws the m negatives of every target, the same stream as
-    one call of m per step."""
-    draws = np.searchsorted(cdf, rng.random(len(targets) * m), side="right")
-    rows = np.column_stack((targets, draws.reshape(len(targets), m)))
+def _step_rows(uniform: np.ndarray, cdf: np.ndarray, targets) -> tuple:
+    """The output rows of steps, target first (..., 1+m), and their keep
+    (..., 1+m, 1), from the uniform draws (..., m) of their negatives and
+    `targets`, which broadcast to the draws' leading axes: keep is 0.0
+    for a draw that hits its target, which gets no gradient (the
+    C-word2vec convention skips it), else 1.0.  The one negative draw of
+    training and inference."""
+    draws = np.searchsorted(cdf, uniform, side="right")
+    rows = np.empty(draws.shape[:-1] + (1 + draws.shape[-1],), dtype=np.intp)
+    rows[..., 0], rows[..., 1:] = targets, draws
     keep = np.ones(rows.shape + (1,))
-    np.not_equal(rows[:, 1:], targets[:, None], out=keep[:, 1:, 0])
+    np.not_equal(draws, rows[..., :1], out=keep[..., 1:, 0])
     return rows, keep
 
 
@@ -239,14 +241,26 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
     return lr0 - (lr0 - lr_min) * step / total_steps
 
 
-# Training steps whose negatives one `_step_rows` call draws (at least one
-# plan entry's): bounds the drawn rows' memory, whatever the corpus size.
-TRAIN_CHUNK = 1024
+# Steps whose negatives one `_step_rows` call draws: at least one plan
+# entry's in training and one pass's in inference.  Bounds the drawn
+# rows' memory, whatever the corpus or document size, and in inference
+# the document-positions whose context words one gather covers.
+STEP_CHUNK = 1024
 
 # Documents that training advances in lockstep, one position at a time:
 # one `_input_step` takes a position of all of them (CBOW: the windows of
 # one size at that position).
 TRAIN_BLOCK = 8
+
+
+def _padded(docs: list) -> tuple:
+    """A block of token lists: their lengths, which of the (len(docs),
+    longest) entries hold a token, and the tokens, padded with word 0."""
+    lengths = np.array([len(tokens) for tokens in docs])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    tokens = np.zeros(valid.shape, dtype=np.intp)
+    tokens[valid] = np.concatenate(docs)
+    return lengths, valid, tokens
 
 
 def _block_plan(docs: list, entries) -> tuple:
@@ -259,11 +273,7 @@ def _block_plan(docs: list, entries) -> tuple:
     where `valid` is False."""
     plan, targets = [], []
     for b0 in range(0, len(docs), TRAIN_BLOCK):
-        block = docs[b0: b0 + TRAIN_BLOCK]
-        lengths = np.array([len(tokens) for tokens in block])
-        valid = np.arange(lengths.max()) < lengths[:, None]
-        tokens = np.zeros(valid.shape, dtype=np.intp)
-        tokens[valid] = np.concatenate(block)
+        _, valid, tokens = _padded(docs[b0: b0 + TRAIN_BLOCK])
         for i, active in enumerate(valid.T):
             for entry, target in entries(b0 + np.flatnonzero(active), tokens[active],
                                          valid[active], i):
@@ -272,45 +282,31 @@ def _block_plan(docs: list, entries) -> tuple:
     return plan, np.array([len(t) for t in targets]), np.concatenate(targets)
 
 
-def _schedule(plan: list, sizes: np.ndarray, targets: np.ndarray, epochs: int, rng,
-              cdf: np.ndarray, m: int, lr0: float, lr_min: float):
-    """(plan entry, output rows, keep, learning rate) of every entry of
-    `epochs` passes of `plan`, in order.  Entry j takes a block of
-    sizes[j] steps, which predict the next sizes[j] `targets` of the
-    pass, all at the rate of the first of them; the rate decays over all
-    steps of all epochs.  Negatives are drawn for at most TRAIN_CHUNK
-    steps at a time, across documents and epochs, in step order: the
-    stream of one call per step."""
-    n, n_steps = len(plan), int(sizes.sum())
-    per_chunk = max(1, TRAIN_CHUNK // int(sizes.max()))
-    ends = np.cumsum(sizes)
-    passes = itertools.chain.from_iterable(itertools.repeat(plan, epochs))
-
-    def chunk(start: int):
-        epoch, j = np.divmod(np.arange(start, min(start + per_chunk, epochs * n)), n)
-        size = sizes[j]
-        rates = _learning_rate(lr0, lr_min, epoch * n_steps + ends[j] - size, epochs * n_steps)
-        cuts = np.cumsum(size)
-        # the entries' steps, as indices into the pass
-        rows, keep = _step_rows(rng, cdf, targets[np.arange(cuts[-1]) + np.repeat(
-            ends[j] - cuts, size)], m)
-        spans = list(map(slice, (cuts - size).tolist(), cuts.tolist()))
-        return zip(itertools.islice(passes, len(j)), map(rows.__getitem__, spans),
-                   map(keep.__getitem__, spans), rates.tolist())
-    # chained in C: no Python frame resumes per entry
-    return itertools.chain.from_iterable(map(chunk, range(0, epochs * n, per_chunk)))
-
-
 def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, sizes: np.ndarray,
            targets: np.ndarray, config: EmbedTrainConfig, rng, cdf: np.ndarray) -> None:
     """SGD over `config.epochs` passes of a `_block_plan`, one
-    `_input_step` per entry (see `_schedule`), updating X and the output
-    matrix in place."""
+    `_input_step` per entry, updating X and the output matrix in place.
+    Entry j takes a block of sizes[j] steps, which predict the next
+    sizes[j] `targets` of the pass, all at the rate of the first of them;
+    the rate decays over all steps of all epochs.  Negatives are drawn
+    for at most STEP_CHUNK steps at a time, across documents and epochs,
+    in step order: the stream of one call per step."""
+    n, n_steps, total = len(plan), int(sizes.sum()), config.epochs * len(plan)
+    per_chunk = max(1, STEP_CHUNK // int(sizes.max()))
+    ends = np.cumsum(sizes)
     with np.errstate(over="ignore", invalid="ignore"):
-        for inputs, rows, keep, lr in _schedule(
-                plan, sizes, targets, config.epochs, rng, cdf, config.negatives,
-                config.learning_rate, config.min_learning_rate):
-            _input_step(X, output_matrix, inputs, rows, keep, lr)
+        for start in range(0, total, per_chunk):
+            epoch, j = np.divmod(np.arange(start, min(start + per_chunk, total)), n)
+            size = sizes[j]
+            rates = _learning_rate(config.learning_rate, config.min_learning_rate,
+                                   epoch * n_steps + ends[j] - size, config.epochs * n_steps)
+            cuts = np.cumsum(size)
+            # the entries' steps, as indices into the pass
+            rows, keep = _step_rows(rng.random((cuts[-1], config.negatives)), cdf, targets[
+                np.arange(cuts[-1]) + np.repeat(ends[j] - cuts, size)])
+            for entry, lo, hi, lr in zip(j.tolist(), (cuts - size).tolist(), cuts.tolist(),
+                                         rates.tolist()):
+                _input_step(X, output_matrix, plan[entry], rows[lo:hi], keep[lo:hi], lr)
     _flat_index.cache_clear()
     # overflow warnings were off; divergence shows here, also as values
     # past float32's range, which turn infinite in a model file
@@ -430,12 +426,6 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 # whatever the number of documents.
 INFER_BLOCK = 128
 
-# Position-steps whose negatives one draw covers, and document-positions
-# whose context words one gather covers: bounds those arrays' memory,
-# whatever the document length.  A block draws at least one pass at a
-# time; a short question draws all its passes at once.
-INFER_CHUNK = 4096
-
 # Document-position-steps whose output rows one gather window takes: a
 # window of a short block covers several whole passes, so that a pass of
 # a short question does not pay for the window's calls alone.  Larger
@@ -462,11 +452,11 @@ def _frozen_context(model: DocEmbeddingModel, tokens: np.ndarray,
     if model.combine is CombineMode.AVERAGE:
         alpha = -1.0 / (1 + np.minimum(np.arange(n_max), k))
         ctx = np.zeros((B, n_max, d))
-        # The words of INFER_CHUNK // B positions (and the window before
+        # The words of STEP_CHUNK // B positions (and the window before
         # them) at a time, added from 0.0 and the farthest word first: the
         # order in which np.sum adds a position's context rows, so every
         # sum keeps its bits.
-        span = max(1, INFER_CHUNK // B)
+        span = max(1, STEP_CHUNK // B)
         for i0 in range(0, n_max, span):
             lo, i1 = max(0, i0 - k), min(i0 + span, n_max)
             words = W.take(tokens[:, lo:i1], axis=0)
@@ -556,7 +546,7 @@ def _frozen_window(G: np.ndarray, alpha: np.ndarray, context: np.ndarray, A: np.
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
                  lr0: float, lr_min: float, seed: int) -> np.ndarray:
     """Doc vectors of `docs`, longest first, inferred in lockstep.  The
-    negatives of INFER_CHUNK // (B * n_max) passes (at least one) are
+    negatives of STEP_CHUNK // (B * n_max) passes (at least one) are
     drawn at once.  A gather window takes the output rows of `span` =
     INFER_WINDOW // B (at least 1) positions of one pass or, when that is
     the whole pass, of INFER_WINDOW // (B * n_max) passes (at least 1).
@@ -564,15 +554,12 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     reuses them, so only the frozen context and the drawn rows grow with
     the number of positions, and nothing with the number of passes."""
     B, d, m = len(docs), model.dim, model.negatives
-    lengths = np.array([len(tokens) for tokens in docs])
+    lengths, valid, tokens = _padded(docs)
     n_max = lengths[0]
     span = min(n_max, max(1, INFER_WINDOW // B))
     # passes run in order: a window of several passes holds whole passes
     per_window = max(1, INFER_WINDOW // (B * n_max)) if span == n_max else 1
-    chunk = min(steps, max(1, INFER_CHUNK // (B * n_max)))
-    valid = np.arange(n_max) < lengths[:, None]               # (B, n_max)
-    tokens = np.zeros(valid.shape, dtype=np.intp)             # padded with word 0
-    tokens[valid] = np.concatenate(docs)
+    chunk = min(steps, max(1, STEP_CHUNK // (B * n_max)))
     cdf = _noise_cdf(model.noise_probs)
     rngs = [np.random.default_rng(seed) for _ in docs]
     buffers = G, A, K, columns, _, _ = _block_buffers(
@@ -580,10 +567,8 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     vecs = columns[:, :d, 0]
     vecs[...] = [(rng.random(d) - 0.5) / d for rng in rngs]
     alpha, context = _frozen_context(model, tokens, valid)
-    targets = tokens.T
-    # Pass- then position-major: rows[p0:p1, i0:i1] is one gather window.
-    rows = np.empty((chunk, n_max, B, 1 + m), dtype=np.intp)
-    rows[..., 0] = targets
+    # Pass- then position-major, as are the rows drawn from it: [p0:p1,
+    # i0:i1] is one gather window.
     uniform = np.zeros((chunk, n_max, B, m))
     active = valid.sum(axis=0).tolist()    # the documents at each position
     # the gather windows of q passes, keyed by q, and their step groups,
@@ -611,19 +596,16 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
         # as one call of n*m draws per pass
         for b, (rng, n) in enumerate(zip(rngs, lengths.tolist())):
             uniform[:passes, :n, b] = rng.random((passes, n, m))
-        draws = rows[:passes, ..., 1:]
-        draws[...] = np.searchsorted(cdf, uniform[:passes], side="right")
+        rows, kept = _step_rows(uniform[:passes], cdf, tokens.T)
         step = (e0 + np.arange(passes))[:, None, None] * lengths + np.arange(n_max)[:, None]
         lr = -_learning_rate(lr0, lr_min, step, steps * lengths)[..., None]
-        kept = draws != targets[..., None]    # a draw that hit its target gets no gradient
         for p0 in range(0, passes, per_window):
             ps = slice(p0, min(p0 + per_window, passes))
             for at, out, keep, *window in windows_of(ps.stop - p0):
                 # ids are checked in infer_doc_vectors; "raise" would buffer `out`
                 np.take(model.output_matrix, rows[ps, at], axis=0, out=out, mode="wrap")
-                # keep times -lr: the target's entry, then the draws'
-                keep[..., 0, :1] = lr[ps, at]
-                np.multiply(kept[ps, at], lr[ps, at], out=keep[..., 0, 1:])
+                # keep times -lr: the target's entry is -lr itself
+                np.multiply(kept[ps, at, ..., 0], lr[ps, at], out=keep[..., 0, :])
                 _frozen_window(out, *window)
     return vecs
 

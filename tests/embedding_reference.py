@@ -19,8 +19,7 @@ import numpy as np
 from qasim.corpus import TokenizedDocument
 from qasim.embedding import (
     INFER_BLOCK,
-    INFER_CHUNK,
-    TRAIN_CHUNK,
+    STEP_CHUNK,
     CombineMode,
     DocEmbeddingModel,
     Word2VecMode,
@@ -109,10 +108,10 @@ def _schedule(plan: list, targets: np.ndarray, position: np.ndarray, epochs: int
     step of `epochs` passes, in order: one step per entry of `plan`,
     predicting that entry of `targets` at that `position` of the pass; the
     rate decays over all positions of all epochs.  Negatives are drawn
-    TRAIN_CHUNK steps at a time: the stream of one call per step."""
+    STEP_CHUNK steps at a time: the stream of one call per step."""
     n, n_positions = len(plan), int(position[-1]) + 1
-    for start in range(0, epochs * n, TRAIN_CHUNK):
-        epoch, i = np.divmod(np.arange(start, min(start + TRAIN_CHUNK, epochs * n)), n)
+    for start in range(0, epochs * n, STEP_CHUNK):
+        epoch, i = np.divmod(np.arange(start, min(start + STEP_CHUNK, epochs * n)), n)
         rates = _learning_rate(lr0, lr_min, epoch * n_positions + position[i],
                                epochs * n_positions)
         yield from zip([plan[j] for j in i], _step_rows(rng, cdf, targets[i], m),
@@ -388,7 +387,7 @@ def _frozen_context(model: DocEmbeddingModel, docs: list[list[int]], n_max: int)
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
                  lr0: float, lr_min: float, seed: int) -> np.ndarray:
     """Doc vectors of `docs`, longest first, inferred in lockstep.  The
-    negatives of INFER_CHUNK // (B * n_max) passes (at least one) are
+    negatives of STEP_CHUNK // (B * n_max) passes (at least one) are
     drawn at once, and with `wide` = INFER_BLOCK // B (at least 1) each
     pass gathers the output rows of `wide` positions at once, so no
     buffer grows with the number of passes."""
@@ -397,7 +396,7 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     lengths = np.array([len(tokens) for tokens in docs])
     n_max = lengths[0]
     wide = max(1, INFER_BLOCK // B)
-    chunk = min(steps, max(1, INFER_CHUNK // (B * n_max)))
+    chunk = min(steps, max(1, STEP_CHUNK // (B * n_max)))
     valid = np.arange(n_max) < lengths[:, None]               # (B, n_max)
     average = model.combine is CombineMode.AVERAGE
     cdf = _noise_cdf(model.noise_probs)

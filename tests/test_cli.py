@@ -1177,6 +1177,8 @@ BAD_COMMAND_FLAGS = [
      "--ratios must be comma-separated numbers, got '0.2,abc'"),
     ("classify", "--ratios", "1.5", "--ratios must lie in (0, 1), got 1.5"),
     ("classify", "--seeds", "x", "--seeds must be comma-separated integers, got 'x'"),
+    # a negative split seed is checked with the flags, not by the split
+    ("classify", "--seeds", "-1", "--seeds must be >= 0, got -1"),
     ("classify", "--clf-epochs", "-1", "--clf-epochs must be >= 1, got -1"),
     ("classify", "--clf-lr", "-1", "--clf-lr must be > 0, got -1.0"),
     ("classify", "--clf-reg", "-0.1", "--clf-reg must be >= 0, got -0.1"),

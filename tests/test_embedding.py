@@ -359,20 +359,25 @@ class TestDmStep:
 
 
 def test_step_rows_match_one_draw_per_step():
-    # a pass's rows, drawn in one call, against m draws per step from the
-    # same stream: target first, then every draw, a hit kept at 0.0
+    # rows from uniform draws made in one call, against m draws per step
+    # from the same stream: target first, then every draw, a hit kept at
+    # 0.0.  Training's layout, (steps, m) with a target a step, and
+    # inference's, (passes, positions, B, m) with targets (positions, B)
+    # that every pass shares.
     cdf = np.cumsum([0.3, 0.3, 0.2, 0.2])
     targets = np.array([0, 1, 2, 3, 1, 0, 2, 2] * 5)
-    rows, keep = embedding._step_rows(np.random.default_rng(4), cdf, targets, 5)
-    assert rows.shape == (len(targets), 6) and keep.shape == (len(targets), 6, 1)
-    rng = np.random.default_rng(4)
-    hits = 0
-    for target, step, step_keep in zip(targets, rows, keep[..., 0]):
-        draws = np.searchsorted(cdf, rng.random(5), side="right")
-        assert step.tolist() == [target, *draws]
-        assert step_keep.tolist() == [1.0] + [float(j != target) for j in draws]
-        hits += (draws == target).any()
-    assert 0 < hits < len(targets)
+    for shape, step_targets in (((40,), targets), ((2, 5, 4), targets[:20].reshape(5, 4))):
+        uniform = np.random.default_rng(4).random(shape + (5,))
+        rows, keep = embedding._step_rows(uniform, cdf, step_targets)
+        assert rows.shape == shape + (6,) and keep.shape == shape + (6, 1)
+        rng, hits = np.random.default_rng(4), 0
+        for target, step, step_keep in zip(np.broadcast_to(step_targets, shape).ravel(),
+                                           rows.reshape(-1, 6), keep.reshape(-1, 6)):
+            draws = np.searchsorted(cdf, rng.random(5), side="right")
+            assert step.tolist() == [target, *draws]
+            assert step_keep.tolist() == [1.0] + [float(j != target) for j in draws]
+            hits += (draws == target).any()
+        assert 0 < hits < 40
 
 
 class TestRepeatedRows:
@@ -695,7 +700,7 @@ class TestBlockTraining:
 
 
 class TestTrainChunk:
-    """Training draws its negatives TRAIN_CHUNK steps at a time, across
+    """Training draws its negatives STEP_CHUNK steps at a time, across
     documents and epochs; the chunk size must not change a single byte."""
 
     @pytest.mark.parametrize("train, mode", [
@@ -719,7 +724,7 @@ class TestTrainChunk:
         fields = ("input_matrix", "output_matrix", "word_matrix", "doc_matrix")
         results = []
         for chunk in (10 ** 6, 1, 7):
-            monkeypatch.setattr(embedding, "TRAIN_CHUNK", chunk)
+            monkeypatch.setattr(embedding, "STEP_CHUNK", chunk)
             model = train(docs, cfg, mode, vocab_size=len(vocab))
             results.append([getattr(model, f) for f in fields if hasattr(model, f)])
         for other in results[1:]:
@@ -1008,13 +1013,14 @@ class TestInferDocVectors:
     @pytest.mark.parametrize("block", [1, 2, 3])
     @pytest.mark.parametrize("combine", list(CombineMode))
     def test_blocks_do_not_change_vectors(self, monkeypatch, combine, block):
-        # Seven documents of 4..10 tokens.  A block of B documents draws
-        # INFER_BLOCK // B passes at once and, with INFER_WINDOW as small,
-        # gathers as many positions at once: the last block (B = 1, 4
-        # tokens) has gather windows of `block` positions, so a window ends
-        # inside the document, and at blocks 2 and 3, 5 steps are not a
-        # multiple of its pass chunk.  The default block holds all seven,
-        # with a chunk of 18 passes, more than 5.
+        # Seven documents of 4..10 tokens.  With INFER_BLOCK and
+        # INFER_WINDOW both `block`, a block of B documents gathers the
+        # output rows of block // B positions at once: the last block (B =
+        # 1, 4 tokens) has gather windows of `block` positions, so at blocks
+        # 2 and 3 a window of several positions ends inside the document.
+        # The default block holds all seven.  Every block draws all 5
+        # passes at once (STEP_CHUNK // (B * n_max) is at least 14 passes);
+        # the next test splits them.
         docs, vocab = cluster_corpus(12)
         cfg = EmbedTrainConfig(dim=7, window=3, negatives=4, epochs=3, seed=5)
         model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
@@ -1028,7 +1034,7 @@ class TestInferDocVectors:
     @pytest.mark.parametrize("combine", list(CombineMode))
     def test_pass_chunks_do_not_change_vectors(self, monkeypatch, combine, cap):
         # Seven documents of 4..10 tokens, 70 positions a pass.  A chunk of
-        # INFER_CHUNK position-steps draws the negatives of one pass at a
+        # STEP_CHUNK position-steps draws the negatives of one pass at a
         # time at cap 1, of two at 140 and of four at 280; 5 steps are a
         # multiple of neither, and the default draws all five at once.
         docs, vocab = cluster_corpus(12)
@@ -1036,14 +1042,15 @@ class TestInferDocVectors:
         model = train_doc2vec(docs, cfg, combine=combine, vocab_size=len(vocab))
         batch = mixed_length_docs(docs, 10, shortest=4)
         whole = embedding.infer_doc_vectors(model, batch, steps=5, seed=4)
-        monkeypatch.setattr(embedding, "INFER_CHUNK", cap)
+        monkeypatch.setattr(embedding, "STEP_CHUNK", cap)
         assert np.array_equal(embedding.infer_doc_vectors(model, batch, steps=5, seed=4), whole)
 
     def test_memory_bounded_by_positions_not_passes(self):
         # One document of 1,500 tokens, 20 passes, 12 negatives.  Drawing
-        # the negatives of all 20 passes at once peaked at about 8.5 MB.  In
-        # chunks of INFER_CHUNK position-steps it peaks at about 2 MB, most
-        # of which is the chunk's draws, which grow with the positions only.
+        # the negatives of all 20 passes at once peaks at about 11.6 MB.  In
+        # chunks of STEP_CHUNK position-steps (one pass here) it peaks at
+        # about 1.2 MB, half of which is the chunk's draws, rows and keep,
+        # which grow with the positions only.
         docs, vocab = cluster_corpus(12)
         cfg = EmbedTrainConfig(dim=4, window=3, negatives=12, epochs=1, seed=5)
         model = train_doc2vec(docs, cfg, vocab_size=len(vocab))
@@ -1197,9 +1204,9 @@ class TestInferenceAgainstReference:
         r = np.random.default_rng(seed + 1)
         docs = [TokenizedDocument(j, r.integers(0, vocab, n).tolist())
                 for j, n in enumerate(lengths)]
-        with mock.patch.multiple(reference, INFER_BLOCK=block, INFER_CHUNK=chunk):
+        with mock.patch.multiple(reference, INFER_BLOCK=block, STEP_CHUNK=chunk):
             ref = reference.infer_doc_vectors(model, docs, steps=steps, seed=seed)
-        with mock.patch.multiple(embedding, INFER_BLOCK=block, INFER_CHUNK=chunk,
+        with mock.patch.multiple(embedding, INFER_BLOCK=block, STEP_CHUNK=chunk,
                                  INFER_WINDOW=gather):
             new = embedding.infer_doc_vectors(model, docs, steps=steps, seed=seed)
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -1223,7 +1230,7 @@ class TestInferenceAgainstReference:
     def test_frozen_context_matches_position_loop(self, combine, dim, window, vocab, lengths,
                                                   chunk, seed):
         # the frozen context that the folded step multiplies, gathered in
-        # slabs of INFER_CHUNK // B positions, against the per-position
+        # slabs of STEP_CHUNK // B positions, against the per-position
         # loop that built it: same bits
         model = random_doc_model(combine, vocab, dim, window, 1, seed)
         model.word_matrix[:, 0] = -0.0     # np.sum starts from 0.0: their sums are 0.0
@@ -1233,7 +1240,7 @@ class TestInferenceAgainstReference:
         # padded with the last word: no position may read the padding
         tokens = np.full(valid.shape, vocab - 1)
         tokens[valid] = np.concatenate(docs)
-        with mock.patch.object(embedding, "INFER_CHUNK", chunk):
+        with mock.patch.object(embedding, "STEP_CHUNK", chunk):
             folded = embedding._frozen_context(model, tokens, valid)
         for new, ref in zip(folded, reference.folded_frozen_context(model, docs, len(docs[0]))):
             assert np.array_equal(new, ref)

@@ -436,6 +436,17 @@ class TestStackedLayout:
         assert net.b3[0] != 7.0
         assert copy.deepcopy(net).flat.tobytes() == net.flat.tobytes()
 
+    def test_deep_copy_views_follow_its_own_buffer(self):
+        # member-wise, a deep copy's views would each get a buffer of their
+        # own, and writing its `flat` would change none of them
+        net = init_network(4, seed=5)
+        twin = copy.deepcopy(net)
+        for view in (*twin.values(), *twin.stacked):
+            assert np.shares_memory(view, twin.flat) and not np.shares_memory(view, net.flat)
+        twin.flat[...] = 2.0
+        assert all(np.all(view == 2.0) for view in (*twin.values(), *twin.stacked))
+        assert not np.any(net.flat == 2.0)
+
     def test_ten_arrays_are_copied_in_and_forward_matches_reference(self):
         arrays = {name: view.copy() for name, view in toy_network().items()}
         net = SimilarityNetwork(**arrays)

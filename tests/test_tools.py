@@ -27,18 +27,29 @@ def test_output_digests_cover_every_run(tmp_path):
         for name in ("q.d2v", "a.d2v", "a.w2v", "net.simnet", "report.json",
                      "infer_report.json"):
             assert f"{run} file {name}" in digests
+    # seed 1's fixture again, through concatenate-mode paragraph vectors
+    # to `eval --infer-vectors`: models of another size, and no word2vec
+    concat = "train_pipeline 1 concatenate"
+    assert [k.split()[-2] for k in digests if k.startswith(f"{concat} command")
+            and k.endswith(" exit")] == ["build-vocab", "build-vocab", "train-doc2vec",
+                                         "train-doc2vec", "sample-pairs", "train-simnet",
+                                         "eval"]
+    for key in ("file q.d2v", "file a.d2v", "file net.simnet", "inferred vectors"):
+        assert digests[f"{concat} {key}"] != digests[f"train_pipeline 1 {key}"]
+    assert f"{concat} file infer_report.json" in digests
+    assert f"{concat} file a.w2v" not in digests and f"{concat} file report.json" not in digests
     # `ask` read the questions and answered them
     empty = hashlib.sha256(b"").hexdigest()
     # `eval --infer-vectors` and `ask` inferred vectors
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1"):
+                "ask_large_collection 1", concat):
         assert digests[f"{run} inferred vectors"] != empty
     assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
     assert "ask_large_collection 1 file q.d2v" in digests
     # the saved arrays, in call order, are what each run's digest covers
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1"):
-        files = sorted(saved.glob(run.replace(" ", "-") + "-*.npy"))
+                "ask_large_collection 1", concat):
+        files = sorted(saved.glob(run.replace(" ", "-") + "-[0-9]*.npy"))
         assert files
         inferred = hashlib.sha256()
         for path in files:

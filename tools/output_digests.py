@@ -6,7 +6,11 @@ Builds the inputs of `train_pipeline` for seeds 1-3 and of
 `ask_large_collection` for seed 1 with `perfbench/prep.py`'s `prepare`,
 then runs their commands through `qasim.cli.main` of the package under
 SRC, at one BLAS thread, each seed in a fresh temporary directory.
-`ask` answers the first 200 of the workload's questions.  Prints one JSON
+`ask` answers the first 200 of the workload's questions.  The workloads
+train average-mode paragraph vectors only, so one more run, `train_pipeline
+1 concatenate`, takes seed 1's fixture through concatenate mode: the
+vocabularies, `train-doc2vec --combine concatenate` on both sides, the
+pairs, `train-simnet` and `eval --infer-vectors`.  Prints one JSON
 object, one key a line: the digest of every file a run leaves, each
 command's exit code and the digests of its stdout and stderr, and one
 digest of every array that `qasim.embedding.infer_doc_vectors` returned
@@ -14,7 +18,8 @@ in the run, in call order (wrapped from outside, as `perfbench/tracer.py`
 wraps functions), which no report shows to the last bit.  Run it on two
 trees and diff the output to see whether a change moved any byte.  With
 --save-inferred, each of those arrays is also written to DIR as
-`<workload>-<seed>-<call>.npy`, so that two trees whose inferred vectors
+`<run>-<call>.npy`, the run's name with dashes for spaces (as in
+`train_pipeline-1-0000.npy`), so that two trees whose inferred vectors
 differ can be compared by size: max |a - b| / max |a|.
 """
 
@@ -31,8 +36,10 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
-RUNS = [("train_pipeline", 1), ("train_pipeline", 2), ("train_pipeline", 3),
-        ("ask_large_collection", 1)]
+# (workload, seed, doc2vec combine mode); a run's keys start with its
+# workload, seed and any mode besides the workload's own, average
+RUNS = [("train_pipeline", 1, None), ("train_pipeline", 2, None), ("train_pipeline", 3, None),
+        ("ask_large_collection", 1, None), ("train_pipeline", 1, "concatenate")]
 ASK_QUESTIONS = 200
 
 
@@ -40,15 +47,28 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(workload: str, seed: int, scale: str, save: str | None = None) -> dict:
-    """The digests of one workload seed, run in the current directory;
-    the inferred arrays are saved to the directory `save` when given."""
+def with_combine(commands: list, combine: str) -> list:
+    """A `train_pipeline` manifest's commands that lead to `eval
+    --infer-vectors`, with paragraph vectors in the `combine` mode: no
+    word2vec model and no eval of the training pools."""
+    return [argv + ["--combine", combine] if argv[0] == "train-doc2vec" else argv
+            for argv in commands
+            if argv[0] != "train-word2vec" and (argv[0] != "eval" or "--infer-vectors" in argv)]
+
+
+def run(workload: str, seed: int, combine: str | None, scale: str, name: str,
+        save: str | None = None) -> dict:
+    """The digests of one workload seed, run in the current directory,
+    with doc2vec in the `combine` mode when given; the inferred arrays are
+    saved to the directory `save` when given, under the run's `name`."""
     import numpy as np
     from prep import prepare
     from qasim import cli, embedding
 
     with contextlib.redirect_stderr(io.StringIO()):
         manifest = prepare(workload, seed, scale)
+    if combine is not None:
+        manifest["commands"] = with_combine(manifest["commands"], combine)
     stdin = "".join(q + "\n" for q in manifest.get("questions", [])[:ASK_QUESTIONS])
     digests, inferred, calls = {}, hashlib.sha256(), 0
     infer = embedding.infer_doc_vectors
@@ -58,7 +78,7 @@ def run(workload: str, seed: int, scale: str, save: str | None = None) -> dict:
         vecs = infer(*args, **kwargs)
         inferred.update(vecs.tobytes())
         if save is not None:
-            np.save(os.path.join(save, f"{workload}-{seed}-{calls:04d}.npy"), vecs)
+            np.save(os.path.join(save, f"{name.replace(' ', '-')}-{calls:04d}.npy"), vecs)
         calls += 1
         return vecs
 
@@ -100,12 +120,13 @@ def main() -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                     os.pardir, "perfbench"))
     home, result = os.getcwd(), {}
-    for workload, seed in RUNS:
+    for workload, seed, combine in RUNS:
+        name = " ".join(str(part) for part in (workload, seed, combine) if part is not None)
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
-                for key, value in run(workload, seed, args.scale, save).items():
-                    result[f"{workload} {seed} {key}"] = value
+                for key, value in run(workload, seed, combine, args.scale, name, save).items():
+                    result[f"{name} {key}"] = value
             finally:
                 os.chdir(home)
     print(json.dumps(result, indent=0, sort_keys=True))
