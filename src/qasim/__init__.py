@@ -29,7 +29,7 @@ from .embedding import (
     train_doc2vec,
     train_word2vec,
 )
-from .retrieval import AnswerIndex, RoutingDecision, RoutingOutcome, route
+from .retrieval import AnswerIndex, RoutingOutcome, route
 from .simnet import Activation, SimilarityNetwork, init_network
 from .training import SimTrainConfig, TrainReport, train_simnet
 
@@ -43,7 +43,6 @@ __all__ = [
     "DocEmbeddingModel",
     "EmbedTrainConfig",
     "QAPair",
-    "RoutingDecision",
     "RoutingOutcome",
     "SimTrainConfig",
     "SimilarityNetwork",

@@ -367,14 +367,10 @@ def cmd_classify(args, config: dict) -> int:
 
     bow = evaluation.bow_matrix(encoded, vocab)
     model = embedding.train_doc2vec(encoded, cfg, vocab_size=len(vocab))
-    curves = {
-        "bow": evaluation.learning_curve(bow, labels, ratios, seeds,
-                                         epochs=args.clf_epochs, lr=args.clf_lr,
-                                         reg=args.clf_reg),
-        "doc2vec": evaluation.learning_curve(model.doc_matrix, labels, ratios, seeds,
-                                             epochs=args.clf_epochs, lr=args.clf_lr,
-                                             reg=args.clf_reg),
-    }
+    curves = {kind: evaluation.learning_curve(features, labels, ratios, seeds,
+                                              epochs=args.clf_epochs, lr=args.clf_lr,
+                                              reg=args.clf_reg)
+              for kind, features in (("bow", bow), ("doc2vec", model.doc_matrix))}
     evaluation.save_learning_curves(curves, args.out)
     print(json.dumps({kind: [[r, m, s] for r, m, s in points]
                       for kind, points in curves.items()}, sort_keys=True))
@@ -409,11 +405,10 @@ def cmd_ask(args, config: dict) -> int:
         doc = corpus.encode(tokens, q_vocab)
         q_vec = embedding.infer_doc_vector(q_model, doc, steps=args.infer_steps, seed=seed)
         best, best_score = index.select(q_vec, candidates)
-        decision = retrieval.route(best_score, threshold, answer_doc=best)
-        if decision.outcome is retrieval.RoutingOutcome.ANSWER:
-            print(f"answer ({decision.confidence:.4f}): {answer_texts[best]}")
+        if retrieval.route(best_score, threshold) is retrieval.RoutingOutcome.ANSWER:
+            print(f"answer ({best_score:.4f}): {answer_texts[best]}")
         else:
-            print(f"escalate ({decision.confidence:.4f}): confidence below threshold {threshold}")
+            print(f"escalate ({best_score:.4f}): confidence below threshold {threshold}")
     return 0
 
 

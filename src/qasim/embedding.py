@@ -722,6 +722,11 @@ def load_doc2vec(path, skip=()) -> DocEmbeddingModel:
     (V, N, dim, window, negatives, combine), arrays = read_model(
         path, _D2V_HEADER, _D2V_MAGIC, "doc2vec model", _d2v_shapes,
         ("combine", _COMBINE_FLAG), skip)
+    probs = arrays["noise_probs"]
+    # inference draws negatives from the normalized cumulative sum
+    if probs is not None and ((probs < 0).any() or not probs.sum() > 0):
+        raise ValueError(f"noise distribution has a negative entry or sums to 0 in doc2vec "
+                         f"model file: {path}")
     return DocEmbeddingModel(**arrays, combine=combine, window=window, negatives=negatives,
                              dim=dim, _sizes=(V, N))
 

@@ -7,7 +7,6 @@ otherwise the question escalates to a human agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,17 +19,6 @@ from .simnet import SimilarityNetwork
 class RoutingOutcome(str, Enum):
     ANSWER = "answer"
     ESCALATE = "escalate"
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    outcome: RoutingOutcome
-    confidence: float
-    answer_doc: int | None = None
-
-    def __post_init__(self):
-        if self.outcome is RoutingOutcome.ANSWER and self.answer_doc is None:
-            raise ValueError("an answered decision must carry the answer doc id")
 
 
 def feature_rows(features: np.ndarray, doc_ids) -> np.ndarray:
@@ -80,12 +68,10 @@ def check_threshold(threshold: float) -> float:
     return threshold
 
 
-def route(score: float, threshold: float, answer_doc: int | None = None) -> RoutingDecision:
+def route(score: float, threshold: float) -> RoutingOutcome:
     """Answer when score >= threshold (boundary answers), else escalate."""
     check_threshold(threshold)
-    if score >= threshold:
-        return RoutingDecision(RoutingOutcome.ANSWER, confidence=score, answer_doc=answer_doc)
-    return RoutingDecision(RoutingOutcome.ESCALATE, confidence=score)
+    return RoutingOutcome.ANSWER if score >= threshold else RoutingOutcome.ESCALATE
 
 
 def pool_top1(pools: list[CandidatePool], picks) -> float | None:
@@ -123,8 +109,7 @@ def pool_report(net: SimilarityNetwork, pools: list[CandidatePool], features,
     # (position, probability) of each pool's winner
     picks = [index.select(q_vector, pool.candidates) for pool, q_vector in zip(pools, q_rows)]
     scored = sum(1 for pool in pools if pool.correct)
-    answered = sum(route(score, threshold, answer_doc=pool.candidates[best]).outcome
-                   is RoutingOutcome.ANSWER for pool, (best, score) in zip(pools, picks))
+    answered = sum(route(score, threshold) is RoutingOutcome.ANSWER for _, score in picks)
     return {
         "pool_top1": pool_top1(pools, [best for best, _ in picks]),
         "pools_scored": scored,

@@ -28,6 +28,8 @@ class Activation(str, Enum):
 
 def _param_shapes(d: int, h1: int, h2: int, *_) -> dict[str, tuple[int, ...]]:
     """Each parameter's shape, in file and draw order; later header fields are ignored."""
+    if min(d, h1, h2) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got d={d}, h1={h1}, h2={h2}")
     return {"w1q": (h1, d), "b1q": (h1,), "w2q": (h2, h1), "b2q": (h2,),
             "w1a": (h1, d), "b1a": (h1,), "w2a": (h2, h1), "b2a": (h2,),
             "w3": (2 * h2,), "b3": (1,)}
@@ -99,8 +101,7 @@ def init_network(d: int, std: float = 0.03, bias_const: float = 0.1, seed: int =
     Weights are drawn in the order w1q, w2q, w1a, w2a, w3 so equal seeds
     give identical networks.
     """
-    if d < 1:
-        raise ValueError("input dimension must be >= 1")
+    _param_shapes(d, hidden1, hidden2)          # rejects a layer of size < 1
     if std <= 0:
         raise ValueError("std must be > 0")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, astuple
 
 import numpy as np
 
@@ -97,10 +97,8 @@ class TrainReport:
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "lr", "train_loss", "train_acc", "val_acc"])
-            for e in self.epochs:
-                writer.writerow([e.epoch, repr(e.lr), repr(e.train_loss),
-                                 repr(e.train_acc), repr(e.val_acc)])
+            writer.writerow([f.name for f in fields(EpochStats)])
+            writer.writerows(astuple(e) for e in self.epochs)
 
 
 def lr_at_epoch(config: SimTrainConfig, epoch: int) -> float:
@@ -166,8 +164,7 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
     net = simnet.init_network(q_rows.shape[1], std=config.init_std, bias_const=config.bias_const,
                               seed=config.seed, activation=config.activation)
     report = TrainReport(planned_epochs=config.max_epochs)
-    # max_epochs >= 1, and the first epoch always sets the best network
-    best_net, best_val, bad_epochs, n = None, -1.0, 0, len(train_pairs)
+    best_net, n = None, len(train_pairs)
 
     for epoch in range(config.max_epochs):
         lr = lr_at_epoch(config, epoch)
@@ -193,16 +190,13 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
                                         train_loss=float(np.mean(batch_losses)),
                                         train_acc=_pair_accuracy(net, *train), val_acc=val_acc))
 
-        if val_acc > best_val:
-            best_val = val_acc
+        # the first epoch always sets the best network
+        if best_net is None or val_acc > report.epochs[report.best_epoch].val_acc:
             best_net = net.copy()
             report.best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs > config.early_stop_patience:
-                report.stopping_reason = "early_stopping"
-                return best_net, report
+        elif epoch - report.best_epoch > config.early_stop_patience:
+            report.stopping_reason = "early_stopping"
+            return best_net, report
 
     report.stopping_reason = "max_epochs"
     return best_net, report

@@ -1717,3 +1717,49 @@ class TestFailureInjection:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peak < 50 * 2**20
+
+    @pytest.mark.parametrize("side", ["q_doc2vec", "a_doc2vec"])
+    @pytest.mark.parametrize("noise", ["negative", "zero-sum"])
+    def test_broken_noise_distribution_exits_one_naming_the_file(
+            self, model_inputs, tmp_path, monkeypatch, capsys, side, noise):
+        # inference draws from the normalized cumulative sum: a zero sum
+        # makes it NaN, and a negative entry makes it non-monotone
+        valid, _, commands = model_inputs[side]
+        model = embedding.load_doc2vec(valid)
+        if noise == "negative":
+            model.noise_probs[0] = -1e-3
+        else:
+            model.noise_probs[:] = 0.0
+        bad = tmp_path / "noise.d2v"
+        embedding.save_doc2vec(model, bad)
+        # only an inferred side reads the distribution: `train-simnet` looks
+        # both sides up, `ask` the answer side
+        expected = {"eval": 1, "ask": 1 if side == "q_doc2vec" else 0, "train-simnet": 0}
+        for argv in commands:
+            argv = argv(str(bad))
+            monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+            rc = main(argv)
+            assert rc == expected[argv[0]], argv[0]
+            err = capsys.readouterr().err.splitlines()
+            if rc:
+                assert err == ["qasim: error: noise distribution has a negative entry or sums "
+                               f"to 0 in doc2vec model file: {bad}"]
+
+    @pytest.mark.parametrize("dims", [(0, 3, 2), (8, 0, 2), (8, 3, 0)])
+    def test_simnet_layer_of_size_zero_exits_one_naming_the_file(
+            self, model_inputs, tmp_path, monkeypatch, capsys, dims):
+        # a file that matches its header: with no hidden units the network
+        # would score every pair sigmoid(b3); the workspace's vectors have
+        # 8 dimensions, so d = 0 must be rejected before the dimension check
+        d, h1, h2 = dims
+        n_params = 2 * (h1 * (d + 1 + h2) + h2) + 2 * h2 + 1     # both towers, w3, b3
+        bad = tmp_path / "empty.simnet"
+        bad.write_bytes(struct.pack(simnet._SIM_HEADER, simnet._SIM_MAGIC, *dims, 0)
+                        + np.full(n_params, 0.1, dtype="<f4").tobytes())
+        for argv in model_inputs["simnet"][2]:
+            monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+            rc = main(argv(str(bad)))
+            assert rc == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"qasim: error: layer sizes must be >= 1, got d={d}, h1={h1}, h2={h2} in "
+                f"similarity-network file: {bad}"]

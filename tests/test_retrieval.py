@@ -11,7 +11,6 @@ from qasim import simnet
 from qasim.corpus import CandidatePool
 from qasim.retrieval import (
     AnswerIndex,
-    RoutingDecision,
     RoutingOutcome,
     evaluate_pool_accuracy,
     feature_rows,
@@ -178,19 +177,13 @@ class TestKnownLimits:
 
 class TestRoute:
     def test_above_threshold_answers(self):
-        decision = route(0.8, 0.7, answer_doc=4)
-        assert decision.outcome is RoutingOutcome.ANSWER
-        assert decision.answer_doc == 4
-        assert decision.confidence == 0.8
+        assert route(0.8, 0.7) is RoutingOutcome.ANSWER
 
     def test_boundary_answers(self):
-        assert route(0.7, 0.7, answer_doc=1).outcome is RoutingOutcome.ANSWER
+        assert route(0.7, 0.7) is RoutingOutcome.ANSWER
 
     def test_below_threshold_escalates(self):
-        decision = route(0.69, 0.7)
-        assert decision.outcome is RoutingOutcome.ESCALATE
-        assert decision.answer_doc is None
-        assert decision.confidence == 0.69
+        assert route(0.69, 0.7) is RoutingOutcome.ESCALATE
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2, 1.5])
     def test_threshold_open_interval(self, threshold):
@@ -199,15 +192,10 @@ class TestRoute:
 
     def test_monotone_in_score(self):
         # raising the score never flips answer back to escalate
-        outcomes = [route(s, 0.5, answer_doc=0).outcome
-                    for s in np.linspace(0, 1, 21)]
+        outcomes = [route(s, 0.5) for s in np.linspace(0, 1, 21)]
         flipped = ["".join("A" if o is RoutingOutcome.ANSWER else "E"
                            for o in outcomes)]
         assert flipped[0] == "E" * 10 + "A" * 11
-
-    def test_answer_requires_doc(self):
-        with pytest.raises(ValueError):
-            RoutingDecision(RoutingOutcome.ANSWER, confidence=0.9)
 
 
 class TestEvaluatePoolAccuracy:
@@ -325,8 +313,7 @@ def counter_loop_pool_report(net, pools, features, threshold=0.7):
     answered = 0
     for pool, q_vector in zip(pools, q_rows):
         best, best_score = index.select(q_vector, pool.candidates)
-        decision = route(best_score, threshold, answer_doc=pool.candidates[best])
-        if decision.outcome is RoutingOutcome.ANSWER:
+        if route(best_score, threshold) is RoutingOutcome.ANSWER:
             answered += 1
         if pool.correct:
             scored += 1

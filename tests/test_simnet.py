@@ -122,6 +122,13 @@ class TestInitNetwork:
         assert not np.array_equal(net.w1q, net.w1a)
         assert not np.array_equal(net.w2q, net.w2a)
 
+    @pytest.mark.parametrize("d, hidden1, hidden2", [(0, 50, 20), (4, 0, 20), (4, 50, 0),
+                                                     (4, -1, 3)])
+    def test_empty_layer_rejected(self, d, hidden1, hidden2):
+        # a network with no hidden units scores every pair sigmoid(b3)
+        with pytest.raises(ValueError, match="layer sizes must be >= 1"):
+            init_network(d, hidden1=hidden1, hidden2=hidden2)
+
     def test_draw_order_pinned(self):
         net = init_network(4, std=0.2, bias_const=0.3, seed=11, hidden1=3, hidden2=2)
         rng = np.random.default_rng(11)

@@ -28,27 +28,30 @@ def test_output_digests_cover_every_run(tmp_path):
                      "infer_report.json"):
             assert f"{run} file {name}" in digests
     # seed 1's fixture again, through concatenate-mode paragraph vectors
-    # to `eval --infer-vectors`: models of another size, and no word2vec
-    concat = "train_pipeline 1 concatenate"
-    assert [k.split()[-2] for k in digests if k.startswith(f"{concat} command")
-            and k.endswith(" exit")] == ["build-vocab", "build-vocab", "train-doc2vec",
-                                         "train-doc2vec", "sample-pairs", "train-simnet",
-                                         "eval"]
+    # or early stopping to `eval --infer-vectors`, with no word2vec
+    concat, early = "train_pipeline 1 concatenate", "train_pipeline 1 early-stop"
+    for variant in (concat, early):
+        assert [k.split()[-2] for k in digests if k.startswith(f"{variant} command")
+                and k.endswith(" exit")] == ["build-vocab", "build-vocab", "train-doc2vec",
+                                             "train-doc2vec", "sample-pairs", "train-simnet",
+                                             "eval"]
+        assert f"{variant} file a.w2v" not in digests
+    # models of another size
     for key in ("file q.d2v", "file a.d2v", "file net.simnet", "inferred vectors"):
         assert digests[f"{concat} {key}"] != digests[f"train_pipeline 1 {key}"]
     assert f"{concat} file infer_report.json" in digests
-    assert f"{concat} file a.w2v" not in digests and f"{concat} file report.json" not in digests
+    assert f"{concat} file report.json" not in digests
     # `ask` read the questions and answered them
     empty = hashlib.sha256(b"").hexdigest()
     # `eval --infer-vectors` and `ask` inferred vectors
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat):
+                "ask_large_collection 1", concat, early):
         assert digests[f"{run} inferred vectors"] != empty
     assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
     assert "ask_large_collection 1 file q.d2v" in digests
     # the saved arrays, in call order, are what each run's digest covers
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat):
+                "ask_large_collection 1", concat, early):
         files = sorted(saved.glob(run.replace(" ", "-") + "-[0-9]*.npy"))
         assert files
         inferred = hashlib.sha256()
@@ -57,6 +60,34 @@ def test_output_digests_cover_every_run(tmp_path):
         assert inferred.hexdigest() == digests[f"{run} inferred vectors"]
     # the runs leave nothing behind
     assert list(work.iterdir()) == []
+
+
+def test_early_stop_run_stops_early(tmp_path, monkeypatch):
+    # At smoke scale three epochs are too few for patience 2 to stop
+    # training, so seed 1 runs at full scale, in process, with and without
+    # the variant.
+    # the environment that the tool and `perfbench/prep.py` set on import
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.delenv("QASIM_SEED", raising=False)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import output_digests
+
+    digests = {}
+    for variant in (None, "early-stop"):
+        work = tmp_path / str(variant)
+        work.mkdir()
+        monkeypatch.chdir(work)
+        digests[variant] = output_digests.run("train_pipeline", 1, variant, "full", "run")
+    for key in ("file net.simnet", "file net.simnet.report.jsonl"):
+        assert digests["early-stop"][key] != digests[None][key]
+    reports = [json.loads((tmp_path / str(variant) / "net.simnet.report.jsonl")
+                          .read_text(encoding="utf-8").splitlines()[-1])
+               for variant in (None, "early-stop")]
+    assert [r["stopping_reason"] for r in reports] == ["max_epochs", "early_stopping"]
+    # training stopped at the first epoch more than 2 past the best one
+    assert reports[1]["completed_epochs"] == reports[1]["best_epoch"] + 4
 
 
 def test_criteria_sweep_reports_every_offset_and_block(tmp_path):

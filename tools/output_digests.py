@@ -6,11 +6,15 @@ Builds the inputs of `train_pipeline` for seeds 1-3 and of
 `ask_large_collection` for seed 1 with `perfbench/prep.py`'s `prepare`,
 then runs their commands through `qasim.cli.main` of the package under
 SRC, at one BLAS thread, each seed in a fresh temporary directory.
-`ask` answers the first 200 of the workload's questions.  The workloads
-train average-mode paragraph vectors only, so one more run, `train_pipeline
-1 concatenate`, takes seed 1's fixture through concatenate mode: the
-vocabularies, `train-doc2vec --combine concatenate` on both sides, the
-pairs, `train-simnet` and `eval --infer-vectors`.  Prints one JSON
+`ask` answers the first 200 of the workload's questions.  Two more runs
+take seed 1's fixture through the vocabularies, `train-doc2vec` on both
+sides, the pairs, `train-simnet` and `eval --infer-vectors` with one
+command's flags changed, to reach what the workloads never run: the
+workloads train average-mode paragraph vectors only, so `train_pipeline 1
+concatenate` adds `--combine concatenate` to `train-doc2vec`; they set
+`train-simnet`'s patience to its epoch count, so `train_pipeline 1
+early-stop` sets `--patience 2`, and at full scale training stops early
+(at smoke scale, three epochs are too few for it to).  Prints one JSON
 object, one key a line: the digest of every file a run leaves, each
 command's exit code and the digests of its stdout and stderr, and one
 digest of every array that `qasim.embedding.infer_doc_vectors` returned
@@ -36,10 +40,14 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
-# (workload, seed, doc2vec combine mode); a run's keys start with its
-# workload, seed and any mode besides the workload's own, average
+# (workload, seed, variant); a run's keys start with its workload, seed
+# and variant, if any
 RUNS = [("train_pipeline", 1, None), ("train_pipeline", 2, None), ("train_pipeline", 3, None),
-        ("ask_large_collection", 1, None), ("train_pipeline", 1, "concatenate")]
+        ("ask_large_collection", 1, None), ("train_pipeline", 1, "concatenate"),
+        ("train_pipeline", 1, "early-stop")]
+# a variant's command and the flags it adds there
+VARIANTS = {"concatenate": ("train-doc2vec", ["--combine", "concatenate"]),
+            "early-stop": ("train-simnet", ["--patience", "2"])}
 ASK_QUESTIONS = 200
 
 
@@ -47,28 +55,30 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def with_combine(commands: list, combine: str) -> list:
+def with_variant(commands: list, variant: str) -> list:
     """A `train_pipeline` manifest's commands that lead to `eval
-    --infer-vectors`, with paragraph vectors in the `combine` mode: no
-    word2vec model and no eval of the training pools."""
-    return [argv + ["--combine", combine] if argv[0] == "train-doc2vec" else argv
+    --infer-vectors`, with the flags of `variant` added to its command: no
+    word2vec model and no eval of the training pools.  A flag given twice
+    takes its last value."""
+    command, flags = VARIANTS[variant]
+    return [argv + flags if argv[0] == command else argv
             for argv in commands
             if argv[0] != "train-word2vec" and (argv[0] != "eval" or "--infer-vectors" in argv)]
 
 
-def run(workload: str, seed: int, combine: str | None, scale: str, name: str,
+def run(workload: str, seed: int, variant: str | None, scale: str, name: str,
         save: str | None = None) -> dict:
     """The digests of one workload seed, run in the current directory,
-    with doc2vec in the `combine` mode when given; the inferred arrays are
-    saved to the directory `save` when given, under the run's `name`."""
+    through `variant` when given; the inferred arrays are saved to the
+    directory `save` when given, under the run's `name`."""
     import numpy as np
     from prep import prepare
     from qasim import cli, embedding
 
     with contextlib.redirect_stderr(io.StringIO()):
         manifest = prepare(workload, seed, scale)
-    if combine is not None:
-        manifest["commands"] = with_combine(manifest["commands"], combine)
+    if variant is not None:
+        manifest["commands"] = with_variant(manifest["commands"], variant)
     stdin = "".join(q + "\n" for q in manifest.get("questions", [])[:ASK_QUESTIONS])
     digests, inferred, calls = {}, hashlib.sha256(), 0
     infer = embedding.infer_doc_vectors
@@ -120,12 +130,12 @@ def main() -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                     os.pardir, "perfbench"))
     home, result = os.getcwd(), {}
-    for workload, seed, combine in RUNS:
-        name = " ".join(str(part) for part in (workload, seed, combine) if part is not None)
+    for workload, seed, variant in RUNS:
+        name = " ".join(str(part) for part in (workload, seed, variant) if part is not None)
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
-                for key, value in run(workload, seed, combine, args.scale, name, save).items():
+                for key, value in run(workload, seed, variant, args.scale, name, save).items():
                     result[f"{name} {key}"] = value
             finally:
                 os.chdir(home)
