@@ -133,8 +133,8 @@ def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed)
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout_p must lie in [0, 1), got {dropout_p}")
     s1 = math.prod(shape_h1)
-    masks = ((np.random.default_rng(seed).random((2, s1 + math.prod(shape_h2))) >= dropout_p)
-             / (1.0 - dropout_p))
+    masks = np.random.default_rng(seed).random((2, s1 + math.prod(shape_h2)))
+    np.multiply(np.greater_equal(masks, dropout_p, out=masks), 1.0 / (1.0 - dropout_p), out=masks)
     return masks[:, :s1].reshape(2, *shape_h1), masks[:, s1:].reshape(2, *shape_h2)
 
 
@@ -178,11 +178,11 @@ def probabilities(net: SimilarityNetwork, q_terms: np.ndarray,
 
 
 def _stack_rows(f_q: np.ndarray, f_a: np.ndarray) -> np.ndarray:
-    """Both sides' feature rows, checked, stacked question first: (2, batch, d)."""
-    x_q, x_a = _as_rows(f_q), _as_rows(f_a)
+    """Both sides' feature rows stacked question first, (2, batch, d), checked in one pass."""
+    x_q, x_a = np.atleast_2d(f_q, f_a)
     if x_q.shape != x_a.shape:
         raise ValueError(f"feature shapes differ: {x_q.shape} vs {x_a.shape}")
-    return np.stack((x_q, x_a))
+    return _as_rows(np.stack((x_q, x_a)))
 
 
 def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
@@ -210,11 +210,10 @@ def _trace_loss(net: SimilarityNetwork, trace: ForwardTrace, y,
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.size == 0:
         raise ValueError("batch must be non-empty")
-    yc = np.clip(trace.y_prime, EPS, 1.0 - EPS)
+    yc = np.minimum(np.maximum(trace.y_prime, EPS), 1.0 - EPS)
     bce = -(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc))
-    # diverged weights overflow to inf (and lam 0 * inf to NaN); callers check the loss
-    with np.errstate(over="ignore", invalid="ignore"):
-        return y, float(bce.mean() + lam * np.dot(net.w3, net.w3))
+    # vdot and Python floats overflow quietly to inf (lam 0 * inf: NaN); callers check the loss
+    return y, float(bce.sum() / y.size) + lam * float(np.vdot(net.w3, net.w3))
 
 
 def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
@@ -249,12 +248,13 @@ def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.nd
     W1, B1, W2, B2, W3 = net.stacked
     grads = SimilarityNetwork._of(net.layer_dims, None, net.activation)
     gW1, gB1, gW2, gB2, gW3 = grads.stacked
-    m1, m2 = t.masks or (1.0, 1.0)         # x * 1.0 is x
     dz2 = g_u[:, None] * W3.transpose(0, 2, 1)
-    dz2 *= m2
+    if t.masks is not None:
+        dz2 *= t.masks[1]
     dz2 *= _act_grad(t.a2, net.activation)
     dz1 = np.matmul(dz2, W2)
-    dz1 *= m1
+    if t.masks is not None:
+        dz1 *= t.masks[0]
     dz1 *= _act_grad(t.a1, net.activation)
     np.matmul(dz1.transpose(0, 2, 1), t.x, out=gW1)
     np.add.reduce(dz1, axis=1, keepdims=True, out=gB1)

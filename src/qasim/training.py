@@ -176,9 +176,9 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
             grads, batch_loss = simnet.gradients(
                 net, q_rows.take(q_of_pair[idx], axis=0), a_rows.take(a_of_pair[idx], axis=0),
                 y[idx], config.lam, config.dropout_p, batch_seed)
-            if not np.isfinite(batch_loss):
+            if not math.isfinite(batch_loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}")
-            net.flat -= lr * grads.flat
+            net.flat -= np.multiply(grads.flat, lr, out=grads.flat)
             batch_losses.append(batch_loss)
         # weights past float32's range turn infinite in a model file
         if not np.abs(net.flat).max() <= FLOAT32_MAX:

@@ -273,6 +273,15 @@ class TestLoss:
         value = loss(net, fq, fa, np.array([0.0]), lam=0.0)
         assert np.isfinite(value)
 
+    def test_overflowing_head_weights_give_non_finite_loss_quietly(self):
+        # diverged head weights: ||w3||^2 overflows to inf, and lam 0 times
+        # inf is NaN; training checks the loss, so no warning is raised
+        net = toy_network()
+        net.w3 = np.full(4, 1e200)
+        fq, fa, y = np.array([[0.6, -0.3]]), np.array([[-0.2, 0.5]]), np.array([1.0])
+        assert loss(net, fq, fa, y, lam=0.5) == math.inf
+        assert math.isnan(loss(net, fq, fa, y, lam=0.0))
+
 
 class TestGradients:
     def test_tanh_eval_matches_finite_differences(self):

@@ -27,10 +27,11 @@ def test_output_digests_cover_every_run(tmp_path):
         for name in ("q.d2v", "a.d2v", "a.w2v", "net.simnet", "report.json",
                      "infer_report.json"):
             assert f"{run} file {name}" in digests
-    # seed 1's fixture again, through concatenate-mode paragraph vectors
-    # or early stopping to `eval --infer-vectors`, with no word2vec
+    # seed 1's fixture again, through concatenate-mode paragraph vectors,
+    # early stopping or no dropout to `eval --infer-vectors`, with no word2vec
     concat, early = "train_pipeline 1 concatenate", "train_pipeline 1 early-stop"
-    for variant in (concat, early):
+    no_dropout = "train_pipeline 1 no-dropout"
+    for variant in (concat, early, no_dropout):
         assert [k.split()[-2] for k in digests if k.startswith(f"{variant} command")
                 and k.endswith(" exit")] == ["build-vocab", "build-vocab", "train-doc2vec",
                                              "train-doc2vec", "sample-pairs", "train-simnet",
@@ -41,17 +42,21 @@ def test_output_digests_cover_every_run(tmp_path):
         assert digests[f"{concat} {key}"] != digests[f"train_pipeline 1 {key}"]
     assert f"{concat} file infer_report.json" in digests
     assert f"{concat} file report.json" not in digests
+    # the same features, trained without masks
+    for key in ("file q.d2v", "file a.d2v"):
+        assert digests[f"{no_dropout} {key}"] == digests[f"train_pipeline 1 {key}"]
+    assert digests[f"{no_dropout} file net.simnet"] != digests["train_pipeline 1 file net.simnet"]
     # `ask` read the questions and answered them
     empty = hashlib.sha256(b"").hexdigest()
     # `eval --infer-vectors` and `ask` inferred vectors
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat, early):
+                "ask_large_collection 1", concat, early, no_dropout):
         assert digests[f"{run} inferred vectors"] != empty
     assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
     assert "ask_large_collection 1 file q.d2v" in digests
     # the saved arrays, in call order, are what each run's digest covers
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat, early):
+                "ask_large_collection 1", concat, early, no_dropout):
         files = sorted(saved.glob(run.replace(" ", "-") + "-[0-9]*.npy"))
         assert files
         inferred = hashlib.sha256()

@@ -6,15 +6,17 @@ Builds the inputs of `train_pipeline` for seeds 1-3 and of
 `ask_large_collection` for seed 1 with `perfbench/prep.py`'s `prepare`,
 then runs their commands through `qasim.cli.main` of the package under
 SRC, at one BLAS thread, each seed in a fresh temporary directory.
-`ask` answers the first 200 of the workload's questions.  Two more runs
-take seed 1's fixture through the vocabularies, `train-doc2vec` on both
+`ask` answers the first 200 of the workload's questions.  Three more
+runs take seed 1's fixture through the vocabularies, `train-doc2vec` on both
 sides, the pairs, `train-simnet` and `eval --infer-vectors` with one
 command's flags changed, to reach what the workloads never run: the
 workloads train average-mode paragraph vectors only, so `train_pipeline 1
 concatenate` adds `--combine concatenate` to `train-doc2vec`; they set
 `train-simnet`'s patience to its epoch count, so `train_pipeline 1
 early-stop` sets `--patience 2`, and at full scale training stops early
-(at smoke scale, three epochs are too few for it to).  Prints one JSON
+(at smoke scale, three epochs are too few for it to); they train with
+dropout, so `train_pipeline 1 no-dropout` sets `train-simnet --dropout 0`,
+the training step that applies no masks.  Prints one JSON
 object, one key a line: the digest of every file a run leaves, each
 command's exit code and the digests of its stdout and stderr, and one
 digest of every array that `qasim.embedding.infer_doc_vectors` returned
@@ -44,10 +46,11 @@ import tempfile  # noqa: E402
 # and variant, if any
 RUNS = [("train_pipeline", 1, None), ("train_pipeline", 2, None), ("train_pipeline", 3, None),
         ("ask_large_collection", 1, None), ("train_pipeline", 1, "concatenate"),
-        ("train_pipeline", 1, "early-stop")]
+        ("train_pipeline", 1, "early-stop"), ("train_pipeline", 1, "no-dropout")]
 # a variant's command and the flags it adds there
 VARIANTS = {"concatenate": ("train-doc2vec", ["--combine", "concatenate"]),
-            "early-stop": ("train-simnet", ["--patience", "2"])}
+            "early-stop": ("train-simnet", ["--patience", "2"]),
+            "no-dropout": ("train-simnet", ["--dropout", "0"])}
 ASK_QUESTIONS = 200
 
 
