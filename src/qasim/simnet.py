@@ -128,8 +128,9 @@ def _act_grad(a: np.ndarray, activation: Activation) -> np.ndarray:
 
 def draw_dropout_masks(shape_h1: tuple, shape_h2: tuple, dropout_p: float, seed):
     """Inverted-dropout masks (h1, h2), each stacked question tower first:
-    (2, *shape_h1) and (2, *shape_h2).  One draw gives h1q, h2q, h1a, h2a
-    in that order; dropout_p must lie in [0, 1)."""
+    (2, *shape_h1) and (2, *shape_h2).  One draw gives h1q, h2q, h1a, h2a in
+    that order, from `seed`: an int seeds a new generator, and a
+    `np.random.Generator` is advanced.  dropout_p must lie in [0, 1)."""
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout_p must lie in [0, 1), got {dropout_p}")
     s1 = math.prod(shape_h1)
@@ -186,14 +187,14 @@ def _stack_rows(f_q: np.ndarray, f_a: np.ndarray) -> np.ndarray:
 
 
 def forward(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray,
-            dropout_p: float = 0.0, seed: int = 0, masks=None) -> ForwardTrace:
+            dropout_p: float = 0.0, seed=0, masks=None) -> ForwardTrace:
     """Run both towers and the head; records everything for backprop.
 
-    Inputs may be single d-vectors or (batch, d) arrays.  With dropout_p
-    > 0, inverted dropout masks drawn from `seed` are applied to both
-    hidden layers of both towers; passing `masks`, a trace's or
-    `draw_dropout_masks`'s, replays that trace exactly.  Otherwise no
-    masks and no rescaling are applied.
+    Inputs may be single d-vectors or (batch, d) arrays.  With dropout_p > 0,
+    inverted dropout masks drawn from `seed`, an int or a `np.random.Generator`
+    (which the draw advances), are applied to both hidden layers of both
+    towers; passing `masks`, a trace's or `draw_dropout_masks`'s, replays that
+    trace exactly.  Otherwise no masks and no rescaling are applied.
     """
     x = _stack_rows(f_q, f_a)
     if masks is None and dropout_p:          # a dropout_p outside [0, 1) raises in the draw
@@ -217,7 +218,7 @@ def _trace_loss(net: SimilarityNetwork, trace: ForwardTrace, y,
 
 
 def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
-         lam: float = 0.0, dropout_p: float = 0.0, seed: int = 0, masks=None) -> float:
+         lam: float = 0.0, dropout_p: float = 0.0, seed=0, masks=None) -> float:
     """Mean clamped binary cross-entropy plus lam * ||w3||^2.
 
     With dropout_p > 0 (or explicit masks) the forward pass applies
@@ -228,7 +229,7 @@ def loss(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray
 
 
 def gradients(net: SimilarityNetwork, f_q: np.ndarray, f_a: np.ndarray, y: np.ndarray,
-              lam: float = 0.0, dropout_p: float = 0.0, seed: int = 0,
+              lam: float = 0.0, dropout_p: float = 0.0, seed=0,
               masks=None) -> tuple[SimilarityNetwork, float]:
     """Exact analytic gradients of `loss` for every parameter.
 

@@ -172,10 +172,9 @@ def train_simnet(train_pairs: list[QAPair], val_pairs: list[QAPair], features,
         batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch_seed = int(rng.integers(0, 2**63 - 1))
             grads, batch_loss = simnet.gradients(
                 net, q_rows.take(q_of_pair[idx], axis=0), a_rows.take(a_of_pair[idx], axis=0),
-                y[idx], config.lam, config.dropout_p, batch_seed)
+                y[idx], config.lam, config.dropout_p, rng)     # masks: rng's next draw
             if not math.isfinite(batch_loss):
                 raise RuntimeError(f"non-finite training loss at epoch {epoch}")
             net.flat -= np.multiply(grads.flat, lr, out=grads.flat)

@@ -107,8 +107,7 @@ def train(train_pairs, val_pairs, features, config):
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            seed = int(rng.integers(0, 2**63 - 1))
-            tower_masks = (masks((len(idx), h1), (len(idx), h2), config.dropout_p, seed)
+            tower_masks = (masks((len(idx), h1), (len(idx), h2), config.dropout_p, rng)
                            if config.dropout_p > 0.0 else None)
             grads, value = gradients(p, fq[idx], fa[idx], y[idx], config.activation,
                                      config.lam, tower_masks)

@@ -224,6 +224,17 @@ class TestDropoutMasks:
         with pytest.raises(ValueError, match=r"dropout_p must lie in \[0, 1\)"):
             gradients(net, fq, fa, y, dropout_p=dropout_p)
 
+    def test_generator_is_advanced(self):
+        # an int seeds a new generator; a generator is drawn from and advanced
+        rng, same = np.random.default_rng(21), np.random.default_rng(21)
+        first, second = (draw_dropout_masks((4, 5), (4, 3), 0.5, rng) for _ in range(2))
+        for drawn in (first, second):
+            for m, expected in zip(drawn, draw_dropout_masks((4, 5), (4, 3), 0.5, same)):
+                assert np.array_equal(m, expected)
+        assert all(np.array_equal(m, e)
+                   for m, e in zip(first, draw_dropout_masks((4, 5), (4, 3), 0.5, seed=21)))
+        assert not np.array_equal(first[0], second[0])
+
     def test_deterministic(self):
         a = draw_dropout_masks((4, 5), (4, 3), 0.5, seed=8)
         b = draw_dropout_masks((4, 5), (4, 3), 0.5, seed=8)

@@ -259,6 +259,27 @@ class TestTrainSimnet:
             train_simnet(pairs, pairs, (qf[:, :7], af), cfg)
         assert updates == []
 
+    def test_no_generator_built_per_batch(self, monkeypatch):
+        # each batch's masks come from the run's generator; a generator built
+        # per batch would make the count grow with the epochs
+        built, real = [], np.random.default_rng
+
+        def recording(seed=None):
+            rng = real(seed)
+            if rng is not seed:
+                built.append(seed)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        pairs, feats = separable_fixture(n=50)
+        counts = []
+        for max_epochs in (1, 3):
+            built.clear()
+            train_simnet(pairs, pairs, feats, self.overfit_config(
+                batch_size=10, max_epochs=max_epochs, early_stop_patience=3))
+            counts.append(len(built))
+        assert counts == [2, 2]        # the run's generator and `init_network`'s
+
     def test_peak_memory_follows_unique_docs_not_pairs(self):
         # 20,000 pairs over 40 docs a side at d 50: one per-pair copy of
         # both sides' rows would be 2 x 20,000 x 50 x 8 B = 16 MB
@@ -329,14 +350,15 @@ class TestShortBatches:
     """The stacked step on a short last batch, and on one batch shorter than
     batch_size: the same network and report bytes as the two-pass reference."""
 
-    @pytest.mark.parametrize("n, batch_size, activation", [
-        (50, 20, Activation.TANH),      # 20, 20, 10
-        (30, 64, Activation.TANH),      # one batch of 30
-        (23, 8, Activation.RELU),       # 8, 8, 7
+    @pytest.mark.parametrize("n, batch_size, activation, dropout_p", [
+        (50, 20, Activation.TANH, 0.5),     # 20, 20, 10
+        (30, 64, Activation.TANH, 0.5),     # one batch of 30
+        (23, 8, Activation.RELU, 0.5),      # 8, 8, 7
+        (50, 20, Activation.TANH, 0.0),     # no masks drawn or applied
     ])
-    def test_matches_two_pass_reference(self, n, batch_size, activation):
+    def test_matches_two_pass_reference(self, n, batch_size, activation, dropout_p):
         pairs, feats = separable_fixture(n=n)
-        cfg = SimTrainConfig(batch_size=batch_size, max_epochs=4, dropout_p=0.5, lam=0.001,
+        cfg = SimTrainConfig(batch_size=batch_size, max_epochs=4, dropout_p=dropout_p, lam=0.001,
                              lr0=0.05, init_std=0.1, early_stop_patience=4,
                              activation=activation, seed=3)
         net, report = train_simnet(pairs, pairs[: n // 2], feats, cfg)
