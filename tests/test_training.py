@@ -355,7 +355,7 @@ class TestShortBatches:
         (30, 64, Activation.TANH, 0.5),     # one batch of 30
         (23, 8, Activation.RELU, 0.5),      # 8, 8, 7
         (50, 20, Activation.TANH, 0.0),     # no masks drawn or applied
-    ])
+    ], ids=["50-20-tanh", "30-64-tanh", "23-8-relu", "50-20-tanh-no-dropout"])
     def test_matches_two_pass_reference(self, n, batch_size, activation, dropout_p):
         pairs, feats = separable_fixture(n=n)
         cfg = SimTrainConfig(batch_size=batch_size, max_epochs=4, dropout_p=dropout_p, lam=0.001,
