@@ -104,15 +104,6 @@ class DocEmbeddingModel:
         return self._sizes[1] if self._sizes else self.doc_matrix.shape[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _label(n: int) -> np.ndarray:
-    """The one-hot label of n output rows, target first, as a column."""
-    label = np.zeros((n, 1))
-    label[0] = 1.0
-    label.flags.writeable = False          # one array, shared by every caller
-    return label
-
-
 @functools.lru_cache(maxsize=2)
 def _flat_index(shape: tuple[int, int]) -> np.ndarray:
     """The flat index of every entry of a C-contiguous matrix of `shape`,
@@ -136,22 +127,33 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, delta: np.ndarray) -> Non
 def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows: np.ndarray,
                keep: np.ndarray, lr: float) -> np.ndarray:
     """The training kernel of every model here, for a block of a steps
-    that all read the parameters as they were before it: the SGD step on
-    each step's `rows` (a, 1+m) of the output matrix, target first, whose
-    `keep` (a, 1+m, 1) is 0.0 for a draw that hit its target, from the
-    negated hidden vectors `nh` (a, 1, D); and the gradients with respect
-    to the hidden vectors (a, 1, D).  IEEE rounding is sign-symmetric, so
-    the negation changes no bit."""
-    out = output_matrix.take(rows, axis=0)            # (a, 1+m, D), a copy
-    g = np.matmul(out, nh.transpose(0, 2, 1))         # the negated scores s, (a, 1+m, 1)
+    that read the parameters as they were before it and share m
+    negatives: the SGD step on the output `rows` (a + m,), the targets
+    and then the negatives, from the negated hidden vectors `nh` (a, D),
+    where `keep` (a, 1+m), target first, is 0.0 for a negative that hit
+    the step's target, else 1.0; and the gradients with respect to the
+    hidden vectors (a, D).  The work is linear in a.  IEEE rounding is
+    sign-symmetric, so the negation changes no bit."""
+    a = len(nh)
+    out = output_matrix.take(rows, axis=0)            # (a + m, D), a copy
+    targets, negatives = out[:a], out[a:]
+    g = np.empty(keep.shape)                          # the negated scores s, target first
+    g_t, g_n = g[:, :1], g[:, 1:]
+    np.matmul(targets[:, None], nh[:, :, None], out=g_t[:, :, None])
+    np.matmul(nh, negatives.T, out=g_n)
     # dL/d score = keep * sigma(score) - label, where exp(s) needs no negation
     np.exp(g, out=g)
     g += 1.0
     np.divide(keep, g, out=g)                 # 0 / x is 0 exactly: a hit gets no gradient
-    np.subtract(g, _label(g.shape[1]), out=g)   # one ufunc: cheaper than indexing the target
-    grad_h = np.matmul(g.transpose(0, 2, 1), out)
+    g_t -= 1.0
+    grad_h = np.matmul(g_n, negatives)
+    targets *= g_t                            # `out` is free once read: it takes the deltas
+    grad_h += targets
     g *= lr
-    _scatter_add(output_matrix, rows, g * nh)         # out - lr * g * h, row by row
+    # out - lr * g * h, row by row: a shared row sums its a steps' deltas
+    np.multiply(g_t, nh, out=targets)
+    np.matmul(g_n.T, nh, out=negatives)
+    _scatter_add(output_matrix, rows, out)
     return grad_h
 
 
@@ -166,30 +168,31 @@ def _inputs(ids, start: int | None = None) -> tuple:
 def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs: tuple, rows: np.ndarray,
                 keep: np.ndarray, lr: float) -> None:
     """One training update of every model here, for a block of steps at
-    the current parameters (`_ns_update`), of the input matrix X and the
-    output matrix, from an `_inputs` entry.  A step's hidden vector is the
-    mean of its rows `ids` of X (CBOW, skip-gram with its center as the
-    one row, and DM in average mode with the doc row last), or with a
-    `start` (DM in concatenate mode) the doc row `ids[:, 0]` in slot 0,
-    zero padding, and the context rows in the slots from `start` on.  The
-    input rows take their steps in (step, slot) order."""
+    the current parameters that share their negatives (`_ns_update`'s
+    `rows` and `keep`), of the input matrix X and the output matrix, from
+    an `_inputs` entry.  A step's hidden vector is the mean of its rows
+    `ids` of X (CBOW, skip-gram with its center as the one row, and DM in
+    average mode with the doc row last), or with a `start` (DM in
+    concatenate mode) the doc row `ids[:, 0]` in slot 0, zero padding,
+    and the context rows in the slots from `start` on.  The input rows
+    take their steps in (step, slot) order."""
     ids, start, scale = inputs
     gathered = X.take(ids, axis=0)                   # (a, n, d)
     a, d = ids.shape[0], X.shape[1]
     if start is None:
         # the negated mean: np.mean is this sum over the count
-        nh = np.add.reduce(gathered, axis=1, keepdims=True) / -ids.shape[1]
+        nh = np.add.reduce(gathered, axis=1) / -ids.shape[1]
     else:
         nh = np.zeros((a, output_matrix.shape[1] // d, d))   # the 1 + window slots
         nh[:, 0] = gathered[:, 0]
         nh[:, start:] = gathered[:, 1:]
-        nh = np.negative(nh, out=nh).reshape(a, 1, -1)
+        nh = np.negative(nh, out=nh).reshape(a, -1)
     step = _ns_update(output_matrix, nh, rows, keep, lr)
     # -(lr * grad_h * scale) to the bit: a product rounds the same either sign
     step *= -lr
     if start is None:
         # every row of the mean takes its step
-        step = np.multiply(step, scale, out=gathered)
+        step = np.multiply(step[:, None], scale, out=gathered)
     else:
         # slot by slot; the doc row's step moves to the slot before the
         # context's (padding, or its own), so the steps of `ids` are adjacent
@@ -241,10 +244,11 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
     return lr0 - (lr0 - lr_min) * step / total_steps
 
 
-# Steps whose negatives one `_step_rows` call draws: at least one plan
-# entry's in training and one pass's in inference.  Bounds the drawn
-# rows' memory, whatever the corpus or document size, and in inference
-# the document-positions whose context words one gather covers.
+# Steps whose negatives one `_step_rows` call draws: in training, those
+# of whole plan entries (at least one), each entry's m shared draws
+# repeated for its steps, and in inference at least one pass's.  Bounds
+# the drawn rows' memory, whatever the corpus or document size, and in
+# inference the document-positions whose context words one gather covers.
 STEP_CHUNK = 1024
 
 # Documents that training advances in lockstep, one position at a time:
@@ -287,11 +291,13 @@ def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, sizes: np.ndarr
     """SGD over `config.epochs` passes of a `_block_plan`, one
     `_input_step` per entry, updating X and the output matrix in place.
     Entry j takes a block of sizes[j] steps, which predict the next
-    sizes[j] `targets` of the pass, all at the rate of the first of them;
-    the rate decays over all steps of all epochs.  Negatives are drawn
-    for at most STEP_CHUNK steps at a time, across documents and epochs,
-    in step order: the stream of one call per step."""
+    sizes[j] `targets` of the pass, all at the rate of the first of them,
+    and share m negatives drawn for the entry; the rate decays over all
+    steps of all epochs.  Negatives are drawn for the entries of at most
+    STEP_CHUNK steps (at least one entry) at a time, across documents and
+    epochs, in entry order: the stream of one call per entry."""
     n, n_steps, total = len(plan), int(sizes.sum()), config.epochs * len(plan)
+    m = config.negatives
     per_chunk = max(1, STEP_CHUNK // int(sizes.max()))
     ends = np.cumsum(sizes)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -301,12 +307,18 @@ def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, sizes: np.ndarr
             rates = _learning_rate(config.learning_rate, config.min_learning_rate,
                                    epoch * n_steps + ends[j] - size, config.epochs * n_steps)
             cuts = np.cumsum(size)
-            # the entries' steps, as indices into the pass
-            rows, keep = _step_rows(rng.random((cuts[-1], config.negatives)), cdf, targets[
-                np.arange(cuts[-1]) + np.repeat(ends[j] - cuts, size)])
-            for entry, lo, hi, lr in zip(j.tolist(), (cuts - size).tolist(), cuts.tolist(),
-                                         rates.tolist()):
-                _input_step(X, output_matrix, plan[entry], rows[lo:hi], keep[lo:hi], lr)
+            # each entry's m negatives, repeated for its steps, and the
+            # steps' targets, as indices into the pass
+            rows, keep = _step_rows(np.repeat(rng.random((len(j), m)), size, axis=0), cdf,
+                                    targets[np.arange(cuts[-1]) + np.repeat(ends[j] - cuts, size)])
+            # each entry's output rows in turn, its targets and then its
+            # negatives: entry e's start at lo + e * m
+            shared = np.insert(rows[:, 0], np.repeat(cuts, m), rows[cuts - size, 1:].ravel())
+            keep = keep[..., 0]
+            for entry, lo, hi, em, lr in zip(j.tolist(), (cuts - size).tolist(), cuts.tolist(),
+                                             range(0, len(j) * m, m), rates.tolist()):
+                _input_step(X, output_matrix, plan[entry], shared[lo + em: hi + em + m],
+                            keep[lo:hi], lr)
     _flat_index.cache_clear()
     # overflow warnings were off; divergence shows here, also as values
     # past float32's range, which turn infinite in a model file
@@ -326,12 +338,13 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     words on each side: one `_input_step` per window size, in increasing
     size, as windows shrink at document ends.  Skip-gram predicts each of
     those words from the center alone, one step a (center, output) pair:
-    one `_input_step` for all pairs of the position.  Negatives come from
-    the corpus unigram distribution raised to 0.75.  The learning rate
-    decays linearly from learning_rate down to min_learning_rate over all
-    steps of all epochs (positions for CBOW, pairs for skip-gram); an
-    input step takes the rate of its first.  Raises RuntimeError when
-    training diverges to non-finite parameters.
+    one `_input_step` for all pairs of the position.  The steps of one
+    `_input_step` share m negatives, drawn from the corpus unigram
+    distribution raised to 0.75.  The learning rate decays linearly from
+    learning_rate down to min_learning_rate over all steps of all epochs
+    (positions for CBOW, pairs for skip-gram); an input step takes the
+    rate of its first.  Raises RuntimeError when training diverges to
+    non-finite parameters.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -390,7 +403,8 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     TRAIN_BLOCK documents, in corpus order, advance in lockstep: each
     position of a block is one step of its documents that have not
     ended, from the parameters as the block's previous position left
-    them, at the rate of its first document-position.  Raises
+    them, at the rate of its first document-position, with m negatives
+    that all of them share.  Raises
     RuntimeError when training diverges to non-finite parameters.
     """
     if not corpus:

@@ -70,18 +70,32 @@ def _add_rows(matrix: np.ndarray, rows, gathered: np.ndarray, delta, repeats) ->
     matrix[rows] = gathered
 
 
+def _scores(out: np.ndarray, nh: np.ndarray) -> np.ndarray:
+    """The negated scores of a step's output rows `out`, target first, from
+    its negated hidden vector: the target's on its own, then the
+    negatives' in one product."""
+    return np.r_[np.dot(out[0], nh), np.dot(out[1:], nh)]
+
+
+def _grad_h(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The gradient with respect to the hidden vector from dL/d score `g`
+    of the output rows `out`, target first: the negatives' product, plus
+    the target's term."""
+    return np.dot(g[1:], out[1:]) + g[0] * out[0]
+
+
 def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows, lr: float,
                repeats) -> np.ndarray:
     """The SGD step on the output `rows` (target first; `repeats` is
     `_repeats(rows)`) from the negated hidden vector `nh`, and the
     gradient with respect to the hidden vector at the current parameters."""
     out = output_matrix.take(rows, axis=0)
-    g = np.dot(out, nh)                        # the negated scores
+    g = _scores(out, nh)                       # the negated scores
     g = np.exp(g, out=g)
     g += 1.0
     np.divide(1.0, g, out=g)                   # 1 / (1 + exp(-score))
     np.subtract(g, _label(len(g)), out=g)
-    grad_h = np.dot(g, out)
+    grad_h = _grad_h(g, out)
     g *= lr
     _add_rows(output_matrix, rows, out, g[:, None] * nh, repeats)
     return grad_h
@@ -208,12 +222,12 @@ def _dm_block_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int
                    lr0: float, lr_min: float, rng, block: int) -> None:
     """Distributed-memory SGD in lockstep, one document-position at a
     time: blocks of `block` documents advance one position at a time.  At
-    a block's position, every document that has not ended computes its
-    step from the parameters as the position before left them, with all
-    m draws among its output rows (one that hit its target gets no
-    gradient), at the rate of the position's first document-position.
-    Then the steps add, document by document and row by row: the output
-    rows, the doc vector and the context rows."""
+    a block's position, m negatives are drawn, and every document that
+    has not ended computes its step from the parameters as the position
+    before left them, with all m draws among its output rows (one that
+    hit its target gets no gradient), at the rate of the position's first
+    document-position.  Then the steps add, document by document and row
+    by row: the output rows, the doc vector and the context rows."""
     k, m, d = model.window, model.negatives, model.dim
     W, D, O = model.word_matrix, model.doc_matrix, model.output_matrix
     cdf = _noise_cdf(model.noise_probs)
@@ -228,19 +242,19 @@ def _dm_block_train(model: DocEmbeddingModel, docs: list[list[int]], epochs: int
             lr = _learning_rate(lr0, lr_min, epoch * n_positions + done, epochs * n_positions)
             done += len(position)
             steps = []
+            draws = np.searchsorted(cdf, rng.random(m), side="right")
             for r, i in position:
                 target = docs[r][i]
-                draws = np.searchsorted(cdf, rng.random(m), side="right")
                 rows = np.r_[target, draws]
                 keep = np.r_[True, draws != target]
                 context = docs[r][max(0, i - k): i]
                 start = d * (1 + k - len(context))
                 nh = _dm_hidden(model, D[r], W[context], start)
                 out = O[rows]
-                g = 1.0 / (1.0 + np.exp(np.dot(out, nh)))
+                g = 1.0 / (1.0 + np.exp(_scores(out, nh)))
                 g[~keep] = 0.0
                 g -= label
-                step = np.dot(g, out) * -lr * _dm_scale(model, len(context))
+                step = _grad_h(g, out) * -lr * _dm_scale(model, len(context))
                 steps.append((rows, (g * lr)[:, None] * nh, r, context, step, start))
             for rows, deltas, r, context, step, start in steps:
                 for row, delta in zip(rows, deltas):
@@ -265,11 +279,11 @@ def _word_block_train(model: WordEmbeddingModel, docs: list[list[int]], cdf: np.
     the center as its one input.  A group of steps computes from the
     parameters as the group before left them: the steps of a block
     position (skip-gram), or those of its windows of one size, in
-    increasing size (CBOW).  Each step has all m draws among its output
-    rows (one that hit its target gets no gradient), at the rate of its
-    group's first step; the rate decays over all steps.  Then the steps
-    add, step by step and row by row: the output rows, then the input
-    rows."""
+    increasing size (CBOW).  A group draws m negatives, and each of its
+    steps has all m draws among its output rows (one that hit its target
+    gets no gradient), at the rate of the group's first step; the rate
+    decays over all steps.  Then the steps add, step by step and row by
+    row: the output rows, then the input rows."""
     k, m = model.window, model.negatives
     X, O = model.input_matrix, model.output_matrix
     docs = [tokens for tokens in docs if len(tokens) >= 2]
@@ -297,16 +311,16 @@ def _word_block_train(model: WordEmbeddingModel, docs: list[list[int]], cdf: np.
             lr = _learning_rate(lr0, lr_min, epoch * n_steps + done, epochs * n_steps)
             done += len(group)
             updates = []
+            draws = np.searchsorted(cdf, rng.random(m), side="right")
             for ids, target in group:
-                draws = np.searchsorted(cdf, rng.random(m), side="right")
                 rows = np.r_[target, draws]
                 keep = np.r_[True, draws != target]
                 nh = np.add.reduce(X[ids], axis=0) / -len(ids)
                 out = O[rows]
-                g = 1.0 / (1.0 + np.exp(np.dot(out, nh)))
+                g = 1.0 / (1.0 + np.exp(_scores(out, nh)))
                 g[~keep] = 0.0
                 g -= label
-                step = np.dot(g, out) * -lr * (1.0 / len(ids))
+                step = _grad_h(g, out) * -lr * (1.0 / len(ids))
                 updates.append((rows, (g * lr)[:, None] * nh, ids, step))
             for rows, deltas, ids, step in updates:
                 for row, delta in zip(rows, deltas):

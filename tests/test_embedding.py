@@ -105,10 +105,10 @@ def step_rows(target, negatives):
 
 
 def one_step(rows):
-    """A step's output rows as a block of one step, and its keep: every
-    row kept, so a negative equal to the target counts as one."""
+    """A step's output rows, target first, as a block of one step, and its
+    keep: every row kept, so a negative equal to the target counts as one."""
     rows = np.asarray(rows)
-    return rows[None], np.ones((1, len(rows), 1))
+    return rows, np.ones((1, len(rows)))
 
 
 def word_step(model, inputs, rows, lr, repeats=None):
@@ -137,7 +137,7 @@ def hidden_vectors(monkeypatch):
     `_ns_update`, in order, one a step."""
     seen, update = [], embedding._ns_update
     def record(output_matrix, nh, *args):
-        seen.extend(nh[:, 0].copy())
+        seen.extend(nh.copy())
         return update(output_matrix, nh, *args)
     monkeypatch.setattr(embedding, "_ns_update", record)
     return seen
@@ -407,12 +407,13 @@ class TestRepeatedRows:
 
     @staticmethod
     def add_at_step(output_matrix, h, rows, lr):
-        """The negative-sampling step with every row update by np.add.at."""
+        """The negative-sampling step with every row update by np.add.at,
+        the target's score and gradient term apart from the negatives'."""
         out = output_matrix[rows]
-        g = 1.0 / (1.0 + np.exp(-(out @ h)))
+        g = 1.0 / (1.0 + np.exp(-np.r_[out[0] @ h, out[1:] @ h]))
         g[0] -= 1.0
         np.add.at(output_matrix, rows, (-lr * g)[:, None] * h)
-        return g @ out
+        return g[1:] @ out[1:] + g[0] * out[0]
 
     @pytest.mark.parametrize("context", [[2, 2, 5], [2, 2, 2], [0, 5, 3]])
     @pytest.mark.parametrize("negatives", [[4, 4], [4, 4, 4], [3, 4]])
@@ -455,6 +456,127 @@ class TestRepeatedRows:
         assert np.array_equal(doc_vec, vec)
         assert np.array_equal(model.word_matrix, W)
         assert np.array_equal(model.output_matrix, O)
+
+
+class TestSharedNegatives:
+    """The steps of one `_input_step` share their m negatives: two
+    skip-gram steps, from centers 1 and 4 (or 1 twice) to targets 2 and 3,
+    whose shared negatives hit step 0's target."""
+
+    TARGETS, NEGATIVES = [2, 3], [2, 5]
+
+    @staticmethod
+    def matrices():
+        r = np.random.default_rng(5)
+        return r.normal(scale=0.4, size=(6, 3)), r.normal(scale=0.4, size=(6, 3))
+
+    @staticmethod
+    def block_step(X, O, lr, centers, targets, negatives):
+        """One `_input_step` of skip-gram steps that share `negatives`,
+        with keep as training draws it: 0.0 where a negative hits the
+        step's target."""
+        keep = np.ones((len(targets), 1 + len(negatives)))
+        keep[:, 1:] = np.not_equal.outer(targets, negatives)
+        embedding._input_step(X, O, embedding._inputs(np.array(centers)[:, None]),
+                              np.array([*targets, *negatives]), keep, lr)
+
+    def test_a_hit_gets_no_gradient_in_its_step_only(self):
+        X, O = self.matrices()
+        h, before = X[[1, 4]].copy(), O.copy()
+        self.block_step(X, O, 1.0, [1, 4], self.TARGETS, self.NEGATIVES)
+
+        def s(row, j):
+            return sigma(float(before[row] @ h[j]))
+        # row 2 is step 0's target, which skips it as a negative, and step
+        # 1's negative; row 5 is a negative of both steps
+        np.testing.assert_allclose(O[2], before[2] - (s(2, 0) - 1) * h[0] - s(2, 1) * h[1],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(O[5], before[5] - s(5, 0) * h[0] - s(5, 1) * h[1],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            X[1], h[0] - (s(2, 0) - 1) * before[2] - s(5, 0) * before[5], rtol=1e-12)
+        np.testing.assert_allclose(
+            X[4], h[1] - (s(3, 1) - 1) * before[3] - s(2, 1) * before[2] - s(5, 1) * before[5],
+            rtol=1e-12)
+        for row in (0, 1, 4):
+            assert np.array_equal(O[row], before[row])
+
+    @pytest.mark.parametrize("centers", [[1, 4], [1, 1]])
+    def test_gradients_match_finite_differences(self, centers):
+        # the block's loss is the sum of its steps' losses at the
+        # parameters before it, each without the negative that hits its target
+        def loss(X, O):
+            return sum(ns_loss_oracle(O, X[c], t, [n for n in self.NEGATIVES if n != t])
+                       for c, t in zip(centers, self.TARGETS))
+        X, O = self.matrices()
+        self.block_step(X, O, 1.0, centers, self.TARGETS, self.NEGATIVES)
+        X0, O0 = self.matrices()
+        eps = 1e-5
+        for matrix, grad in ((X0, X0 - X), (O0, O0 - O)):
+            for idx in np.ndindex(matrix.shape):
+                orig = matrix[idx]
+                matrix[idx] = orig + eps
+                up = loss(X0, O0)
+                matrix[idx] = orig - eps
+                down = loss(X0, O0)
+                matrix[idx] = orig
+                fd = (up - down) / (2 * eps)
+                assert abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-10) < 1e-5, idx
+
+    def test_a_negative_drawn_twice_adds_both_updates_in_order(self, monkeypatch):
+        scattered, scatter = [], embedding._scatter_add
+
+        def record(matrix, rows, delta):
+            scattered.append((rows.copy(), delta.copy()))
+            scatter(matrix, rows, delta)
+        monkeypatch.setattr(embedding, "_scatter_add", record)
+        deltas = {}
+        for negatives in ([5, 5], [5]):
+            X, O = self.matrices()
+            scattered.clear()
+            self.block_step(X, O, 0.3, [1, 4], self.TARGETS, negatives)
+            (rows, delta), _ = scattered        # the output rows, then the input rows
+            assert rows.tolist() == self.TARGETS + negatives
+            deltas[len(negatives)] = delta
+            expected = self.matrices()[1]
+            for row, step in zip(rows, delta):
+                expected[row] += step
+            assert np.array_equal(O, expected)
+        # each draw of row 5 takes the update of one draw
+        twice, once = deltas[2], deltas[1]
+        assert np.array_equal(twice[2], twice[3]) and np.abs(twice[2]).min() > 0
+        np.testing.assert_allclose(twice[2:], np.vstack((once[2], once[2])), rtol=1e-12)
+
+    @pytest.mark.parametrize("train, mode", [(train_doc2vec, CombineMode.AVERAGE),
+                                             (train_doc2vec, CombineMode.CONCATENATE),
+                                             (train_word2vec, Word2VecMode.CBOW),
+                                             (train_word2vec, Word2VecMode.SKIPGRAM)])
+    def test_a_block_position_gathers_and_scatters_a_plus_m_output_rows(self, monkeypatch,
+                                                                        train, mode):
+        # the kernel's output rows: the a steps' targets and the m shared
+        # negatives, where each step drawing its own would be a * (1 + m)
+        calls, update, scatter = [], embedding._ns_update, embedding._scatter_add
+        outputs = set()
+
+        def record_update(output_matrix, nh, rows, keep, lr):
+            outputs.add(id(output_matrix))
+            calls.append([len(nh), rows.size, keep.shape])
+            return update(output_matrix, nh, rows, keep, lr)
+
+        def record_scatter(matrix, rows, delta):
+            if id(matrix) in outputs:
+                calls[-1].append(rows.size)
+            scatter(matrix, rows, delta)
+        monkeypatch.setattr(embedding, "_ns_update", record_update)
+        monkeypatch.setattr(embedding, "_scatter_add", record_scatter)
+        docs, vocab = cluster_corpus(12)
+        m = 4
+        train(docs, EmbedTrainConfig(dim=6, window=3, negatives=m, epochs=1, seed=3), mode,
+              vocab_size=len(vocab))
+        assert calls and max(a for a, *_ in calls) > 1
+        for a, gathered, keep, scattered in calls:
+            assert gathered == scattered == a + m
+            assert keep == (a, 1 + m)
 
 
 class TestAgainstReference:
@@ -618,16 +740,29 @@ def reference_start(model, n_docs, cfg):
 
 
 class TestBlockTraining:
-    """Training advances blocks of TRAIN_BLOCK documents in lockstep: DM
-    against `embedding_reference._dm_block_train`, one document-position
-    at a time, and CBOW and skip-gram against `_word_block_train`, one
-    step at a time, bit for bit."""
+    """Training advances blocks of TRAIN_BLOCK documents in lockstep, the
+    steps of a block position sharing their negatives: DM against
+    `embedding_reference._dm_block_train`, one document-position at a
+    time, and CBOW and skip-gram against `_word_block_train`, one step at
+    a time.  A shared negative's row takes the sum of its steps' deltas
+    from one product, where the references add them step by step, so the
+    runs agree to 1e-12 of the largest entry; bit for bit where every
+    block position is one step (DM and CBOW at a block of one)."""
 
     @staticmethod
     def corpus(lengths, vocab_size, seed):
         r = np.random.default_rng(seed)
         return [TokenizedDocument(j, r.integers(0, vocab_size, n).tolist())
                 for j, n in enumerate(lengths)]
+
+    @staticmethod
+    def assert_matches(model, ref, names, exact):
+        for name in names:
+            a, b = getattr(model, name), getattr(ref, name)
+            if exact:
+                assert np.array_equal(a, b), name
+            else:
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
     CASES = {
         # documents that end at different positions, in two blocks
@@ -644,7 +779,7 @@ class TestBlockTraining:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("combine", list(CombineMode))
-    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("block", [None, 3, 1])
     def test_matches_lockstep_reference(self, monkeypatch, case, combine, block):
         if block is not None:
             monkeypatch.setattr(embedding, "TRAIN_BLOCK", block)
@@ -657,8 +792,8 @@ class TestBlockTraining:
         reference._dm_block_train(ref, [doc.tokens for doc in docs], cfg.epochs,
                                   cfg.learning_rate, cfg.min_learning_rate, rng,
                                   embedding.TRAIN_BLOCK)
-        for name in ("word_matrix", "doc_matrix", "output_matrix"):
-            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+        self.assert_matches(model, ref, ("word_matrix", "doc_matrix", "output_matrix"),
+                            exact=block == 1)
 
     def test_block_changes_the_result(self):
         # the blocks are not the sequential steps in another guise
@@ -672,7 +807,7 @@ class TestBlockTraining:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("mode", list(Word2VecMode))
-    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("block", [None, 3, 1])
     def test_word2vec_matches_lockstep_reference(self, monkeypatch, case, mode, block):
         if block is not None:
             monkeypatch.setattr(embedding, "TRAIN_BLOCK", block)
@@ -685,8 +820,9 @@ class TestBlockTraining:
         reference._word_block_train(ref, [doc.tokens for doc in docs], word_noise_cdf(docs, V),
                                     cfg.epochs, cfg.learning_rate, cfg.min_learning_rate, rng,
                                     embedding.TRAIN_BLOCK)
-        for name in ("input_matrix", "output_matrix"):
-            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+        # at a block of one, skip-gram still takes a center's window in one position
+        self.assert_matches(model, ref, ("input_matrix", "output_matrix"),
+                            exact=block == 1 and mode is Word2VecMode.CBOW)
 
     @pytest.mark.parametrize("mode", list(Word2VecMode))
     def test_word2vec_block_changes_the_result(self, mode):
@@ -1129,6 +1265,41 @@ class TestInferDocVectors:
                                   capture_output=True, text=True, check=True).stdout
 
         one = run(1)
+        assert len(one.splitlines()) == 6
+        assert run(min(2, os.cpu_count())) == one
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_trained_models_do_not_depend_on_blas_threads(self, tmp_path):
+        # The shared negatives' products at sizes where OpenBLAS may split
+        # them over threads: a skip-gram position of 8 documents holds up
+        # to 80 (center, output) pairs, 80 x 256 times 256 x 20 in one
+        # product, and a concatenate-mode DM position 8 x 1536 times
+        # 1536 x 20.  The models' bytes at 1 and 2 BLAS threads.
+        docs, vocab = cluster_corpus(12)
+        corpus_file = tmp_path / "corpus.json"
+        corpus_file.write_text(json.dumps([doc.tokens for doc in docs]))
+        script = (
+            "import hashlib, json, sys\n"
+            "from qasim import embedding\n"
+            "from qasim.corpus import TokenizedDocument\n"
+            "corpus = [TokenizedDocument(j, t)\n"
+            "          for j, t in enumerate(json.load(open(sys.argv[1])))]\n"
+            "cfg = embedding.EmbedTrainConfig(dim=256, window=5, negatives=20, epochs=1, seed=5)\n"
+            "V = int(sys.argv[2])\n"
+            "for model in (embedding.train_word2vec(corpus, cfg, 'skipgram', vocab_size=V),\n"
+            "              embedding.train_doc2vec(corpus, cfg, 'concatenate', vocab_size=V)):\n"
+            "    for matrix in vars(model).values():\n"
+            "        if hasattr(matrix, 'tobytes'):\n"
+            "            print(hashlib.sha256(matrix.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(embedding.__file__))
+
+        def run(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+            return subprocess.run([sys.executable, "-c", script, str(corpus_file),
+                                   str(len(vocab))], env=env, capture_output=True, text=True,
+                                  check=True).stdout
+        one = run(1)
+        # skip-gram's two matrices; DM's word, doc and output matrices and noise
         assert len(one.splitlines()) == 6
         assert run(min(2, os.cpu_count())) == one
 

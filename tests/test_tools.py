@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,13 +31,21 @@ def test_output_digests_cover_every_run(tmp_path):
     # seed 1's fixture again, through concatenate-mode paragraph vectors,
     # early stopping or no dropout to `eval --infer-vectors`, with no word2vec
     concat, early = "train_pipeline 1 concatenate", "train_pipeline 1 early-stop"
-    no_dropout = "train_pipeline 1 no-dropout"
+    no_dropout, cbow = "train_pipeline 1 no-dropout", "train_pipeline 1 cbow"
+
+    def commands(variant):
+        return [k.split()[-2] for k in digests
+                if k.startswith(f"{variant} command") and k.endswith(" exit")]
     for variant in (concat, early, no_dropout):
-        assert [k.split()[-2] for k in digests if k.startswith(f"{variant} command")
-                and k.endswith(" exit")] == ["build-vocab", "build-vocab", "train-doc2vec",
-                                             "train-doc2vec", "sample-pairs", "train-simnet",
-                                             "eval"]
+        assert commands(variant) == ["build-vocab", "build-vocab", "train-doc2vec",
+                                     "train-doc2vec", "sample-pairs", "train-simnet", "eval"]
         assert f"{variant} file a.w2v" not in digests
+    # or with a CBOW word model in place of skip-gram's, and the same paragraph vectors
+    assert commands(cbow) == ["build-vocab", "build-vocab", "train-doc2vec", "train-doc2vec",
+                              "train-word2vec", "sample-pairs", "train-simnet", "eval"]
+    assert digests[f"{cbow} file a.w2v"] != digests["train_pipeline 1 file a.w2v"]
+    for key in ("file q.d2v", "file a.d2v"):
+        assert digests[f"{cbow} {key}"] == digests[f"train_pipeline 1 {key}"]
     # models of another size
     for key in ("file q.d2v", "file a.d2v", "file net.simnet", "inferred vectors"):
         assert digests[f"{concat} {key}"] != digests[f"train_pipeline 1 {key}"]
@@ -50,13 +59,13 @@ def test_output_digests_cover_every_run(tmp_path):
     empty = hashlib.sha256(b"").hexdigest()
     # `eval --infer-vectors` and `ask` inferred vectors
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat, early, no_dropout):
+                "ask_large_collection 1", concat, early, no_dropout, cbow):
         assert digests[f"{run} inferred vectors"] != empty
     assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
     assert "ask_large_collection 1 file q.d2v" in digests
     # the saved arrays, in call order, are what each run's digest covers
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat, early, no_dropout):
+                "ask_large_collection 1", concat, early, no_dropout, cbow):
         files = sorted(saved.glob(run.replace(" ", "-") + "-[0-9]*.npy"))
         assert files
         inferred = hashlib.sha256()
@@ -112,10 +121,26 @@ def test_criteria_sweep_reports_every_offset_and_block(tmp_path):
         assert all(set(v) == {"cbow", "skipgram", "doc"} for v in block["criterion 5"]["values"])
         assert all(len(v["doc2vec"]) == len(v["bow"]) == 4
                    for v in block["criterion 8"]["values"])
-    # the block governs the word models as well as the doc vectors
+        # each offset's margins, and their median and minimum over the offsets
+        for name, keys in (("criterion 4", {"gap"}), ("criterion 5", {"cbow", "skipgram", "doc"}),
+                           ("criterion 8", {"gap", "doc2vec_mean"})):
+            criterion = block[name]
+            assert [set(m) for m in criterion["margins"]] == [keys, keys]
+            for key in keys:
+                margins = [m[key] for m in criterion["margins"]]
+                assert criterion["min"][key] == min(margins)
+                assert criterion["median"][key] == pytest.approx(sum(margins) / 2, abs=1e-6)
+        # criterion 4's gap is positive exactly when every pool ranks its gold answer first
+        assert all((m["gap"] > 0) == (v == 1.0) for m, v in zip(
+            block["criterion 4"]["margins"], block["criterion 4"]["values"]))
+        for m, v in zip(block["criterion 8"]["margins"], block["criterion 8"]["values"]):
+            assert m["gap"] == pytest.approx(min(a - b for a, b in zip(v["doc2vec"], v["bow"])),
+                                             abs=1e-4)
+    # the block governs the word models as well as the doc vectors; at
+    # smoke scale a word margin may move below the values' 4 decimals
     for mode in ("cbow", "skipgram"):
-        assert ([v[mode] for v in sweep["blocks"]["1"]["criterion 5"]["values"]]
-                != [v[mode] for v in sweep["blocks"]["8"]["criterion 5"]["values"]])
+        assert ([m[mode] for m in sweep["blocks"]["1"]["criterion 5"]["margins"]]
+                != [m[mode] for m in sweep["blocks"]["8"]["criterion 5"]["margins"]])
     assert (sweep["blocks"]["1"]["criterion 8"]["values"]
             != sweep["blocks"]["8"]["criterion 8"]["values"])
     assert list(tmp_path.iterdir()) == []

@@ -7,10 +7,12 @@ For each seed offset o in 0..N-1, each criterion's fixture runs as the
 acceptance test runs it, with o added to every fixture, split and
 classifier seed that the test uses, once with
 `qasim.embedding.TRAIN_BLOCK` 1 and once with 8.  The block governs
-CBOW, skip-gram and DM training alike.  At block 1, DM and CBOW train
-one step at a time (sequential training); skip-gram still takes each
-center's window in one step.  The criteria and their thresholds are the
-test's:
+CBOW, skip-gram and DM training alike, and the steps of one block
+position share their m negatives.  At block 1 a DM or CBOW position is
+one step, so DM and CBOW train one step at a time, each with its own
+negatives (sequential training); skip-gram still takes each center's
+window in one step, whose pairs share their negatives.  The criteria
+and their thresholds are the test's:
 
   4  pool top-1 of the planted QA fixture (doc2vec features) >= 0.9
   5  within-topic cosine above across-topic cosine for CBOW, skip-gram
@@ -20,11 +22,18 @@ test's:
      every training ratio
 
 Prints one JSON object: per block and criterion, the value of each
-offset in order and the number of offsets that pass.  Runs at one BLAS
-thread with the package in this checkout's `src`.
-`--scale smoke` shrinks every fixture and epoch count, to check that
-the tool runs; its values mean nothing.  A full run of 20 offsets at
-blocks 1 and 8 takes about 10 minutes on one core.
+offset in order, the number of offsets that pass, each offset's margins
+and their median and minimum over the offsets.  The margins say how
+close a pass is: criterion 4's `gap` is the smallest per-pool gap
+between the gold answer's head term and the best filler's (the question
+term and b3 are the same for every candidate of a pool; top-1 reads 1.0
+even when the gap is a few thousandths), criterion 5's are its three
+cosine margins, and criterion 8's `gap` is the smallest doc2vec - BoW
+accuracy gap over the ratios, beside `doc2vec_mean`, the mean doc2vec
+accuracy.  Runs at one BLAS thread with the package in this checkout's
+`src`.  `--scale smoke` shrinks every fixture and epoch count, to check
+that the tool runs; its values mean nothing.  A full run of 20 offsets
+at blocks 1 and 8 takes about SWEEP_TIME on one core of a 2-core host.
 """
 
 import os
@@ -52,9 +61,9 @@ SIZES = {
 }
 
 
-def criterion_4(o: int, s: dict) -> tuple[float, bool]:
+def criterion_4(o: int, s: dict) -> tuple[float, dict, bool]:
     import numpy as np
-    from qasim import corpus, embedding, retrieval
+    from qasim import corpus, embedding, retrieval, simnet
     from qasim.datasets import planted_qa_records
     from qasim.training import SimTrainConfig, train_simnet
 
@@ -84,10 +93,18 @@ def criterion_4(o: int, s: dict) -> tuple[float, bool]:
                              early_stop_patience=s["sim_epochs"], seed=4 + o)
     net, _ = train_simnet(train, val, tuple(features), sim_cfg)
     top1 = retrieval.evaluate_pool_accuracy(net, pools, tuple(features))
-    return round(top1, 4), top1 >= 0.9
+    # the question term and b3 are the same for every candidate of a pool
+    terms = simnet.head_terms(net, features[1], "a")
+    gaps = []
+    for pool in pools:
+        cands = terms[pool.candidates]
+        gold = np.isin(np.arange(len(cands)), list(pool.correct))
+        if gold.any() and not gold.all():
+            gaps.append(cands[gold].max() - cands[~gold].max())
+    return round(top1, 4), {"gap": float(min(gaps))}, top1 >= 0.9
 
 
-def criterion_5(o: int, s: dict) -> tuple[dict, bool]:
+def criterion_5(o: int, s: dict) -> tuple[dict, dict, bool]:
     import numpy as np
     from qasim import corpus, embedding
     from qasim.datasets import two_topic_docs
@@ -117,10 +134,11 @@ def criterion_5(o: int, s: dict) -> tuple[dict, bool]:
         embedding.EmbedTrainConfig(dim=16, window=3, negatives=5, epochs=s["d2v5"], seed=0 + o),
         vocab_size=len(d_vocab))
     margins["doc"] = margin(d_model.doc_matrix, np.array(doc_labels))
-    return {k: round(v, 4) for k, v in margins.items()}, all(v > 0 for v in margins.values())
+    return ({k: round(v, 4) for k, v in margins.items()}, margins,
+            all(v > 0 for v in margins.values()))
 
 
-def criterion_8(o: int, s: dict) -> tuple[dict, bool]:
+def criterion_8(o: int, s: dict) -> tuple[dict, dict, bool]:
     import numpy as np
     from qasim import corpus, embedding, evaluation
     from qasim.datasets import order_carried_docs
@@ -140,6 +158,7 @@ def criterion_8(o: int, s: dict) -> tuple[dict, bool]:
     bow = [m for _, m, _ in evaluation.learning_curve(evaluation.bow_matrix(encoded, vocab),
                                                       labels, RATIOS, seeds)]
     return ({"doc2vec": [round(m, 4) for m in d2v], "bow": [round(m, 4) for m in bow]},
+            {"gap": min(m - b for m, b in zip(d2v, bow)), "doc2vec_mean": float(np.mean(d2v))},
             all(m > b for m, b in zip(d2v, bow)))
 
 
@@ -151,6 +170,7 @@ def main() -> int:
     parser.add_argument("--offsets", type=int, default=20, help="seed offsets 0..N-1")
     parser.add_argument("--scale", choices=sorted(SIZES), default="full")
     args = parser.parse_args()
+    import numpy as np
     from qasim import embedding
 
     sizes = SIZES[args.scale]
@@ -159,14 +179,19 @@ def main() -> int:
         embedding.TRAIN_BLOCK = block
         per = result["blocks"][str(block)] = {}
         for name, run in CRITERIA.items():
-            values, passes = [], 0
+            values, margins, passes = [], [], 0
             for o in range(args.offsets):
-                value, ok = run(o, sizes)
+                value, margin, ok = run(o, sizes)
                 values.append(value)
+                margins.append(margin)
                 passes += ok
                 print(f"block {block} {name} offset {o}: {value} {'pass' if ok else 'FAIL'}",
                       file=sys.stderr, flush=True)
-            per[name] = {"values": values, "passes": passes}
+            per[name] = {"values": values, "passes": passes,
+                         "margins": [{k: round(v, 6) for k, v in m.items()} for m in margins]}
+            for stat in ("median", "min"):
+                per[name][stat] = {k: round(float(getattr(np, stat)([m[k] for m in margins])), 6)
+                                   for k in margins[0]}
     print(json.dumps(result))
     return 0
 

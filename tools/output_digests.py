@@ -16,7 +16,10 @@ concatenate` adds `--combine concatenate` to `train-doc2vec`; they set
 early-stop` sets `--patience 2`, and at full scale training stops early
 (at smoke scale, three epochs are too few for it to); they train with
 dropout, so `train_pipeline 1 no-dropout` sets `train-simnet --dropout 0`,
-the training step that applies no masks.  Prints one JSON
+the training step that applies no masks; they train a skip-gram word
+model, so `train_pipeline 1 cbow` keeps `train-word2vec` in the run with
+`--mode cbow` (the other variants drop it: no command reads its model).
+Prints one JSON
 object, one key a line: the digest of every file a run leaves, each
 command's exit code and the digests of its stdout and stderr, and one
 digest of every array that `qasim.embedding.infer_doc_vectors` returned
@@ -46,11 +49,13 @@ import tempfile  # noqa: E402
 # and variant, if any
 RUNS = [("train_pipeline", 1, None), ("train_pipeline", 2, None), ("train_pipeline", 3, None),
         ("ask_large_collection", 1, None), ("train_pipeline", 1, "concatenate"),
-        ("train_pipeline", 1, "early-stop"), ("train_pipeline", 1, "no-dropout")]
+        ("train_pipeline", 1, "early-stop"), ("train_pipeline", 1, "no-dropout"),
+        ("train_pipeline", 1, "cbow")]
 # a variant's command and the flags it adds there
 VARIANTS = {"concatenate": ("train-doc2vec", ["--combine", "concatenate"]),
             "early-stop": ("train-simnet", ["--patience", "2"]),
-            "no-dropout": ("train-simnet", ["--dropout", "0"])}
+            "no-dropout": ("train-simnet", ["--dropout", "0"]),
+            "cbow": ("train-word2vec", ["--mode", "cbow"])}
 ASK_QUESTIONS = 200
 
 
@@ -61,12 +66,13 @@ def sha(data: bytes) -> str:
 def with_variant(commands: list, variant: str) -> list:
     """A `train_pipeline` manifest's commands that lead to `eval
     --infer-vectors`, with the flags of `variant` added to its command: no
-    word2vec model and no eval of the training pools.  A flag given twice
-    takes its last value."""
+    eval of the training pools, and no word2vec model unless `variant`
+    changes it.  A flag given twice takes its last value."""
     command, flags = VARIANTS[variant]
     return [argv + flags if argv[0] == command else argv
             for argv in commands
-            if argv[0] != "train-word2vec" and (argv[0] != "eval" or "--infer-vectors" in argv)]
+            if (argv[0] != "train-word2vec" or command == "train-word2vec")
+            and (argv[0] != "eval" or "--infer-vectors" in argv)]
 
 
 def run(workload: str, seed: int, variant: str | None, scale: str, name: str,
