@@ -7,7 +7,9 @@ input step in `qasim.embedding` must match the training steps bit for
 bit, apart from CBOW's rounding; whole DM and CBOW runs at a block of
 one must match the sequential steps to rounding (DM bit for bit where no
 hit moves a BLAS sum), and runs at any block `_dm_block_train` and
-`_word_block_train` bit for bit; inference must match
+`_word_block_train`, which draw m negatives per block position, to
+1e-12 of the largest entry (bit for bit where every position is one
+step); inference must match
 `infer_doc_vectors` here to 1e-12 of the largest entry, and
 `qasim.embedding._frozen_context` must match `folded_frozen_context` bit
 for bit (see `tests/test_embedding.py`)."""
@@ -30,9 +32,11 @@ from qasim.embedding import (
 
 
 # The sequential training kernel and schedule that block training
-# replaced, with their arithmetic: each step reads the rows that the step
-# before it left, a draw that hits its target is dropped from the step's
-# rows, and a repeated row adds its entries' deltas in index order.
+# replaced, with their arithmetic, but for the target's score and
+# gradient term, which the shared-negative kernel takes apart from the
+# negatives': each step reads the rows that the step before it left, a
+# draw that hits its target is dropped from the step's rows, and a
+# repeated row adds its entries' deltas in index order.
 
 @functools.lru_cache(maxsize=None)
 def _label(n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ accuracy gap over the ratios, beside `doc2vec_mean`, the mean doc2vec
 accuracy.  Runs at one BLAS thread with the package in this checkout's
 `src`.  `--scale smoke` shrinks every fixture and epoch count, to check
 that the tool runs; its values mean nothing.  A full run of 20 offsets
-at blocks 1 and 8 takes about SWEEP_TIME on one core of a 2-core host.
+at blocks 1 and 8 took 8-10 minutes on one core of a 2-core host.
 """
 
 import os
