@@ -157,26 +157,40 @@ def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows: np.ndarray,
     return grad_h
 
 
-def _inputs(ids, start: int | None = None) -> tuple:
-    """A plan entry of `_input_step`, built once per run: the input ids of
-    a block of steps, one row of ids a step, as an index array, `start`,
-    and d h / d row."""
+def _inputs(ids, targets, start: int | None = None) -> tuple:
+    """A plan entry of `_train`, built once per run: the input ids of a
+    block of steps, one row a step, as an index array, their targets, a
+    copy that keeps no padded block alive, `start`, and d h / d row."""
     ids = np.array(ids, dtype=np.intp, ndmin=2)
-    return ids, start, 1.0 if start is not None else 1.0 / ids.shape[1]
+    scale = 1.0 if start is not None else 1.0 / ids.shape[1]
+    return ids, np.array(targets, dtype=np.intp), start, scale
 
 
-def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs: tuple, rows: np.ndarray,
-                keep: np.ndarray, lr: float) -> None:
+def _step_buffers(sizes, m: int) -> dict:
+    """What `_input_step` writes, made once per run, per entry size a in
+    `sizes`: the output rows (a + m,), their targets and their negatives,
+    and the targets as a column; keep (a, 1+m), and its negatives' columns."""
+    a_max = max(sizes)
+    rows, keep = np.empty(a_max + m, dtype=np.intp), np.ones((a_max, 1 + m))
+    return {a: (rows[:a + m], rows[:a], rows[a:a + m], rows[:a, None], keep[:a], keep[:a, 1:])
+            for a in set(sizes)}
+
+
+def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs: tuple, buffers: dict,
+                negatives: np.ndarray, lr: float) -> None:
     """One training update of every model here, for a block of steps at
-    the current parameters that share their negatives (`_ns_update`'s
-    `rows` and `keep`), of the input matrix X and the output matrix, from
-    an `_inputs` entry.  A step's hidden vector is the mean of its rows
-    `ids` of X (CBOW, skip-gram with its center as the one row, and DM in
-    average mode with the doc row last), or with a `start` (DM in
-    concatenate mode) the doc row `ids[:, 0]` in slot 0, zero padding,
+    the current parameters that share the m `negatives`, of the input
+    matrix X and the output matrix, from an `_inputs` entry, through the
+    `_step_buffers` of its size.  A step's hidden vector is the mean of
+    its rows `ids` of X (CBOW, skip-gram with its center as the one row,
+    and DM in average mode with the doc row last), or with a `start` (DM
+    in concatenate mode) the doc row `ids[:, 0]` in slot 0, zero padding,
     and the context rows in the slots from `start` on.  The input rows
     take their steps in (step, slot) order."""
-    ids, start, scale = inputs
+    ids, targets, start, scale = inputs
+    rows, to_targets, to_negatives, column, keep, kept = buffers[len(targets)]
+    to_targets[...], to_negatives[...] = targets, negatives
+    np.not_equal(column, negatives, out=kept)
     gathered = X.take(ids, axis=0)                   # (a, n, d)
     a, d = ids.shape[0], X.shape[1]
     if start is None:
@@ -224,12 +238,11 @@ def _noise_cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _step_rows(uniform: np.ndarray, cdf: np.ndarray, targets) -> tuple:
-    """The output rows of steps, target first (..., 1+m), and their keep
-    (..., 1+m, 1), from the uniform draws (..., m) of their negatives and
-    `targets`, which broadcast to the draws' leading axes: keep is 0.0
-    for a draw that hits its target, which gets no gradient (the
-    C-word2vec convention skips it), else 1.0.  The one negative draw of
-    training and inference."""
+    """Inference's output rows of steps, target first (..., 1+m), and
+    their keep (..., 1+m, 1), from the uniform draws (..., m) of their
+    negatives and `targets`, which broadcast to the draws' leading axes:
+    keep is 0.0 for a draw that hits its target, which gets no gradient
+    (the C-word2vec convention skips it), else 1.0."""
     draws = np.searchsorted(cdf, uniform, side="right")
     rows = np.empty(draws.shape[:-1] + (1 + draws.shape[-1],), dtype=np.intp)
     rows[..., 0], rows[..., 1:] = targets, draws
@@ -244,11 +257,10 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
     return lr0 - (lr0 - lr_min) * step / total_steps
 
 
-# Steps whose negatives one `_step_rows` call draws: in training, those
-# of whole plan entries (at least one), each entry's m shared draws
-# repeated for its steps, and in inference at least one pass's.  Bounds
-# the drawn rows' memory, whatever the corpus or document size, and in
-# inference the document-positions whose context words one gather covers.
+# Plan entries whose negatives training draws at once, and in inference
+# steps whose negatives one `_step_rows` call draws (at least one pass's).
+# Bounds the drawn rows' memory, whatever the corpus or document size, and
+# in inference the document-positions whose context words one gather covers.
 STEP_CHUNK = 1024
 
 # Documents that training advances in lockstep, one position at a time:
@@ -267,58 +279,44 @@ def _padded(docs: list) -> tuple:
     return lengths, valid, tokens
 
 
-def _block_plan(docs: list, entries) -> tuple:
-    """The plan of `_train` for `docs`, each entry's number of steps, and
-    the targets of all steps in order.  Blocks of TRAIN_BLOCK documents,
-    in corpus order, advance one position at a time: `entries(rows,
-    tokens, valid, i)` gives the (`_inputs` entry, targets) pairs of
-    position i of a block, where `rows` are the indices of its documents
-    that have not ended and `tokens` their tokens, padded with word 0
-    where `valid` is False."""
-    plan, targets = [], []
+def _block_plan(docs: list, entries) -> list:
+    """The plan of `_train` for `docs`: blocks of TRAIN_BLOCK documents, in
+    corpus order, advance one position at a time, and `entries(rows,
+    tokens, valid, i)` gives the `_inputs` entries of position i of a
+    block, where `rows` are the indices of its documents that have not
+    ended and `tokens` their tokens, padded with word 0 where `valid` is False."""
+    plan = []
     for b0 in range(0, len(docs), TRAIN_BLOCK):
         _, valid, tokens = _padded(docs[b0: b0 + TRAIN_BLOCK])
         for i, active in enumerate(valid.T):
-            for entry, target in entries(b0 + np.flatnonzero(active), tokens[active],
-                                         valid[active], i):
-                plan.append(entry)
-                targets.append(target)
-    return plan, np.array([len(t) for t in targets]), np.concatenate(targets)
+            plan += entries(b0 + np.flatnonzero(active), tokens[active], valid[active], i)
+    return plan
 
 
-def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, sizes: np.ndarray,
-           targets: np.ndarray, config: EmbedTrainConfig, rng, cdf: np.ndarray) -> None:
+def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, config: EmbedTrainConfig,
+           rng, cdf: np.ndarray) -> None:
     """SGD over `config.epochs` passes of a `_block_plan`, one
     `_input_step` per entry, updating X and the output matrix in place.
-    Entry j takes a block of sizes[j] steps, which predict the next
-    sizes[j] `targets` of the pass, all at the rate of the first of them,
-    and share m negatives drawn for the entry; the rate decays over all
-    steps of all epochs.  Negatives are drawn for the entries of at most
-    STEP_CHUNK steps (at least one entry) at a time, across documents and
-    epochs, in entry order: the stream of one call per entry."""
-    n, n_steps, total = len(plan), int(sizes.sum()), config.epochs * len(plan)
+    An entry's block of steps predicts its targets at the rate of the
+    first of them, and shares m negatives drawn for the entry; the rate
+    decays over all steps of all epochs.  A pass draws the negatives of
+    at most STEP_CHUNK entries at a time, in entry order: the stream of
+    one call per entry."""
     m = config.negatives
-    per_chunk = max(1, STEP_CHUNK // int(sizes.max()))
-    ends = np.cumsum(sizes)
+    sizes = np.array([len(entry[1]) for entry in plan])
+    firsts = np.cumsum(sizes) - sizes                # each entry's first step in a pass
+    n_steps = int(sizes.sum())
+    buffers = _step_buffers(sizes.tolist(), m)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, total, per_chunk):
-            epoch, j = np.divmod(np.arange(start, min(start + per_chunk, total)), n)
-            size = sizes[j]
-            rates = _learning_rate(config.learning_rate, config.min_learning_rate,
-                                   epoch * n_steps + ends[j] - size, config.epochs * n_steps)
-            cuts = np.cumsum(size)
-            # each entry's m negatives, repeated for its steps, and the
-            # steps' targets, as indices into the pass
-            rows, keep = _step_rows(np.repeat(rng.random((len(j), m)), size, axis=0), cdf,
-                                    targets[np.arange(cuts[-1]) + np.repeat(ends[j] - cuts, size)])
-            # each entry's output rows in turn, its targets and then its
-            # negatives: entry e's start at lo + e * m
-            shared = np.insert(rows[:, 0], np.repeat(cuts, m), rows[cuts - size, 1:].ravel())
-            keep = keep[..., 0]
-            for entry, lo, hi, em, lr in zip(j.tolist(), (cuts - size).tolist(), cuts.tolist(),
-                                             range(0, len(j) * m, m), rates.tolist()):
-                _input_step(X, output_matrix, plan[entry], shared[lo + em: hi + em + m],
-                            keep[lo:hi], lr)
+        for epoch in range(config.epochs):
+            for start in range(0, len(plan), STEP_CHUNK):
+                entries = plan[start: start + STEP_CHUNK]
+                draws = np.searchsorted(cdf, rng.random((len(entries), m)), side="right")
+                rates = _learning_rate(config.learning_rate, config.min_learning_rate,
+                                       epoch * n_steps + firsts[start: start + STEP_CHUNK],
+                                       config.epochs * n_steps)
+                for entry, negatives, lr in zip(entries, draws, rates.tolist()):
+                    _input_step(X, output_matrix, entry, buffers, negatives, lr)
     _flat_index.cache_clear()
     # overflow warnings were off; divergence shows here, also as values
     # past float32's range, which turn infinite in a model file
@@ -371,25 +369,25 @@ def train_word2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
         words, has = tokens[:, around], valid[:, around]
         counts = has.sum(axis=1)
         if mode is Word2VecMode.SKIPGRAM:
-            return [(_inputs(np.repeat(tokens[:, i], counts)[:, None]), words[has])]
-        return [(_inputs(words[counts == n][has[counts == n]].reshape(-1, n)),
-                 tokens[counts == n, i]) for n in np.unique(counts).tolist()]
-    _train(model.input_matrix, model.output_matrix, *_block_plan(docs, windows), config, rng,
+            return [_inputs(np.repeat(tokens[:, i], counts)[:, None], words[has])]
+        return [_inputs(words[counts == n][has[counts == n]].reshape(-1, n),
+                        tokens[counts == n, i]) for n in np.unique(counts).tolist()]
+    _train(model.input_matrix, model.output_matrix, _block_plan(docs, windows), config, rng,
            _noise_cdf(_unigram_noise(corpus, vocab_size)))
     return model
 
 
-def _dm_inputs(docs, context, window: int, average: bool) -> tuple:
+def _dm_inputs(docs, context, targets, window: int, average: bool) -> tuple:
     """The `_inputs` of the input rows `docs` (a,) at a position whose
-    preceding words are the rows of `context` (a, c).  In average mode the
-    doc row goes last, so the hidden sum is (sum of words) + doc; in
-    concatenate mode it goes first, and the context fills the last of the
-    `window` slots after it."""
+    preceding words are the rows of `context` (a, c) and whose words are
+    `targets` (a,).  In average mode the doc row goes last, so the hidden
+    sum is (sum of words) + doc; in concatenate mode it goes first, and
+    the context fills the last of the `window` slots after it."""
     docs = np.reshape(docs, (-1, 1))
     context = np.array(context, dtype=np.intp, ndmin=2)
     if average:
-        return _inputs(np.hstack((context, docs)))
-    return _inputs(np.hstack((docs, context)), 1 + window - context.shape[1])
+        return _inputs(np.hstack((context, docs)), targets)
+    return _inputs(np.hstack((docs, context)), targets, 1 + window - context.shape[1])
 
 
 def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
@@ -430,8 +428,8 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
     )
 
     def position(rows, tokens, valid, i):
-        return [(_dm_inputs(V + rows, tokens[:, max(0, i - k): i], k, average), tokens[:, i])]
-    _train(X, model.output_matrix, *_block_plan([doc.tokens for doc in corpus], position),
+        return [_dm_inputs(V + rows, tokens[:, max(0, i - k): i], tokens[:, i], k, average)]
+    _train(X, model.output_matrix, _block_plan([doc.tokens for doc in corpus], position),
            config, rng, _noise_cdf(model.noise_probs))
     return model
 

@@ -89,15 +89,17 @@ def _grad_h(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _ns_update(output_matrix: np.ndarray, nh: np.ndarray, rows, lr: float,
-               repeats) -> np.ndarray:
+               repeats, keep=1.0) -> np.ndarray:
     """The SGD step on the output `rows` (target first; `repeats` is
     `_repeats(rows)`) from the negated hidden vector `nh`, and the
-    gradient with respect to the hidden vector at the current parameters."""
+    gradient with respect to the hidden vector at the current parameters.
+    `keep`, 1.0 or per row 1.0 or 0.0, weighs each row's sigmoid: a row
+    kept at 0.0 stays among the rows with no gradient."""
     out = output_matrix.take(rows, axis=0)
     g = _scores(out, nh)                       # the negated scores
     g = np.exp(g, out=g)
     g += 1.0
-    np.divide(1.0, g, out=g)                   # 1 / (1 + exp(-score))
+    np.divide(keep, g, out=g)                  # keep / (1 + exp(-score))
     np.subtract(g, _label(len(g)), out=g)
     grad_h = _grad_h(g, out)
     g *= lr
@@ -141,19 +143,21 @@ def _context(ids: list[int]) -> tuple[np.ndarray, tuple | None]:
     return np.array(ids, dtype=np.intp), _repeats(ids)
 
 
-def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float, repeats) -> None:
+def _word_step(model: WordEmbeddingModel, inputs, rows, lr: float, repeats,
+               keep=1.0) -> None:
     """One word2vec update: `inputs` is one input id (skip-gram: the hidden
-    vector is that row) or a `_context` (CBOW: the mean of its rows)."""
+    vector is that row) or a `_context` (CBOW: the mean of its rows);
+    `keep` as `_ns_update` takes it."""
     X = model.input_matrix
     if isinstance(inputs, int):
         h = X[inputs]
-        h -= lr * _ns_update(model.output_matrix, np.negative(h), rows, lr, repeats)
+        h -= lr * _ns_update(model.output_matrix, np.negative(h), rows, lr, repeats, keep)
     else:
         ids, ids_repeats = inputs
         words = X.take(ids, axis=0)
         # the negated mean: np.mean is this sum over the count
         grad_h = _ns_update(model.output_matrix, np.add.reduce(words, axis=0) / -len(ids),
-                            rows, lr, repeats)
+                            rows, lr, repeats, keep)
         _add_rows(X, ids, words, -lr * grad_h / len(ids), ids_repeats)
 
 
@@ -187,15 +191,15 @@ def _dm_scale(model: DocEmbeddingModel, n_context: int) -> float:
 
 
 def _dm_update(model: DocEmbeddingModel, doc_vec: np.ndarray, position: tuple,
-               rows, lr: float, repeats) -> None:
+               rows, lr: float, repeats, keep=1.0) -> None:
     """One negative-sampling update of the distributed-memory model in
     training at a `_dm_position`: gradients at the current parameters,
     applied to the doc vector (in place), the output rows and the context
-    word rows."""
+    word rows; `keep` as `_ns_update` takes it."""
     context, context_repeats, start, scale = position
     words = model.word_matrix.take(context, axis=0)
     step = _ns_update(model.output_matrix, _dm_hidden(model, doc_vec, words, start),
-                      rows, lr, repeats)
+                      rows, lr, repeats, keep)
     # -(lr * grad_h * scale) to the bit: a product rounds the same either sign
     step *= -lr
     step *= scale

@@ -105,10 +105,10 @@ def step_rows(target, negatives):
 
 
 def one_step(rows):
-    """A step's output rows, target first, as a block of one step, and its
-    keep: every row kept, so a negative equal to the target counts as one."""
+    """The `_step_buffers` of a block of one step whose output rows are
+    `rows`, target first, and its negatives, the rows after the target."""
     rows = np.asarray(rows)
-    return rows, np.ones((1, len(rows)))
+    return embedding._step_buffers([1], len(rows) - 1), rows[1:]
 
 
 def word_step(model, inputs, rows, lr, repeats=None):
@@ -116,8 +116,8 @@ def word_step(model, inputs, rows, lr, repeats=None):
     id, the step's one input row, or a CBOW context list.  (`repeats` is
     what the reference steps take.)"""
     inputs = [inputs] if isinstance(inputs, int) else list(inputs)
-    embedding._input_step(model.input_matrix, model.output_matrix, embedding._inputs(inputs),
-                          *one_step(rows), lr)
+    embedding._input_step(model.input_matrix, model.output_matrix,
+                          embedding._inputs(inputs, rows[:1]), *one_step(rows), lr)
 
 
 def dm_step(model, doc_vec, context, rows, lr, repeats=None):
@@ -125,7 +125,7 @@ def dm_step(model, doc_vec, context, rows, lr, repeats=None):
     whose preceding words are `context`: the doc vector is input row V
     after the word rows.  Updates the model and `doc_vec` in place."""
     X = np.vstack((model.word_matrix, doc_vec))
-    inputs = embedding._dm_inputs([len(X) - 1], [list(context)], model.window,
+    inputs = embedding._dm_inputs([len(X) - 1], [list(context)], rows[:1], model.window,
                                   model.combine is CombineMode.AVERAGE)
     embedding._input_step(X, model.output_matrix, inputs, *one_step(rows), lr)
     model.word_matrix[...], doc_vec[...] = X[:-1], X[-1]
@@ -330,8 +330,8 @@ class TestDmStep:
         before = (model.word_matrix.copy(), model.doc_matrix.copy(),
                   model.output_matrix.copy())
         # the weight of the doc row in training's plan
-        scale = embedding._dm_inputs([model.vocab_size], [context], self.WINDOW,
-                                     combine is CombineMode.AVERAGE)[2]
+        scale = embedding._dm_inputs([model.vocab_size], [context], [target], self.WINDOW,
+                                     combine is CombineMode.AVERAGE)[3]
         B, b = (1, 0) if lone else (3, 1)
         buffers = G, A, K, columns, _, _ = embedding._block_buffers(
             1, B, len(rows) - 1, model.output_matrix.shape[1], model.dim)
@@ -473,12 +473,11 @@ class TestSharedNegatives:
     @staticmethod
     def block_step(X, O, lr, centers, targets, negatives):
         """One `_input_step` of skip-gram steps that share `negatives`,
-        with keep as training draws it: 0.0 where a negative hits the
-        step's target."""
-        keep = np.ones((len(targets), 1 + len(negatives)))
-        keep[:, 1:] = np.not_equal.outer(targets, negatives)
-        embedding._input_step(X, O, embedding._inputs(np.array(centers)[:, None]),
-                              np.array([*targets, *negatives]), keep, lr)
+        as training runs it: a negative that hits a step's target gets no
+        gradient in that step."""
+        embedding._input_step(X, O, embedding._inputs(np.array(centers)[:, None], targets),
+                              embedding._step_buffers([len(targets)], len(negatives)),
+                              np.array(negatives), lr)
 
     def test_a_hit_gets_no_gradient_in_its_step_only(self):
         X, O = self.matrices()
@@ -594,6 +593,11 @@ class TestAgainstReference:
         return r.normal(scale=0.4, size=(rows, d)), r.normal(scale=0.4, size=(cls.V, out_dim))
 
     @staticmethod
+    def keep(rows):
+        # a negative that hits the target gets no gradient
+        return np.r_[1.0, rows[1:] != rows[0]]
+
+    @staticmethod
     def last(context, window):
         # a position's preceding words: at most `window`
         return context[max(0, len(context) - window):]
@@ -622,9 +626,10 @@ class TestAgainstReference:
                                   output_matrix=O.copy(), combine=combine, window=window,
                                   negatives=len(negatives), dim=d)
         position = reference._dm_position(model, context, window - len(context))
-        reference._dm_update(model, model.doc_matrix[1], position, rows, lr, repeats)
-        embedding._input_step(X, O, embedding._dm_inputs([V + 1], [context], window, average),
-                              *one_step(rows), lr)
+        reference._dm_update(model, model.doc_matrix[1], position, rows, lr, repeats,
+                             self.keep(rows))
+        embedding._input_step(X, O, embedding._dm_inputs([V + 1], [context], [target], window,
+                                                          average), *one_step(rows), lr)
         assert np.array_equal(X[:V], model.word_matrix)
         assert np.array_equal(X[V:], model.doc_matrix)
         assert np.array_equal(O, model.output_matrix)
@@ -640,14 +645,15 @@ class TestAgainstReference:
         # a CBOW context holds up to `window` words on each side of the center
         context = self.last(context, 2 * window) or [center]
         X, O = self.matrices(seed, self.V, d, d)
-        rows, repeats = step_rows(target, negatives)
         model = WordEmbeddingModel(input_matrix=X.copy(), output_matrix=O.copy(), mode=mode,
                                    window=window, negatives=len(negatives), dim=d)
+        rows, repeats = step_rows(target, negatives)
         inputs = center if mode is Word2VecMode.SKIPGRAM else context
         reference._word_step(model, inputs if isinstance(inputs, int)
-                             else reference._context(inputs), rows, lr, repeats)
+                             else reference._context(inputs), rows, lr, repeats, self.keep(rows))
         embedding._input_step(X, O, embedding._inputs([center] if mode is Word2VecMode.SKIPGRAM
-                                                      else context), *one_step(rows), lr)
+                                                      else context, rows[:1]),
+                              *one_step(rows), lr)
         # the output rows see the same hidden vector and gradient either way
         assert np.array_equal(O, model.output_matrix)
         if mode is Word2VecMode.SKIPGRAM:
@@ -836,8 +842,9 @@ class TestBlockTraining:
 
 
 class TestTrainChunk:
-    """Training draws its negatives STEP_CHUNK steps at a time, across
-    documents and epochs; the chunk size must not change a single byte."""
+    """Training draws the negatives of STEP_CHUNK plan entries at a time,
+    across documents, in slices that restart at each epoch; the chunk
+    size must not change a single byte."""
 
     @pytest.mark.parametrize("train, mode", [
         (train_word2vec, Word2VecMode.CBOW),
@@ -848,11 +855,12 @@ class TestTrainChunk:
     @pytest.mark.parametrize("block", [1, None])
     def test_chunk_size_changes_nothing(self, monkeypatch, train, mode, block):
         # Six documents of 20 tokens, two epochs.  A chunk of 1 draws per
-        # step (or per block position); 7 is less than a document, and its
-        # chunks end inside documents and straddle the epoch boundary;
-        # 10**6 holds every step of both epochs in one draw.  The block
+        # plan entry (a block position, or CBOW's windows of one size
+        # there); 7 entries are less than a document's, so slices end
+        # inside documents, and the last slice of an epoch is shorter;
+        # 10**6 holds every entry of an epoch in one draw.  The block
         # governs all three models; at a block of 1, skip-gram still takes
-        # a center's window in one step.
+        # a center's window in one entry.
         if block is not None:
             monkeypatch.setattr(embedding, "TRAIN_BLOCK", block)
         docs, vocab = cluster_corpus(6)
@@ -1015,6 +1023,24 @@ class TestTrainDoc2vec:
         expected /= expected.sum()
         expected = expected.astype(np.float32).astype(np.float64)
         assert np.array_equal(model.noise_probs, expected)
+
+    def test_plan_keeps_no_padded_block_copy(self):
+        # 400 documents of 60 tokens, one epoch.  Targets kept as views of
+        # each block position's padded token copy held every copy until the
+        # plan was built: a tracemalloc peak of about 13.7 MB.  Entries that
+        # own their targets peak at about 2.5 MB.
+        docs_raw, _ = datasets.two_topic_docs(400, tokens_per_topic=50, doc_len=60)
+        vocab = corpus.build_vocabulary(docs_raw, min_count=1)
+        docs = corpus.encode_corpus(docs_raw, vocab)
+        cfg = EmbedTrainConfig(dim=8, window=5, negatives=5, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            model = train_doc2vec(docs, cfg, vocab_size=len(vocab))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(model.doc_matrix))
+        assert peak < 6 * 2**20
 
 
 @pytest.fixture(scope="module")
