@@ -168,29 +168,25 @@ def _inputs(ids, targets, start: int | None = None) -> tuple:
 
 def _step_buffers(sizes, m: int) -> dict:
     """What `_input_step` writes, made once per run, per entry size a in
-    `sizes`: the output rows (a + m,), their targets and their negatives,
-    and the targets as a column; keep (a, 1+m), and its negatives' columns."""
-    a_max = max(sizes)
-    rows, keep = np.empty(a_max + m, dtype=np.intp), np.ones((a_max, 1 + m))
-    return {a: (rows[:a + m], rows[:a], rows[a:a + m], rows[:a, None], keep[:a], keep[:a, 1:])
-            for a in set(sizes)}
+    `sizes`: the output rows (a + m,), their targets and their negatives."""
+    rows = np.empty(max(sizes) + m, dtype=np.intp)
+    return {a: (rows[:a + m], rows[:a], rows[a:a + m]) for a in set(sizes)}
 
 
 def _input_step(X: np.ndarray, output_matrix: np.ndarray, inputs: tuple, buffers: dict,
-                negatives: np.ndarray, lr: float) -> None:
+                negatives: np.ndarray, keep: np.ndarray, lr: float) -> None:
     """One training update of every model here, for a block of steps at
-    the current parameters that share the m `negatives`, of the input
-    matrix X and the output matrix, from an `_inputs` entry, through the
-    `_step_buffers` of its size.  A step's hidden vector is the mean of
-    its rows `ids` of X (CBOW, skip-gram with its center as the one row,
-    and DM in average mode with the doc row last), or with a `start` (DM
-    in concatenate mode) the doc row `ids[:, 0]` in slot 0, zero padding,
-    and the context rows in the slots from `start` on.  The input rows
-    take their steps in (step, slot) order."""
+    the current parameters that share the m `negatives`, with `keep` as
+    `_ns_update` takes it, of the input matrix X and the output matrix,
+    from an `_inputs` entry, through the `_step_buffers` of its size.  A
+    step's hidden vector is the mean of its rows `ids` of X (CBOW,
+    skip-gram with its center as the one row, and DM in average mode with
+    the doc row last), or with a `start` (DM in concatenate mode) the doc
+    row `ids[:, 0]` in slot 0, zero padding, and the context rows in the
+    slots from `start` on.  Input rows take their steps in (step, slot) order."""
     ids, targets, start, scale = inputs
-    rows, to_targets, to_negatives, column, keep, kept = buffers[len(targets)]
+    rows, to_targets, to_negatives = buffers[len(targets)]
     to_targets[...], to_negatives[...] = targets, negatives
-    np.not_equal(column, negatives, out=kept)
     gathered = X.take(ids, axis=0)                   # (a, n, d)
     a, d = ids.shape[0], X.shape[1]
     if start is None:
@@ -301,22 +297,26 @@ def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, config: EmbedTr
     first of them, and shares m negatives drawn for the entry; the rate
     decays over all steps of all epochs.  A pass draws the negatives of
     at most STEP_CHUNK entries at a time, in entry order: the stream of
-    one call per entry."""
+    one call per entry, and the keep masks of their steps in one buffer."""
     m = config.negatives
     sizes = np.array([len(entry[1]) for entry in plan])
     firsts = np.cumsum(sizes) - sizes                # each entry's first step in a pass
     n_steps = int(sizes.sum())
     buffers = _step_buffers(sizes.tolist(), m)
+    keep = np.ones((int(np.add.reduceat(sizes, np.arange(0, len(plan), STEP_CHUNK)).max()), 1 + m))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for start in range(0, len(plan), STEP_CHUNK):
-                entries = plan[start: start + STEP_CHUNK]
+                entries, at = plan[start: start + STEP_CHUNK], slice(start, start + STEP_CHUNK)
                 draws = np.searchsorted(cdf, rng.random((len(entries), m)), side="right")
                 rates = _learning_rate(config.learning_rate, config.min_learning_rate,
-                                       epoch * n_steps + firsts[start: start + STEP_CHUNK],
-                                       config.epochs * n_steps)
-                for entry, negatives, lr in zip(entries, draws, rates.tolist()):
-                    _input_step(X, output_matrix, entry, buffers, negatives, lr)
+                                       epoch * n_steps + firsts[at], config.epochs * n_steps)
+                ends = np.cumsum(sizes[at]).tolist()
+                np.not_equal(np.concatenate([entry[1] for entry in entries])[:, None],
+                             np.repeat(draws, sizes[at], axis=0), out=keep[:ends[-1], 1:])
+                for entry, negatives, lr, end in zip(entries, draws, rates.tolist(), ends):
+                    _input_step(X, output_matrix, entry, buffers, negatives,
+                                keep[end - len(entry[1]): end], lr)
     _flat_index.cache_clear()
     # overflow warnings were off; divergence shows here, also as values
     # past float32's range, which turn infinite in a model file
@@ -441,8 +441,8 @@ INFER_BLOCK = 128
 # Document-position-steps whose output rows one gather window takes: a
 # window of a short block covers several whole passes, so that a pass of
 # a short question does not pay for the window's calls alone.  Larger
-# windows cost more planning, and in large blocks more cache misses, than
-# they save.
+# windows speed up average-mode blocks, but a concatenate-mode window's
+# rows, (1 + window) times as wide, then fall out of cache.
 INFER_WINDOW = 32
 
 
@@ -452,13 +452,11 @@ def _frozen_context(model: DocEmbeddingModel, tokens: np.ndarray,
     `tokens` are padded with word 0 where `valid` is False, past each
     document's end; the padding reaches only those positions.  alpha
     (n_max, 1, 1, 1), the doc vector's factor in the negated hidden
-    vector: -1/(1 + c) in average mode, with c context words, and -1 in
-    concatenate mode.  And a view (n_max, B, K, 1): what the output
-    rows' context columns multiply to give the frozen words' part of the
-    negated scores.  In average mode (K = d) that is the sum of the
-    context rows times alpha; in concatenate mode (K = window * d) the
-    negated context slots, rows i..i+window of the document's word rows
-    after `window` zero rows."""
+    vector h: -1/(1 + c) in average mode, with c context words, and -1 in
+    concatenate mode.  And a view (n_max, B, K, 1) of the frozen words'
+    part of h: the sum of the context rows times alpha in average mode (K
+    = d), the negated context slots in concatenate mode (K = window * d),
+    rows i..i+window of the document's word rows after `window` zero rows."""
     W, k, d = model.word_matrix, model.window, model.dim
     B, n_max = tokens.shape
     if model.combine is CombineMode.AVERAGE:
@@ -493,66 +491,69 @@ def _frozen_context(model: DocEmbeddingModel, tokens: np.ndarray,
 
 def _block_buffers(wide: int, B: int, m: int, D: int, d: int) -> tuple:
     """What inference of B documents in gather windows of `wide`
-    position-steps writes: the window's output rows G (wide, B, 1+m, D),
-    A, those rows folded (wide, B, 1+m, d+1), keep times -lr (wide, B,
-    1, 1+m), the doc vectors as columns with a 1 appended (B, d+1, 1),
-    the scores (B, 1+m, 1) and the doc steps (B, 1, d+1)."""
-    return (np.empty((wide, B, 1 + m, D)), np.empty((wide, B, 1 + m, d + 1)),
-            np.empty((wide, B, 1, 1 + m)), np.ones((B, d + 1, 1)), np.empty((B, 1 + m, 1)),
-            np.empty((B, 1, d + 1)))
+    position-steps writes: output rows G (wide, B, 1+m, D), their doc
+    columns (G in average mode), keep times -lr * alpha (wide, B, 1, 1+m),
+    the negated hidden vectors H (wide, B, D, 1); the doc vectors (B, d),
+    the scores (B, 1+m, 1) and the doc steps (B, 1, d)."""
+    G = np.empty((wide, B, 1 + m, D))
+    shapes = (wide, B, 1, 1 + m), (wide, B, D, 1), (B, d), (B, 1 + m, 1), (B, 1, d)
+    return (G, G if D == d else np.empty((wide, B, 1 + m, d)), *map(np.empty, shapes))
 
 
-def _step_groups(buffers: tuple, active: list[int]) -> list[tuple]:
-    """The `_frozen_window` plan of the first len(active) position-steps
-    of a `_block_buffers`, step s running the first active[s] documents:
-    per run of steps with the same number a of documents, in order, the
-    product, the steps' folded rows and keep, and the views that every
-    step of the run writes.  The index is [:a], or [0] for a lone
-    document, whose views drop the batch axis so that its products run
-    through ndarray.dot, the same BLAS gemv per document at less overhead
-    per call.  Each document's rows have the same fixed width whatever the
-    batch, so its arithmetic does not depend on the batch."""
-    _, A, K, columns, scores, step = buffers
+def _step_groups(buffers: tuple, plan: tuple) -> list[tuple]:
+    """The `_frozen_window` plan of the first len(plan) position-steps of
+    a `_block_buffers`, step s running the first a documents, whose
+    vectors weigh alpha in h, (a, alpha) = plan[s]: per run of steps of
+    the same a, the product, the views every step writes, whether h is
+    all doc slot (average mode), and per step its views.  The index is
+    [:a], or [0] for a lone document, whose views drop the batch axis so
+    that its products run through ndarray.dot, the same BLAS gemv per
+    document at less overhead; a document's rows have one width whatever
+    the batch, so its arithmetic does not depend on the batch."""
+    G, G_doc, K, H, vecs, scores, step = buffers
     g = scores.reshape(len(scores), 1, -1)         # the scores' memory, as rows
+    zero_d = {alpha: np.array(alpha) for _, alpha in set(plan)}
     groups, s0 = [], 0
-    for a, run in itertools.groupby(active):
-        s1 = s0 + len(list(run))
+    for a, run in itertools.groupby(plan, key=lambda x: x[0]):
+        alphas = [zero_d[alpha] for _, alpha in run]
         ix, product = (0, np.ndarray.dot) if a == 1 else (slice(a), np.matmul)
-        # the steps' rows and keep as lists of views, made once: iterating
-        # the arrays would make two views a step
-        groups.append((product, list(A[s0:s1, ix]), list(K[s0:s1, ix]), columns[ix],
-                       scores[ix], g[ix], step[ix], step[ix, ..., :-1], columns[ix, None, :-1, 0]))
-        s0 = s1
+        at = slice(s0, s0 + len(alphas))
+        steps = list(zip(alphas, G[at, ix], G_doc[at, ix], K[at, ix],
+                         H[at, ix, None, :vecs.shape[1], 0], H[at, ix]))
+        groups.append((product, vecs[ix, None], scores[ix], g[ix], step[ix], G_doc is G, steps))
+        s0 = at.stop
     return groups
 
 
-def _frozen_window(G: np.ndarray, alpha: np.ndarray, context: np.ndarray, A: np.ndarray,
+def _frozen_window(G: np.ndarray, doc_copy, slots: np.ndarray, context: np.ndarray,
                    groups: list) -> None:
     """The inference steps of one gather window, word and output matrices
-    frozen.  The window's output rows G (passes, positions, B, 1+m, D),
-    target first, are folded into A = [alpha * G[..., :d], beta] (...,
-    1+m, d+1), where beta is G's context columns times the window's
-    `_frozen_context`, so that A @ [vec; 1] is a position's negated
-    scores; the target's row is then negated, so that its entry is the
-    score itself.  Then each step in order, from its `_step_groups`: with
-    keep times -lr, keep / (1 + exp(s)) is -lr * dL/ds for the draws and
-    its negation for the target, and that times A's doc columns is the
-    doc step, lr * dL/ds * d s / d vec (alpha holds d h / d vec).  6 NumPy
-    calls a position."""
-    d, one = A.shape[-1] - 1, np.array(1.0)   # 0-d: no Python float to convert per call
-    np.multiply(G[..., :d], alpha, out=A[..., :d])
-    np.matmul(G[..., G.shape[-1] - context.shape[-2]:], context, out=A[..., d:])
-    target = A[..., 0, :]
+    frozen.  Its `_frozen_context` (positions, B, K) fills h's `slots`
+    (all of h in average mode); the target's row of its output rows G
+    (passes, positions, B, 1+m, D) is negated, so that its entry of G @ h
+    is the score and the draws' the negated scores; in concatenate mode
+    `doc_copy` takes G's doc columns, which ndarray.dot would copy per
+    step, so lone and batched steps round alike.  Each step: h = alpha *
+    vec + c, s = G @ h, g = keep / (1 + exp(s)), -lr * alpha * dL/ds
+    (negated for the target), and the doc step g @ G[..., :d] (-alpha is
+    d h / d vec), subtracted from vec: 8 NumPy calls, 7 in concatenate mode."""
+    np.copyto(slots, context)
+    target = G[..., 0, :]
     np.negative(target, out=target)
-    exp, add, divide, subtract = np.exp, np.add, np.divide, np.subtract   # no lookups per step
-    for product, steps, keeps, column, scores, g, step, doc_step, vec in groups:
-        for rows, keep in zip(steps, keeps):
-            product(rows, column, scores)
+    if doc_copy is not None:
+        np.copyto(doc_copy, G[..., :doc_copy.shape[-1]])
+    one = np.array(1.0)                   # 0-d: no Python float to convert per call
+    multiply, exp, add, divide, subtract = np.multiply, np.exp, np.add, np.divide, np.subtract
+    for product, vec, scores, g, step, average, steps in groups:
+        for alpha, rows, doc_rows, keep, hv, h in steps:
+            # h = alpha * vec + c; in average mode c fills h, so alpha * vec goes via `step`
+            add(multiply(vec, alpha, step), hv, hv) if average else multiply(vec, alpha, hv)
+            product(rows, h, scores)
             exp(g, g)
             add(g, one, g)
-            divide(keep, g, g)                   # 0 / x is 0 exactly
-            product(g, rows, step)               # then g @ beta, unused
-            subtract(vec, doc_step, vec)
+            divide(keep, g, g)               # 0 / x is 0 exactly
+            product(g, doc_rows, step)
+            subtract(vec, step, vec)
 
 
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
@@ -574,32 +575,31 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     chunk = min(steps, max(1, STEP_CHUNK // (B * n_max)))
     cdf = _noise_cdf(model.noise_probs)
     rngs = [np.random.default_rng(seed) for _ in docs]
-    buffers = G, A, K, columns, _, _ = _block_buffers(
+    buffers = G, G_doc, K, H, vecs, *_ = _block_buffers(
         per_window * span, B, m, model.output_matrix.shape[1], d)
-    vecs = columns[:, :d, 0]
     vecs[...] = [(rng.random(d) - 0.5) / d for rng in rngs]
     alpha, context = _frozen_context(model, tokens, valid)
     # Pass- then position-major, as are the rows drawn from it: [p0:p1,
     # i0:i1] is one gather window.
     uniform = np.zeros((chunk, n_max, B, m))
     active = valid.sum(axis=0).tolist()    # the documents at each position
-    # the gather windows of q passes, keyed by q, and their step groups,
-    # keyed by the documents at each of their steps
+    # gather windows by passes, in order; step groups by (documents, alpha) per step
     windows, plans = {}, {}
 
     def windows_of(q: int) -> list:
-        """Per window of q passes over the positions `at`: the buffers'
-        parts it fills and its step groups, in order."""
         if q not in windows:
             windows[q] = []
             for i0 in range(0, n_max, span):
                 at = slice(i0, i0 + span)
-                key = tuple(active[at]) * q
+                key = tuple(zip(active[at], alpha.ravel()[at].tolist())) * q
                 if key not in plans:
                     plans[key] = _step_groups(buffers, key)
                 n = len(key) // q
-                G_w, K_w, A_w = (x[:q * n].reshape(q, n, *x.shape[1:]) for x in (G, K, A))
-                windows[q].append((at, G_w, K_w, alpha[at], context[at], A_w, plans[key]))
+                G_w, doc_w, K_w, H_w = (x[:q * n].reshape(q, n, *x.shape[1:])
+                                        for x in (G, G_doc, K, H))
+                windows[q].append((at, G_w, K_w, None if G_doc is G else doc_w,
+                                   H_w[..., -context.shape[2]:, 0], context[at, ..., 0],
+                                   plans[key]))
         return windows[q]
 
     for e0 in range(0, steps, chunk):
@@ -610,13 +610,13 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
             uniform[:passes, :n, b] = rng.random((passes, n, m))
         rows, kept = _step_rows(uniform[:passes], cdf, tokens.T)
         step = (e0 + np.arange(passes))[:, None, None] * lengths + np.arange(n_max)[:, None]
-        lr = -_learning_rate(lr0, lr_min, step, steps * lengths)[..., None]
+        lr = _learning_rate(lr0, lr_min, step, steps * lengths)[..., None] * -alpha[:, 0]
         for p0 in range(0, passes, per_window):
             ps = slice(p0, min(p0 + per_window, passes))
             for at, out, keep, *window in windows_of(ps.stop - p0):
                 # ids are checked in infer_doc_vectors; "raise" would buffer `out`
                 np.take(model.output_matrix, rows[ps, at], axis=0, out=out, mode="wrap")
-                # keep times -lr: the target's entry is -lr itself
+                # keep times -lr * alpha: the target's entry is -lr * alpha itself
                 np.multiply(kept[ps, at, ..., 0], lr[ps, at], out=keep[..., 0, :])
                 _frozen_window(out, *window)
     return vecs

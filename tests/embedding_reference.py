@@ -1,8 +1,9 @@
 """Reference embedding steps: the sequential kernel and schedule, the
 separate word2vec and distributed-memory steps, with the doc vector held
 apart from the word rows, lockstep loops of distributed-memory and of
-word2vec blocks, the unfolded frozen inference step, and the
-per-position loop that built the folded step's frozen context.  The one
+word2vec blocks, the frozen inference step as training's step restricted
+to the doc vector (no part of it folded into the gathered rows), and the
+per-position loop that built the frozen context.  The one
 input step in `qasim.embedding` must match the training steps bit for
 bit, apart from CBOW's rounding; whole DM and CBOW runs at a block of
 one must match the sequential steps to rounding (DM bit for bit where no
@@ -337,8 +338,10 @@ def _word_block_train(model: WordEmbeddingModel, docs: list[list[int]], cdf: np.
                     X[row] += step
 
 
-# The frozen inference step and block loop that the folded step replaced,
-# verbatim, with the gradient they called.
+# The frozen inference step and block loop of the releases before the
+# step was folded (and later unfolded in place), verbatim, with the
+# gradient they called: the hidden vector and the gradient as training
+# computes them, per position.
 
 def _ns_grad(s: np.ndarray, keep, label: np.ndarray, out=None) -> np.ndarray:
     """dL/ds = keep * sigma(s) - label over the last axis of the scores,
@@ -496,10 +499,10 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
 
 def folded_frozen_context(model: DocEmbeddingModel, docs: list[list[int]],
                           n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The folded step's frozen context as a loop over positions (average
-    mode) or documents (concatenate mode), verbatim: alpha (n_max, 1, 1,
-    1) and a view (n_max, B, K, 1), as `qasim.embedding._frozen_context`
-    returns them."""
+    """The frozen context, as first built for the folded step, as a loop
+    over positions (average mode) or documents (concatenate mode),
+    verbatim: alpha (n_max, 1, 1, 1) and a view (n_max, B, K, 1), as
+    `qasim.embedding._frozen_context` returns them."""
     W, k, d = model.word_matrix, model.window, model.dim
     if model.combine is CombineMode.AVERAGE:
         alpha = -1.0 / (1 + np.minimum(np.arange(n_max), k))

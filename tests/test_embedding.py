@@ -106,9 +106,17 @@ def step_rows(target, negatives):
 
 def one_step(rows):
     """The `_step_buffers` of a block of one step whose output rows are
-    `rows`, target first, and its negatives, the rows after the target."""
+    `rows`, target first, its negatives, the rows after the target, and
+    its keep, 0.0 for a negative that hits the target, as `_train` builds it."""
     rows = np.asarray(rows)
-    return embedding._step_buffers([1], len(rows) - 1), rows[1:]
+    return embedding._step_buffers([1], len(rows) - 1), rows[1:], block_keep(rows[:1], rows[1:])
+
+
+def block_keep(targets, negatives):
+    """The keep (a, 1+m) of steps with `targets` (a,) that share `negatives`."""
+    keep = np.ones((len(targets), 1 + len(negatives)))
+    keep[:, 1:] = np.not_equal(np.asarray(targets)[:, None], negatives)
+    return keep
 
 
 def word_step(model, inputs, rows, lr, repeats=None):
@@ -333,11 +341,10 @@ class TestDmStep:
         scale = embedding._dm_inputs([model.vocab_size], [context], [target], self.WINDOW,
                                      combine is CombineMode.AVERAGE)[3]
         B, b = (1, 0) if lone else (3, 1)
-        buffers = G, A, K, columns, _, _ = embedding._block_buffers(
+        buffers = G, G_doc, K, H, vecs, *_ = embedding._block_buffers(
             1, B, len(rows) - 1, model.output_matrix.shape[1], model.dim)
         r = np.random.default_rng(3)
         G[...] = r.normal(scale=0.4, size=G.shape)
-        vecs = columns[:, :-1, 0]
         vecs[...] = r.normal(scale=0.4, size=vecs.shape)
         G[0, b], vecs[b] = model.output_matrix[rows], doc_vec
         # the last position of documents that are the context and the target
@@ -345,11 +352,14 @@ class TestDmStep:
         alpha, frozen = embedding._frozen_context(
             model, np.array([[*context, target]] * B), np.ones((B, i + 1), dtype=bool))
         assert alpha[i, 0, 0, 0] == -scale
-        # keep times -lr, in one step group of B documents
-        K[0] = -0.5
-        groups = embedding._step_groups(buffers, [B])
+        # keep times -lr * alpha, in one step group of B documents
+        K[0] = -0.5 * alpha[i, 0, 0, 0]
+        groups = embedding._step_groups(buffers, ((B, alpha[i, 0, 0, 0]),))
         assert len(groups) == 1 and groups[0][0] is (np.ndarray.dot if lone else np.matmul)
-        embedding._frozen_window(G[None], alpha[i:], frozen[i:], A[None], groups)
+        # the frozen context fills h's context columns: all of them in average mode
+        slots = H[None, ..., H.shape[2] - frozen.shape[2]:, 0]
+        embedding._frozen_window(G[None], None if G_doc is G else G_doc[None], slots,
+                                 frozen[i:, ..., 0], groups)
         for matrix, copy_before in zip((model.word_matrix, model.doc_matrix,
                                         model.output_matrix), before):
             assert np.array_equal(matrix, copy_before)
@@ -477,7 +487,7 @@ class TestSharedNegatives:
         gradient in that step."""
         embedding._input_step(X, O, embedding._inputs(np.array(centers)[:, None], targets),
                               embedding._step_buffers([len(targets)], len(negatives)),
-                              np.array(negatives), lr)
+                              np.array(negatives), block_keep(targets, negatives), lr)
 
     def test_a_hit_gets_no_gradient_in_its_step_only(self):
         X, O = self.matrices()
@@ -1372,8 +1382,9 @@ def random_doc_model(combine, vocab, dim, window, negatives, seed):
 
 
 class TestInferenceAgainstReference:
-    """`infer_doc_vectors` against the unfolded step that it replaced
-    (`embedding_reference.infer_doc_vectors`): the same vectors, but for
+    """`infer_doc_vectors` against the reference step, training's step
+    restricted to the doc vector (`embedding_reference.infer_doc_vectors`):
+    the same vectors, but for
     rounding, in both combine modes, for lone documents and mixed-length
     batches, at any gather window, of part of a pass or of several
     passes, and any pass chunk."""
@@ -1395,6 +1406,10 @@ class TestInferenceAgainstReference:
     # two words: targets drawn as negatives, and repeated negatives, everywhere
     @example(CombineMode.AVERAGE, 5, 2, 8, 2, [6, 6, 2], 3, 2, 32, 7, 3)
     @example(CombineMode.CONCATENATE, 5, 2, 8, 2, [6, 6, 2], 3, 2, 32, 7, 3)
+    # a block of 36 documents in gather windows of 128 // 36 = 3 positions,
+    # in which documents end
+    @example(CombineMode.AVERAGE, 7, 3, 4, 12, [12, 9, 7, 5, 3, 1] * 6, 3, 128, 128, 4096, 5)
+    @example(CombineMode.CONCATENATE, 7, 3, 4, 12, [12, 9, 7, 5, 3, 1] * 6, 3, 128, 128, 4096, 5)
     def test_matches_unfolded_reference(self, combine, dim, window, negatives, vocab, lengths,
                                         steps, block, gather, chunk, seed):
         model = random_doc_model(combine, vocab, dim, window, negatives, seed)
