@@ -253,10 +253,10 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
     return lr0 - (lr0 - lr_min) * step / total_steps
 
 
-# Plan entries whose negatives training draws at once, and in inference
-# steps whose negatives one `_step_rows` call draws (at least one pass's).
-# Bounds the drawn rows' memory, whatever the corpus or document size, and
-# in inference the document-positions whose context words one gather covers.
+# Steps whose negatives (and in training keep masks) one draw covers: at
+# least one plan entry's in training, one pass's in inference (`_step_rows`).
+# Bounds that memory, whatever the corpus or document size, and in inference
+# the document-positions whose context words one gather covers.
 STEP_CHUNK = 1024
 
 # Documents that training advances in lockstep, one position at a time:
@@ -295,19 +295,20 @@ def _train(X: np.ndarray, output_matrix: np.ndarray, plan: list, config: EmbedTr
     `_input_step` per entry, updating X and the output matrix in place.
     An entry's block of steps predicts its targets at the rate of the
     first of them, and shares m negatives drawn for the entry; the rate
-    decays over all steps of all epochs.  A pass draws the negatives of
-    at most STEP_CHUNK entries at a time, in entry order: the stream of
-    one call per entry, and the keep masks of their steps in one buffer."""
+    decays over all steps of all epochs.  A pass draws the negatives and
+    builds the keep masks of the entries that start in a run of STEP_CHUNK
+    steps at once, in entry order: the stream of one call per entry."""
     m = config.negatives
     sizes = np.array([len(entry[1]) for entry in plan])
     firsts = np.cumsum(sizes) - sizes                # each entry's first step in a pass
     n_steps = int(sizes.sum())
     buffers = _step_buffers(sizes.tolist(), m)
-    keep = np.ones((int(np.add.reduceat(sizes, np.arange(0, len(plan), STEP_CHUNK)).max()), 1 + m))
+    bounds = [0, *(np.flatnonzero(np.diff(firsts // STEP_CHUNK)) + 1).tolist(), len(plan)]
+    keep = np.ones((STEP_CHUNK + int(sizes.max()), 1 + m))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            for start in range(0, len(plan), STEP_CHUNK):
-                entries, at = plan[start: start + STEP_CHUNK], slice(start, start + STEP_CHUNK)
+            for at in map(slice, bounds, bounds[1:]):
+                entries = plan[at]
                 draws = np.searchsorted(cdf, rng.random((len(entries), m)), side="right")
                 rates = _learning_rate(config.learning_rate, config.min_learning_rate,
                                        epoch * n_steps + firsts[at], config.epochs * n_steps)
@@ -439,10 +440,9 @@ def train_doc2vec(corpus: list[TokenizedDocument], config: EmbedTrainConfig,
 INFER_BLOCK = 128
 
 # Document-position-steps whose output rows one gather window takes: a
-# window of a short block covers several whole passes, so that a pass of
-# a short question does not pay for the window's calls alone.  Larger
-# windows speed up average-mode blocks, but a concatenate-mode window's
-# rows, (1 + window) times as wide, then fall out of cache.
+# short block's window covers whole passes, so a short question does not
+# pay the window's calls per pass.  Wider windows speed up average-mode
+# blocks, but concatenate mode's rows, 1 + window times as wide, spill cache.
 INFER_WINDOW = 32
 
 

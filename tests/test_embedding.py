@@ -852,9 +852,9 @@ class TestBlockTraining:
 
 
 class TestTrainChunk:
-    """Training draws the negatives of STEP_CHUNK plan entries at a time,
-    across documents, in slices that restart at each epoch; the chunk
-    size must not change a single byte."""
+    """Training draws the negatives of the plan entries that start in a
+    run of STEP_CHUNK steps at a time, across documents, in slices that
+    restart at each epoch; the chunk size must not change a single byte."""
 
     @pytest.mark.parametrize("train, mode", [
         (train_word2vec, Word2VecMode.CBOW),
@@ -864,11 +864,11 @@ class TestTrainChunk:
     ])
     @pytest.mark.parametrize("block", [1, None])
     def test_chunk_size_changes_nothing(self, monkeypatch, train, mode, block):
-        # Six documents of 20 tokens, two epochs.  A chunk of 1 draws per
-        # plan entry (a block position, or CBOW's windows of one size
-        # there); 7 entries are less than a document's, so slices end
-        # inside documents, and the last slice of an epoch is shorter;
-        # 10**6 holds every entry of an epoch in one draw.  The block
+        # Six documents of 20 tokens, two epochs.  A chunk of 1 step draws
+        # per plan entry (a block position, or CBOW's windows of one size
+        # there); 7 steps are less than a document's, so slices end inside
+        # documents, and the last slice of an epoch is shorter; 10**6 steps
+        # hold every entry of an epoch in one draw.  The block
         # governs all three models; at a block of 1, skip-gram still takes
         # a center's window in one entry.
         if block is not None:
@@ -1410,6 +1410,10 @@ class TestInferenceAgainstReference:
     # in which documents end
     @example(CombineMode.AVERAGE, 7, 3, 4, 12, [12, 9, 7, 5, 3, 1] * 6, 3, 128, 128, 4096, 5)
     @example(CombineMode.CONCATENATE, 7, 3, 4, 12, [12, 9, 7, 5, 3, 1] * 6, 3, 128, 128, 4096, 5)
+    # dim 3 in concatenate mode, lone and in a block: ndarray.dot copies the
+    # strided doc columns of the gathered rows where np.matmul reads them in
+    # place, and the two round differently at dims 2 and 3
+    @example(CombineMode.CONCATENATE, 3, 1, 5, 2, [1, 7], 2, 1, 1, 1, 0)
     def test_matches_unfolded_reference(self, combine, dim, window, negatives, vocab, lengths,
                                         steps, block, gather, chunk, seed):
         model = random_doc_model(combine, vocab, dim, window, negatives, seed)
