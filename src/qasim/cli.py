@@ -48,6 +48,11 @@ def _require(ok: bool, name: str, bound: str, value) -> None:
         raise UsageError(f"{name} must {bound}, got {value}")
 
 
+def _require_infer_steps(steps: int) -> None:
+    top = embedding.MAX_INFER_STEPS
+    _require(1 <= steps <= top, "--infer-steps", "be >= 1" if steps < 1 else f"be <= {top}", steps)
+
+
 def _parse_list(text: str, kind, name: str, items: str) -> list:
     """A comma-separated flag value as a list of `kind`."""
     try:
@@ -294,7 +299,10 @@ def _doc_vectors(texts, model, vocab, args, seed: int, what: str) -> np.ndarray:
                 f"doc vectors; pass --infer-vectors for unseen documents")
         return model.doc_matrix
     docs = [corpus.encode(corpus.tokenize(text), vocab, doc_id=i) for i, text in enumerate(texts)]
-    return embedding.infer_doc_vectors(model, docs, steps=args.infer_steps, seed=seed)
+    try:
+        return embedding.infer_doc_vectors(model, docs, steps=args.infer_steps, seed=seed)
+    except ValueError as exc:         # name the side: doc ids restart on each
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _bow_cosine_top1(q_texts, a_texts, pools, min_count: int):
@@ -312,7 +320,7 @@ def _bow_cosine_top1(q_texts, a_texts, pools, min_count: int):
 
 def cmd_eval(args, config: dict) -> int:
     if args.infer_vectors:
-        _require(args.infer_steps >= 1, "--infer-steps", "be >= 1", args.infer_steps)
+        _require_infer_steps(args.infer_steps)
     threshold = _threshold(args, config)
     min_count = _setting(args, config, "min_count") if args.bow_baseline else None
     seed = _seed(args, config)
@@ -378,7 +386,7 @@ def cmd_classify(args, config: dict) -> int:
 
 
 def cmd_ask(args, config: dict) -> int:
-    _require(args.infer_steps >= 1, "--infer-steps", "be >= 1", args.infer_steps)
+    _require_infer_steps(args.infer_steps)
     threshold = _threshold(args, config)
     seed = _seed(args, config)
     net = simnet.load_simnet(_require_file(args.simnet, "similarity network file"))

@@ -255,8 +255,7 @@ def _learning_rate(lr0: float, lr_min: float, step, total_steps):
 
 # Steps whose negatives (and in training keep masks) one draw covers: at
 # least one plan entry's in training, one pass's in inference (`_step_rows`).
-# Bounds that memory, whatever the corpus or document size, and in inference
-# the document-positions whose context words one gather covers.
+# Bounds that memory, whatever the corpus or document size.
 STEP_CHUNK = 1024
 
 # Documents that training advances in lockstep, one position at a time:
@@ -445,59 +444,47 @@ INFER_BLOCK = 128
 # blocks, but concatenate mode's rows, 1 + window times as wide, spill cache.
 INFER_WINDOW = 32
 
+MAX_INFER_STEPS = 10**9  # passes: far past any useful count; steps * length fits in int64
+
 
 def _frozen_context(model: DocEmbeddingModel, tokens: np.ndarray,
                     valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What stays fixed at each position of a block whose (B, n_max)
-    `tokens` are padded with word 0 where `valid` is False, past each
-    document's end; the padding reaches only those positions.  alpha
-    (n_max, 1, 1, 1), the doc vector's factor in the negated hidden
+    `tokens` are padded past each document's end, where `valid` is False.
+    alpha (n_max, 1, 1, 1), the doc vector's factor in the negated hidden
     vector h: -1/(1 + c) in average mode, with c context words, and -1 in
-    concatenate mode.  And a view (n_max, B, K, 1) of the frozen words'
-    part of h: the sum of the context rows times alpha in average mode (K
-    = d), the negated context slots in concatenate mode (K = window * d),
-    rows i..i+window of the document's word rows after `window` zero rows."""
+    concatenate mode.  And (n_max, B, K, 1), the frozen words' part of h:
+    one strided view of each document's word rows, after `window` zero
+    rows, reads position i's context as rows i..i+window.  Average mode
+    sums them as np.sum does, times alpha, zero past the end (K = d), with
+    the rows held beside the sums; concatenate mode negates the rows and
+    takes the view as the slots (K = window * d)."""
     W, k, d = model.word_matrix, model.window, model.dim
     B, n_max = tokens.shape
+    rows = np.zeros((B, k + n_max, d))
+    for b, n in enumerate(valid.sum(axis=1).tolist()):
+        W.take(tokens[b, :n], axis=0, out=rows[b, k: k + n], mode="wrap")  # checked ids: unbuffered
+    s_b, s_i, s_e = rows.strides
+    context = np.lib.stride_tricks.as_strided(rows, (n_max, B, k, d), (s_i, s_b, s_i, s_e),
+                                              writeable=False)
     if model.combine is CombineMode.AVERAGE:
         alpha = -1.0 / (1 + np.minimum(np.arange(n_max), k))
-        ctx = np.zeros((B, n_max, d))
-        # The words of STEP_CHUNK // B positions (and the window before
-        # them) at a time, added from 0.0 and the farthest word first: the
-        # order in which np.sum adds a position's context rows, so every
-        # sum keeps its bits.
-        span = max(1, STEP_CHUNK // B)
-        for i0 in range(0, n_max, span):
-            lo, i1 = max(0, i0 - k), min(i0 + span, n_max)
-            words = W.take(tokens[:, lo:i1], axis=0)
-            for j in range(min(k, i1 - 1), 0, -1):
-                a = max(i0, j)                 # the slab's first position with a word j back
-                ctx[:, a:i1] += words[:, a - j - lo:i1 - j - lo]
-        ctx[~valid] = 0.0
-        ctx *= alpha[:, None]
-        K = d
+        context = np.add.reduce(context, axis=2)
+        context[~valid.T] = 0.0
+        context *= alpha[:, None, None]
     else:
         alpha = -np.ones(n_max)
-        ctx = np.zeros((B, k + n_max, d))
-        for b, n in enumerate(valid.sum(axis=1).tolist()):
-            np.take(W, tokens[b, :n], axis=0, out=ctx[b, k: k + n])
-        np.negative(ctx, out=ctx)
-        K = k * d
-    s_b, s_i, s_e = ctx.strides
-    context = np.lib.stride_tricks.as_strided(ctx, (n_max, B, K, 1), (s_i, s_b, s_e, s_e),
-                                              writeable=False)
-    return alpha[:, None, None, None], context
+        np.negative(rows, out=rows)
+    return alpha[:, None, None, None], context.reshape(n_max, B, -1, 1)
 
 
 def _block_buffers(wide: int, B: int, m: int, D: int, d: int) -> tuple:
     """What inference of B documents in gather windows of `wide`
-    position-steps writes: output rows G (wide, B, 1+m, D), their doc
-    columns (G in average mode), keep times -lr * alpha (wide, B, 1, 1+m),
-    the negated hidden vectors H (wide, B, D, 1); the doc vectors (B, d),
-    the scores (B, 1+m, 1) and the doc steps (B, 1, d)."""
-    G = np.empty((wide, B, 1 + m, D))
-    shapes = (wide, B, 1, 1 + m), (wide, B, D, 1), (B, d), (B, 1 + m, 1), (B, 1, d)
-    return (G, G if D == d else np.empty((wide, B, 1 + m, d)), *map(np.empty, shapes))
+    position-steps writes: output rows G (wide, B, 1+m, D), keep times
+    -lr * alpha (wide, B, 1, 1+m), the negated hidden vectors H (wide, B,
+    D, 1), the doc vectors (B, d), the scores (B, 1+m, 1) and g @ G (B, 1, D)."""
+    shapes = (wide, B, 1 + m, D), (wide, B, 1, 1 + m), (wide, B, D, 1), (B, d), (B, 1 + m, 1)
+    return (*map(np.empty, shapes), np.empty((B, 1, D)))
 
 
 def _step_groups(buffers: tuple, plan: tuple) -> list[tuple]:
@@ -508,52 +495,49 @@ def _step_groups(buffers: tuple, plan: tuple) -> list[tuple]:
     all doc slot (average mode), and per step its views.  The index is
     [:a], or [0] for a lone document, whose views drop the batch axis so
     that its products run through ndarray.dot, the same BLAS gemv per
-    document at less overhead; a document's rows have one width whatever
-    the batch, so its arithmetic does not depend on the batch."""
-    G, G_doc, K, H, vecs, scores, step = buffers
+    document at less overhead; both read whole contiguous rows of G, so a
+    document's arithmetic does not depend on the batch."""
+    G, K, H, vecs, scores, step = buffers
+    d = vecs.shape[1]
     g = scores.reshape(len(scores), 1, -1)         # the scores' memory, as rows
-    zero_d = {alpha: np.array(alpha) for _, alpha in set(plan)}
     groups, s0 = [], 0
     for a, run in itertools.groupby(plan, key=lambda x: x[0]):
-        alphas = [zero_d[alpha] for _, alpha in run]
+        alphas = [np.array(alpha) for _, alpha in run]   # 0-d: no float to convert per call
         ix, product = (0, np.ndarray.dot) if a == 1 else (slice(a), np.matmul)
         at = slice(s0, s0 + len(alphas))
-        steps = list(zip(alphas, G[at, ix], G_doc[at, ix], K[at, ix],
-                         H[at, ix, None, :vecs.shape[1], 0], H[at, ix]))
-        groups.append((product, vecs[ix, None], scores[ix], g[ix], step[ix], G_doc is G, steps))
+        steps = list(zip(alphas, G[at, ix], K[at, ix], H[at, ix, None, :d, 0], H[at, ix]))
+        groups.append((product, vecs[ix, None], scores[ix], g[ix], step[ix],
+                       step[ix, ..., :d], step.shape[2] == d, steps))
         s0 = at.stop
     return groups
 
 
-def _frozen_window(G: np.ndarray, doc_copy, slots: np.ndarray, context: np.ndarray,
+def _frozen_window(G: np.ndarray, slots: np.ndarray, context: np.ndarray,
                    groups: list) -> None:
     """The inference steps of one gather window, word and output matrices
     frozen.  Its `_frozen_context` (positions, B, K) fills h's `slots`
     (all of h in average mode); the target's row of its output rows G
     (passes, positions, B, 1+m, D) is negated, so that its entry of G @ h
-    is the score and the draws' the negated scores; in concatenate mode
-    `doc_copy` takes G's doc columns, which ndarray.dot would copy per
-    step, so lone and batched steps round alike.  Each step: h = alpha *
-    vec + c, s = G @ h, g = keep / (1 + exp(s)), -lr * alpha * dL/ds
-    (negated for the target), and the doc step g @ G[..., :d] (-alpha is
-    d h / d vec), subtracted from vec: 8 NumPy calls, 7 in concatenate mode."""
+    is the score and the draws' the negated scores.  Each step: h = alpha
+    * vec + c, s = G @ h, g = keep / (1 + exp(s)), -lr * alpha * dL/ds
+    (negated for the target), g @ G over whole rows, and vec minus its
+    first d columns, the doc step (-alpha is d h / d vec): 8 NumPy calls, 7
+    in concatenate mode."""
     np.copyto(slots, context)
     target = G[..., 0, :]
     np.negative(target, out=target)
-    if doc_copy is not None:
-        np.copyto(doc_copy, G[..., :doc_copy.shape[-1]])
     one = np.array(1.0)                   # 0-d: no Python float to convert per call
     multiply, exp, add, divide, subtract = np.multiply, np.exp, np.add, np.divide, np.subtract
-    for product, vec, scores, g, step, average, steps in groups:
-        for alpha, rows, doc_rows, keep, hv, h in steps:
+    for product, vec, scores, g, step, doc_step, average, steps in groups:
+        for alpha, rows, keep, hv, h in steps:
             # h = alpha * vec + c; in average mode c fills h, so alpha * vec goes via `step`
             add(multiply(vec, alpha, step), hv, hv) if average else multiply(vec, alpha, hv)
             product(rows, h, scores)
             exp(g, g)
             add(g, one, g)
             divide(keep, g, g)               # 0 / x is 0 exactly
-            product(g, doc_rows, step)
-            subtract(vec, step, vec)
+            product(g, rows, step)
+            subtract(vec, doc_step, vec)
 
 
 def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
@@ -575,7 +559,7 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
     chunk = min(steps, max(1, STEP_CHUNK // (B * n_max)))
     cdf = _noise_cdf(model.noise_probs)
     rngs = [np.random.default_rng(seed) for _ in docs]
-    buffers = G, G_doc, K, H, vecs, *_ = _block_buffers(
+    buffers = G, K, H, vecs, *_ = _block_buffers(
         per_window * span, B, m, model.output_matrix.shape[1], d)
     vecs[...] = [(rng.random(d) - 0.5) / d for rng in rngs]
     alpha, context = _frozen_context(model, tokens, valid)
@@ -594,12 +578,9 @@ def _infer_block(model: DocEmbeddingModel, docs: list[list[int]], steps: int,
                 key = tuple(zip(active[at], alpha.ravel()[at].tolist())) * q
                 if key not in plans:
                     plans[key] = _step_groups(buffers, key)
-                n = len(key) // q
-                G_w, doc_w, K_w, H_w = (x[:q * n].reshape(q, n, *x.shape[1:])
-                                        for x in (G, G_doc, K, H))
-                windows[q].append((at, G_w, K_w, None if G_doc is G else doc_w,
-                                   H_w[..., -context.shape[2]:, 0], context[at, ..., 0],
-                                   plans[key]))
+                G_w, K_w, H_w = (x[:len(key)].reshape(q, -1, *x.shape[1:]) for x in (G, K, H))
+                windows[q].append((at, G_w, K_w, H_w[..., -context.shape[2]:, 0],
+                                   context[at, ..., 0], plans[key]))
         return windows[q]
 
     for e0 in range(0, steps, chunk):
@@ -635,12 +616,12 @@ def infer_doc_vectors(model: DocEmbeddingModel, docs: list[TokenizedDocument],
     blocks of INFER_BLOCK sorted by length; a document's vector does not
     depend on the other documents.  The model is never modified.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not lr > min_lr > 0:
-        raise ValueError("need learning_rate > min_learning_rate > 0")
-    if any(not doc.tokens for doc in docs):
-        raise ValueError("cannot infer a vector for an empty document")
+    if not 1 <= steps <= MAX_INFER_STEPS:
+        raise ValueError(f"steps must lie in [1, {MAX_INFER_STEPS}], got {steps}")
+    if not (math.isfinite(lr) and lr > min_lr > 0):
+        raise ValueError("need learning_rate > min_learning_rate > 0, both finite")
+    if empty := [doc.doc_id for doc in docs if not doc.tokens]:
+        raise ValueError(f"cannot infer a vector for empty document {empty[0]}")
     V = model.vocab_size
     bad = next((t for doc in docs for t in doc.tokens if not 0 <= t < V), None)
     if bad is not None:

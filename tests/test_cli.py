@@ -235,6 +235,42 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [
             "qasim: error: --infer-steps must be >= 1, got 0"]
 
+    @pytest.mark.parametrize("steps", [str(2**63), str(10**20)])
+    def test_infer_steps_above_bound_exits_two(self, ws, capsys, steps):
+        # neither fits int64: steps * length raised OverflowError, a traceback
+        rc = main(["eval", "--qa-file", str(ws["qa"]),
+                   "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                   "--simnet", str(ws["net"]), "--infer-vectors", "--infer-steps", steps,
+                   "--q-vocab", str(ws["q_vocab"]), "--a-vocab", str(ws["a_vocab"])])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: --infer-steps must be <= {embedding.MAX_INFER_STEPS}, got {steps}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("side", ["questions", "answers"])
+    def test_empty_document_exits_one_naming_side_and_index(self, ws, tmp_path, capsys, side):
+        # punctuation alone tokenizes to nothing: the third question, or the
+        # second answer of the file's order
+        records = [{"question": "red apple pie", "candidates": ["red apple", "blue sky"],
+                    "correct": [0]},
+                   {"question": "green tea", "candidates": ["hot tea", "old wall"],
+                    "correct": [0]},
+                   {"question": "?!" if side == "questions" else "tall tree",
+                    "candidates": ["cold milk", "red apple"], "correct": [1]}]
+        if side == "answers":
+            records[0]["candidates"][1] = "... !"
+        qa = tmp_path / "qa.jsonl"
+        write_qa(qa, records)
+        rc = main(["eval", "--qa-file", str(qa),
+                   "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                   "--simnet", str(ws["net"]), "--infer-vectors", "--infer-steps", "2",
+                   "--q-vocab", str(ws["q_vocab"]), "--a-vocab", str(ws["a_vocab"])])
+        assert rc == 1
+        index = 2 if side == "questions" else 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"qasim: error: {side}: cannot infer a vector for empty document {index}"]
+
     def test_infer_vectors_requires_vocab(self, ws):
         rc, _ = run(["eval", "--qa-file", str(ws["qa"]),
                      "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
@@ -1469,6 +1505,19 @@ class TestAsk:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["qasim: error: --infer-steps must be >= 1, got 0"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("steps", [str(2**63), str(10**20)])
+    def test_infer_steps_above_bound_exits_two_before_ready(self, ws, answers_file,
+                                                            monkeypatch, capsys, steps):
+        argv = self.ask_argv(ws, "0.5")
+        argv[argv.index("--infer-steps") + 1] = steps
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: --infer-steps must be <= {embedding.MAX_INFER_STEPS}, got {steps}"]
         assert captured.out == ""
 
     @pytest.mark.parametrize("threshold", ["1.5", "0", "1", "-0.2", "nan"])

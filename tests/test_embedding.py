@@ -341,7 +341,7 @@ class TestDmStep:
         scale = embedding._dm_inputs([model.vocab_size], [context], [target], self.WINDOW,
                                      combine is CombineMode.AVERAGE)[3]
         B, b = (1, 0) if lone else (3, 1)
-        buffers = G, G_doc, K, H, vecs, *_ = embedding._block_buffers(
+        buffers = G, K, H, vecs, *_ = embedding._block_buffers(
             1, B, len(rows) - 1, model.output_matrix.shape[1], model.dim)
         r = np.random.default_rng(3)
         G[...] = r.normal(scale=0.4, size=G.shape)
@@ -358,8 +358,7 @@ class TestDmStep:
         assert len(groups) == 1 and groups[0][0] is (np.ndarray.dot if lone else np.matmul)
         # the frozen context fills h's context columns: all of them in average mode
         slots = H[None, ..., H.shape[2] - frozen.shape[2]:, 0]
-        embedding._frozen_window(G[None], None if G_doc is G else G_doc[None], slots,
-                                 frozen[i:, ..., 0], groups)
+        embedding._frozen_window(G[None], slots, frozen[i:, ..., 0], groups)
         for matrix, copy_before in zip((model.word_matrix, model.doc_matrix,
                                         model.output_matrix), before):
             assert np.array_equal(matrix, copy_before)
@@ -1258,7 +1257,10 @@ class TestInferDocVectors:
         assert np.all(np.isfinite(vec))
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("lr, min_lr", [(-0.5, 1e-4), (0.01, 0.02), (0.025, 0.0)])
+    # an infinite rate returned NaN vectors
+    @pytest.mark.parametrize("lr, min_lr", [(-0.5, 1e-4), (0.01, 0.02), (0.025, 0.0),
+                                            (math.inf, 1e-4), (0.025, math.inf),
+                                            (0.025, math.nan), (math.nan, 1e-4)])
     def test_bad_learning_rates_rejected(self, trained_doc_model, lr, min_lr):
         docs, model = trained_doc_model
         with pytest.raises(ValueError, match="need learning_rate > min_learning_rate > 0"):
@@ -1350,10 +1352,20 @@ class TestInferDocVectors:
 
     def test_empty_document_or_steps_below_one_rejected(self, trained_doc_model):
         docs, model = trained_doc_model
-        with pytest.raises(ValueError, match="empty document"):
+        # named by its id
+        with pytest.raises(ValueError, match="^cannot infer a vector for empty document 1$"):
             embedding.infer_doc_vectors(model, [docs[0], TokenizedDocument(1, [])], steps=5)
         with pytest.raises(ValueError, match="steps"):
             embedding.infer_doc_vectors(model, docs[:2], steps=0)
+
+    @pytest.mark.parametrize("steps", [embedding.MAX_INFER_STEPS + 1, 2**63 - 1, 2**63, 10**20])
+    def test_steps_above_bound_rejected(self, trained_doc_model, steps):
+        # steps * length overflowed int64: silently at 2**63 - 1, with an
+        # OverflowError past it; all are rejected before any work
+        docs, model = trained_doc_model
+        with pytest.raises(ValueError, match=rf"^steps must lie in \[1, "
+                                             rf"{embedding.MAX_INFER_STEPS}\], got {steps}$"):
+            embedding.infer_doc_vectors(model, docs[:2], steps=steps)
 
     @pytest.mark.parametrize("bad", ["vocab_size", -1])
     def test_token_id_outside_vocabulary_rejected(self, trained_doc_model, bad):
@@ -1433,21 +1445,19 @@ class TestInferenceAgainstReference:
     @given(combine=st.sampled_from(list(CombineMode)), dim=st.integers(1, 9),
            window=st.integers(1, 6), vocab=st.integers(1, 12),
            lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
-           chunk=st.sampled_from([1, 2, 5, 4096]), seed=st.integers(0, 2**16))
+           seed=st.integers(0, 2**16))
     # 1-token documents, alone and in a block
-    @example(CombineMode.AVERAGE, 4, 3, 5, [1], 4096, 0)
-    @example(CombineMode.AVERAGE, 4, 3, 5, [7, 1, 1], 4096, 1)
-    @example(CombineMode.CONCATENATE, 4, 3, 5, [7, 1, 1], 4096, 1)
-    # documents shorter than the window beside one longer, in slabs of
-    # one position and of two
-    @example(CombineMode.AVERAGE, 3, 5, 6, [12, 4, 2], 3, 2)
-    @example(CombineMode.AVERAGE, 3, 5, 6, [12, 4, 2], 6, 2)
-    @example(CombineMode.CONCATENATE, 3, 5, 6, [12, 4, 2], 3, 2)
+    @example(CombineMode.AVERAGE, 4, 3, 5, [1], 0)
+    @example(CombineMode.AVERAGE, 4, 3, 5, [7, 1, 1], 1)
+    @example(CombineMode.CONCATENATE, 4, 3, 5, [7, 1, 1], 1)
+    # documents shorter than the window beside one longer
+    @example(CombineMode.AVERAGE, 3, 5, 6, [12, 4, 2], 2)
+    @example(CombineMode.CONCATENATE, 3, 5, 6, [12, 4, 2], 2)
     def test_frozen_context_matches_position_loop(self, combine, dim, window, vocab, lengths,
-                                                  chunk, seed):
-        # the frozen context that the folded step multiplies, gathered in
-        # slabs of STEP_CHUNK // B positions, against the per-position
-        # loop that built it: same bits
+                                                  seed):
+        # the frozen context that the step reads, from one strided view of
+        # each document's word rows, against the per-position loop that
+        # first built it: same bits
         model = random_doc_model(combine, vocab, dim, window, 1, seed)
         model.word_matrix[:, 0] = -0.0     # np.sum starts from 0.0: their sums are 0.0
         r = np.random.default_rng(seed + 1)
@@ -1456,11 +1466,30 @@ class TestInferenceAgainstReference:
         # padded with the last word: no position may read the padding
         tokens = np.full(valid.shape, vocab - 1)
         tokens[valid] = np.concatenate(docs)
-        with mock.patch.object(embedding, "STEP_CHUNK", chunk):
-            folded = embedding._frozen_context(model, tokens, valid)
+        folded = embedding._frozen_context(model, tokens, valid)
         for new, ref in zip(folded, reference.folded_frozen_context(model, docs, len(docs[0]))):
             assert np.array_equal(new, ref)
             assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("combine", list(CombineMode))
+    def test_frozen_context_memory_bounded_by_its_size(self, combine):
+        # A full block of 128 documents of 12 tokens at dim 100, window 3:
+        # the padded word rows (the context itself in concatenate mode) are
+        # held beside the average-mode sums while those are built, so the
+        # peak stays within 2.5 times what the returned context keeps (about
+        # 2.25 times in average mode, 1 in concatenate mode).
+        model = random_doc_model(combine, 50, 100, 3, 5, 0)
+        tokens = np.random.default_rng(1).integers(0, 50, (128, 12))
+        valid = np.ones(tokens.shape, dtype=bool)
+        tracemalloc.start()
+        try:
+            alpha, context = embedding._frozen_context(model, tokens, valid)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert context.shape == (12, 128, 100 if combine is CombineMode.AVERAGE else 300, 1)
+        assert kept >= 12 * 128 * 100 * 8
+        assert peak < 2.5 * kept
 
 
 class TestAnalogy:

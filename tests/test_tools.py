@@ -29,14 +29,16 @@ def test_output_digests_cover_every_run(tmp_path):
                      "infer_report.json"):
             assert f"{run} file {name}" in digests
     # seed 1's fixture again, through concatenate-mode paragraph vectors,
-    # early stopping or no dropout to `eval --infer-vectors`, with no word2vec
+    # early stopping, no dropout or a held-out file of mixed lengths to
+    # `eval --infer-vectors`, with no word2vec
     concat, early = "train_pipeline 1 concatenate", "train_pipeline 1 early-stop"
     no_dropout, cbow = "train_pipeline 1 no-dropout", "train_pipeline 1 cbow"
+    mixed = "train_pipeline 1 mixed-lengths"
 
     def commands(variant):
         return [k.split()[-2] for k in digests
                 if k.startswith(f"{variant} command") and k.endswith(" exit")]
-    for variant in (concat, early, no_dropout):
+    for variant in (concat, early, no_dropout, mixed):
         assert commands(variant) == ["build-vocab", "build-vocab", "train-doc2vec",
                                      "train-doc2vec", "sample-pairs", "train-simnet", "eval"]
         assert f"{variant} file a.w2v" not in digests
@@ -55,17 +57,23 @@ def test_output_digests_cover_every_run(tmp_path):
     for key in ("file q.d2v", "file a.d2v"):
         assert digests[f"{no_dropout} {key}"] == digests[f"train_pipeline 1 {key}"]
     assert digests[f"{no_dropout} file net.simnet"] != digests["train_pipeline 1 file net.simnet"]
+    # the same models, evaluated on held-out documents cut to mixed lengths
+    for key in ("file q.d2v", "file a.d2v", "file net.simnet"):
+        assert digests[f"{mixed} {key}"] == digests[f"train_pipeline 1 {key}"]
+    for key in ("inferred vectors", "file infer_report.json"):
+        assert digests[f"{mixed} {key}"] != digests[f"train_pipeline 1 {key}"]
+    assert f"{mixed} file report.json" not in digests
     # `ask` read the questions and answered them
     empty = hashlib.sha256(b"").hexdigest()
     # `eval --infer-vectors` and `ask` inferred vectors
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat, early, no_dropout, cbow):
+                "ask_large_collection 1", concat, early, no_dropout, cbow, mixed):
         assert digests[f"{run} inferred vectors"] != empty
     assert digests["ask_large_collection 1 command 00 ask stdout"] != empty
     assert "ask_large_collection 1 file q.d2v" in digests
     # the saved arrays, in call order, are what each run's digest covers
     for run in ("train_pipeline 1", "train_pipeline 2", "train_pipeline 3",
-                "ask_large_collection 1", concat, early, no_dropout, cbow):
+                "ask_large_collection 1", concat, early, no_dropout, cbow, mixed):
         files = sorted(saved.glob(run.replace(" ", "-") + "-[0-9]*.npy"))
         assert files
         inferred = hashlib.sha256()

@@ -6,12 +6,17 @@ Builds the inputs of `train_pipeline` for seeds 1-3 and of
 `ask_large_collection` for seed 1 with `perfbench/prep.py`'s `prepare`,
 then runs their commands through `qasim.cli.main` of the package under
 SRC, at one BLAS thread, each seed in a fresh temporary directory.
-`ask` answers the first 200 of the workload's questions.  Three more
+`ask` answers the first 200 of the workload's questions.  Five more
 runs take seed 1's fixture through the vocabularies, `train-doc2vec` on both
 sides, the pairs, `train-simnet` and `eval --infer-vectors` with one
-command's flags changed, to reach what the workloads never run: the
-workloads train average-mode paragraph vectors only, so `train_pipeline 1
-concatenate` adds `--combine concatenate` to `train-doc2vec`; they set
+command's flags or the held-out file changed, to reach what the workloads
+never run: the workloads train average-mode paragraph vectors only, so
+`train_pipeline 1 concatenate` adds `--combine concatenate` to
+`train-doc2vec`; every held-out document of a side has one length
+(questions 8 tokens, answers 12), so `train_pipeline 1 mixed-lengths` cuts
+them with `cut_lengths` first, which gives inference blocks whose ends
+hold fewer documents than the block, a lone longest document and padded
+positions; they set
 `train-simnet`'s patience to its epoch count, so `train_pipeline 1
 early-stop` sets `--patience 2`, and at full scale training stops early
 (at smoke scale, three epochs are too few for it to); they train with
@@ -50,12 +55,13 @@ import tempfile  # noqa: E402
 RUNS = [("train_pipeline", 1, None), ("train_pipeline", 2, None), ("train_pipeline", 3, None),
         ("ask_large_collection", 1, None), ("train_pipeline", 1, "concatenate"),
         ("train_pipeline", 1, "early-stop"), ("train_pipeline", 1, "no-dropout"),
-        ("train_pipeline", 1, "cbow")]
+        ("train_pipeline", 1, "cbow"), ("train_pipeline", 1, "mixed-lengths")]
 # a variant's command and the flags it adds there
 VARIANTS = {"concatenate": ("train-doc2vec", ["--combine", "concatenate"]),
             "early-stop": ("train-simnet", ["--patience", "2"]),
             "no-dropout": ("train-simnet", ["--dropout", "0"]),
-            "cbow": ("train-word2vec", ["--mode", "cbow"])}
+            "cbow": ("train-word2vec", ["--mode", "cbow"]),
+            "mixed-lengths": ("eval", [])}
 ASK_QUESTIONS = 200
 
 
@@ -75,6 +81,31 @@ def with_variant(commands: list, variant: str) -> list:
             and (argv[0] != "eval" or "--infer-vectors" in argv)]
 
 
+def cut_lengths(path: str) -> None:
+    """Cut the QA file at `path`, in place, to mixed lengths: its first
+    question and first answer keep every word, the j-th others 1 + (5j mod
+    (n - 1)) of their n words, so no other is as long.  An answer is cut
+    once, at its first appearance, wherever a pool holds it; if its cut
+    is another answer's text, it keeps every word."""
+    def cut(text: str, j: int) -> str:
+        words = text.split()
+        return text if j == 0 else " ".join(words[:1 + 5 * j % max(1, len(words) - 1)])
+
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    answers: dict[str, str] = {}
+    for record in records:
+        for text in record["candidates"]:
+            if text not in answers:
+                short = cut(text, len(answers))
+                answers[text] = text if short in answers.values() else short
+    with open(path, "w", encoding="utf-8") as fh:
+        for j, record in enumerate(records):
+            record.update(question=cut(record["question"], j),
+                          candidates=[answers[text] for text in record["candidates"]])
+            fh.write(json.dumps(record) + "\n")
+
+
 def run(workload: str, seed: int, variant: str | None, scale: str, name: str,
         save: str | None = None) -> dict:
     """The digests of one workload seed, run in the current directory,
@@ -88,6 +119,8 @@ def run(workload: str, seed: int, variant: str | None, scale: str, name: str,
         manifest = prepare(workload, seed, scale)
     if variant is not None:
         manifest["commands"] = with_variant(manifest["commands"], variant)
+    if variant == "mixed-lengths":
+        cut_lengths("heldout.jsonl")
     stdin = "".join(q + "\n" for q in manifest.get("questions", [])[:ASK_QUESTIONS])
     digests, inferred, calls = {}, hashlib.sha256(), 0
     infer = embedding.infer_doc_vectors
