@@ -64,8 +64,10 @@ def _parse_list(text: str, kind, name: str, items: str) -> list:
 def _require_file(path, what: str) -> str:
     if path is None:
         raise UsageError(f"missing required {what}")
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         raise UsageError(f"{what} not found: {path}")
+    if not os.path.isfile(path):
+        raise UsageError(f"{what} is not a regular file: {path}")
     return path
 
 

@@ -103,6 +103,9 @@ def pool_report(net: SimilarityNetwork, pools: list[CandidatePool], features,
     """
     if not pools:
         raise ValueError("pools must be non-empty")
+    empty = next((pool for pool in pools if len(pool.candidates) == 0), None)
+    if empty is not None:
+        raise ValueError(f"pool of question {empty.question_doc} has no candidates")
     q_features, a_features = features
     index = AnswerIndex(net, a_features)
     q_rows = feature_rows(q_features, [pool.question_doc for pool in pools])

@@ -61,6 +61,15 @@ def overfit_pairs(n=200, d=8, seed=42):
     return pairs, (qf, af)
 
 
+def planted_pools(records):
+    """Pools over the records' distinct answers, numbered as they appear, and the answers."""
+    answer_ids = {}
+    pools = [corpus.CandidatePool(q_id, [answer_ids.setdefault(text, len(answer_ids))
+                                         for text in r["candidates"]], frozenset(r["correct"]))
+             for q_id, r in enumerate(records)]
+    return pools, list(answer_ids)
+
+
 def test_criterion_1_pipeline_end_to_end(verdict, tmp_path):
     """Full pipeline on a bundled synthetic QA dataset in the line-JSON
     question/candidates/correct format; both evaluation metrics must be
@@ -172,45 +181,36 @@ def test_criterion_3_overfit_fixture(verdict):
     assert ok
 
 
+def planted_retrieval(offset=0, epochs=40, n_pairs=400, n_val=80, sim_epochs=600, **qa):
+    """Criterion 4's run, `offset` added to every seed and `qa` passed to the
+    fixture: pool top-1, the network, the doc2vec features and the pools."""
+    records = planted_qa_records(seed=0 + offset, **qa)
+    pools, answers = planted_pools(records)
+    cfg = EmbedTrainConfig(dim=16, window=3, negatives=5, epochs=epochs, seed=1 + offset)
+    features = []
+    for texts in ([r["question"] for r in records], answers):
+        docs = [corpus.tokenize(t) for t in texts]
+        vocab = corpus.build_vocabulary(docs, min_count=1)
+        features.append(embedding.train_doc2vec(corpus.encode_corpus(docs, vocab), cfg,
+                                                vocab_size=len(vocab)).doc_matrix)
+    features = tuple(features)
+    all_pairs = corpus.sample_pairs(pools, n_pairs, seed=2 + offset)
+    order = np.random.default_rng(3 + offset).permutation(len(all_pairs))
+    val = [all_pairs[i] for i in order[:n_val]]
+    train = [all_pairs[i] for i in order[n_val:]]
+    sim_cfg = SimTrainConfig(batch_size=100, max_epochs=sim_epochs, dropout_p=0.5,
+                             lam=0.0005, lr0=0.05, init_std=0.03,
+                             early_stop_patience=sim_epochs, seed=4 + offset)
+    net, _ = train_simnet(train, val, features, sim_cfg)
+    return retrieval.evaluate_pool_accuracy(net, pools, features), net, features, pools
+
+
 def test_criterion_4_planted_retrieval(verdict):
     """Two-topic QA corpus (60 questions, 100 answers), doc2vec d=16,
     pools of 10 with one planted correct answer: pool top-1 >= 0.9
     against 0.1 chance.  Runtime < 5 min."""
     start = time.perf_counter()
-    records = planted_qa_records(seed=0)  # 60 questions, 50+50 answers, pools of 10
-    q_texts = [r["question"] for r in records]
-    answers = []
-    answer_ids = {}
-    pools = []
-    for q_id, r in enumerate(records):
-        cand_ids = []
-        for text in r["candidates"]:
-            if text not in answer_ids:
-                answer_ids[text] = len(answers)
-                answers.append(text)
-            cand_ids.append(answer_ids[text])
-        pools.append(corpus.CandidatePool(q_id, cand_ids,
-                                          frozenset(r["correct"])))
-    q_docs = [corpus.tokenize(t) for t in q_texts]
-    a_docs = [corpus.tokenize(t) for t in answers]
-    q_vocab = corpus.build_vocabulary(q_docs, min_count=1)
-    a_vocab = corpus.build_vocabulary(a_docs, min_count=1)
-    cfg = EmbedTrainConfig(dim=16, window=3, negatives=5, epochs=40, seed=1)
-    q_model = embedding.train_doc2vec(corpus.encode_corpus(q_docs, q_vocab), cfg,
-                                      vocab_size=len(q_vocab))
-    a_model = embedding.train_doc2vec(corpus.encode_corpus(a_docs, a_vocab), cfg,
-                                      vocab_size=len(a_vocab))
-    features = (q_model.doc_matrix, a_model.doc_matrix)
-
-    all_pairs = corpus.sample_pairs(pools, 400, seed=2)
-    order = np.random.default_rng(3).permutation(len(all_pairs))
-    val = [all_pairs[i] for i in order[:80]]
-    train = [all_pairs[i] for i in order[80:]]
-    sim_cfg = SimTrainConfig(batch_size=100, max_epochs=600, dropout_p=0.5,
-                             lam=0.0005, lr0=0.05, init_std=0.03,
-                             early_stop_patience=600, seed=4)
-    net, _ = train_simnet(train, val, features, sim_cfg)
-    top1 = retrieval.evaluate_pool_accuracy(net, pools, features)
+    top1, _, _, pools = planted_retrieval()
     elapsed = time.perf_counter() - start
     ok = top1 >= 0.9 and elapsed < 300.0
     verdict(4, ok, f"pool top-1 {top1:.3f} (>=0.9 needed, chance 0.1) over "
@@ -218,41 +218,43 @@ def test_criterion_4_planted_retrieval(verdict):
     assert ok
 
 
-def test_criterion_5_embedding_semantics(verdict):
-    """Two-cluster corpus: mean within-topic cosine strictly above mean
-    across-topic cosine for CBOW, Skip-gram, and doc vectors; and the
-    planted analogy returns the planted word."""
-    def margins(matrix, labels):
-        X = matrix / np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True), 1e-12)
-        sims = X @ X.T
-        within, across = [], []
-        n = len(labels)
-        for i in range(n):
-            for j in range(i + 1, n):
-                (within if labels[i] == labels[j] else across).append(sims[i, j])
-        return float(np.mean(within)), float(np.mean(across))
+def margins(matrix, labels):
+    """Mean cosine of the rows' pairs within a label and across labels."""
+    X = matrix / np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True), 1e-12)
+    sims = X @ X.T
+    upper = np.triu(np.ones(sims.shape, dtype=bool), k=1)  # each pair once
+    same = np.equal.outer(labels, labels)
+    return float(sims[upper & same].mean()), float(sims[upper & ~same].mean())
 
-    docs, _ = two_topic_docs(60, seed=0)
+
+def embedding_margins(offset=0, n_word_docs=60, word_epochs=30, n_docs=40, doc_epochs=60):
+    """Criterion 5's runs, `offset` added to every seed: `margins` of the
+    CBOW and skip-gram word vectors and of the doc vectors, by model."""
+    docs, _ = two_topic_docs(n_word_docs, seed=0 + offset)
     vocab = corpus.build_vocabulary(docs, min_count=1)
     encoded = corpus.encode_corpus(docs, vocab)
     # word labels: which topic vocabulary each retained token belongs to
     word_rows = [vocab.token_to_id[t] for t in vocab.token_to_id]
     word_labels = [0 if t.startswith("x") else 1 for t in vocab.token_to_id]
     results = {}
-    cfg = EmbedTrainConfig(dim=16, window=3, negatives=5, epochs=30, seed=0)
+    cfg = EmbedTrainConfig(dim=16, window=3, negatives=5, epochs=word_epochs, seed=0 + offset)
     for mode in (Word2VecMode.CBOW, Word2VecMode.SKIPGRAM):
-        model = embedding.train_word2vec(encoded, cfg, mode=mode,
-                                         vocab_size=len(vocab))
-        within, across = margins(model.input_matrix[word_rows], word_labels)
-        results[mode.value] = (within, across)
+        model = embedding.train_word2vec(encoded, cfg, mode=mode, vocab_size=len(vocab))
+        results[mode.value] = margins(model.input_matrix[word_rows], word_labels)
 
-    doc_texts, doc_labels = two_topic_docs(40, seed=1)
+    doc_texts, doc_labels = two_topic_docs(n_docs, seed=1 + offset)
     d_vocab = corpus.build_vocabulary(doc_texts, min_count=1)
-    d_model = embedding.train_doc2vec(
-        corpus.encode_corpus(doc_texts, d_vocab),
-        EmbedTrainConfig(dim=16, window=3, negatives=5, epochs=60, seed=0),
-        vocab_size=len(d_vocab))
+    d_model = embedding.train_doc2vec(corpus.encode_corpus(doc_texts, d_vocab), EmbedTrainConfig(
+        dim=16, window=3, negatives=5, epochs=doc_epochs, seed=0 + offset), vocab_size=len(d_vocab))
     results["doc"] = margins(d_model.doc_matrix, doc_labels)
+    return results
+
+
+def test_criterion_5_embedding_semantics(verdict):
+    """Two-cluster corpus: mean within-topic cosine strictly above mean
+    across-topic cosine for CBOW, Skip-gram, and doc vectors; and the
+    planted analogy returns the planted word."""
+    results = embedding_margins()
 
     # planted analogy: row("dd") = row("aa") - row("bb") + row("cc") exactly
     a_vocab = corpus.build_vocabulary([["aa", "bb", "cc", "dd", "ee"]], min_count=1)
@@ -307,30 +309,32 @@ def test_criterion_7_regularization_direction(verdict):
     assert ok
 
 
+def order_feature_curves(offset=0, n_docs=80, epochs=150):
+    """Criterion 8's run, `offset` added to every seed: the doc2vec and BoW
+    learning curves, and the BoW matrix."""
+    texts, labels01 = order_carried_docs(n_docs=n_docs, cycles=3, n_tokens=24, seed=0 + offset)
+    docs = [corpus.tokenize(t) for t in texts]
+    vocab = corpus.build_vocabulary(docs, min_count=1)
+    encoded = corpus.encode_corpus(docs, vocab)
+    labels = np.array(labels01, dtype=np.float64) * 2.0 - 1.0
+    bow = evaluation.bow_matrix(encoded, vocab)
+    model = embedding.train_doc2vec(encoded, EmbedTrainConfig(
+        dim=16, window=1, negatives=2, epochs=epochs, learning_rate=0.025, seed=1 + offset),
+        vocab_size=len(vocab))
+    ratios, seeds = [0.2, 0.4, 0.6, 0.8], [0 + offset, 1 + offset, 2 + offset]
+    bow_curve = evaluation.learning_curve(bow, labels, ratios, seeds)
+    d2v_curve = evaluation.learning_curve(model.doc_matrix, labels, ratios, seeds)
+    return d2v_curve, bow_curve, bow
+
+
 def test_criterion_8_feature_comparison_direction(verdict):
     """Order-carried classification fixture (identical bag-of-words
     histograms by construction): doc2vec features beat BoW features
     under the same linear classifier at every ratio in {0.2, 0.4, 0.6,
     0.8}."""
-    texts, labels01 = order_carried_docs(n_docs=80, cycles=3, n_tokens=24, seed=0)
-    docs = [corpus.tokenize(t) for t in texts]
-    vocab = corpus.build_vocabulary(docs, min_count=1)
-    encoded = corpus.encode_corpus(docs, vocab)
-    labels = np.array(labels01, dtype=np.float64) * 2.0 - 1.0
-
+    d2v_curve, bow_curve, bow = order_feature_curves()
     # histograms are identical, so BoW cannot beat chance by construction
-    bow = evaluation.bow_matrix(encoded, vocab)
     assert np.ptp(bow[:, :24], axis=0).max() == 0.0
-
-    model = embedding.train_doc2vec(
-        encoded,
-        EmbedTrainConfig(dim=16, window=1, negatives=2, epochs=150,
-                         learning_rate=0.025, seed=1),
-        vocab_size=len(vocab))
-    ratios = [0.2, 0.4, 0.6, 0.8]
-    seeds = [0, 1, 2]
-    bow_curve = evaluation.learning_curve(bow, labels, ratios, seeds)
-    d2v_curve = evaluation.learning_curve(model.doc_matrix, labels, ratios, seeds)
     comparisons = [(r, m, bm) for (r, m, _), (_, bm, _) in zip(d2v_curve, bow_curve)]
     ok = all(m > bm for _, m, bm in comparisons)
     detail = ", ".join(f"ratio {r}: doc2vec {m:.3f} vs bow {bm:.3f}"
@@ -349,21 +353,11 @@ def test_criterion_9_determinism(verdict, tmp_path):
 
     records = planted_qa_records(n_questions=10, n_gold=6, n_filler=6,
                                  pool_size=4, seed=0)
-    pools = []
-    n_answers = 0
-    seen = {}
-    for q_id, r in enumerate(records):
-        ids = []
-        for text in r["candidates"]:
-            if text not in seen:
-                seen[text] = len(seen)
-            ids.append(seen[text])
-        pools.append(corpus.CandidatePool(q_id, ids, frozenset(r["correct"])))
-    n_answers = len(seen)
+    pools, answers = planted_pools(records)
 
     pairs = corpus.sample_pairs(pools, 30, seed=5)
     rng = np.random.default_rng(6)
-    features = (rng.normal(size=(len(records), 4)), rng.normal(size=(n_answers, 4)))
+    features = (rng.normal(size=(len(records), 4)), rng.normal(size=(len(answers), 4)))
     sim_cfg = SimTrainConfig(batch_size=10, max_epochs=5, dropout_p=0.5,
                              lr0=0.01, early_stop_patience=5, seed=8)
 

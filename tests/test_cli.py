@@ -271,6 +271,21 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [
             f"qasim: error: {side}: cannot infer a vector for empty document {index}"]
 
+    def test_empty_pool_exits_one_naming_its_question(self, ws, tmp_path, capsys):
+        records = [{"question": "red apple pie", "candidates": ["red apple", "blue sky"],
+                    "correct": [0]},
+                   {"question": "green tea", "candidates": []}]
+        qa = tmp_path / "qa.jsonl"
+        write_qa(qa, records)
+        rc = main(["eval", "--qa-file", str(qa),
+                   "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
+                   "--simnet", str(ws["net"]), "--infer-vectors", "--infer-steps", "2",
+                   "--q-vocab", str(ws["q_vocab"]), "--a-vocab", str(ws["a_vocab"])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["qasim: error: pool of question 1 has no candidates"]
+        assert captured.out == ""
+
     def test_infer_vectors_requires_vocab(self, ws):
         rc, _ = run(["eval", "--qa-file", str(ws["qa"]),
                      "--q-model", str(ws["q_model"]), "--a-model", str(ws["a_model"]),
@@ -564,6 +579,14 @@ class TestExitCodes:
         rc, _ = run(["sample-pairs", "--qa-file", str(tmp_path / "nope.jsonl"),
                      "--n-pairs", "5", "--out", str(tmp_path / "p.jsonl")])
         assert rc == 2
+
+    def test_directory_as_input_file_exits_two(self, tmp_path, capsys):
+        # it exists, so "not found" would mislead
+        rc = main(["build-vocab", "--qa-file", str(tmp_path), "--out", str(tmp_path / "v")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"qasim: error: QA dataset file is not a regular file: {tmp_path}"]
+        assert not (tmp_path / "v").exists()
 
     def test_unknown_config_field(self, ws, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1394,6 +1417,17 @@ class TestAsk:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("escalate (")
         assert "below threshold 0.999" in out[0]
+
+    def test_directory_as_answers_exits_two_before_ready(self, ws, tmp_path, monkeypatch,
+                                                         capsys):
+        argv = self.ask_argv(ws, "0.5")
+        argv[argv.index("--answers") + 1] = str(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("where is my thing\n"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"qasim: error: answers file is not a regular file: {tmp_path}"]
+        assert captured.out == ""
 
     def test_answer_doc_matrix_freed_before_the_first_question(self, ws, answers_file,
                                                                 monkeypatch, capsys):

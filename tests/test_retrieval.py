@@ -294,6 +294,12 @@ class TestPoolReport:
         assert report["pools_scored"] == 0
         assert report["pools_without_gold"] == 1
 
+    def test_empty_pool_named_by_its_question(self, net, features):
+        pools = [CandidatePool(question_doc=0, candidates=(1, 2)),
+                 CandidatePool(question_doc=3, candidates=())]
+        with pytest.raises(ValueError, match="^pool of question 3 has no candidates$"):
+            pool_report(net, pools, features)
+
     def test_missing_question_feature_rejected(self, net, features):
         pools = [CandidatePool(question_doc=len(features[0]), candidates=(1, 2))]
         with pytest.raises(ValueError, match=f"doc id {len(features[0])}"):

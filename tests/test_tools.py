@@ -112,57 +112,50 @@ def test_early_stop_run_stops_early(tmp_path, monkeypatch):
     assert reports[1]["completed_epochs"] == reports[1]["best_epoch"] + 4
 
 
-def test_criteria_sweep_runs_acceptance_criteria_4_and_5(monkeypatch):
-    # The sweep's criteria 4 and 5 at offset 0 and full scale, at the
-    # module's TRAIN_BLOCK, against the acceptance tests themselves: the
-    # same training and scoring calls in the same order, the same models
-    # to the bit and the same pool top-1.  Criterion 8's copy is literal
-    # too, but its pair of runs costs about 6 s, so it is left out here.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+def test_criteria_sweep_offset_reaches_every_seed(monkeypatch):
+    # each acceptance runner at smoke sizes: every seed that it passes moves with the offset
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import criteria_sweep
     import test_acceptance
+    from qasim import corpus, evaluation
 
-    from qasim import embedding, retrieval
-
-    runs = []
+    calls = []
 
     def record(module, name):
         original = getattr(module, name)
 
         def call(*args, **kwargs):
-            result = original(*args, **kwargs)
-            runs[-1].append((name, args, kwargs, result))
-            return result
+            # the runners' own calls only: the library draws from default_rng too
+            if sys._getframe(1).f_globals is vars(test_acceptance):
+                calls.append((name, kwargs["seed"] if "seed" in kwargs else args[-1]))
+            return original(*args, **kwargs)
         monkeypatch.setattr(module, name, call)
-    for module, name in ((embedding, "train_doc2vec"), (embedding, "train_word2vec"),
-                         (retrieval, "evaluate_pool_accuracy")):
-        record(module, name)
-    runs.append([])
-    for criterion in (criteria_sweep.criterion_4, criteria_sweep.criterion_5):
-        criterion(0, criteria_sweep.SIZES["full"])
-    runs.append([])
-    test_acceptance.test_criterion_4_planted_retrieval(lambda *args: None)
-    test_acceptance.test_criterion_5_embedding_semantics(lambda *args: None)
-    sweep, gate = runs
-    assert [c[0] for c in sweep] == [c[0] for c in gate] == [
-        "train_doc2vec", "train_doc2vec", "evaluate_pool_accuracy", "train_word2vec",
-        "train_word2vec", "train_doc2vec"]
-    for (name, args, kwargs, result), (_, gate_args, gate_kwargs, gate_result) in zip(sweep, gate):
-        assert kwargs == gate_kwargs
-        if name == "evaluate_pool_accuracy":
-            assert args[1] == gate_args[1] and result == gate_result
-            continue
-        assert args == gate_args
-        for field in ("input_matrix", "word_matrix", "doc_matrix", "output_matrix"):
-            if hasattr(result, field):
-                assert np.array_equal(getattr(result, field), getattr(gate_result, field))
+    # the gate's seeds, at offset 0
+    want = {"criterion 4": [("planted_qa_records", 0), ("EmbedTrainConfig", 1),
+                            ("sample_pairs", 2), ("default_rng", 3), ("SimTrainConfig", 4)],
+            "criterion 5": [("two_topic_docs", 0), ("EmbedTrainConfig", 0),
+                            ("two_topic_docs", 1), ("EmbedTrainConfig", 0)],
+            "criterion 8": [("order_carried_docs", 0), ("EmbedTrainConfig", 1),
+                            ("learning_curve", [0, 1, 2]), ("learning_curve", [0, 1, 2])]}
+    # patch each name in the module that the runners look it up in
+    for name in {name for seeds in want.values() for name, _ in seeds}:
+        record(next(m for m in (test_acceptance, corpus, np.random, evaluation)
+                    if hasattr(m, name)), name)
+    for criterion, seeds in want.items():
+        for offset in (0, 3):
+            calls.clear()
+            criteria_sweep.CRITERIA[criterion](offset, criteria_sweep.SIZES["smoke"][criterion])
+            assert calls == [(name, np.add(seed, offset).tolist()) for name, seed in seeds]
 
 
 def test_criteria_sweep_reports_every_offset_and_block(tmp_path):
-    out = subprocess.run([sys.executable, str(ROOT / "tools" / "criteria_sweep.py"),
-                          "--scale", "smoke", "--offsets", "2"],
+    argv = [sys.executable, str(ROOT / "tools" / "criteria_sweep.py"), "--scale", "smoke"]
+    # no offset to run is a usage error: exit 2, with argparse's usage and one error line
+    out = subprocess.run(argv + ["--offsets", "0"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stdout, out.stderr.splitlines()[-1]) == (
+        2, "", "criteria_sweep.py: error: --offsets must be at least 1, got 0")
+    out = subprocess.run(argv + ["--offsets", "2"],
                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     sweep = json.loads(out.stdout)
